@@ -112,19 +112,25 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _role_exit(role: str, result: dict) -> int:
+    """Exit code of a server role; an ``"error"`` in its result is a runtime error."""
+    if "error" in result:
+        print(f"error: {role}: {result['error']}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
+
+
 def cmd_net(args) -> int:
     from . import netloop
 
     if args.role == "controller":
         if args.listen is None:
             raise ConfigError("net", "controller needs --listen")
-        netloop.run_controller(args.listen)
-        return EXIT_OK
+        return _role_exit("controller", netloop.run_controller(args.listen))
     if args.role == "attacker":
         if args.listen is None or args.upstream is None:
             raise ConfigError("net", "attacker needs --listen and --upstream")
-        netloop.run_attacker(args.listen, args.upstream)
-        return EXIT_OK
+        return _role_exit("attacker", netloop.run_attacker(args.listen, args.upstream))
     # plant
     if args.connect is None or args.config is None:
         raise ConfigError("net", "plant needs --connect and --config")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import verify
 from .backend import KeyContext, pad_slots
-from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix, next_pow2
+from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix
 
 __all__ = [
     "LtiModel",
@@ -188,77 +188,91 @@ class SimTrace:
             fh.write("\n".join(lines) + "\n")
 
 
+def _in_process_link(ctx: KeyContext, enc_ctrl: DiagMatrixCipher, attacker,
+                     p: int, m: int):
+    """The default link: attacker hooks around the controller, in-process."""
+    def link(k, y_cipher, lo):
+        active = attacker is not None and k >= 0
+        if active:
+            y_cipher = attacker.tamper_measurement(k, y_cipher)
+        y_c = ctx.decrypt(y_cipher)[lo: lo + p]
+        u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
+        u_c = ctx.decrypt(u_cipher)[lo: lo + m]
+        if active:
+            u_cipher = attacker.tamper_control(k, u_cipher)
+        return u_cipher, y_c, u_c
+    return link
+
+
 def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
                     attacker=None, mode: str = "plain",
                     ctx: KeyContext | None = None, pre_roll: int = 0,
                     verifier: verify.VerifierContext | None = None,
-                    enc_ctrl: DiagMatrixCipher | None = None) -> SimTrace:
+                    link=None) -> SimTrace:
     """Simulate the closed loop for ``pre_roll + steps`` steps.
 
     Attack time runs from k = -pre_roll to steps - 1; an attached attacker is
     consulted for every k >= 0 (its internal schedule decides activity). In
-    ``encrypted`` mode the channel carries packed ciphertexts; with a
-    ``verifier`` attached the plant encodes/decodes every exchange and the
-    loop terminates at the first rejected response (verdict ``"bottom"``).
+    ``encrypted`` mode each step encodes y, encrypts it once, hands the
+    ciphertext to ``link(k, y_cipher, lo)``, and decrypts and decodes the
+    reply; with a ``verifier`` the encoding is ``verify.ecd`` and the loop
+    terminates at the first rejected response (verdict ``"bottom"``). The
+    link returns ``(u_cipher, y_c, u_c)``: the reply and the controller-side
+    view of the payload block at slot offset ``lo``, or ``None`` twice where
+    it cannot see it (the trace then records the plant's y and u). The
+    default link encrypts the controller and runs ``attacker`` in-process.
     """
     if mode not in ("plain", "encrypted"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "encrypted":
         if ctx is None:
             raise ValueError("encrypted mode requires a key context")
-        expansion = verifier.expansion if verifier is not None else 1
-        if enc_ctrl is None:
-            enc_ctrl, block_dim = encrypt_controller(ctx, ctrl, expansion)
-        else:
-            block_dim = next_pow2(model.p + model.m)
+        block_dim = verify.lifted_dim(model.p, model.m)
         if verifier is not None and verifier.block_dim != block_dim:
             raise ValueError("verifier block dimension does not match controller lift")
+        if link is None:
+            expansion = verifier.expansion if verifier is not None else 1
+            enc_ctrl, _ = encrypt_controller(ctx, ctrl, expansion)
+            link = _in_process_link(ctx, enc_ctrl, attacker, model.p, model.m)
+        elif attacker is not None:
+            raise ValueError("an attacker tampers on the in-process link only")
 
     x = np.asarray(x0, dtype=float).ravel().copy()
     trace = SimTrace()
     for k in range(-pre_roll, steps):
         y = model.C @ x
-        active = attacker is not None and k >= 0
         verdict = "n/a"
 
         if mode == "plain":
+            active = attacker is not None and k >= 0
             y_c = attacker.tamper_measurement(k, y) if active else y
             u_c = controller_eval_plain(ctrl, y_c)
             u = attacker.tamper_control(k, u_c) if active else u_c
-        elif verifier is None:
-            w = verify.lifted_input(y, ctrl.u0, block_dim)
-            y_cipher = ctx.encrypt(pad_slots(w, ctx.config.slot_count))
-            if active:
-                y_cipher = attacker.tamper_measurement(k, y_cipher)
-            y_c = ctx.decrypt(y_cipher)[: model.p]
-            u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
-            u_c = ctx.decrypt(u_cipher)[: model.m]
-            if active:
-                u_cipher = attacker.tamper_control(k, u_cipher)
-            u = ctx.decrypt(u_cipher)[: model.m]
         else:
             w = verify.lifted_input(y, ctrl.u0, block_dim)
-            encoded, tag = verify.ecd(verifier, w)
-            y_cipher = ctx.encrypt(pad_slots(encoded, ctx.config.slot_count))
-            if active:
-                y_cipher = attacker.tamper_measurement(k, y_cipher)
-            # trace the payload block the controller effectively processes
-            j0 = min(tag.payload_positions())
-            y_c = ctx.decrypt(y_cipher)[j0 * block_dim: j0 * block_dim + model.p]
-            u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
-            u_c = ctx.decrypt(u_cipher)[j0 * block_dim: j0 * block_dim + model.m]
-            if active:
-                u_cipher = attacker.tamper_control(k, u_cipher)
+            if verifier is None:
+                tag, lo = None, 0
+            else:
+                w, tag = verify.ecd(verifier, w)
+                # trace the payload block the controller effectively processes
+                lo = min(tag.payload_positions()) * block_dim
+            y_cipher = ctx.encrypt(pad_slots(w, ctx.config.slot_count))
+            u_cipher, y_c, u_c = link(k, y_cipher, lo)
             z = ctx.decrypt(u_cipher)
-            eps = max(verifier.threshold, 8.0 * u_cipher.noise_bound)
-            outcome = verify.dcd(verifier, tag, z[: verifier.encoded_dim],
-                                 threshold=eps)
-            if outcome.bottom:
-                trace.append(k, x, np.zeros(model.m), y, u_c, y_c, "bottom")
-                return trace
-            verdict = "ok"
-            u = outcome.payload[: model.m]
+            if verifier is None:
+                u = z[: model.m]
+            else:
+                outcome = verify.dcd(verifier, tag, z[: verifier.encoded_dim],
+                                     u_cipher.noise_bound)
+                if outcome.bottom:
+                    u, verdict = np.zeros(model.m), "bottom"
+                else:
+                    u, verdict = outcome.payload[: model.m], "ok"
+            if y_c is None:
+                y_c, u_c = y, u
 
         trace.append(k, x, u, y, u_c, y_c, verdict)
+        if verdict == "bottom":
+            break
         x = model.A @ x + model.B @ u
     return trace

@@ -6,6 +6,10 @@ terminates both connections and relays frames, tampering with the ciphertext
 payloads in flight. The protocol is strictly lock-step: one measurement
 frame out, one control frame back, per time step.
 
+The plant runs the shared ``control.run_closed_loop`` step over a TCP link
+(a frame exchange in place of in-process calls); the proxy's attacker comes
+from ``scenario.build_attacker``, as in ``run_scenario``.
+
 Frame layout (little-endian): u32 payload length, u8 message type, payload.
 
 This is a simulator: all roles reconstruct the key context from the shared
@@ -20,11 +24,9 @@ import logging
 import socket
 import struct
 
-import numpy as np
-
-from . import attack, control, verify
-from .backend import context_create, deserialize_ciphertext, serialize_ciphertext, pad_slots
-from .scenario import ScenarioConfig, build_verifier
+from . import control
+from .backend import context_create, deserialize_ciphertext, serialize_ciphertext
+from .scenario import ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
     "MSG_ENC_Y", "MSG_ENC_U", "MSG_HELLO", "MSG_BYE", "MSG_ABORT",
@@ -93,62 +95,49 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     return msg_type, payload
 
 
-def _listen(addr: tuple[str, int]) -> socket.socket:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind(addr)
-    srv.listen(1)
-    return srv
+def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
+    """Listen on ``addr``, signal ``ready`` and accept exactly one peer."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        srv.bind(addr)
+        srv.listen(1)
+        if ready is not None:
+            ready.set()
+        return srv.accept()[0]
+
+
+def _recv_hello(sock: socket.socket) -> tuple[ScenarioConfig, bytes]:
+    """The peer's first frame: HELLO carrying the scenario configuration."""
+    msg_type, payload = recv_frame(sock)
+    if msg_type != MSG_HELLO:
+        raise FrameError("expected HELLO as the first frame")
+    return ScenarioConfig.from_dict(json.loads(payload.decode())), payload
 
 
 # -- roles ---------------------------------------------------------------------
 
 def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace:
-    """Plant client: drives the physical state, ships measurements, applies
-    the received control actions. With verification enabled it encodes every
-    outgoing block, decodes every response, and aborts on the first rejected
-    one."""
-    model, ctrl = cfg.model, cfg.controller
+    """Plant client: runs the shared ``control.run_closed_loop`` step with a
+    link that ships each encrypted measurement frame and waits for the
+    control frame. With verification enabled it announces the first
+    rejected response with ABORT before it says BYE."""
     ctx = context_create(cfg.backend)
-    enc_dim = verify.lift_affine(-ctrl.K, ctrl.u0, 1)[0].shape[0]
     verifier = build_verifier(cfg) if cfg.scenario == "verified_attack" else None
-
-    trace = control.SimTrace()
-    x = cfg.x0.copy()
     with socket.create_connection(connect) as sock:
         send_frame(sock, MSG_HELLO, json.dumps(cfg.to_dict()).encode())
-        for k in range(-cfg.pre_roll, cfg.steps):
-            y = model.C @ x
-            if verifier is None:
-                w = verify.lifted_input(y, ctrl.u0, enc_dim)
-                tag = None
-            else:
-                block = verify.lifted_input(y, ctrl.u0, verifier.block_dim)
-                w, tag = verify.ecd(verifier, block)
-            c = ctx.encrypt(pad_slots(w, ctx.config.slot_count))
-            send_frame(sock, MSG_ENC_Y, serialize_ciphertext(c))
+
+        def exchange(k, y_cipher, lo):
+            send_frame(sock, MSG_ENC_Y, serialize_ciphertext(y_cipher))
             msg_type, payload = recv_frame(sock)
             if msg_type != MSG_ENC_U:
                 raise FrameError(f"expected control frame, got type {msg_type:#x}")
-            u_cipher = deserialize_ciphertext(ctx, payload)
-            z = ctx.decrypt(u_cipher)
-            if verifier is None:
-                u = z[: model.m]
-                verdict = "n/a"
-            else:
-                eps = max(verifier.threshold, 8.0 * u_cipher.noise_bound)
-                outcome = verify.dcd(verifier, tag, z[: verifier.encoded_dim],
-                                     threshold=eps)
-                if outcome.bottom:
-                    trace.append(k, x, np.zeros(model.m), y, np.zeros(model.m), y,
-                                 "bottom")
-                    send_frame(sock, MSG_ABORT, json.dumps({"step": k}).encode())
-                    send_frame(sock, MSG_BYE)
-                    return trace
-                u = outcome.payload[: model.m]
-                verdict = "ok"
-            trace.append(k, x, u, y, u, y, verdict)
-            x = model.A @ x + model.B @ u
+            return deserialize_ciphertext(ctx, payload), None, None
+
+        trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
+                                        mode="encrypted", ctx=ctx, pre_roll=cfg.pre_roll,
+                                        verifier=verifier, link=exchange)
+        if trace.verdict[-1] == "bottom":
+            send_frame(sock, MSG_ABORT, json.dumps({"step": trace.k[-1]}).encode())
         send_frame(sock, MSG_BYE)
     return trace
 
@@ -158,24 +147,13 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
     HELLO configuration, then answers one control frame per measurement
     frame. Returns its own view of the exchange: decrypted received inputs
     and emitted outputs (simulation introspection)."""
-    srv = _listen(listen)
-    if ready is not None:
-        ready.set()
     result = {"y_c": [], "u_c": [], "aborted": False}
-    try:
-        conn, _ = srv.accept()
-    finally:
-        srv.close()
-    with conn:
+    with _accept_one(listen, ready) as conn:
         try:
-            msg_type, payload = recv_frame(conn)
-            if msg_type != MSG_HELLO:
-                raise FrameError("expected HELLO as the first frame")
-            cfg = ScenarioConfig.from_dict(json.loads(payload.decode()))
+            cfg, _ = _recv_hello(conn)
             ctx = context_create(cfg.backend)
             expansion = cfg.expansion if cfg.scenario == "verified_attack" else 1
-            enc_ctrl, block_dim = control.encrypt_controller(ctx, cfg.controller,
-                                                             expansion)
+            enc_ctrl, _ = control.encrypt_controller(ctx, cfg.controller, expansion)
             while True:
                 msg_type, payload = recv_frame(conn)
                 if msg_type == MSG_BYE:
@@ -202,23 +180,13 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
     controller, and tampers with ciphertext frames per the attack plan found
     in the relayed HELLO. Only the public capability (encrypt, homomorphic
     add) touches the payloads."""
-    srv = _listen(listen)
-    if ready is not None:
-        ready.set()
     stats = {"relayed": 0, "tampered": 0}
-    try:
-        plant_conn, _ = srv.accept()
-    finally:
-        srv.close()
-    with plant_conn, socket.create_connection(upstream) as up:
+    with (_accept_one(listen, ready) as plant_conn,
+          socket.create_connection(upstream) as up):
         try:
-            msg_type, payload = recv_frame(plant_conn)
-            if msg_type != MSG_HELLO:
-                raise FrameError("expected HELLO as the first frame")
-            cfg = ScenarioConfig.from_dict(json.loads(payload.decode()))
-            ctx = context_create(cfg.backend)
-            pub = ctx.public_context()
-            attacker = _build_proxy_attacker(cfg, ctx, pub)
+            cfg, payload = _recv_hello(plant_conn)
+            pub = context_create(cfg.backend).public_context()
+            attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
 
             k = -cfg.pre_roll
@@ -232,10 +200,10 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                 if msg_type != MSG_ENC_Y:
                     raise FrameError(f"unexpected frame type {msg_type:#x}")
                 c = deserialize_ciphertext(pub, payload)
+                modified = False
                 if attacker is not None and k >= 0:
                     tampered = attacker.tamper_measurement(k, c)
-                    if tampered is not c:
-                        stats["tampered"] += 1
+                    modified = tampered is not c
                     c = tampered
                 send_frame(up, MSG_ENC_Y, serialize_ciphertext(c))
                 msg_type, payload = recv_frame(up)
@@ -243,27 +211,15 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                     raise FrameError(f"unexpected upstream frame {msg_type:#x}")
                 c = deserialize_ciphertext(pub, payload)
                 if attacker is not None and k >= 0:
-                    c = attacker.tamper_control(k, c)
+                    tampered = attacker.tamper_control(k, c)
+                    modified = modified or tampered is not c
+                    c = tampered
                 send_frame(plant_conn, MSG_ENC_U, serialize_ciphertext(c))
                 stats["relayed"] += 1
+                # a step counts once, whichever direction was modified
+                stats["tampered"] += modified
                 k += 1
         except (FrameError, ValueError, ConnectionError, json.JSONDecodeError) as exc:
             log.warning("attacker: relay stopped: %s", exc)
             stats["error"] = str(exc)
     return stats
-
-
-def _build_proxy_attacker(cfg: ScenarioConfig, ctx, pub):
-    if cfg.attack_plan is None:
-        return None
-    if cfg.scenario == "verified_attack":
-        block_dim = verify.lift_affine(-cfg.controller.K, cfg.controller.u0,
-                                       1)[0].shape[0]
-        return attack.GuessingAttacker(cfg.model, cfg.attack_plan, pub,
-                                       expansion=cfg.expansion, block_dim=block_dim,
-                                       rng=np.random.default_rng(cfg.seed + 1))
-    enc_model = None
-    if cfg.attack_plan.variant == "enc_model":
-        enc_model = attack.build_enc_model(pub, cfg.model)
-    return attack.CovertAttacker(cfg.model, cfg.attack_plan, ctx=pub,
-                                 enc_model=enc_model)

@@ -16,7 +16,8 @@ import numpy as np
 from . import attack, control, verify
 from .backend import BackendConfig, context_create
 
-__all__ = ["ConfigError", "ScenarioConfig", "run_scenario", "write_trace_svg"]
+__all__ = ["ConfigError", "ScenarioConfig", "build_attacker", "run_scenario",
+           "write_trace_svg"]
 
 SCENARIOS = ("baseline", "attack_plain", "attack_encrypted", "verified_attack")
 
@@ -189,26 +190,31 @@ def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
                         threshold=cfg.threshold, seed=cfg.seed)
 
 
+def build_attacker(cfg: ScenarioConfig, pub_ctx):
+    """The scenario's man-in-the-middle attacker, holding only the public
+    context ``pub_ctx`` (``None`` on a plain channel); ``None`` when the
+    scenario has no attack plan. Used in-process and by the TCP proxy."""
+    if cfg.attack_plan is None:
+        return None
+    if cfg.scenario == "verified_attack":
+        block_dim = verify.lifted_dim(cfg.model.p, cfg.model.m)
+        return attack.GuessingAttacker(cfg.model, cfg.attack_plan, pub_ctx,
+                                       expansion=cfg.expansion, block_dim=block_dim,
+                                       rng=np.random.default_rng(cfg.seed + 1))
+    enc_model = None
+    if cfg.attack_plan.variant == "enc_model":
+        enc_model = attack.build_enc_model(pub_ctx, cfg.model)
+    return attack.CovertAttacker(cfg.model, cfg.attack_plan, ctx=pub_ctx,
+                                 enc_model=enc_model)
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     """Execute one scenario in-process. Returns the trace and the exit code
     (0 completed, 3 verification tripped)."""
     ctx = context_create(cfg.backend) if cfg.mode == "encrypted" else None
-    attacker = None
-    verifier = None
-
-    if cfg.scenario == "verified_attack":
-        verifier = build_verifier(cfg)
-        attacker = attack.GuessingAttacker(
-            cfg.model, cfg.attack_plan, ctx.public_context(),
-            expansion=cfg.expansion, block_dim=verifier.block_dim,
-            rng=np.random.default_rng(cfg.seed + 1))
-    elif cfg.scenario in ("attack_plain", "attack_encrypted"):
-        pub = ctx.public_context() if ctx is not None else None
-        enc_model = None
-        if cfg.attack_plan.variant == "enc_model":
-            enc_model = attack.build_enc_model(pub, cfg.model)
-        attacker = attack.CovertAttacker(cfg.model, cfg.attack_plan, ctx=pub,
-                                         enc_model=enc_model)
+    verifier = build_verifier(cfg) if cfg.scenario == "verified_attack" else None
+    pub = ctx.public_context() if ctx is not None and cfg.attack_plan is not None else None
+    attacker = build_attacker(cfg, pub)
 
     trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                     attacker=attacker, mode=cfg.mode, ctx=ctx,

@@ -29,6 +29,7 @@ __all__ = [
     "DecodeOutcome",
     "setup",
     "lift_affine",
+    "lifted_dim",
     "lifted_input",
     "ecd",
     "dcd",
@@ -115,12 +116,17 @@ def lift_affine(K, offset, expansion: int):
     K = np.atleast_2d(np.asarray(K, dtype=float))
     offset = np.asarray(offset, dtype=float).ravel()
     m, p = K.shape
-    d = next_pow2(p + m)
+    d = lifted_dim(p, m)
     K_aug = np.zeros((d, d))
     K_aug[:m, :p] = K
     K_aug[:m, p:p + m] = np.eye(m)
     K_lifted = np.kron(np.eye(expansion), K_aug)
     return K_aug, K_lifted, d - 1
+
+
+def lifted_dim(p: int, m: int) -> int:
+    """Block dimension of the lifted map from p inputs to m outputs."""
+    return next_pow2(p + m)
 
 
 def lifted_input(w, offset, block_dim: int) -> np.ndarray:
@@ -158,15 +164,17 @@ def ecd(ctx: VerifierContext, w, perm=None, challenge_indices=None,
 
 
 def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
-        threshold: float | None = None) -> DecodeOutcome:
+        noise_bound: float = 0.0) -> DecodeOutcome:
     """Decode a server response: un-shuffle, check every challenge block
     against its stored reference output, and on success return one payload
-    replica chosen uniformly at random."""
+    replica chosen uniformly at random. The acceptance rule lives here only:
+    a challenge passes within ``max(ctx.threshold, 8 * noise_bound)`` in the
+    infinity norm, ``noise_bound`` being the response ciphertext's."""
     z_tilde = np.asarray(z_tilde, dtype=float).ravel()
     lam, d = ctx.expansion, ctx.block_dim
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
-    eps = ctx.threshold if threshold is None else threshold
+    eps = max(ctx.threshold, 8.0 * noise_bound)
     half = lam // 2
     blocks = [np.zeros(d)] * lam
     for j in range(lam):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -116,6 +117,35 @@ class TestNet:
         assert code == 0
         assert "completed 40 steps" in capsys.readouterr().out
         assert trace_path.exists()
+
+    def test_controller_error_exit_two(self, capsys):
+        import socket
+
+        from encloop.netloop import MSG_HELLO, frame_encode
+
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        box = {}
+        t = threading.Thread(
+            target=lambda: box.update(code=main(["net", "--role", "controller",
+                                                 "--listen", f"127.0.0.1:{port}"])),
+            daemon=True)
+        t.start()
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port))
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline, "controller never listened"
+                time.sleep(0.02)
+        with sock:
+            sock.sendall(frame_encode(MSG_HELLO, b"this is not json"))
+        t.join(10)
+        assert not t.is_alive()
+        assert box["code"] == 2
+        assert "error: controller:" in capsys.readouterr().err
 
 
 class TestEntrypoint:

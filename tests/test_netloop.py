@@ -37,6 +37,10 @@ def baseline_cfg(steps=20, pre_roll=5, **extra):
     return ScenarioConfig.from_dict(raw)
 
 
+STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
+               "length": 10, "cooldown_len": 4}
+
+
 def start_thread(fn, *args, **kwargs):
     box = {}
 
@@ -118,17 +122,27 @@ def run_pipeline(cfg, with_attacker=False):
 
 
 class TestPlantControllerLoop:
-    def test_baseline_matches_in_process(self):
-        cfg = baseline_cfg(steps=30, pre_roll=10)
-        trace, ctrl_result, _ = run_pipeline(cfg)
+    @pytest.mark.parametrize("kind", ["baseline", "attack_plain", "attack_encrypted",
+                                      "verified_attack"])
+    def test_matches_in_process(self, kind):
+        """The plant's loop over TCP through the proxy is the in-process
+        loop, bit for bit, including the rejected step of a detected
+        attack."""
+        extra = {"backend": {"slot_count": 64, "max_depth": 16, "noise_std": 0.0}}
+        if kind != "baseline":
+            extra["attack"] = STEP_ATTACK
+        if kind == "verified_attack":
+            extra["verify"] = {"expansion": 4, "num_challenges": 8}
+        cfg = baseline_cfg(steps=30, pre_roll=10, scenario=kind, **extra)
+        trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
         ref, code = run_scenario(cfg)
-        assert code == 0
-        assert "error" not in ctrl_result
-        assert len(trace) == len(ref) == 40
+        assert code == (3 if kind == "verified_attack" else 0)
+        assert "error" not in ctrl_result and "error" not in stats
+        assert len(trace) == len(ref) == stats["relayed"]
+        assert trace.verdict == ref.verdict
         for fieldname in ("x", "u", "y"):
-            a = np.array(getattr(trace, fieldname))
-            b = np.array(getattr(ref, fieldname))
-            assert np.max(np.abs(a - b)) < 1e-8
+            assert np.array_equal(np.array(getattr(trace, fieldname)),
+                                  np.array(getattr(ref, fieldname)))
 
     def test_controller_records_its_view(self):
         cfg = baseline_cfg(steps=10, pre_roll=0)
@@ -198,11 +212,12 @@ class TestAttackerProxy:
         assert np.max(np.abs(np.array(trace.x) - np.array(ref.x))) < 1e-6
 
     def test_verified_attack_trips_over_the_wire(self):
-        atk = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4}
         cfg = baseline_cfg(steps=30, pre_roll=5, scenario="verified_attack",
-                           attack=atk, verify={"expansion": 8,
-                                               "num_challenges": 8})
+                           attack=STEP_ATTACK, verify={"expansion": 8,
+                                                       "num_challenges": 8})
         trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
         assert trace.verdict[-1] == "bottom"
-        assert ctrl_result.get("aborted") or "error" not in ctrl_result
+        # the step the proxy was caught on counts as tampered
+        assert stats["tampered"] >= 1
+        assert ctrl_result["aborted"] is True
+        assert "error" not in ctrl_result
