@@ -219,9 +219,9 @@ def pad_slots(values, slot_count: int) -> np.ndarray:
 
 def serialize_ciphertext(c: PackedCiphertext) -> bytes:
     n = len(c._slots)
-    return (struct.pack("<IIQ", n, c.level, c.key_id)
-            + struct.pack(f"<{n}d", *c._slots)
-            + struct.pack("<d", c.noise_bound))
+    return b"".join((struct.pack("<IIQ", n, c.level, c.key_id),
+                     np.asarray(c._slots, dtype="<f8").tobytes(),
+                     struct.pack("<d", c.noise_bound)))
 
 
 def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
@@ -235,7 +235,8 @@ def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
         raise ValueError(f"slot_count {n} does not match context {ctx.config.slot_count}")
     if key_id != ctx.key_id:
         raise KeyMismatch("serialized ciphertext carries a foreign key tag")
-    slots = np.array(struct.unpack_from(f"<{n}d", data, 16))
+    # astype copies: the slots own native float64 memory, never the blob's
+    slots = np.frombuffer(data, "<f8", count=n, offset=16).astype(np.float64)
     (noise_bound,) = struct.unpack_from("<d", data, 16 + 8 * n)
     return PackedCiphertext(_slots=slots, level=level, noise_bound=noise_bound,
                             key_id=key_id, ops_applied=0, _ctx=ctx)

@@ -24,7 +24,6 @@ from .backend import KeyContext, PackedCiphertext, hom_add, hom_mul, hom_neg, ro
 
 __all__ = [
     "DiagMatrixCipher",
-    "extract_wrapping_diagonals",
     "wrapping_diagonal",
     "pad_to_pow2",
     "next_pow2",
@@ -100,30 +99,25 @@ def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def extract_wrapping_diagonals(S) -> list[np.ndarray]:
-    """All d wrapping diagonals of a square power-of-two matrix."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    d = S.shape[0]
-    if d & (d - 1):
-        raise ValueError(f"dimension {d} is not a power of two")
-    return [wrapping_diagonal(S, i) for i in range(d)]
-
-
 def _band_indices(band: int, dim: int) -> list[int]:
     if band < 0 or 2 * band + 1 > dim:
         raise ValueError(f"band {band} out of range for dimension {dim}")
     return sorted({i % dim for i in range(-band, band + 1)})
 
 
+def _wrapped_offsets(S, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped diagonal index (c - r) mod dim of every nonzero entry S[r, c],
+    and its distance min(i, dim - i) from the main diagonal."""
+    r, c = np.nonzero(S)
+    offs = (c - r) % dim
+    return offs, np.minimum(offs, dim - offs)
+
+
 def _minimal_band(S, dim: int) -> int | None:
     """Smallest beta such that all nonzero wrapped diagonals lie in
     [-beta, beta], or None if no band smaller than dense exists."""
-    beta = 0
-    for i in range(dim):
-        if np.any(wrapping_diagonal(S, i, dim) != 0):
-            beta = max(beta, min(i, dim - i))
+    _, dist = _wrapped_offsets(S, dim)
+    beta = int(dist.max(initial=0))
     return beta if 2 * beta + 1 < dim else None
 
 
@@ -146,11 +140,11 @@ def encrypt_matrix(ctx: KeyContext, S, band: int | str | None = None) -> DiagMat
         indices = range(dim)
     else:
         indices = _band_indices(band, dim)
-        allowed = set(indices)
-        for i in range(dim):
-            if i not in allowed and np.any(wrapping_diagonal(S, i, dim) != 0):
-                raise ValueError(
-                    f"matrix has a nonzero wrapped diagonal {i} outside band {band}")
+        offs, dist = _wrapped_offsets(S, dim)
+        outside = offs[dist > band]
+        if outside.size:
+            raise ValueError(f"matrix has a nonzero wrapped diagonal "
+                             f"{int(outside.min())} outside band {band}")
     diagonals = {i: ctx.encrypt(wrapping_diagonal(S, i, dim)) for i in indices}
     return DiagMatrixCipher(dim=dim, diagonals=diagonals, band=band)
 

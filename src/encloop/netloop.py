@@ -72,27 +72,31 @@ def frame_decode(data: bytes) -> tuple[int, bytes, int]:
     return msg_type, data[5:5 + length], 5 + length
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes into a fresh buffer."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        read = sock.recv_into(view[got:])
+        if not read:
             raise ConnectionError("peer closed the connection mid-frame")
-        buf += chunk
+        got += read
     return buf
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b""):
+    # one write per frame: a separate header write would stall small frames
+    # behind Nagle's algorithm and the peer's delayed ACK
     sock.sendall(frame_encode(msg_type, payload))
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+def recv_frame(sock: socket.socket) -> tuple[int, bytearray]:
     header = _recv_exact(sock, 5)
     length, msg_type = struct.unpack("<IB", header)
     if msg_type not in _VALID_TYPES:
         raise FrameError(f"unknown message type {msg_type:#x}")
-    payload = _recv_exact(sock, length) if length else b""
-    return msg_type, payload
+    return msg_type, _recv_exact(sock, length)
 
 
 def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
@@ -146,13 +150,19 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
     """Controller server: builds the encrypted lifted controller from the
     HELLO configuration, then answers one control frame per measurement
     frame. Returns its own view of the exchange: decrypted received inputs
-    and emitted outputs (simulation introspection)."""
+    and emitted outputs (simulation introspection).
+
+    In ``verified_attack`` the view stays empty. The input is then an
+    encoding whose blocks are permuted payload replicas and challenges, and
+    the controller cannot know which block carries the payload, so any block
+    it recorded could be a challenge rather than ``y``/``u``."""
     result = {"y_c": [], "u_c": [], "aborted": False}
     with _accept_one(listen, ready) as conn:
         try:
             cfg, _ = _recv_hello(conn)
             ctx = context_create(cfg.backend)
-            expansion = cfg.expansion if cfg.scenario == "verified_attack" else 1
+            verified = cfg.scenario == "verified_attack"
+            expansion = cfg.expansion if verified else 1
             enc_ctrl, _ = control.encrypt_controller(ctx, cfg.controller, expansion)
             while True:
                 msg_type, payload = recv_frame(conn)
@@ -165,8 +175,9 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
                     raise FrameError(f"unexpected frame type {msg_type:#x}")
                 y_cipher = deserialize_ciphertext(ctx, payload)
                 u_cipher = control.controller_eval_encrypted(enc_ctrl, y_cipher)
-                result["y_c"].append(ctx.decrypt(y_cipher)[: cfg.model.p])
-                result["u_c"].append(ctx.decrypt(u_cipher)[: cfg.model.m])
+                if not verified:
+                    result["y_c"].append(ctx.decrypt(y_cipher)[: cfg.model.p])
+                    result["u_c"].append(ctx.decrypt(u_cipher)[: cfg.model.m])
                 send_frame(conn, MSG_ENC_U, serialize_ciphertext(u_cipher))
         except (FrameError, ValueError, ConnectionError, json.JSONDecodeError) as exc:
             log.warning("controller: rejected input: %s", exc)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,44 @@ class TestSerialization:
         blob = serialize_ciphertext(make_ctx(seed=5).encrypt(np.zeros(8)))
         with pytest.raises(KeyMismatch):
             deserialize_ciphertext(make_ctx(seed=6), blob)
+
+    @staticmethod
+    def struct_reference(c, slots):
+        """The wire blob packed value by value with ``struct``."""
+        n = len(slots)
+        return (struct.pack("<IIQ", n, c.level, c.key_id)
+                + struct.pack(f"<{n}d", *slots)
+                + struct.pack("<d", c.noise_bound))
+
+    @pytest.mark.parametrize("slot_count", [8, 2 ** 16])
+    def test_bytes_match_struct_reference(self, slot_count):
+        rng = np.random.default_rng(slot_count)
+        ctx = make_ctx(slot_count=slot_count, noise_std=1e-6)
+        c = hom_mul(ctx.encrypt(rng.normal(0, 1e3, slot_count)), rng.uniform(-2, 2, slot_count))
+        blob = serialize_ciphertext(c)
+        assert blob == self.struct_reference(c, ctx.decrypt(c))
+        assert serialize_ciphertext(deserialize_ciphertext(ctx, blob)) == blob
+
+    @pytest.mark.parametrize("slot_count", [8, 2 ** 16])
+    def test_special_values_round_trip_bit_exact(self, slot_count):
+        special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 0.0, 1.0]
+        values = np.resize(np.array(special), slot_count)
+        ctx = make_ctx(slot_count=slot_count)
+        c = ctx.encrypt(values)
+        blob = serialize_ciphertext(c)
+        assert blob == self.struct_reference(c, values)
+        back = ctx.decrypt(deserialize_ciphertext(ctx, blob))
+        assert back.tobytes() == values.tobytes()
+
+    def test_slots_own_their_memory(self):
+        ctx = make_ctx()
+        blob = bytearray(serialize_ciphertext(ctx.encrypt(np.arange(8.0))))
+        slots = deserialize_ciphertext(ctx, blob)._slots
+        assert slots.dtype == np.float64
+        assert slots.flags.writeable and slots.flags.owndata
+        assert not np.shares_memory(slots, np.frombuffer(blob, np.uint8))
+        blob[16:24] = struct.pack("<d", 99.0)
+        assert np.array_equal(slots, np.arange(8.0))
 
 
 def test_pad_slots():

@@ -111,6 +111,16 @@ class TestControllerEncrypted:
         assert np.allclose(out - controller_eval_plain(ctrl, y),
                            -ctrl.K @ delta, atol=1e-10)
 
+    def test_wide_lift_stores_band_only(self, ctrl):
+        # lambda=16 lift of the 4x4 block at 2^16 slots: band 3 of a 64x64
+        # matrix padded to 65536, so 7 diagonals and no dense scan
+        ctx = make_ctx(slot_count=2 ** 16, max_depth=4)
+        enc_ctrl, d = encrypt_controller(ctx, ctrl, expansion=16)
+        assert d == 4
+        assert enc_ctrl.band == 3
+        assert list(enc_ctrl.diagonals) == [0, 1, 2, 3, 2 ** 16 - 3, 2 ** 16 - 2,
+                                            2 ** 16 - 1]
+
 
 class TestClosedLoop:
     def test_converges_to_setpoint(self, model, ctrl):

@@ -11,7 +11,6 @@ from encloop.linalg import (
     enc_pinv_newton_schulz,
     enc_transpose,
     encrypt_matrix,
-    extract_wrapping_diagonals,
     next_pow2,
     pad_to_pow2,
     wrapping_diagonal,
@@ -25,12 +24,13 @@ def make_ctx(slot_count, max_depth=16, seed=1):
 
 class TestDiagonalExtraction:
     def test_two_by_two(self):
-        diags = extract_wrapping_diagonals([[1.0, 2.0], [3.0, 4.0]])
+        S = [[1.0, 2.0], [3.0, 4.0]]
+        diags = [wrapping_diagonal(S, i) for i in range(2)]
         assert np.array_equal(diags[0], [1, 4])
         assert np.array_equal(diags[1], [2, 3])
 
     def test_identity(self):
-        diags = extract_wrapping_diagonals(np.eye(4))
+        diags = [wrapping_diagonal(np.eye(4), i) for i in range(4)]
         assert np.array_equal(diags[0], np.ones(4))
         for i in range(1, 4):
             assert np.array_equal(diags[i], np.zeros(4))
@@ -38,7 +38,7 @@ class TestDiagonalExtraction:
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(2)
         S = rng.uniform(-5, 5, (8, 8))
-        diags = extract_wrapping_diagonals(S)
+        diags = [wrapping_diagonal(S, i) for i in range(8)]
         R = np.zeros((8, 8))
         for i in range(8):
             for j in range(8):
@@ -56,8 +56,9 @@ class TestDiagonalExtraction:
         assert wrapping_diagonal(S, 3)[7] == S[7, (3 + 7) % 8] == S[7, 2]
 
     def test_non_square_rejected(self):
+        # without ``dim`` the row count is the dimension; 3 columns exceed it
         with pytest.raises(ValueError):
-            extract_wrapping_diagonals(np.zeros((2, 3)))
+            wrapping_diagonal(np.zeros((2, 3)), 0)
 
 
 class TestPadding:
@@ -97,7 +98,7 @@ class TestEncryptMatrix:
         assert len(M.diagonals) == 4
         for i in range(4):
             assert np.allclose(ctx.decrypt(M.diagonals[i]),
-                               extract_wrapping_diagonals(S)[i], atol=1e-12)
+                               wrapping_diagonal(S, i), atol=1e-12)
         assert np.allclose(decrypt_matrix(ctx, M), S, atol=1e-12)
 
     def test_band_violation(self):
@@ -112,6 +113,43 @@ class TestEncryptMatrix:
         M = encrypt_matrix(ctx, S, band="auto")
         assert M.band == 1
         assert len(M.diagonals) == 3
+
+    def test_band_scan_matches_per_diagonal_reference(self):
+        """The nonzero-entry band scan agrees with a scan over every wrapped
+        diagonal: minimal band, stored indices and the first out-of-band
+        diagonal named in the error."""
+
+        def reference(S, dim, band):
+            nonzero = [i for i in range(dim) if np.any(wrapping_diagonal(S, i, dim) != 0)]
+            beta = max((min(i, dim - i) for i in nonzero), default=0)
+            outside = [i for i in nonzero if min(i, dim - i) > band]
+            return (beta if 2 * beta + 1 < dim else None), (outside[0] if outside else None)
+
+        rng = np.random.default_rng(12)
+        for case in range(300):
+            dim = int(rng.choice([2, 4, 8, 16]))
+            ctx = make_ctx(dim)
+            rows, cols = rng.integers(1, dim + 1, size=2)
+            S = rng.uniform(-2, 2, (rows, cols))
+            S[rng.random((rows, cols)) > rng.choice([0.0, 0.05, 0.3, 1.0])] = 0.0
+            if case % 5 == 0:  # a lone entry below the diagonal wraps around
+                S[:] = 0.0
+                S[rows - 1, 0] = 1.0
+            band = int(rng.integers(0, (dim - 1) // 2 + 1))
+            beta, offender = reference(S, dim, band)
+
+            M = encrypt_matrix(ctx, S, band="auto")
+            assert M.band == beta
+            expected = range(dim) if beta is None else sorted(
+                {i % dim for i in range(-beta, beta + 1)})
+            assert list(M.diagonals) == list(expected)
+            if offender is None:
+                assert encrypt_matrix(ctx, S, band=band).band == band
+            else:
+                with pytest.raises(ValueError) as err:
+                    encrypt_matrix(ctx, S, band=band)
+                assert str(err.value) == (f"matrix has a nonzero wrapped diagonal "
+                                          f"{offender} outside band {band}")
 
 
 class TestMatVec:

@@ -1,9 +1,11 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from encloop.backend import BackendConfig, context_create, serialize_ciphertext
 from encloop.netloop import (
     MSG_BYE,
     MSG_ENC_U,
@@ -95,6 +97,36 @@ class TestFraming:
             assert recv_frame(b) == (MSG_HELLO, b"one")
             assert recv_frame(b) == (MSG_ENC_Y, b"two")
 
+    @pytest.mark.parametrize("slot_count, chunk", [(8, 1), (2 ** 16, 7919)])
+    def test_reassembles_chunked_frame(self, slot_count, chunk):
+        ctx = context_create(BackendConfig(slot_count=slot_count))
+        payload = serialize_ciphertext(
+            ctx.encrypt(np.random.default_rng(1).uniform(-1, 1, slot_count)))
+        frame = frame_encode(MSG_ENC_Y, payload)
+        a, b = socket.socketpair()
+        with a, b:
+            def trickle():
+                for i in range(0, len(frame), chunk):
+                    a.sendall(frame[i:i + chunk])
+                    time.sleep(0.0005)
+
+            t = threading.Thread(target=trickle, daemon=True)
+            t.start()
+            msg_type, got = recv_frame(b)
+            t.join(10)
+            assert not t.is_alive()
+        assert msg_type == MSG_ENC_Y
+        assert got == payload
+
+    @pytest.mark.parametrize("cut", [3, 50])
+    def test_peer_closes_mid_frame(self, cut):
+        a, b = socket.socketpair()
+        with b:
+            with a:
+                a.sendall(frame_encode(MSG_ENC_Y, b"\x00" * 100)[:cut])
+            with pytest.raises(ConnectionError):
+                recv_frame(b)
+
 
 def run_pipeline(cfg, with_attacker=False):
     """Spin up controller (and optionally attacker proxy), run the plant."""
@@ -152,6 +184,16 @@ class TestPlantControllerLoop:
                              - np.array(trace.y_c))) < 1e-8
         assert np.max(np.abs(np.array(ctrl_result["u_c"])
                              - np.array(trace.u_c))) < 1e-8
+
+    def test_controller_view_empty_when_verified(self):
+        # the controller cannot tell the payload block from a challenge
+        cfg = baseline_cfg(steps=10, pre_roll=0, scenario="verified_attack",
+                           attack=STEP_ATTACK, verify={"expansion": 4,
+                                                       "num_challenges": 8})
+        trace, ctrl_result, _ = run_pipeline(cfg)
+        assert trace.verdict == ["ok"] * 10
+        assert "error" not in ctrl_result
+        assert ctrl_result["y_c"] == [] and ctrl_result["u_c"] == []
 
     def test_controller_survives_garbage(self):
         port = free_port()
