@@ -186,9 +186,13 @@ def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
     ctx, sa, sb, lev_b, nb_b, ops_b = _as_operands(a, b)
     ctx.op_counts["mul"] += 1
     # First-order noise propagation: each operand's noise scaled by the
-    # other's magnitude, plus the fresh operation noise.
-    bound = (a.noise_bound * float(np.max(np.abs(sb), initial=0.0))
-             + nb_b * float(np.max(np.abs(sa), initial=0.0)))
+    # other's magnitude, plus the fresh operation noise. A zero coefficient
+    # skips its magnitude scan (the same sum for finite slots).
+    bound = 0.0
+    if a.noise_bound:
+        bound = a.noise_bound * float(np.max(np.abs(sb), initial=0.0))
+    if nb_b:
+        bound += nb_b * float(np.max(np.abs(sa), initial=0.0))
     return _result(ctx, sa * sb, max(a.level, lev_b) + 1, bound,
                    max(a.ops_applied, ops_b) + 1)
 
@@ -198,7 +202,9 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     ctx = a._ctx
     i = i % ctx.config.slot_count
     ctx.op_counts["rot"] += 1
-    return _result(ctx, np.roll(a._slots, -i), a.level, a.noise_bound, a.ops_applied + 1)
+    s = a._slots
+    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound,
+                   a.ops_applied + 1)
 
 
 # -- helpers ----------------------------------------------------------------
@@ -217,11 +223,14 @@ def pad_slots(values, slot_count: int) -> np.ndarray:
 # little-endian: u32 slot_count, u32 level, u64 key_id,
 # slot_count f64 slot values, f64 noise_bound.
 
-def serialize_ciphertext(c: PackedCiphertext) -> bytes:
+def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
+    """The wire blob, written into one buffer."""
     n = len(c._slots)
-    return b"".join((struct.pack("<IIQ", n, c.level, c.key_id),
-                     np.asarray(c._slots, dtype="<f8").tobytes(),
-                     struct.pack("<d", c.noise_bound)))
+    blob = bytearray(24 + 8 * n)
+    struct.pack_into("<IIQ", blob, 0, n, c.level, c.key_id)
+    np.frombuffer(blob, "<f8", count=n, offset=16)[:] = c._slots
+    struct.pack_into("<d", blob, 16 + 8 * n, c.noise_bound)
+    return blob
 
 
 def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:

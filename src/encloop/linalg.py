@@ -42,8 +42,8 @@ class DiagMatrixCipher:
     """Matrix encrypted as a tuple of wrapping-diagonal ciphertexts.
 
     ``diagonals`` maps the wrapped diagonal index (0 <= i < dim) to its
-    ciphertext; absent indices are implicitly zero. ``band`` is set when the
-    stored indices are exactly the wrapped range [-band, band].
+    ciphertext; absent indices are implicitly zero. ``band``, when set, is an
+    upper bound: every stored index lies in the wrapped range [-band, band].
     """
 
     dim: int
@@ -99,12 +99,6 @@ def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def _band_indices(band: int, dim: int) -> list[int]:
-    if band < 0 or 2 * band + 1 > dim:
-        raise ValueError(f"band {band} out of range for dimension {dim}")
-    return sorted({i % dim for i in range(-band, band + 1)})
-
-
 def _wrapped_offsets(S, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Wrapped diagonal index (c - r) mod dim of every nonzero entry S[r, c],
     and its distance min(i, dim - i) from the main diagonal."""
@@ -113,10 +107,9 @@ def _wrapped_offsets(S, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return offs, np.minimum(offs, dim - offs)
 
 
-def _minimal_band(S, dim: int) -> int | None:
+def _minimal_band(dist: np.ndarray, dim: int) -> int | None:
     """Smallest beta such that all nonzero wrapped diagonals lie in
     [-beta, beta], or None if no band smaller than dense exists."""
-    _, dist = _wrapped_offsets(S, dim)
     beta = int(dist.max(initial=0))
     return beta if 2 * beta + 1 < dim else None
 
@@ -124,9 +117,13 @@ def _minimal_band(S, dim: int) -> int | None:
 def encrypt_matrix(ctx: KeyContext, S, band: int | str | None = None) -> DiagMatrixCipher:
     """Encrypt a matrix as its wrapping diagonals, padded to the slot count.
 
-    ``band=beta`` stores only the 2*beta+1 diagonals with wrapped index in
-    [-beta, beta] and rejects matrices with nonzero entries outside that
-    band. ``band="auto"`` detects the minimal band.
+    Only the wrapped diagonals holding a nonzero entry are encrypted, in
+    ascending index order. Which ones these are is public structure, like the
+    band: every party in this simulator builds its matrices from plaintext.
+    ``band=beta`` rejects matrices with a nonzero entry outside the wrapped
+    range [-beta, beta] and records beta as a bound on the stored indices;
+    ``band="auto"`` records the minimal such bound (None if it is not
+    smaller than dense).
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
@@ -134,17 +131,17 @@ def encrypt_matrix(ctx: KeyContext, S, band: int | str | None = None) -> DiagMat
     dim = ctx.config.slot_count
     if S.shape[0] > dim or S.shape[1] > dim:
         raise ValueError(f"matrix of shape {S.shape} exceeds slot_count {dim}")
+    offs, dist = _wrapped_offsets(S, dim)
     if band == "auto":
-        band = _minimal_band(S, dim)
-    if band is None:
-        indices = range(dim)
-    else:
-        indices = _band_indices(band, dim)
-        offs, dist = _wrapped_offsets(S, dim)
+        band = _minimal_band(dist, dim)
+    elif band is not None:
+        if band < 0 or 2 * band + 1 > dim:
+            raise ValueError(f"band {band} out of range for dimension {dim}")
         outside = offs[dist > band]
         if outside.size:
             raise ValueError(f"matrix has a nonzero wrapped diagonal "
                              f"{int(outside.min())} outside band {band}")
+    indices = sorted(set(offs.tolist()))
     diagonals = {i: ctx.encrypt(wrapping_diagonal(S, i, dim)) for i in indices}
     return DiagMatrixCipher(dim=dim, diagonals=diagonals, band=band)
 

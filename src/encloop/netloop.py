@@ -50,12 +50,16 @@ class FrameError(ValueError):
     pass
 
 
-def frame_encode(msg_type: int, payload: bytes = b"") -> bytes:
+def _frame_header(msg_type: int, length: int) -> bytes:
     if msg_type not in _VALID_TYPES:
         raise FrameError(f"unknown message type {msg_type:#x}")
-    if len(payload) > MAX_PAYLOAD:
+    if length > MAX_PAYLOAD:
         raise FrameError("payload too large")
-    return struct.pack("<IB", len(payload), msg_type) + payload
+    return struct.pack("<IB", length, msg_type)
+
+
+def frame_encode(msg_type: int, payload: bytes = b"") -> bytes:
+    return _frame_header(msg_type, len(payload)) + payload
 
 
 def frame_decode(data: bytes) -> tuple[int, bytes, int]:
@@ -87,8 +91,16 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b""):
     # one write per frame: a separate header write would stall small frames
-    # behind Nagle's algorithm and the peer's delayed ACK
-    sock.sendall(frame_encode(msg_type, payload))
+    # behind Nagle's algorithm and the peer's delayed ACK. sendmsg gathers
+    # header and payload without joining them into a copy; the loop resends
+    # whatever a partial send left over.
+    parts = [memoryview(_frame_header(msg_type, len(payload))), memoryview(payload)]
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts.pop(0))
+        if parts:
+            parts[0] = parts[0][sent:]
 
 
 def recv_frame(sock: socket.socket) -> tuple[int, bytearray]:

@@ -110,8 +110,10 @@ def lift_affine(K, offset, expansion: int):
 
     Returns (K_aug, K_lifted, band) where K_aug is the d x d padded matrix
     [K I] acting on stacked [w; offset] blocks, K_lifted is its
-    block-diagonal replication over ``expansion`` blocks, and band = d - 1 is
-    the wrapped bandwidth enabling the banded multiply path.
+    block-diagonal replication over ``expansion`` blocks, and band = d - 1
+    bounds the wrapped offset of every nonzero entry. ``encrypt_matrix``
+    checks that bound and stores only the diagonals that hold a nonzero
+    entry (for the tank controller, d = 4: offsets {-1, 0, 1, 2}).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     offset = np.asarray(offset, dtype=float).ravel()

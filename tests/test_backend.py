@@ -216,6 +216,21 @@ class TestNoiseAccounting:
         c2 = hom_add(c, ctx.encrypt(np.zeros(8)))
         assert c2.noise_bound > c.noise_bound
 
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+    def test_mul_noise_bound_first_order(self, noise_std):
+        """Each operand's bound scaled by the other's largest magnitude, plus
+        the fresh operation noise; a plaintext operand carries no bound."""
+        ctx = make_ctx(noise_std=noise_std)
+        rng = np.random.default_rng(7)
+        a = hom_add(ctx.encrypt(rng.uniform(-3, 3, 8)), ctx.encrypt(rng.uniform(-3, 3, 8)))
+        b = ctx.encrypt(rng.uniform(-5, 5, 8))
+        sa, sb = ctx.decrypt(a), ctx.decrypt(b)
+        assert hom_mul(a, b).noise_bound == (
+            a.noise_bound * np.max(np.abs(sb)) + b.noise_bound * np.max(np.abs(sa))
+            + noise_std)
+        m = rng.uniform(-5, 5, 8)
+        assert hom_mul(a, m).noise_bound == a.noise_bound * np.max(np.abs(m)) + noise_std
+
     def test_seeded_reproducibility(self):
         def run():
             ctx = make_ctx(noise_std=1e-9, seed=99)

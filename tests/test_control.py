@@ -95,8 +95,20 @@ class TestControllerEncrypted:
             out = controller_eval_encrypted(enc_ctrl, ctx.encrypt(pad_slots(w, 64)))
             assert np.max(np.abs(ctx.decrypt(out)[:2]
                                  - controller_eval_plain(ctrl, y))) < 1e-9
-        # banded lift: 2(d-1)+1 = 7 multiplies per evaluation
-        assert ctx.op_counts["mul"] - before == 100 * 7
+        # the 4x4 block [-K I] has nonzero wrapped diagonals {-1, 0, 1, 2}
+        # only: 4 multiplies per evaluation
+        assert ctx.op_counts["mul"] - before == 100 * 4
+
+    @pytest.mark.parametrize("expansion", [1, 4])
+    def test_one_evaluation_op_cost(self, ctrl, expansion):
+        ctx = make_ctx()
+        enc_ctrl, d = encrypt_controller(ctx, ctrl, expansion)
+        w = np.tile(verify.lifted_input(np.ones(2), ctrl.u0, d), expansion)
+        c = ctx.encrypt(pad_slots(w, 64))
+        before = dict(ctx.op_counts)
+        controller_eval_encrypted(enc_ctrl, c)
+        spent = {op: ctx.op_counts[op] - before[op] for op in before}
+        assert spent == {"rot": 4, "mul": 4, "add": 3, "enc": 0, "dec": 0}
 
     def test_tampering_shifts_by_gain(self, model, ctrl):
         ctx = make_ctx()
@@ -112,14 +124,14 @@ class TestControllerEncrypted:
                            -ctrl.K @ delta, atol=1e-10)
 
     def test_wide_lift_stores_band_only(self, ctrl):
-        # lambda=16 lift of the 4x4 block at 2^16 slots: band 3 of a 64x64
-        # matrix padded to 65536, so 7 diagonals and no dense scan
+        # lambda=16 lift of the 4x4 block at 2^16 slots: a 64x64 matrix
+        # padded to 65536 within band 3, whose nonzero wrapped diagonals
+        # are {-1, 0, 1, 2}; no dense scan
         ctx = make_ctx(slot_count=2 ** 16, max_depth=4)
         enc_ctrl, d = encrypt_controller(ctx, ctrl, expansion=16)
         assert d == 4
         assert enc_ctrl.band == 3
-        assert list(enc_ctrl.diagonals) == [0, 1, 2, 3, 2 ** 16 - 3, 2 ** 16 - 2,
-                                            2 ** 16 - 1]
+        assert list(enc_ctrl.diagonals) == [0, 1, 2, 2 ** 16 - 1]
 
 
 class TestClosedLoop:

@@ -4,6 +4,7 @@ import pytest
 from encloop.backend import BackendConfig, DepthExhausted, context_create
 from encloop.control import quadruple_tank
 from encloop.linalg import (
+    DiagMatrixCipher,
     decrypt_matrix,
     enc_matmat,
     enc_matrix_power,
@@ -112,18 +113,21 @@ class TestEncryptMatrix:
         S = np.diag(np.arange(1.0, 9.0)) + np.diag(np.ones(7), 1)
         M = encrypt_matrix(ctx, S, band="auto")
         assert M.band == 1
-        assert len(M.diagonals) == 3
+        # band 1, but diagonal -1 is all zero and is not stored
+        assert list(M.diagonals) == [0, 1]
 
     def test_band_scan_matches_per_diagonal_reference(self):
         """The nonzero-entry band scan agrees with a scan over every wrapped
-        diagonal: minimal band, stored indices and the first out-of-band
-        diagonal named in the error."""
+        diagonal: minimal band, stored indices (exactly the diagonals holding
+        a nonzero entry, for dense, "auto" and explicit-band calls) and the
+        first out-of-band diagonal named in the error."""
 
         def reference(S, dim, band):
             nonzero = [i for i in range(dim) if np.any(wrapping_diagonal(S, i, dim) != 0)]
             beta = max((min(i, dim - i) for i in nonzero), default=0)
             outside = [i for i in nonzero if min(i, dim - i) > band]
-            return (beta if 2 * beta + 1 < dim else None), (outside[0] if outside else None)
+            return ((beta if 2 * beta + 1 < dim else None), (outside[0] if outside else None),
+                    nonzero)
 
         rng = np.random.default_rng(12)
         for case in range(300):
@@ -135,16 +139,19 @@ class TestEncryptMatrix:
             if case % 5 == 0:  # a lone entry below the diagonal wraps around
                 S[:] = 0.0
                 S[rows - 1, 0] = 1.0
+            elif case % 5 == 1:  # the all-zero matrix stores nothing
+                S[:] = 0.0
             band = int(rng.integers(0, (dim - 1) // 2 + 1))
-            beta, offender = reference(S, dim, band)
+            beta, offender, nonzero = reference(S, dim, band)
 
+            assert list(encrypt_matrix(ctx, S).diagonals) == nonzero
             M = encrypt_matrix(ctx, S, band="auto")
             assert M.band == beta
-            expected = range(dim) if beta is None else sorted(
-                {i % dim for i in range(-beta, beta + 1)})
-            assert list(M.diagonals) == list(expected)
+            assert list(M.diagonals) == nonzero
             if offender is None:
-                assert encrypt_matrix(ctx, S, band=band).band == band
+                M = encrypt_matrix(ctx, S, band=band)
+                assert M.band == band
+                assert list(M.diagonals) == nonzero
             else:
                 with pytest.raises(ValueError) as err:
                     encrypt_matrix(ctx, S, band=band)
@@ -200,18 +207,49 @@ class TestMatVec:
         assert np.allclose(out_banded, out_dense, atol=1e-12)
 
     def test_band_efficiency_factor(self):
-        # dense / banded multiply count = d / (2 beta + 1)
+        # dense / banded multiply count = d / (2 beta + 1) when every entry
+        # of the dense matrix and of the band is nonzero
         ctx = make_ctx(16)
+        rng = np.random.default_rng(10)
         beta = 1
-        S = np.diag(np.ones(16)) + np.diag(0.5 * np.ones(15), 1)
+        dense = rng.uniform(1, 2, (16, 16))
+        banded = np.zeros((16, 16))
+        j = np.arange(16)
+        for i in range(-beta, beta + 1):
+            banded[j, (j + i) % 16] = rng.uniform(1, 2, 16)
         v = ctx.encrypt(np.ones(16))
         before = ctx.op_counts["mul"]
-        enc_matvec(encrypt_matrix(ctx, S), v)
+        enc_matvec(encrypt_matrix(ctx, dense), v)
         dense_muls = ctx.op_counts["mul"] - before
         before = ctx.op_counts["mul"]
-        enc_matvec(encrypt_matrix(ctx, S, band=beta), v)
+        enc_matvec(encrypt_matrix(ctx, banded, band=beta), v)
         banded_muls = ctx.op_counts["mul"] - before
         assert dense_muls / banded_muls == 16 / (2 * beta + 1)
+
+    def test_all_zero_matrix(self):
+        ctx = make_ctx(8)
+        M = encrypt_matrix(ctx, np.zeros((8, 8)))
+        assert M.diagonals == {}
+        out = enc_matvec(M, ctx.encrypt(np.ones(8)))
+        assert out.level == 1
+        assert np.array_equal(ctx.decrypt(out), np.zeros(8))
+
+    def test_zero_diagonals_add_nothing(self):
+        """The stored form gives exactly the output of one that also holds the
+        zero diagonals of the band (noiseless backend)."""
+        ctx = make_ctx(16)
+        rng = np.random.default_rng(11)
+        S = np.zeros((16, 16))
+        j = np.arange(16)
+        for i in (-1, 0, 2):
+            S[j, (j + i) % 16] = rng.uniform(-3, 3, 16)
+        sparse = encrypt_matrix(ctx, S, band=3)
+        assert list(sparse.diagonals) == [0, 2, 15]
+        full = DiagMatrixCipher(dim=16, band=3, diagonals={
+            i: ctx.encrypt(wrapping_diagonal(S, i)) for i in (0, 1, 2, 3, 13, 14, 15)})
+        v = ctx.encrypt(rng.uniform(-3, 3, 16))
+        assert np.array_equal(ctx.decrypt(enc_matvec(sparse, v)),
+                              ctx.decrypt(enc_matvec(full, v)))
 
     def test_depth_exhausted_propagates(self):
         ctx = make_ctx(4, max_depth=1)

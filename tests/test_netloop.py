@@ -43,6 +43,22 @@ STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
                "length": 10, "cooldown_len": 4}
 
 
+class CappedSendSocket:
+    """Stand-in socket whose sendmsg accepts at most ``cap`` bytes per call,
+    as a send interrupted after a partial write would."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.calls = 0
+        self.data = bytearray()
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        sent = b"".join(bytes(b) for b in buffers)[: self.cap]
+        self.data += sent
+        return len(sent)
+
+
 def start_thread(fn, *args, **kwargs):
     box = {}
 
@@ -117,6 +133,21 @@ class TestFraming:
             assert not t.is_alive()
         assert msg_type == MSG_ENC_Y
         assert got == payload
+
+    @pytest.mark.parametrize("cap", [1, 3, 5, 6, 100])
+    def test_send_resumes_after_partial_writes(self, cap):
+        payload = bytes(range(256))
+        sock = CappedSendSocket(cap)
+        send_frame(sock, MSG_ENC_Y, payload)
+        assert sock.data == frame_encode(MSG_ENC_Y, payload)
+        assert sock.calls == -(-(5 + len(payload)) // cap)
+
+    @pytest.mark.parametrize("payload", [b"", b"abc", bytes(2 ** 16)])
+    def test_frame_leaves_in_one_write(self, payload):
+        sock = CappedSendSocket(1 << 20)
+        send_frame(sock, MSG_HELLO, payload)
+        assert sock.data == frame_encode(MSG_HELLO, payload)
+        assert sock.calls == 1
 
     @pytest.mark.parametrize("cut", [3, 50])
     def test_peer_closes_mid_frame(self, cut):

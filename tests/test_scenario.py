@@ -123,6 +123,22 @@ class TestRunScenario:
         assert code == 3
         assert trace.verdict[-1] == "bottom"
 
+    @pytest.mark.parametrize("noise_std", [1e-4, 1e-2])
+    def test_honest_verified_never_rejected_under_noise(self, noise_std):
+        """The acceptance threshold follows the response's noise bound, so an
+        honest loop (the attacker never injects) passes every step at any
+        backend noise level."""
+        bottoms = 0
+        for seed in range(50):
+            raw = minimal("verified_attack", steps=40, pre_roll=10, seed=seed,
+                          backend={"slot_count": 64, "noise_std": noise_std},
+                          attack={"a_u": {}, "length": 10},
+                          verify={"expansion": 4})
+            trace, _ = run_scenario(ScenarioConfig.from_dict(raw))
+            assert "ok" in trace.verdict
+            bottoms += trace.verdict.count("bottom")
+        assert bottoms == 0
+
 
 class TestSvgPlot:
     def test_writes_valid_svg(self, tmp_path):
