@@ -7,6 +7,13 @@ scheme with ciphertext packing: slotwise add/sub/mul (ciphertext-ciphertext
 and ciphertext-plaintext), negation, circular slot rotation, a multiplicative
 depth budget, and an optional per-operation Gaussian noise term mimicking
 approximate arithmetic.
+
+``hom_dot`` is the fused linear transform sum_t a_t * rot_{s_t}(b_t) that real
+HE libraries evaluate in one pass (Halevi & Shoup, CRYPTO 2018). It returns
+the slots, level, noise bound and op counts of the composed rotate, multiply
+and add chain, but fills one buffer and draws its noise once: per slot,
+sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given the
+a_t slots is the exact law of the composed ops' 3T - 1 noise terms.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "hom_sub",
     "hom_neg",
     "hom_mul",
+    "hom_dot",
     "rotate",
     "pad_slots",
     "serialize_ciphertext",
@@ -117,8 +125,9 @@ class KeyContext:
         return c._slots.copy()
 
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
+        # slots is always a fresh result buffer, so the draw is added in place
         if self.config.noise_std > 0:
-            slots = slots + self.rng.normal(0.0, self.config.noise_std, slots.shape)
+            slots += self.rng.normal(0.0, self.config.noise_std, slots.shape)
         return slots
 
 
@@ -205,6 +214,72 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     s = a._slots
     return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound,
                    a.ops_applied + 1)
+
+
+def hom_dot(terms) -> PackedCiphertext:
+    """Fused sum_t a_t * rot_{s_t}(b_t) over ciphertext ``terms`` (a, b, s).
+
+    Equal to ``rotate(b, s)``, then ``hom_mul(a, .)``, then a left-to-right
+    ``hom_add`` chain: the same noiseless slots (products and sums taken in
+    the same order), level, noise bound, ops_applied and op counts (each
+    rotation on b's context, each product on a's, the sums on the first a's),
+    and the same DepthExhausted and KeyMismatch. Operands under one key share
+    the first a's backend config. It fills one result buffer and draws the
+    noise once: sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the
+    law of the composed noise sum_t a_t * e_rot + sum e_mul + sum e_add given
+    the a_t slots.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("hom_dot needs at least one term")
+    ctx = terms[0][0]._ctx
+    cfg = ctx.config
+    sigma, n = cfg.noise_std, cfg.slot_count
+    out = np.empty(n)
+    tmp = np.empty(n)
+    for t, (a, b, s) in enumerate(terms):
+        if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
+            raise KeyMismatch("operands were created under different keys")
+        level = max(a.level, b.level) + 1
+        if level > cfg.max_depth:
+            raise DepthExhausted(
+                f"operation requires level {level} but max_depth is {cfg.max_depth}")
+        # hom_mul's first-order rule on rot_s(b), whose max|slot| is max|b|
+        rot_bound = b.noise_bound + sigma
+        bound = a.noise_bound * float(np.max(np.abs(b._slots), initial=0.0)) \
+            if a.noise_bound else 0.0
+        if rot_bound:
+            bound += rot_bound * float(np.max(np.abs(a._slots), initial=0.0))
+        bound += sigma
+        ops = max(a.ops_applied, b.ops_applied + 1) + 1
+        if t == 0:
+            acc_level, acc_bound, acc_ops = level, bound, ops
+        else:
+            acc_level = max(acc_level, level)
+            acc_bound = acc_bound + bound + sigma
+            acc_ops = max(acc_ops, ops) + 1
+        # a * rot_s(b) without materializing the rotation
+        i = s % n
+        dst = out if t == 0 else tmp
+        np.multiply(a._slots[:n - i], b._slots[i:], out=dst[:n - i])
+        if i:
+            np.multiply(a._slots[n - i:], b._slots[:i], out=dst[n - i:])
+        if t:
+            out += tmp
+    for a, b, _ in terms:
+        b._ctx.op_counts["rot"] += 1
+        a._ctx.op_counts["mul"] += 1
+    ctx.op_counts["add"] += len(terms) - 1
+    if sigma > 0:
+        std = np.full(n, 2.0 * len(terms) - 1)
+        for a, _, _ in terms:
+            std += np.square(a._slots, out=tmp)
+        np.sqrt(std, out=std)
+        std *= sigma
+        std *= ctx.rng.standard_normal(n, out=tmp)
+        out += std
+    return PackedCiphertext(_slots=out, level=acc_level, noise_bound=acc_bound,
+                            key_id=ctx.key_id, ops_applied=acc_ops, _ctx=ctx)
 
 
 # -- helpers ----------------------------------------------------------------

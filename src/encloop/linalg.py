@@ -7,6 +7,9 @@ slotwise multiplies against rotated copies of the vector:
     S v = sum_i  S_i * rot_i(v)
 
 and matrix-matrix products to the analogous recombination of diagonals.
+Every such sum goes through the backend's fused ``hom_dot``: one call per
+matvec and one per output diagonal of a matmat, with the op counts, level and
+noise bound of the composed rotations, products and sums.
 Banded matrices store only the diagonals with wrapped index in [-band, band];
 the missing diagonals are implicitly zero and are skipped, not materialized.
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import KeyContext, PackedCiphertext, hom_add, hom_mul, hom_neg, rotate
+from .backend import KeyContext, PackedCiphertext, hom_add, hom_dot, hom_mul, hom_neg, rotate
 
 __all__ = [
     "DiagMatrixCipher",
@@ -161,13 +164,9 @@ def enc_matvec(S: DiagMatrixCipher, v: PackedCiphertext) -> PackedCiphertext:
     performs one slotwise multiply per stored diagonal."""
     if S.dim != v._ctx.config.slot_count:
         raise ValueError(f"matrix dim {S.dim} does not match ciphertext slots")
-    acc = None
-    for i, diag in S.diagonals.items():
-        term = hom_mul(diag, rotate(v, i))
-        acc = term if acc is None else hom_add(acc, term)
-    if acc is None:  # all-zero (empty) matrix
-        acc = hom_mul(v, np.zeros(S.dim))
-    return acc
+    if not S.diagonals:  # all-zero (empty) matrix
+        return hom_mul(v, np.zeros(S.dim))
+    return hom_dot((diag, v, i) for i, diag in S.diagonals.items())
 
 
 def enc_matmat(S: DiagMatrixCipher, T: DiagMatrixCipher) -> DiagMatrixCipher:
@@ -175,12 +174,11 @@ def enc_matmat(S: DiagMatrixCipher, T: DiagMatrixCipher) -> DiagMatrixCipher:
     if S.dim != T.dim:
         raise ValueError(f"dimension mismatch: {S.dim} vs {T.dim}")
     d = S.dim
-    out: dict[int, PackedCiphertext] = {}
+    terms: dict[int, list] = {}
     for i, Si in S.diagonals.items():
         for j, Tj in T.diagonals.items():
-            k = (i + j) % d
-            term = hom_mul(Si, rotate(Tj, i))
-            out[k] = hom_add(out[k], term) if k in out else term
+            terms.setdefault((i + j) % d, []).append((Si, Tj, i))
+    out = {k: hom_dot(t) for k, t in terms.items()}
     band = None
     if S.band is not None and T.band is not None and 2 * (S.band + T.band) + 1 <= d:
         band = S.band + T.band

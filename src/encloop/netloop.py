@@ -11,6 +11,10 @@ The plant runs the shared ``control.run_closed_loop`` step over a TCP link
 from ``scenario.build_attacker``, as in ``run_scenario``.
 
 Frame layout (little-endian): u32 payload length, u8 message type, payload.
+A receiver checks the declared length against its limit before it allocates
+the payload: the controller and the proxy read the HELLO under
+``HELLO_MAX_PAYLOAD`` and every later frame under the size of one serialized
+ciphertext of the configured slot count.
 
 This is a simulator: all roles reconstruct the key context from the shared
 configuration, and the attacker proxy restricts itself to the public
@@ -44,6 +48,7 @@ MSG_ABORT = 0x05
 _VALID_TYPES = {MSG_ENC_Y, MSG_ENC_U, MSG_HELLO, MSG_BYE, MSG_ABORT}
 
 MAX_PAYLOAD = 2 ** 31
+HELLO_MAX_PAYLOAD = 2 ** 20  # a scenario configuration as JSON
 
 
 class FrameError(ValueError):
@@ -103,12 +108,23 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b""):
             parts[0] = parts[0][sent:]
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytearray]:
+def recv_frame(sock: socket.socket, max_payload: int = MAX_PAYLOAD) -> tuple[int, bytearray]:
+    """Read one frame. Raises FrameError on an unknown type or a declared
+    length over ``max_payload``, before the payload buffer is allocated."""
     header = _recv_exact(sock, 5)
     length, msg_type = struct.unpack("<IB", header)
     if msg_type not in _VALID_TYPES:
         raise FrameError(f"unknown message type {msg_type:#x}")
+    if length > max_payload:
+        raise FrameError(f"declared payload of {length} bytes exceeds the limit "
+                         f"of {max_payload}")
     return msg_type, _recv_exact(sock, length)
+
+
+def _payload_limit(cfg: ScenarioConfig) -> int:
+    """Largest payload after the HELLO: one serialized ciphertext (ABORT and
+    BYE payloads are shorter)."""
+    return 24 + 8 * cfg.backend.slot_count
 
 
 def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
@@ -124,7 +140,7 @@ def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
 
 def _recv_hello(sock: socket.socket) -> tuple[ScenarioConfig, bytes]:
     """The peer's first frame: HELLO carrying the scenario configuration."""
-    msg_type, payload = recv_frame(sock)
+    msg_type, payload = recv_frame(sock, HELLO_MAX_PAYLOAD)
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO as the first frame")
     return ScenarioConfig.from_dict(json.loads(payload.decode())), payload
@@ -176,8 +192,9 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
             verified = cfg.scenario == "verified_attack"
             expansion = cfg.expansion if verified else 1
             enc_ctrl, _ = control.encrypt_controller(ctx, cfg.controller, expansion)
+            limit = _payload_limit(cfg)
             while True:
-                msg_type, payload = recv_frame(conn)
+                msg_type, payload = recv_frame(conn, limit)
                 if msg_type == MSG_BYE:
                     break
                 if msg_type == MSG_ABORT:
@@ -212,9 +229,10 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
 
+            limit = _payload_limit(cfg)
             k = -cfg.pre_roll
             while True:
-                msg_type, payload = recv_frame(plant_conn)
+                msg_type, payload = recv_frame(plant_conn, limit)
                 if msg_type in (MSG_BYE, MSG_ABORT):
                     send_frame(up, msg_type, payload)
                     if msg_type == MSG_BYE:
@@ -229,7 +247,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                     modified = tampered is not c
                     c = tampered
                 send_frame(up, MSG_ENC_Y, serialize_ciphertext(c))
-                msg_type, payload = recv_frame(up)
+                msg_type, payload = recv_frame(up, limit)
                 if msg_type != MSG_ENC_U:
                     raise FrameError(f"unexpected upstream frame {msg_type:#x}")
                 c = deserialize_ciphertext(pub, payload)

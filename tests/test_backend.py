@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from encloop.backend import (
     BackendConfig,
@@ -10,6 +11,7 @@ from encloop.backend import (
     context_create,
     deserialize_ciphertext,
     hom_add,
+    hom_dot,
     hom_mul,
     hom_neg,
     hom_sub,
@@ -231,6 +233,20 @@ class TestNoiseAccounting:
         m = rng.uniform(-5, 5, 8)
         assert hom_mul(a, m).noise_bound == a.noise_bound * np.max(np.abs(m)) + noise_std
 
+    def test_noise_added_to_explicit_draws(self):
+        """Each noisy op adds the context's next N(0, sigma) draw to its
+        exact result."""
+        sigma, n = 1e-3, 64
+        ctx = make_ctx(slot_count=n, noise_std=sigma, seed=11)
+        rng = np.random.default_rng(3)
+        m1, m2 = rng.normal(size=n), rng.normal(size=n)
+        c = ctx.encrypt(m1)
+        s = hom_add(c, m2)
+        ref = np.random.default_rng(11)
+        c_ref = m1 + ref.normal(0.0, sigma, n)
+        assert np.array_equal(ctx.decrypt(c), c_ref)
+        assert np.array_equal(ctx.decrypt(s), (c_ref + m2) + ref.normal(0.0, sigma, n))
+
     def test_seeded_reproducibility(self):
         def run():
             ctx = make_ctx(noise_std=1e-9, seed=99)
@@ -238,6 +254,104 @@ class TestNoiseAccounting:
                         ctx.encrypt(np.arange(8.0)))
             return ctx.decrypt(c)
         assert np.array_equal(run(), run())
+
+
+def composed_dot(terms):
+    """Reference for hom_dot: rotate, multiply, then a left-to-right sum."""
+    acc = None
+    for a, b, s in terms:
+        term = hom_mul(a, rotate(b, s))
+        acc = term if acc is None else hom_add(acc, term)
+    return acc
+
+
+def dot_operands(seed, noise_std, slot_count=16, max_depth=8):
+    """Random hom_dot terms over a context and its public view, at random
+    levels and nonzero noise bounds (as a received ciphertext declares
+    them). Deterministic in its arguments."""
+    rng = np.random.default_rng(seed)
+    ctx = make_ctx(slot_count=slot_count, noise_std=noise_std, max_depth=max_depth, seed=5)
+    contexts = (ctx, ctx.public_context())
+
+    def cipher():
+        c = contexts[rng.integers(2)].encrypt(rng.normal(size=slot_count))
+        for _ in range(rng.integers(3)):
+            c = hom_mul(c, rng.normal(size=slot_count))
+        c.noise_bound += rng.uniform(0, 1e-3)
+        return c
+
+    terms = [(cipher(), cipher(), int(rng.integers(-3 * slot_count, 3 * slot_count)))
+             for _ in range(rng.integers(1, 7))]
+    return contexts, terms
+
+
+class TestHomDot:
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_composed_ops(self, seed, noise_std):
+        """Same level, ops_applied and per-context op counts as the composed
+        ops. Without noise the slots and the noise bound are bit-identical;
+        with noise the composed bound reads max|rot(b)| off the noisy
+        rotation, so it moves by O(sigma)."""
+        (ctx, pub), terms = dot_operands(seed, noise_std)
+        fused = hom_dot(terms)
+        (ctx_ref, pub_ref), terms_ref = dot_operands(seed, noise_std)
+        ref = composed_dot(terms_ref)
+        assert (fused.level, fused.ops_applied, fused.key_id) == (
+            ref.level, ref.ops_applied, ref.key_id)
+        assert fused._ctx is terms[0][0]._ctx
+        assert ctx.op_counts == ctx_ref.op_counts
+        assert pub.op_counts == pub_ref.op_counts
+        got, want = ctx.decrypt(fused), ctx_ref.decrypt(ref)
+        if noise_std == 0:
+            assert fused.noise_bound == ref.noise_bound > 0
+            assert np.array_equal(got, want)
+        else:
+            assert fused.noise_bound == pytest.approx(ref.noise_bound, rel=1e-2)
+            assert np.max(np.abs(got - want)) < 2 * ref.noise_bound
+
+    def test_depth_exhausted_at_the_same_level(self):
+        ctx = make_ctx(max_depth=2)
+        fresh = ctx.encrypt(np.ones(8))
+        once = hom_mul(fresh, np.ones(8))
+        twice = hom_mul(once, np.ones(8))
+        assert hom_dot([(once, fresh, 1), (fresh, once, 2)]).level == 2
+        for terms in ([(twice, fresh, 1)], [(fresh, fresh, 0), (fresh, twice, 3)]):
+            with pytest.raises(DepthExhausted):
+                composed_dot(terms)
+            with pytest.raises(DepthExhausted):
+                hom_dot(terms)
+
+    def test_mixed_keys_rejected(self):
+        ctx, other = make_ctx(seed=1), make_ctx(seed=2)
+        a, b, x = ctx.encrypt(np.ones(8)), ctx.encrypt(np.ones(8)), other.encrypt(np.ones(8))
+        for terms in ([(a, x, 1)], [(a, b, 1), (x, b, 2)], [(a, b, 0), (b, x, 3)]):
+            with pytest.raises(KeyMismatch):
+                composed_dot(terms)
+            with pytest.raises(KeyMismatch):
+                hom_dot(terms)
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(ValueError):
+            hom_dot([])
+
+    @pytest.mark.parametrize("op", [hom_dot, composed_dot], ids=["fused", "composed"])
+    def test_noise_distribution(self, op):
+        """Given the input slots, the residual is N(0, sigma^2 (sum_t a_t^2 +
+        2T - 1)) per slot: standardized, its mean is within 5 standard errors
+        of 0 and its variance inside the two-sided 1e-6 chi-square bound."""
+        sigma, n = 1e-3, 2 ** 16
+        ctx = make_ctx(slot_count=n, noise_std=sigma, seed=17)
+        rng = np.random.default_rng(4)
+        terms = [(ctx.encrypt(rng.uniform(-2, 2, n)), ctx.encrypt(rng.normal(size=n)), s)
+                 for s in (0, 1, 5, n - 1)]
+        a = [ctx.decrypt(t[0]) for t in terms]
+        exact = sum(ai * np.roll(ctx.decrypt(b), -s) for ai, (_, b, s) in zip(a, terms))
+        scale = sigma * np.sqrt(sum(ai ** 2 for ai in a) + 2 * len(terms) - 1)
+        z = (ctx.decrypt(op(terms)) - exact) / scale
+        assert abs(z.mean()) < 5 / np.sqrt(n)
+        lo, hi = stats.chi2.ppf([1e-6, 1 - 1e-6], n) / n
+        assert lo < np.mean(z ** 2) < hi
 
 
 class TestMalleability:

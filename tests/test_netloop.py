@@ -1,12 +1,16 @@
+import json
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from encloop import netloop
 from encloop.backend import BackendConfig, context_create, serialize_ciphertext
 from encloop.netloop import (
+    HELLO_MAX_PAYLOAD,
     MSG_BYE,
     MSG_ENC_U,
     MSG_ENC_Y,
@@ -158,6 +162,36 @@ class TestFraming:
             with pytest.raises(ConnectionError):
                 recv_frame(b)
 
+    def test_huge_declared_length_rejected(self, monkeypatch):
+        """A 2^32 - 1 length is refused from the header alone, before a
+        payload buffer is allocated (the guard keeps a regression from
+        allocating 4 GiB)."""
+        read = netloop._recv_exact
+
+        def header_only(sock, n):
+            assert n == 5, f"asked to allocate a {n}-byte payload"
+            return read(sock, n)
+
+        monkeypatch.setattr(netloop, "_recv_exact", header_only)
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(struct.pack("<IB", 2 ** 32 - 1, MSG_ENC_Y))
+            with pytest.raises(FrameError, match="exceeds the limit"):
+                recv_frame(b)
+
+    def test_enc_frame_over_one_ciphertext_rejected(self):
+        n = 64
+        limit = 24 + 8 * n
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(frame_encode(MSG_ENC_Y, b"\x00" * limit))
+            assert len(recv_frame(b, limit)[1]) == limit
+            a.sendall(struct.pack("<IB", limit + 8, MSG_ENC_Y))
+            with pytest.raises(FrameError, match="exceeds the limit"):
+                recv_frame(b, limit)
+
 
 def run_pipeline(cfg, with_attacker=False):
     """Spin up controller (and optionally attacker proxy), run the plant."""
@@ -246,6 +280,39 @@ class TestPlantControllerLoop:
             sock.sendall(frame_encode(MSG_ENC_Y, b"\x00" * 8))
         t.join(10)
         assert "error" in box["result"]
+
+
+def start_role(fn, *args):
+    port = free_port()
+    ready = threading.Event()
+    t, box = start_thread(fn, (HOST, port), *args, ready=ready)
+    assert ready.wait(5)
+    return port, t, box
+
+
+class TestRoleFrameLimits:
+    @pytest.mark.parametrize("frame", ["hello", "enc"])
+    @pytest.mark.parametrize("role", ["controller", "attacker"])
+    def test_over_limit_length_rejected(self, role, frame):
+        """The controller and the proxy check a declared length before they
+        allocate: the HELLO against HELLO_MAX_PAYLOAD, later frames against
+        one ciphertext of the configured slot count."""
+        ctrl_port, ctrl_t, ctrl_box = start_role(run_controller)
+        port, t, box = ((ctrl_port, ctrl_t, ctrl_box) if role == "controller"
+                        else start_role(run_attacker, (HOST, ctrl_port)))
+        if frame == "hello":
+            data = struct.pack("<IB", HELLO_MAX_PAYLOAD + 1, MSG_HELLO)
+        else:
+            hello = json.dumps(baseline_cfg().to_dict()).encode()
+            data = (frame_encode(MSG_HELLO, hello)
+                    + struct.pack("<IB", 24 + 8 * 64 + 1, MSG_ENC_Y))
+        with socket.create_connection((HOST, port)) as sock:
+            sock.sendall(data)
+            t.join(10)
+        assert not t.is_alive()
+        assert "exceeds the limit" in box["result"]["error"]
+        ctrl_t.join(10)
+        assert not ctrl_t.is_alive()
 
 
 class TestAttackerProxy:
