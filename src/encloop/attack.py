@@ -162,14 +162,14 @@ def build_enc_model(ctx: KeyContext, model: LtiModel, pinv_mode: str = "oracle",
     homomorphically from the encrypted controllability matrix (deep circuit;
     the spectral scaling constant is treated as public).
     """
-    enc_A = encrypt_matrix(ctx, model.A, band="auto")
-    enc_B = encrypt_matrix(ctx, model.B, band="auto")
-    enc_C = encrypt_matrix(ctx, model.C, band="auto")
+    enc_A = encrypt_matrix(ctx, model.A)
+    enc_B = encrypt_matrix(ctx, model.B)
+    enc_C = encrypt_matrix(ctx, model.C)
     Cc = controllability_matrix(model)
     if pinv_mode == "oracle":
-        enc_pinv = encrypt_matrix(ctx, pseudo_inverse(Cc), band="auto")
+        enc_pinv = encrypt_matrix(ctx, pseudo_inverse(Cc))
     elif pinv_mode == "newton_schulz":
-        enc_Cc = encrypt_matrix(ctx, Cc, band="auto")
+        enc_Cc = encrypt_matrix(ctx, Cc)
         scale = 1.0 / float(np.linalg.norm(Cc, 2)) ** 2
         enc_pinv = enc_pinv_newton_schulz(ctx, enc_Cc, scale, ns_iterations)
     else:

@@ -128,12 +128,11 @@ def controller_eval_plain(ctrl: AffineController, y_c) -> np.ndarray:
 
 
 def encrypt_controller(ctx: KeyContext, ctrl: AffineController,
-                       expansion: int = 1) -> tuple[DiagMatrixCipher, int]:
-    """Encrypt the controller in lifted linear form. Returns the encrypted
-    block-diagonal matrix and the block dimension d (inputs are stacked
-    [y; u0] blocks padded to d)."""
-    K_aug, K_lifted, band = verify.lift_affine(-ctrl.K, ctrl.u0, expansion)
-    return encrypt_matrix(ctx, K_lifted, band=band), K_aug.shape[0]
+                       expansion: int = 1) -> DiagMatrixCipher:
+    """Encrypt the controller in lifted linear form: the block-diagonal
+    replication of K_aug over ``expansion`` stacked [y; u0] blocks."""
+    K_aug = verify.lift_affine(-ctrl.K, ctrl.u0)
+    return encrypt_matrix(ctx, np.kron(np.eye(expansion), K_aug))
 
 
 def controller_eval_encrypted(enc_ctrl: DiagMatrixCipher, y_cipher):
@@ -232,7 +231,7 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
             raise ValueError("verifier block dimension does not match controller lift")
         if link is None:
             expansion = verifier.expansion if verifier is not None else 1
-            enc_ctrl, _ = encrypt_controller(ctx, ctrl, expansion)
+            enc_ctrl = encrypt_controller(ctx, ctrl, expansion)
             link = _in_process_link(ctx, enc_ctrl, attacker, model.p, model.m)
         elif attacker is not None:
             raise ValueError("an attacker tampers on the in-process link only")

@@ -34,7 +34,7 @@ from .scenario import ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
     "MSG_ENC_Y", "MSG_ENC_U", "MSG_HELLO", "MSG_BYE", "MSG_ABORT",
-    "FrameError", "frame_encode", "frame_decode", "send_frame", "recv_frame",
+    "FrameError", "send_frame", "recv_frame",
     "run_plant", "run_controller", "run_attacker",
 ]
 
@@ -61,24 +61,6 @@ def _frame_header(msg_type: int, length: int) -> bytes:
     if length > MAX_PAYLOAD:
         raise FrameError("payload too large")
     return struct.pack("<IB", length, msg_type)
-
-
-def frame_encode(msg_type: int, payload: bytes = b"") -> bytes:
-    return _frame_header(msg_type, len(payload)) + payload
-
-
-def frame_decode(data: bytes) -> tuple[int, bytes, int]:
-    """Decode one frame from the head of ``data``; returns (type, payload,
-    bytes consumed). Raises FrameError on truncation or a bad type."""
-    if len(data) < 5:
-        raise FrameError(f"truncated header: {len(data)} bytes")
-    length, msg_type = struct.unpack_from("<IB", data, 0)
-    if msg_type not in _VALID_TYPES:
-        raise FrameError(f"unknown message type {msg_type:#x}")
-    if len(data) < 5 + length:
-        raise FrameError(f"truncated payload: declared {length}, "
-                         f"available {len(data) - 5}")
-    return msg_type, data[5:5 + length], 5 + length
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:
@@ -191,7 +173,7 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
             ctx = context_create(cfg.backend)
             verified = cfg.scenario == "verified_attack"
             expansion = cfg.expansion if verified else 1
-            enc_ctrl, _ = control.encrypt_controller(ctx, cfg.controller, expansion)
+            enc_ctrl = control.encrypt_controller(ctx, cfg.controller, expansion)
             limit = _payload_limit(cfg)
             while True:
                 msg_type, payload = recv_frame(conn, limit)

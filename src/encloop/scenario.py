@@ -109,6 +109,10 @@ class ScenarioConfig:
             for a in plan.schedule.values():
                 if a.shape != (model.m,):
                     raise ConfigError("attack", f"bias vectors must have length {model.m}")
+            # the cooldown solves the n-step terminal condition dx(n) = 0
+            if plan.cooldown_len != model.n:
+                raise ConfigError("attack", f"cooldown_len must equal the state dimension "
+                                  f"{model.n}, got {plan.cooldown_len}")
 
         ver = raw.get("verify", {})
         expansion = int(ver.get("expansion", ver.get("lambda", 4)))
@@ -184,7 +188,7 @@ class ScenarioConfig:
 
 def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
     """Verifier over the lifted controller block: h(w) = K_aug w."""
-    K_aug, _, _ = verify.lift_affine(-cfg.controller.K, cfg.controller.u0, cfg.expansion)
+    K_aug = verify.lift_affine(-cfg.controller.K, cfg.controller.u0)
     return verify.setup(cfg.backend.slot_count, K_aug.shape[0],
                         lambda w: K_aug @ w, cfg.expansion, cfg.num_challenges,
                         threshold=cfg.threshold, seed=cfg.seed)

@@ -104,15 +104,14 @@ def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: in
                            challenge_outputs=outputs, slot_count=slot_count, rng=rng)
 
 
-def lift_affine(K, offset, expansion: int):
-    """Turn the affine map w -> K w + offset into the block-replicated linear
-    form evaluated on every block of an encoded input.
+def lift_affine(K, offset):
+    """Turn the affine map w -> K w + offset into the linear form evaluated
+    on one block of an encoded input.
 
-    Returns (K_aug, K_lifted, band) where K_aug is the d x d padded matrix
-    [K I] acting on stacked [w; offset] blocks, K_lifted is its
-    block-diagonal replication over ``expansion`` blocks, and band = d - 1
-    bounds the wrapped offset of every nonzero entry. ``encrypt_matrix``
-    checks that bound and stores only the diagonals that hold a nonzero
+    Returns K_aug, the d x d padded matrix [K I] acting on stacked
+    [w; offset] blocks. The server applies its block-diagonal replication
+    kron(I_lambda, K_aug) to every block at once; ``encrypt_matrix`` stores
+    only the wrapped diagonals of that replication which hold a nonzero
     entry (for the tank controller, d = 4: offsets {-1, 0, 1, 2}).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -122,8 +121,7 @@ def lift_affine(K, offset, expansion: int):
     K_aug = np.zeros((d, d))
     K_aug[:m, :p] = K
     K_aug[:m, p:p + m] = np.eye(m)
-    K_lifted = np.kron(np.eye(expansion), K_aug)
-    return K_aug, K_lifted, d - 1
+    return K_aug
 
 
 def lifted_dim(p: int, m: int) -> int:
@@ -311,7 +309,7 @@ def _detect_full(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
         vctx = setup(slot_count, 1, h, lam, num_challenges=4,
                      seed=seed * 7 + t)
         vctx.rng = trial_rng
-        enc_h = encrypt_matrix(ctx, server_matrix, band=0)
+        enc_h = encrypt_matrix(ctx, server_matrix)
         w = np.array([1.0])
         for k in range(1, L + 1):
             encoded, tag = ecd(vctx, w)

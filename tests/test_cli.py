@@ -52,6 +52,19 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, {"scenario": "bogus"})
         assert main(["simulate", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("scenario", ["attack_plain", "attack_encrypted"])
+    @pytest.mark.parametrize("cooldown_len", [2, 6])
+    def test_cooldown_other_than_state_dim_exit_one(self, tmp_path, capsys, scenario,
+                                                     cooldown_len):
+        # the cooldown solves the tank's 4-step terminal condition only
+        cfg = write_cfg(tmp_path, {
+            "scenario": scenario, "steps": 30, "pre_roll": 5, "seed": 1,
+            "attack": {"a_u": {"0": [0.5, 0.5]}, "length": 10,
+                       "cooldown_len": cooldown_len}})
+        assert main(["simulate", "--config", cfg]) == 1
+        assert (f"config error: attack: cooldown_len must equal the state dimension 4, "
+                f"got {cooldown_len}") in capsys.readouterr().err
+
 
 class TestMontecarlo:
     def test_summary_and_csv(self, tmp_path, capsys):
@@ -120,8 +133,9 @@ class TestNet:
 
     def test_controller_error_exit_two(self, capsys):
         import socket
+        import struct
 
-        from encloop.netloop import MSG_HELLO, frame_encode
+        from encloop.netloop import MSG_HELLO
 
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
@@ -141,7 +155,8 @@ class TestNet:
                 assert time.monotonic() < deadline, "controller never listened"
                 time.sleep(0.02)
         with sock:
-            sock.sendall(frame_encode(MSG_HELLO, b"this is not json"))
+            payload = b"this is not json"
+            sock.sendall(struct.pack("<IB", len(payload), MSG_HELLO) + payload)
         t.join(10)
         assert not t.is_alive()
         assert box["code"] == 2

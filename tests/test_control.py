@@ -29,6 +29,9 @@ def ctrl():
     return tank_controller()
 
 
+D = verify.lifted_dim(2, 2)  # block dim of the tank's lifted controller
+
+
 def make_ctx(seed=1, slot_count=64, max_depth=16):
     return context_create(BackendConfig(slot_count=slot_count, max_depth=max_depth,
                                         seed=seed))
@@ -79,19 +82,19 @@ class TestControllerPlain:
 class TestControllerEncrypted:
     def test_offset_at_zero(self, model, ctrl):
         ctx = make_ctx()
-        enc_ctrl, d = encrypt_controller(ctx, ctrl)
-        w = verify.lifted_input(np.zeros(2), ctrl.u0, d)
+        enc_ctrl = encrypt_controller(ctx, ctrl)
+        w = verify.lifted_input(np.zeros(2), ctrl.u0, D)
         out = controller_eval_encrypted(enc_ctrl, ctx.encrypt(pad_slots(w, 64)))
         assert np.allclose(ctx.decrypt(out)[:2], ctrl.u0, atol=1e-12)
 
     def test_random_oracle(self, model, ctrl):
         ctx = make_ctx()
-        enc_ctrl, d = encrypt_controller(ctx, ctrl)
+        enc_ctrl = encrypt_controller(ctx, ctrl)
         rng = np.random.default_rng(2)
         before = ctx.op_counts["mul"]
         for _ in range(100):
             y = rng.uniform(-3, 3, 2)
-            w = verify.lifted_input(y, ctrl.u0, d)
+            w = verify.lifted_input(y, ctrl.u0, D)
             out = controller_eval_encrypted(enc_ctrl, ctx.encrypt(pad_slots(w, 64)))
             assert np.max(np.abs(ctx.decrypt(out)[:2]
                                  - controller_eval_plain(ctrl, y))) < 1e-9
@@ -102,8 +105,8 @@ class TestControllerEncrypted:
     @pytest.mark.parametrize("expansion", [1, 4])
     def test_one_evaluation_op_cost(self, ctrl, expansion):
         ctx = make_ctx()
-        enc_ctrl, d = encrypt_controller(ctx, ctrl, expansion)
-        w = np.tile(verify.lifted_input(np.ones(2), ctrl.u0, d), expansion)
+        enc_ctrl = encrypt_controller(ctx, ctrl, expansion)
+        w = np.tile(verify.lifted_input(np.ones(2), ctrl.u0, D), expansion)
         c = ctx.encrypt(pad_slots(w, 64))
         before = dict(ctx.op_counts)
         controller_eval_encrypted(enc_ctrl, c)
@@ -113,24 +116,22 @@ class TestControllerEncrypted:
     def test_tampering_shifts_by_gain(self, model, ctrl):
         ctx = make_ctx()
         pub = ctx.public_context()
-        enc_ctrl, d = encrypt_controller(ctx, ctrl)
+        enc_ctrl = encrypt_controller(ctx, ctrl)
         y = np.array([0.4, -0.2])
         delta = np.array([0.3, 0.1])
-        w = verify.lifted_input(y, ctrl.u0, d)
+        w = verify.lifted_input(y, ctrl.u0, D)
         c = ctx.encrypt(pad_slots(w, 64))
         c = hom_add(c, pub.encrypt(pad_slots(delta, 64)))
         out = ctx.decrypt(controller_eval_encrypted(enc_ctrl, c))[:2]
         assert np.allclose(out - controller_eval_plain(ctrl, y),
                            -ctrl.K @ delta, atol=1e-10)
 
-    def test_wide_lift_stores_band_only(self, ctrl):
+    def test_wide_lift_stores_nonzero_diagonals_only(self, ctrl):
         # lambda=16 lift of the 4x4 block at 2^16 slots: a 64x64 matrix
-        # padded to 65536 within band 3, whose nonzero wrapped diagonals
-        # are {-1, 0, 1, 2}; no dense scan
+        # padded to 65536, whose nonzero wrapped diagonals are
+        # {-1, 0, 1, 2}; no dense scan
         ctx = make_ctx(slot_count=2 ** 16, max_depth=4)
-        enc_ctrl, d = encrypt_controller(ctx, ctrl, expansion=16)
-        assert d == 4
-        assert enc_ctrl.band == 3
+        enc_ctrl = encrypt_controller(ctx, ctrl, expansion=16)
         assert list(enc_ctrl.diagonals) == [0, 1, 2, 2 ** 16 - 1]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from encloop.backend import BackendConfig, DepthExhausted, context_create
+from encloop.backend import BackendConfig, DepthExhausted, context_create, pad_slots
 from encloop.control import quadruple_tank
 from encloop.linalg import (
     DiagMatrixCipher,
@@ -13,7 +13,6 @@ from encloop.linalg import (
     enc_transpose,
     encrypt_matrix,
     next_pow2,
-    pad_to_pow2,
     wrapping_diagonal,
 )
 
@@ -63,33 +62,25 @@ class TestDiagonalExtraction:
 
 
 class TestPadding:
-    def test_vector(self):
-        assert np.array_equal(pad_to_pow2([1.0, 2.0, 3.0], 4), [1, 2, 3, 0])
-
-    def test_matrix(self):
-        P = pad_to_pow2(np.ones((2, 2)), 4)
-        assert P.shape == (4, 4)
-        assert np.array_equal(P[:2, :2], np.ones((2, 2)))
-        assert np.all(P[2:, :] == 0) and np.all(P[:, 2:] == 0)
-
-    def test_too_small_target(self):
-        with pytest.raises(ValueError):
-            pad_to_pow2(np.zeros(5), 4)
-
     def test_padded_matvec_matches_leading(self):
+        # encrypt_matrix pads a 3 x 3 matrix to the 8 slots; the leading
+        # slots of the product are the unpadded product
+        ctx = make_ctx(8)
         rng = np.random.default_rng(4)
         for _ in range(10):
             S = rng.uniform(-3, 3, (3, 3))
             v = rng.uniform(-3, 3, 3)
-            Sp, vp = pad_to_pow2(S, 8), pad_to_pow2(v, 8)
-            assert np.allclose((Sp @ vp)[:3], S @ v)
+            c = ctx.encrypt(pad_slots(v, 8))
+            out = ctx.decrypt(enc_matvec(encrypt_matrix(ctx, S), c))
+            assert np.allclose(out[:3], S @ v, atol=1e-12)
+            assert np.array_equal(out[3:], np.zeros(5))
 
 
 class TestEncryptMatrix:
     def test_identity_band_zero(self):
         ctx = make_ctx(4)
-        M = encrypt_matrix(ctx, np.eye(4), band=0)
-        assert len(M.diagonals) == 1
+        M = encrypt_matrix(ctx, np.eye(4))
+        assert list(M.diagonals) == [0]
 
     def test_dense_round_trip(self):
         ctx = make_ctx(4)
@@ -102,32 +93,19 @@ class TestEncryptMatrix:
                                wrapping_diagonal(S, i), atol=1e-12)
         assert np.allclose(decrypt_matrix(ctx, M), S, atol=1e-12)
 
-    def test_band_violation(self):
-        ctx = make_ctx(4)
-        rng = np.random.default_rng(6)
-        with pytest.raises(ValueError):
-            encrypt_matrix(ctx, rng.uniform(1, 2, (4, 4)), band=1)
-
-    def test_auto_band(self):
+    def test_bidiagonal_stores_upper_diagonal_only(self):
         ctx = make_ctx(8)
         S = np.diag(np.arange(1.0, 9.0)) + np.diag(np.ones(7), 1)
-        M = encrypt_matrix(ctx, S, band="auto")
-        assert M.band == 1
-        # band 1, but diagonal -1 is all zero and is not stored
-        assert list(M.diagonals) == [0, 1]
+        # wrapped diagonal -1 (index 7) is all zero and is not stored
+        assert list(encrypt_matrix(ctx, S).diagonals) == [0, 1]
 
     def test_band_scan_matches_per_diagonal_reference(self):
-        """The nonzero-entry band scan agrees with a scan over every wrapped
-        diagonal: minimal band, stored indices (exactly the diagonals holding
-        a nonzero entry, for dense, "auto" and explicit-band calls) and the
-        first out-of-band diagonal named in the error."""
+        """The nonzero-entry scan stores exactly the wrapped diagonals that a
+        scan over every diagonal finds holding a nonzero entry, in ascending
+        order, each equal to its plaintext diagonal."""
 
-        def reference(S, dim, band):
-            nonzero = [i for i in range(dim) if np.any(wrapping_diagonal(S, i, dim) != 0)]
-            beta = max((min(i, dim - i) for i in nonzero), default=0)
-            outside = [i for i in nonzero if min(i, dim - i) > band]
-            return ((beta if 2 * beta + 1 < dim else None), (outside[0] if outside else None),
-                    nonzero)
+        def reference(S, dim):
+            return [i for i in range(dim) if np.any(wrapping_diagonal(S, i, dim) != 0)]
 
         rng = np.random.default_rng(12)
         for case in range(300):
@@ -141,22 +119,10 @@ class TestEncryptMatrix:
                 S[rows - 1, 0] = 1.0
             elif case % 5 == 1:  # the all-zero matrix stores nothing
                 S[:] = 0.0
-            band = int(rng.integers(0, (dim - 1) // 2 + 1))
-            beta, offender, nonzero = reference(S, dim, band)
-
-            assert list(encrypt_matrix(ctx, S).diagonals) == nonzero
-            M = encrypt_matrix(ctx, S, band="auto")
-            assert M.band == beta
-            assert list(M.diagonals) == nonzero
-            if offender is None:
-                M = encrypt_matrix(ctx, S, band=band)
-                assert M.band == band
-                assert list(M.diagonals) == nonzero
-            else:
-                with pytest.raises(ValueError) as err:
-                    encrypt_matrix(ctx, S, band=band)
-                assert str(err.value) == (f"matrix has a nonzero wrapped diagonal "
-                                          f"{offender} outside band {band}")
+            M = encrypt_matrix(ctx, S)
+            assert list(M.diagonals) == reference(S, dim)
+            for i, c in M.diagonals.items():
+                assert np.array_equal(ctx.decrypt(c), wrapping_diagonal(S, i, dim))
 
 
 class TestMatVec:
@@ -198,13 +164,11 @@ class TestMatVec:
             j = np.arange(16)
             S[j, (j + i) % 16] = vals
         v = rng.uniform(-3, 3, 16)
-        dense = encrypt_matrix(ctx, S)
-        banded = encrypt_matrix(ctx, S, band=beta)
-        out_dense = ctx.decrypt(enc_matvec(dense, ctx.encrypt(v)))
+        banded = encrypt_matrix(ctx, S)
         before = ctx.op_counts["mul"]
         out_banded = ctx.decrypt(enc_matvec(banded, ctx.encrypt(v)))
         assert ctx.op_counts["mul"] - before == 2 * beta + 1
-        assert np.allclose(out_banded, out_dense, atol=1e-12)
+        assert np.allclose(out_banded, S @ v, atol=1e-12)
 
     def test_band_efficiency_factor(self):
         # dense / banded multiply count = d / (2 beta + 1) when every entry
@@ -222,7 +186,7 @@ class TestMatVec:
         enc_matvec(encrypt_matrix(ctx, dense), v)
         dense_muls = ctx.op_counts["mul"] - before
         before = ctx.op_counts["mul"]
-        enc_matvec(encrypt_matrix(ctx, banded, band=beta), v)
+        enc_matvec(encrypt_matrix(ctx, banded), v)
         banded_muls = ctx.op_counts["mul"] - before
         assert dense_muls / banded_muls == 16 / (2 * beta + 1)
 
@@ -236,16 +200,16 @@ class TestMatVec:
 
     def test_zero_diagonals_add_nothing(self):
         """The stored form gives exactly the output of one that also holds the
-        zero diagonals of the band (noiseless backend)."""
+        zero diagonals in the wrapped range [-3, 3] (noiseless backend)."""
         ctx = make_ctx(16)
         rng = np.random.default_rng(11)
         S = np.zeros((16, 16))
         j = np.arange(16)
         for i in (-1, 0, 2):
             S[j, (j + i) % 16] = rng.uniform(-3, 3, 16)
-        sparse = encrypt_matrix(ctx, S, band=3)
+        sparse = encrypt_matrix(ctx, S)
         assert list(sparse.diagonals) == [0, 2, 15]
-        full = DiagMatrixCipher(dim=16, band=3, diagonals={
+        full = DiagMatrixCipher(dim=16, diagonals={
             i: ctx.encrypt(wrapping_diagonal(S, i)) for i in (0, 1, 2, 3, 13, 14, 15)})
         v = ctx.encrypt(rng.uniform(-3, 3, 16))
         assert np.array_equal(ctx.decrypt(enc_matvec(sparse, v)),
@@ -290,9 +254,8 @@ class TestMatMat:
     def test_banded_product_band(self):
         ctx = make_ctx(16)
         S = np.diag(np.ones(16)) + np.diag(np.ones(15), 1)
-        out = enc_matmat(encrypt_matrix(ctx, S, band=1),
-                         encrypt_matrix(ctx, S, band=1))
-        assert out.band == 2
+        out = enc_matmat(encrypt_matrix(ctx, S), encrypt_matrix(ctx, S))
+        assert sorted(out.diagonals) == [0, 1, 2]
         assert np.allclose(decrypt_matrix(ctx, out), S @ S, atol=1e-10)
 
 
@@ -320,7 +283,7 @@ class TestMatrixPower:
         ctx = make_ctx(4, max_depth=3)
         A = quadruple_tank().A
         out = enc_matrix_power(encrypt_matrix(ctx, A), 8)
-        assert out.level == 3
+        assert {c.level for c in out.diagonals.values()} == {3}
 
     def test_bad_exponent(self):
         ctx = make_ctx(4)

@@ -16,8 +16,6 @@ from encloop.netloop import (
     MSG_ENC_Y,
     MSG_HELLO,
     FrameError,
-    frame_decode,
-    frame_encode,
     recv_frame,
     run_attacker,
     run_controller,
@@ -33,6 +31,11 @@ def free_port():
     with socket.socket() as s:
         s.bind((HOST, 0))
         return s.getsockname()[1]
+
+
+def raw_frame(msg_type, payload=b""):
+    """One frame as it goes on the wire: u32 length, u8 type, payload."""
+    return struct.pack("<IB", len(payload), msg_type) + payload
 
 
 def baseline_cfg(steps=20, pre_roll=5, **extra):
@@ -76,32 +79,47 @@ def start_thread(fn, *args, **kwargs):
 
 class TestFraming:
     def test_round_trip(self):
-        blob = frame_encode(MSG_ENC_Y, b"payload")
-        msg_type, payload, consumed = frame_decode(blob)
-        assert (msg_type, payload, consumed) == (MSG_ENC_Y, b"payload", 12)
+        sock = CappedSendSocket(1 << 20)
+        send_frame(sock, MSG_ENC_Y, b"payload")
+        assert sock.data == raw_frame(MSG_ENC_Y, b"payload")
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(raw_frame(MSG_ENC_Y, b"payload"))
+            assert recv_frame(b) == (MSG_ENC_Y, b"payload")
 
     def test_empty_payload(self):
-        msg_type, payload, consumed = frame_decode(frame_encode(MSG_BYE))
-        assert (msg_type, payload, consumed) == (MSG_BYE, b"", 5)
+        a, b = socket.socketpair()
+        with a, b:
+            send_frame(a, MSG_BYE)
+            assert recv_frame(b) == (MSG_BYE, b"")
 
     def test_layout_is_little_endian(self):
-        blob = frame_encode(MSG_HELLO, b"ab")
-        assert blob[:4] == (2).to_bytes(4, "little")
-        assert blob[4] == MSG_HELLO
+        sock = CappedSendSocket(1 << 20)
+        send_frame(sock, MSG_HELLO, b"ab")
+        assert sock.data[:4] == (2).to_bytes(4, "little")
+        assert sock.data[4] == MSG_HELLO
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(FrameError):
-            frame_encode(0x7F, b"")
-        bad = bytes([0, 0, 0, 0, 0x7F])
-        with pytest.raises(FrameError):
-            frame_decode(bad)
+        sock = CappedSendSocket(1 << 20)
+        with pytest.raises(FrameError, match="unknown message type"):
+            send_frame(sock, 0x7F, b"")
+        assert sock.calls == 0
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(bytes([0, 0, 0, 0, 0x7F]))
+            with pytest.raises(FrameError, match="unknown message type"):
+                recv_frame(b)
 
     def test_truncation_rejected(self):
-        blob = frame_encode(MSG_ENC_U, b"xyz")
-        with pytest.raises(FrameError):
-            frame_decode(blob[:4])
-        with pytest.raises(FrameError):
-            frame_decode(blob[:-1])
+        # one byte short of the header, one byte short of the payload
+        for cut in (4, 7):
+            a, b = socket.socketpair()
+            with b:
+                with a:
+                    a.sendall(raw_frame(MSG_ENC_U, b"xyz")[:cut])
+                with pytest.raises(ConnectionError):
+                    recv_frame(b)
 
     def test_socket_round_trip(self):
         a, b = socket.socketpair()
@@ -122,12 +140,12 @@ class TestFraming:
         ctx = context_create(BackendConfig(slot_count=slot_count))
         payload = serialize_ciphertext(
             ctx.encrypt(np.random.default_rng(1).uniform(-1, 1, slot_count)))
-        frame = frame_encode(MSG_ENC_Y, payload)
+        blob = raw_frame(MSG_ENC_Y, payload)
         a, b = socket.socketpair()
         with a, b:
             def trickle():
-                for i in range(0, len(frame), chunk):
-                    a.sendall(frame[i:i + chunk])
+                for i in range(0, len(blob), chunk):
+                    a.sendall(blob[i:i + chunk])
                     time.sleep(0.0005)
 
             t = threading.Thread(target=trickle, daemon=True)
@@ -143,14 +161,14 @@ class TestFraming:
         payload = bytes(range(256))
         sock = CappedSendSocket(cap)
         send_frame(sock, MSG_ENC_Y, payload)
-        assert sock.data == frame_encode(MSG_ENC_Y, payload)
+        assert sock.data == raw_frame(MSG_ENC_Y, payload)
         assert sock.calls == -(-(5 + len(payload)) // cap)
 
     @pytest.mark.parametrize("payload", [b"", b"abc", bytes(2 ** 16)])
     def test_frame_leaves_in_one_write(self, payload):
         sock = CappedSendSocket(1 << 20)
         send_frame(sock, MSG_HELLO, payload)
-        assert sock.data == frame_encode(MSG_HELLO, payload)
+        assert sock.data == raw_frame(MSG_HELLO, payload)
         assert sock.calls == 1
 
     @pytest.mark.parametrize("cut", [3, 50])
@@ -158,7 +176,7 @@ class TestFraming:
         a, b = socket.socketpair()
         with b:
             with a:
-                a.sendall(frame_encode(MSG_ENC_Y, b"\x00" * 100)[:cut])
+                a.sendall(raw_frame(MSG_ENC_Y, b"\x00" * 100)[:cut])
             with pytest.raises(ConnectionError):
                 recv_frame(b)
 
@@ -186,7 +204,7 @@ class TestFraming:
         a, b = socket.socketpair()
         with a, b:
             b.settimeout(5)
-            a.sendall(frame_encode(MSG_ENC_Y, b"\x00" * limit))
+            a.sendall(raw_frame(MSG_ENC_Y, b"\x00" * limit))
             assert len(recv_frame(b, limit)[1]) == limit
             a.sendall(struct.pack("<IB", limit + 8, MSG_ENC_Y))
             with pytest.raises(FrameError, match="exceeds the limit"):
@@ -266,7 +284,7 @@ class TestPlantControllerLoop:
         t, box = start_thread(run_controller, (HOST, port), ready=ready)
         assert ready.wait(5)
         with socket.create_connection((HOST, port)) as sock:
-            sock.sendall(frame_encode(MSG_HELLO, b"this is not json"))
+            sock.sendall(raw_frame(MSG_HELLO, b"this is not json"))
         t.join(10)
         assert not t.is_alive()
         assert "error" in box["result"]
@@ -277,7 +295,7 @@ class TestPlantControllerLoop:
         t, box = start_thread(run_controller, (HOST, port), ready=ready)
         assert ready.wait(5)
         with socket.create_connection((HOST, port)) as sock:
-            sock.sendall(frame_encode(MSG_ENC_Y, b"\x00" * 8))
+            sock.sendall(raw_frame(MSG_ENC_Y, b"\x00" * 8))
         t.join(10)
         assert "error" in box["result"]
 
@@ -304,7 +322,7 @@ class TestRoleFrameLimits:
             data = struct.pack("<IB", HELLO_MAX_PAYLOAD + 1, MSG_HELLO)
         else:
             hello = json.dumps(baseline_cfg().to_dict()).encode()
-            data = (frame_encode(MSG_HELLO, hello)
+            data = (raw_frame(MSG_HELLO, hello)
                     + struct.pack("<IB", 24 + 8 * 64 + 1, MSG_ENC_Y))
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(data)

@@ -9,12 +9,14 @@ from encloop import verify
 from encloop.backend import BackendConfig, context_create, pad_slots
 from encloop.control import (
     TANK_X0,
+    AffineController,
+    encrypt_controller,
     quadruple_tank,
     run_closed_loop,
     tank_controller,
 )
 from encloop.attack import AttackPlan, GuessingAttacker
-from encloop.linalg import enc_matvec, encrypt_matrix
+from encloop.linalg import decrypt_matrix, enc_matvec, encrypt_matrix
 from encloop.verify import (
     attacker_guess_and_inject,
     block_mask,
@@ -132,33 +134,32 @@ class TestEncodeDecode:
 class TestAffineLift:
     def test_tank_controller_lift(self):
         ctrl = tank_controller()
-        K_aug, K_lifted, band = lift_affine(-ctrl.K, ctrl.u0, expansion=4)
+        K_aug = lift_affine(-ctrl.K, ctrl.u0)
         assert K_aug.shape == (4, 4)
-        assert band == 3
-        assert K_lifted.shape == (16, 16)
         y = np.array([0.7, -0.3])
         w = lifted_input(y, ctrl.u0, 4)
         assert np.allclose((K_aug @ w)[:2], -ctrl.K @ y + ctrl.u0, atol=1e-12)
 
     def test_lift_replicates_blockwise(self):
+        # the encrypted controller is kron(I_lambda, K_aug) padded to the
+        # slot count, for a random controller
         rng = np.random.default_rng(5)
-        K = rng.uniform(-2, 2, (2, 2))
-        off = rng.uniform(-1, 1, 2)
-        K_aug, K_lifted, _ = lift_affine(K, off, expansion=2)
-        w1 = lifted_input(rng.uniform(-1, 1, 2), off, 4)
-        w2 = lifted_input(rng.uniform(-1, 1, 2), off, 4)
-        stacked = np.concatenate([w1, w2])
-        out = K_lifted @ stacked
-        assert np.allclose(out[:4], K_aug @ w1, atol=1e-12)
-        assert np.allclose(out[4:], K_aug @ w2, atol=1e-12)
+        ctrl = AffineController(K=rng.uniform(-2, 2, (2, 2)), u0=rng.uniform(-1, 1, 2))
+        ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=5))
+        K_aug = lift_affine(-ctrl.K, ctrl.u0)
+        for expansion in (1, 2, 4, 16):
+            expected = np.zeros((64, 64))
+            expected[:4 * expansion, :4 * expansion] = np.kron(np.eye(expansion), K_aug)
+            got = decrypt_matrix(ctx, encrypt_controller(ctx, ctrl, expansion))
+            assert np.array_equal(got, expected)
 
     def test_encrypted_lifted_evaluation(self):
-        # full pipeline: encode -> encrypt -> banded lifted matvec -> decode
+        # full pipeline: encode -> encrypt -> lifted matvec -> decode
         ctrl = tank_controller()
-        K_aug, K_lifted, band = lift_affine(-ctrl.K, ctrl.u0, expansion=4)
+        K_aug = lift_affine(-ctrl.K, ctrl.u0)
         vctx = setup(16, 4, lambda w: K_aug @ w, 4, num_challenges=3, seed=7)
         ctx = context_create(BackendConfig(slot_count=16, max_depth=4, seed=7))
-        enc_K = encrypt_matrix(ctx, K_lifted, band=band)
+        enc_K = encrypt_controller(ctx, ctrl, 4)
         y = np.array([0.9, 1.1])
         encoded, tag = ecd(vctx, lifted_input(y, ctrl.u0, 4))
         z = ctx.decrypt(enc_matvec(enc_K, ctx.encrypt(encoded)))
@@ -270,7 +271,7 @@ class TestVerifiedClosedLoop:
     def test_honest_loop_never_trips(self):
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=11))
-        K_aug, K_lifted, band = lift_affine(-ctrl.K, ctrl.u0, expansion=4)
+        K_aug = lift_affine(-ctrl.K, ctrl.u0)
         vctx = setup(64, 4, lambda w: K_aug @ w, 4, num_challenges=8, seed=11)
         trace = run_closed_loop(model, ctrl, TANK_X0, 100, pre_roll=20,
                                 mode="encrypted", ctx=ctx, verifier=vctx)
@@ -281,7 +282,7 @@ class TestVerifiedClosedLoop:
     def test_guessing_attacker_detected_quickly(self):
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=12))
-        K_aug, K_lifted, band = lift_affine(-ctrl.K, ctrl.u0, expansion=8)
+        K_aug = lift_affine(-ctrl.K, ctrl.u0)
         vctx = setup(64, 4, lambda w: K_aug @ w, 8, num_challenges=8, seed=12)
         plan = AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
                           length=10, cooldown_len=4)
