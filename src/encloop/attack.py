@@ -1,26 +1,29 @@
 """Covert man-in-the-middle attacks on the (encrypted) control loop.
 
-Two variants are provided. The plaintext-model attacker knows (A, B, C) and
-runs its compensation dynamics in the clear, needing only homomorphic
-addition to splice the bias signals into the encrypted channel. The
-encrypted-model attacker knows only encrypted copies of the model and runs
-the same recursion entirely under encryption, which costs one multiplicative
-level per step.
+Every attack here runs one mechanism. A compensation state dx follows the
+plant's dynamics, dx(k+1) = A dx(k) + B a_u(k); the attacker adds the input
+bias a_u(k) to the control channel and -C dx(k) to the measurement channel,
+so the controller sees the attack-free loop. The plaintext-model attacker
+knows (A, B, C), runs dx in the clear and splices a nonzero bias as a
+plaintext vector (a zero bias is skipped). The encrypted-model attacker
+knows only encrypted copies of the model and runs the same recursion under
+encryption, one multiplicative level per step. Against the verified loop,
+``GuessingAttacker`` lands the same splice on a guessed half of the blocks.
 
-Both variants share the finite-length structure: an active phase with a
-chosen input bias schedule, followed by a cooldown phase of n steps whose
-inputs are computed from the controllability matrix so the internal
-compensation state returns to zero and the attack can stop undetected.
+The attack has finite length: an active phase with a chosen input bias
+schedule, then a cooldown of n steps whose inputs, computed from the
+controllability matrix, return dx to zero so the attack stops undetected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import KeyContext, PackedCiphertext, hom_add, hom_neg, pad_slots, rotate
-from .control import LtiModel
+from .backend import (KeyContext, PackedCiphertext, hom_add, hom_neg, hom_sub, pad_slots,
+                      rotate)
+from .control import LtiModel, plant_step
 from .linalg import (
     DiagMatrixCipher,
     enc_matmat,
@@ -36,13 +39,11 @@ __all__ = [
     "EncModel",
     "CovertAttacker",
     "GuessingAttacker",
+    "check_cooldown",
     "controllability_matrix",
-    "pseudo_inverse",
     "cooldown_inputs",
     "cooldown_inputs_encrypted",
-    "delta_step",
     "delta_step_encrypted",
-    "inject",
     "build_enc_model",
 ]
 
@@ -78,6 +79,14 @@ class AttackPlan:
         return self.schedule.get(k, np.zeros(m))
 
 
+def check_cooldown(model: LtiModel, plan: AttackPlan):
+    """Raise ValueError unless the plan's cooldown fits the model: the
+    cooldown solves the n-step terminal condition dx(n) = 0 only."""
+    if plan.cooldown_len != model.n:
+        raise ValueError(f"cooldown_len must equal the state dimension {model.n}, "
+                         f"got {plan.cooldown_len}")
+
+
 def controllability_matrix(model: LtiModel) -> np.ndarray:
     """[B  AB  ...  A^{n-1}B], block columns in that order."""
     blocks = []
@@ -86,23 +95,6 @@ def controllability_matrix(model: LtiModel) -> np.ndarray:
         blocks.append(Ak @ model.B)
         Ak = model.A @ Ak
     return np.hstack(blocks)
-
-
-def pseudo_inverse(M) -> np.ndarray:
-    """Moore-Penrose inverse via SVD."""
-    return np.linalg.pinv(np.asarray(M, dtype=float))
-
-
-def delta_step(model: LtiModel, dx, a_u) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the compensation dynamics one step; the output bias is taken
-    from the pre-update state."""
-    dx = np.asarray(dx, dtype=float).ravel()
-    a_u = np.asarray(a_u, dtype=float).ravel()
-    if dx.shape != (model.n,) or a_u.shape != (model.m,):
-        raise ValueError("dimension mismatch in compensation recursion")
-    a_y = model.C @ dx
-    dx_next = model.A @ dx + model.B @ a_u
-    return dx_next, a_y
 
 
 def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
@@ -118,13 +110,13 @@ def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
     n, m = model.n, model.m
     Cc = controllability_matrix(model)
     An = np.linalg.matrix_power(model.A, n)
-    stacked = -pseudo_inverse(Cc) @ (An @ dx)
+    stacked = -np.linalg.pinv(Cc) @ (An @ dx)
     blocks = stacked.reshape(n, m)
     inputs = [blocks[n - 1 - i] for i in range(n)]
     # verify the terminal condition before handing the inputs out
     probe = dx.copy()
     for a in inputs:
-        probe, _ = delta_step(model, probe, a)
+        probe, _ = plant_step(model, probe, a)
     residual = float(np.max(np.abs(probe))) if n else 0.0
     if residual > tol:
         raise ValueError(
@@ -167,7 +159,7 @@ def build_enc_model(ctx: KeyContext, model: LtiModel, pinv_mode: str = "oracle",
     enc_C = encrypt_matrix(ctx, model.C)
     Cc = controllability_matrix(model)
     if pinv_mode == "oracle":
-        enc_pinv = encrypt_matrix(ctx, pseudo_inverse(Cc))
+        enc_pinv = encrypt_matrix(ctx, np.linalg.pinv(Cc))
     elif pinv_mode == "newton_schulz":
         enc_Cc = encrypt_matrix(ctx, Cc)
         scale = 1.0 / float(np.linalg.norm(Cc, 2)) ** 2
@@ -182,19 +174,12 @@ def build_enc_model(ctx: KeyContext, model: LtiModel, pinv_mode: str = "oracle",
 
 
 def delta_step_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,
-                         a_u, pub_ctx: KeyContext,
-                         ) -> tuple[PackedCiphertext, PackedCiphertext]:
-    """One step of the compensation recursion entirely under encryption.
-    ``a_u`` may be a plaintext vector (active phase) or a ciphertext whose
-    leading input slots are valid (cooldown phase)."""
-    a_y_cipher = enc_matvec(enc_model.C, dx_cipher)
-    if isinstance(a_u, PackedCiphertext):
-        a_u_cipher = a_u
-    else:
-        a_u_cipher = pub_ctx.encrypt(pad_slots(a_u, pub_ctx.config.slot_count))
-    dx_next = hom_add(enc_matvec(enc_model.A, dx_cipher),
-                      enc_matvec(enc_model.B, a_u_cipher))
-    return dx_next, a_y_cipher
+                         a_u_cipher: PackedCiphertext) -> PackedCiphertext:
+    """The next compensation state A dx + B a_u, entirely under encryption.
+    ``a_u_cipher`` is the bias ciphertext the splice adds; only its leading
+    input slots are read."""
+    return hom_add(enc_matvec(enc_model.A, dx_cipher),
+                   enc_matvec(enc_model.B, a_u_cipher))
 
 
 def cooldown_inputs_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,
@@ -209,33 +194,19 @@ def cooldown_inputs_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,
     return [rotate(stacked, (n - 1 - i) * m) for i in range(n)]
 
 
-def inject(ctx: KeyContext, channel: str, signal, value):
-    """Splice a bias into a channel value using only the public encryption
-    capability: the input channel gets ``+value``, the output channel
-    ``-value``. Works on plaintext vectors and packed ciphertexts."""
-    value = np.asarray(value, dtype=float).ravel()
-    signed = value if channel == "input" else -value
-    if channel not in ("input", "output"):
-        raise ValueError(f"unknown channel {channel!r}")
-    if isinstance(signal, PackedCiphertext):
-        return hom_add(signal, ctx.encrypt(pad_slots(signed, ctx.config.slot_count)))
-    signal = np.asarray(signal, dtype=float).ravel()
-    out = signal.copy()
-    out[: len(signed)] += signed
-    return out
-
-
 class CovertAttacker:
     """Man-in-the-middle covert attacker for ``run_closed_loop``.
 
     Call order per step k: ``tamper_measurement`` (plant -> controller link),
     then ``tamper_control`` (controller -> plant link), which also advances
     the internal compensation state. Transparent outside [0, plan.length).
+    A bias lands in the channel's leading slots (``_place``).
     """
 
     def __init__(self, model: LtiModel, plan: AttackPlan,
                  ctx: KeyContext | None = None,
                  enc_model: EncModel | None = None):
+        check_cooldown(model, plan)
         self.model = model
         self.plan = plan
         self.ctx = ctx  # public context; needed for encrypted channels
@@ -246,16 +217,13 @@ class CovertAttacker:
             self._dx_cipher = ctx.encrypt(np.zeros(ctx.config.slot_count))
         self._dx = np.zeros(model.n)
         self._cooldown: list | None = None
-        self._pending_a_y = None
 
     # -- schedule ------------------------------------------------------------
 
     def _current_input(self, k: int):
-        """Bias input for step k; plaintext vector or (cooldown, encrypted
-        variant) a ciphertext."""
+        """Bias input for an active step k; a plaintext vector or (cooldown,
+        encrypted variant) a ciphertext."""
         L, n = self.plan.length, self.plan.cooldown_len
-        if k < 0 or k >= L:
-            return np.zeros(self.model.m)
         if k < L - n:
             return self.plan.active_input(k, self.model.m)
         if self._cooldown is None:
@@ -269,84 +237,76 @@ class CovertAttacker:
     def active_at(self, k: int) -> bool:
         return 0 <= k < self.plan.length
 
+    # -- splicing ------------------------------------------------------------
+
+    def _place(self, bias) -> np.ndarray:
+        """The slot vector that carries ``bias`` onto the payload."""
+        return pad_slots(bias, self.ctx.config.slot_count)
+
+    def _splice(self, signal, bias):
+        """Add a plaintext ``bias`` to a channel value; a zero bias leaves
+        the value as it is."""
+        if not np.any(bias):
+            return signal
+        if isinstance(signal, PackedCiphertext):
+            return hom_add(signal, self._place(bias))
+        return signal + bias
+
     # -- channel hooks ---------------------------------------------------------
 
     def tamper_measurement(self, k: int, y):
         if not self.active_at(k):
             return y
         if self.plan.variant == "enc_model":
-            a_y_cipher = enc_matvec(self.enc_model.C, self._dx_cipher)
-            return hom_add(y, hom_neg(a_y_cipher))
-        a_y = self.model.C @ self._dx
-        if isinstance(y, PackedCiphertext):
-            return inject(self.ctx, "output", y, a_y)
-        return y - a_y
+            return hom_sub(y, enc_matvec(self.enc_model.C, self._dx_cipher))
+        return self._splice(y, -(self.model.C @ self._dx))
 
     def tamper_control(self, k: int, u_c):
         if not self.active_at(k):
             return u_c
         a_u = self._current_input(k)
         if self.plan.variant == "enc_model":
-            if isinstance(a_u, PackedCiphertext):
-                u = hom_add(u_c, a_u)
-            else:
-                u = inject(self.ctx, "input", u_c, a_u)
-            self._dx_cipher, _ = delta_step_encrypted(self.enc_model,
-                                                      self._dx_cipher, a_u, self.ctx)
+            if not isinstance(a_u, PackedCiphertext):
+                a_u = self.ctx.encrypt(self._place(a_u))
+            u = hom_add(u_c, a_u)
+            self._dx_cipher = delta_step_encrypted(self.enc_model, self._dx_cipher, a_u)
             return u
-        if isinstance(u_c, PackedCiphertext):
-            u = inject(self.ctx, "input", u_c, a_u)
-        else:
-            u = u_c + a_u
-        self._dx, _ = delta_step(self.model, self._dx, a_u)
+        u = self._splice(u_c, a_u)
+        self._dx, _ = plant_step(self.model, self._dx, a_u)
         return u
 
 
-class GuessingAttacker:
+class GuessingAttacker(CovertAttacker):
     """Covert attacker facing the verification scheme: the bias signals must
     land exactly on the payload replica blocks, whose positions are hidden by
     the per-step permutation, so the attacker guesses a block subset
-    uniformly at random. One guess per step covers both channel directions.
+    uniformly at random. It is the plaintext-model ``CovertAttacker`` with
+    one change, where a bias lands (``_place``). One guess per step covers
+    both channel directions; it is drawn at the step's first nonzero splice.
     """
 
     def __init__(self, model: LtiModel, plan: AttackPlan, ctx: KeyContext,
                  expansion: int, block_dim: int, rng: np.random.Generator):
         if plan.variant != "plain_model":
             raise ValueError("the guessing attacker runs the plaintext-model variant")
-        self.model = model
-        self.plan = plan
-        self.ctx = ctx
+        super().__init__(model, plan, ctx=ctx)
         self.expansion = expansion
         self.block_dim = block_dim
         self.rng = rng
-        self._inner = CovertAttacker(model, plan, ctx=ctx)
         self._guess: frozenset[int] | None = None
 
-    def _step_guess(self) -> frozenset[int]:
+    def _place(self, bias) -> np.ndarray:
         if self._guess is None:
             self._guess = verify.guess_blocks(self.expansion, self.rng)
-        return self._guess
+        return verify.block_mask(self.expansion, self.block_dim,
+                                 self.ctx.config.slot_count, self._guess, bias)
 
-    def _add_to_blocks(self, cipher, delta):
-        mask = verify.block_mask(self.expansion, self.block_dim,
-                                 self.ctx.config.slot_count,
-                                 self._step_guess(), delta)
-        return hom_add(cipher, mask)
+    # Both hooks are defined here rather than inherited, so that a tool which
+    # rebinds and later restores a method per class finds it on this class.
 
     def tamper_measurement(self, k: int, cipher):
         self._guess = None  # fresh guess each step
-        if not self._inner.active_at(k):
-            return cipher
-        a_y = self.model.C @ self._inner._dx
-        if np.any(a_y != 0):
-            cipher = self._add_to_blocks(cipher, -a_y)
-        return cipher
+        return super().tamper_measurement(k, cipher)
 
     def tamper_control(self, k: int, cipher):
-        if not self._inner.active_at(k):
-            return cipher
-        a_u = self._inner._current_input(k)
-        if np.any(a_u != 0):
-            cipher = self._add_to_blocks(cipher, a_u)
-        self._inner._dx, _ = delta_step(self.model, self._inner._dx, a_u)
-        return cipher
+        return super().tamper_control(k, cipher)

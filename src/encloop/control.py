@@ -191,13 +191,12 @@ def _in_process_link(ctx: KeyContext, enc_ctrl: DiagMatrixCipher, attacker,
                      p: int, m: int):
     """The default link: attacker hooks around the controller, in-process."""
     def link(k, y_cipher, lo):
-        active = attacker is not None and k >= 0
-        if active:
+        if attacker is not None:
             y_cipher = attacker.tamper_measurement(k, y_cipher)
         y_c = ctx.decrypt(y_cipher)[lo: lo + p]
         u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
         u_c = ctx.decrypt(u_cipher)[lo: lo + m]
-        if active:
+        if attacker is not None:
             u_cipher = attacker.tamper_control(k, u_cipher)
         return u_cipher, y_c, u_c
     return link
@@ -211,7 +210,8 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
     """Simulate the closed loop for ``pre_roll + steps`` steps.
 
     Attack time runs from k = -pre_roll to steps - 1; an attached attacker is
-    consulted for every k >= 0 (its internal schedule decides activity). In
+    consulted at every step and passes values through unchanged outside its
+    own active window (``active_at``). In
     ``encrypted`` mode each step encodes y, encrypts it once, hands the
     ciphertext to ``link(k, y_cipher, lo)``, and decrypts and decodes the
     reply; with a ``verifier`` the encoding is ``verify.ecd`` and the loop
@@ -243,10 +243,9 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
         verdict = "n/a"
 
         if mode == "plain":
-            active = attacker is not None and k >= 0
-            y_c = attacker.tamper_measurement(k, y) if active else y
+            y_c = attacker.tamper_measurement(k, y) if attacker is not None else y
             u_c = controller_eval_plain(ctrl, y_c)
-            u = attacker.tamper_control(k, u_c) if active else u_c
+            u = attacker.tamper_control(k, u_c) if attacker is not None else u_c
         else:
             w = verify.lifted_input(y, ctrl.u0, block_dim)
             if verifier is None:

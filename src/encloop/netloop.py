@@ -224,7 +224,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                     raise FrameError(f"unexpected frame type {msg_type:#x}")
                 c = deserialize_ciphertext(pub, payload)
                 modified = False
-                if attacker is not None and k >= 0:
+                if attacker is not None:
                     tampered = attacker.tamper_measurement(k, c)
                     modified = tampered is not c
                     c = tampered
@@ -233,7 +233,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                 if msg_type != MSG_ENC_U:
                     raise FrameError(f"unexpected upstream frame {msg_type:#x}")
                 c = deserialize_ciphertext(pub, payload)
-                if attacker is not None and k >= 0:
+                if attacker is not None:
                     tampered = attacker.tamper_control(k, c)
                     modified = modified or tampered is not c
                     c = tampered

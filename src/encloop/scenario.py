@@ -109,10 +109,10 @@ class ScenarioConfig:
             for a in plan.schedule.values():
                 if a.shape != (model.m,):
                     raise ConfigError("attack", f"bias vectors must have length {model.m}")
-            # the cooldown solves the n-step terminal condition dx(n) = 0
-            if plan.cooldown_len != model.n:
-                raise ConfigError("attack", f"cooldown_len must equal the state dimension "
-                                  f"{model.n}, got {plan.cooldown_len}")
+            try:
+                attack.check_cooldown(model, plan)
+            except ValueError as exc:
+                raise ConfigError("attack", str(exc)) from exc
 
         ver = raw.get("verify", {})
         expansion = int(ver.get("expansion", ver.get("lambda", 4)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,10 +45,8 @@ class VerifierContext:
     expansion: int                  # even number of blocks per ciphertext
     block_dim: int                  # payload dimension d
     threshold: float                # infinity-norm acceptance threshold
-    h: Callable[[np.ndarray], np.ndarray]
     challenges: list[np.ndarray]
     challenge_outputs: list[np.ndarray]
-    slot_count: int
     rng: np.random.Generator = field(repr=False, default=None)
 
     @property
@@ -63,7 +60,6 @@ class PermutationTag:
 
     perm: np.ndarray           # encoded block j carries pre-shuffle block perm[j]
     challenge_indices: list[int]
-    step: int = 0
 
     def payload_positions(self) -> set[int]:
         half = len(self.perm) // 2
@@ -100,8 +96,8 @@ def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: in
                   for _ in range(num_challenges)]
     outputs = [np.asarray(h(c), dtype=float) for c in challenges]
     return VerifierContext(expansion=expansion, block_dim=block_dim,
-                           threshold=threshold, h=h, challenges=challenges,
-                           challenge_outputs=outputs, slot_count=slot_count, rng=rng)
+                           threshold=threshold, challenges=challenges,
+                           challenge_outputs=outputs, rng=rng)
 
 
 def lift_affine(K, offset):

@@ -23,7 +23,6 @@ from encloop.attack import (
     CovertAttacker,
     build_enc_model,
     cooldown_inputs,
-    delta_step,
     delta_step_encrypted,
 )
 from encloop.backend import (
@@ -37,6 +36,7 @@ from encloop.control import (
     TANK_X0,
     LtiModel,
     encrypt_controller,
+    plant_step,
     quadruple_tank,
     run_closed_loop,
     tank_controller,
@@ -246,13 +246,13 @@ def test_criterion_07_cooldown_on_random_systems():
         active = [rng.uniform(-2, 2, m) for _ in range(int(rng.integers(1, 6)))]
         dx = np.zeros(n)
         for a in active:
-            dx, _ = delta_step(sys_model, dx, a)
+            dx, _ = plant_step(sys_model, dx, a)
         for a in cooldown_inputs(sys_model, dx):
-            dx, _ = delta_step(sys_model, dx, a)
+            dx, _ = plant_step(sys_model, dx, a)
         assert np.max(np.abs(dx)) < 1e-8
         # after the attack ends, the output bias stays at zero
         for _ in range(5):
-            dx, a_y = delta_step(sys_model, dx, np.zeros(m))
+            dx, a_y = plant_step(sys_model, dx, np.zeros(m))
             assert np.max(np.abs(a_y)) < 1e-8
         done += 1
 
@@ -266,10 +266,11 @@ def test_criterion_08_depth_budget_fidelity():
     pub3 = ctx3.public_context()
     enc3 = build_enc_model(pub3, model)
     dx = pub3.encrypt(np.zeros(8))
+    a_u = pub3.encrypt(pad_slots([2.0, 2.0], 8))
     for _ in range(3):
-        dx, _ = delta_step_encrypted(enc3, dx, np.array([2.0, 2.0]), pub3)
+        dx = delta_step_encrypted(enc3, dx, a_u)
     with pytest.raises(DepthExhausted):
-        delta_step_encrypted(enc3, dx, np.array([2.0, 2.0]), pub3)
+        delta_step_encrypted(enc3, dx, a_u)
 
     # and the same budget kills the full encrypted-model scenario early ...
     att3 = CovertAttacker(model, step_plan("enc_model"), ctx=pub3,
@@ -336,6 +337,17 @@ def _spawn(args):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
+def _finish(proc):
+    """Drain and close the role's pipes; assert it exited cleanly."""
+    try:
+        _, err = proc.communicate(timeout=15)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, f"role exited {proc.returncode}: {err.decode()}"
+
+
 def _plant_with_retry(addr, cfg, attempts=50):
     for _ in range(attempts):
         try:
@@ -363,7 +375,7 @@ def test_criterion_10_networked_equivalence():
         trace = _plant_with_retry((HOST, atk_port), cfg)
     finally:
         for p in procs:
-            p.wait(timeout=15)
+            _finish(p)
     ref, code = run_scenario(cfg)
     assert code == 0
     assert len(trace) == len(ref) == 50
@@ -393,7 +405,7 @@ def test_criterion_10_networked_equivalence():
         try:
             _plant_with_retry((HOST, atk_port), plant_cfg)
         finally:
-            proxy.wait(timeout=15)
+            _finish(proxy)
             t.join(10)
         results[label] = box["result"]
     for fieldname in ("y_c", "u_c"):

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
+from encloop import verify
 from encloop.attack import (
     AttackPlan,
     CovertAttacker,
+    GuessingAttacker,
     build_enc_model,
     controllability_matrix,
     cooldown_inputs,
     cooldown_inputs_encrypted,
-    delta_step,
     delta_step_encrypted,
-    inject,
-    pseudo_inverse,
 )
 from encloop.backend import BackendConfig, DepthExhausted, context_create, pad_slots
 from encloop.control import (
     TANK_X0,
     LtiModel,
+    plant_step,
     quadruple_tank,
     run_closed_loop,
     tank_controller,
@@ -85,12 +85,12 @@ class TestControllability:
 
     def test_pinv_is_right_inverse(self, model):
         Cc = controllability_matrix(model)
-        assert np.allclose(Cc @ pseudo_inverse(Cc), np.eye(4), atol=1e-10)
+        assert np.allclose(Cc @ np.linalg.pinv(Cc), np.eye(4), atol=1e-10)
 
 
 class TestDeltaRecursion:
     def test_starts_at_zero(self, model):
-        dx, a_y = delta_step(model, np.zeros(4), np.array([2.0, 2.0]))
+        dx, a_y = plant_step(model, np.zeros(4), np.array([2.0, 2.0]))
         assert np.array_equal(a_y, np.zeros(2))
         assert np.allclose(dx, model.B @ [2.0, 2.0], atol=1e-15)
 
@@ -100,7 +100,7 @@ class TestDeltaRecursion:
         inputs = [rng.uniform(-1, 1, 2) for _ in range(6)]
         dx = np.zeros(4)
         for a in inputs:
-            dx, _ = delta_step(model, dx, a)
+            dx, _ = plant_step(model, dx, a)
         expected = sum(np.linalg.matrix_power(model.A, 5 - j) @ model.B @ inputs[j]
                        for j in range(6))
         assert np.allclose(dx, expected, atol=1e-12)
@@ -113,7 +113,7 @@ class TestCooldown:
             dx = rng.uniform(-2, 2, 4)
             probe = dx.copy()
             for a in cooldown_inputs(model, dx):
-                probe, _ = delta_step(model, probe, a)
+                probe, _ = plant_step(model, probe, a)
             assert np.max(np.abs(probe)) < 1e-8
 
     def test_zero_state_needs_zero_inputs(self, model):
@@ -129,7 +129,7 @@ class TestCooldown:
             dx = rng.uniform(-1, 1, n)
             probe = dx.copy()
             for a in cooldown_inputs(sys, dx):
-                probe, _ = delta_step(sys, probe, a)
+                probe, _ = plant_step(sys, probe, a)
             assert np.max(np.abs(probe)) < 1e-8
 
     def test_uncontrollable_system_rejected(self):
@@ -147,11 +147,10 @@ class TestEncryptedModel:
         rng = np.random.default_rng(3)
         dx = rng.uniform(-1, 1, 4)
         a_u = rng.uniform(-1, 1, 2)
-        dxe, aye = delta_step_encrypted(enc, ctx.encrypt(pad_slots(dx, 8)), a_u,
-                                        ctx.public_context())
-        dx_ref, a_y_ref = delta_step(model, dx, a_u)
+        dxe = delta_step_encrypted(enc, ctx.encrypt(pad_slots(dx, 8)),
+                                   ctx.encrypt(pad_slots(a_u, 8)))
+        dx_ref, _ = plant_step(model, dx, a_u)
         assert np.max(np.abs(ctx.decrypt(dxe)[:4] - dx_ref)) < 1e-9
-        assert np.max(np.abs(ctx.decrypt(aye)[:2] - a_y_ref)) < 1e-9
 
     def test_cooldown_matches_plain(self, model):
         ctx = make_ctx()
@@ -170,28 +169,127 @@ class TestEncryptedModel:
                               pinv_mode="newton_schulz", ns_iterations=30)
         from encloop.linalg import decrypt_matrix
         got = decrypt_matrix(ctx, enc.Cc_pinv)[:8, :4]
-        ref = pseudo_inverse(controllability_matrix(model))
+        ref = np.linalg.pinv(controllability_matrix(model))
         assert np.max(np.abs(got - ref)) < 1e-6
 
 
-class TestInject:
-    def test_plain_channels(self):
-        ctx = make_ctx()
-        u = np.array([1.0, 1.0])
-        assert np.array_equal(inject(ctx, "input", u, [0.5, 0.0]), [1.5, 1.0])
-        assert np.array_equal(inject(ctx, "output", u, [0.5, 0.0]), [0.5, 1.0])
+ATTACKERS = {
+    "covert": lambda model, plan, pub: CovertAttacker(model, plan, ctx=pub),
+    "guessing": lambda model, plan, pub: GuessingAttacker(
+        model, plan, pub, expansion=2, block_dim=4, rng=np.random.default_rng(0)),
+}
 
-    def test_encrypted_channel_public_context_only(self):
+
+def op_totals(*ctxs):
+    """Op counts summed over key contexts: an op counts on the context of
+    its first operand, which for a splice is the channel's."""
+    return {op: sum(c.op_counts[op] for c in ctxs) for op in ctxs[0].op_counts}
+
+
+def spent_ops(ctxs, before):
+    now = op_totals(*ctxs)
+    return {op: now[op] - before[op] for op in now}
+
+
+class TestCooldownLength:
+    @pytest.mark.parametrize("kind", sorted(ATTACKERS))
+    @pytest.mark.parametrize("cooldown_len", [2, 6])
+    def test_other_than_state_dim_rejected(self, model, kind, cooldown_len):
+        # the cooldown solves the tank's 4-step terminal condition only
+        plan = AttackPlan(schedule={0: np.array([0.5, 0.5])}, length=10,
+                          cooldown_len=cooldown_len)
+        with pytest.raises(ValueError, match="cooldown_len must equal the state "
+                                             f"dimension 4, got {cooldown_len}"):
+            ATTACKERS[kind](model, plan, make_ctx().public_context())
+
+
+class TestSplice:
+    def test_plain_channels(self, model):
+        attacker = CovertAttacker(model, step_plan())
+        y, u_c = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+        # k = 0: dx is zero, so the measurement passes untouched
+        assert attacker.tamper_measurement(0, y) is y
+        assert np.array_equal(attacker.tamper_control(0, u_c), [3.0, 3.0])
+        # k = 1: the measurement loses C dx, with dx = B a_u(0)
+        a_y = model.C @ model.B @ [2.0, 2.0]
+        assert np.array_equal(attacker.tamper_measurement(1, y), y - a_y)
+        assert np.array_equal(attacker.tamper_control(1, u_c), [3.0, 3.0])
+
+    @pytest.mark.parametrize("kind", sorted(ATTACKERS))
+    def test_encrypted_channel_public_context_only(self, model, kind):
         ctx = make_ctx()
         pub = ctx.public_context()
-        c = ctx.encrypt(pad_slots([1.0, 2.0], 8))
-        out = inject(pub, "input", c, [0.25, -0.25])
-        assert np.allclose(ctx.decrypt(out)[:2], [1.25, 1.75], atol=1e-12)
+        assert not pub.has_secret_key
+        attacker = ATTACKERS[kind](model, step_plan(), pub)
+        base = np.arange(8.0)
+        c = ctx.encrypt(base)
+        before = op_totals(ctx, pub)
+        assert attacker.tamper_measurement(0, c) is c
+        spliced = []
+        for k, hook, bias in ((0, attacker.tamper_control, [2.0, 2.0]),
+                              (1, attacker.tamper_measurement,
+                               -model.C @ model.B @ [2.0, 2.0]),
+                              (1, attacker.tamper_control, [2.0, 2.0])):
+            # the covert attacker hits the leading block, the guessing
+            # attacker the block it guessed for the step
+            out = hook(k, c)
+            blocks = {0} if kind == "covert" else attacker._guess
+            spliced.append((out, verify.block_mask(2, 4, 8, blocks, bias)))
+        # three plaintext additions; nothing is encrypted or decrypted
+        assert spent_ops((ctx, pub), before) == {"add": 3, "mul": 0, "rot": 0,
+                                                 "enc": 0, "dec": 0}
+        for out, mask in spliced:
+            assert np.allclose(ctx.decrypt(out) - base, mask, atol=1e-12)
 
-    def test_bad_channel(self):
-        with pytest.raises(ValueError):
-            inject(make_ctx(), "sideways", np.zeros(2), np.zeros(2))
+    def test_plain_model_never_encrypts(self, model, ctrl):
+        ctx = make_ctx()
+        pub = ctx.public_context()
+        start = op_totals(ctx)
+        run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, mode="encrypted", ctx=ctx)
+        clean = spent_ops((ctx,), start)
+        before = op_totals(ctx, pub)
+        run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, mode="encrypted", ctx=ctx,
+                        attacker=CovertAttacker(model, step_plan(), ctx=pub))
+        spent = spent_ops((ctx, pub), before)
+        # one addition per nonzero bias on top of the clean loop: measurements
+        # at k = 1..9, inputs at k = 0..4 and the cooldown k = 6..9
+        assert spent == dict(clean, add=clean["add"] + 18)
 
+    def test_encrypted_model_one_enc_per_active_step(self, model):
+        ctx = make_ctx()
+        pub = ctx.public_context()
+        enc = build_enc_model(pub, model)
+        attacker = CovertAttacker(model, step_plan("enc_model"), ctx=pub, enc_model=enc)
+        # C dx for the measurement, A dx and B a_u for the next state: each
+        # product is used once, none is computed twice
+        products = sum(len(m.diagonals) for m in (enc.A, enc.B, enc.C))
+        c = ctx.encrypt(np.zeros(8))
+        for k in range(6):  # the active phase
+            before = op_totals(ctx, pub)
+            attacker.tamper_measurement(k, c)
+            attacker.tamper_control(k, c)
+            # the additions: T - 1 inside each T-term product, then the
+            # measurement splice, the input splice and A dx + B a_u
+            assert spent_ops((ctx, pub), before) == {"enc": 1, "mul": products,
+                                                     "rot": products, "add": products,
+                                                     "dec": 0}
+
+    def test_guessing_attacker_without_bias_is_free(self, model):
+        # an empty schedule keeps dx at zero: every splice is skipped, so
+        # no op runs and no guess is drawn
+        ctx = make_ctx()
+        pub = ctx.public_context()
+        rng = np.random.default_rng(5)
+        attacker = GuessingAttacker(model, AttackPlan(schedule={}, length=10, cooldown_len=4),
+                                    pub, expansion=2, block_dim=4, rng=rng)
+        c = ctx.encrypt(np.arange(8.0))
+        state = rng.bit_generator.state
+        counts = dict(ctx.op_counts), dict(pub.op_counts)
+        for k in range(-3, 13):
+            assert attacker.tamper_measurement(k, c) is c
+            assert attacker.tamper_control(k, c) is c
+        assert (ctx.op_counts, pub.op_counts) == counts
+        assert rng.bit_generator.state == state
 
 def max_plant_deviation(baseline, attacked):
     return float(np.max(np.abs(np.array(attacked.x) - np.array(baseline.x))))
