@@ -13,7 +13,16 @@ HE libraries evaluate in one pass (Halevi & Shoup, CRYPTO 2018). It returns
 the slots, level, noise bound and op counts of the composed rotate, multiply
 and add chain, but fills one buffer and draws its noise once: per slot,
 sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given the
-a_t slots is the exact law of the composed ops' 3T - 1 noise terms.
+a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
+per-slot scale depends on the a_t alone, so a caller whose a_t are fixed (the
+diagonals of an encrypted matrix) computes it once with ``dot_noise_scale``
+and passes it in.
+
+Per-step work that does not change is done once: every ``KeyContext`` owns
+one slot-width scratch buffer (allocated on first use) that its noise draws
+and ``hom_dot``'s partial products go through, and a ciphertext computes its
+max|slot| for the first-order noise bound once. The scratch buffer never ends
+up inside a ciphertext, and ciphertext slots are never mutated once built.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ __all__ = [
     "hom_neg",
     "hom_mul",
     "hom_dot",
+    "dot_noise_scale",
     "rotate",
     "pad_slots",
     "serialize_ciphertext",
@@ -76,6 +86,18 @@ class PackedCiphertext:
     key_id: int
     ops_applied: int
     _ctx: "KeyContext" = field(repr=False)
+    _max_abs: float | None = field(default=None, repr=False, compare=False)
+
+    def _magnitude(self) -> float:
+        """max|slot|, computed on first use (the slots are never mutated)."""
+        if self._max_abs is None:
+            self._max_abs = _max_abs(self._slots)
+        return self._max_abs
+
+
+def _max_abs(s: np.ndarray) -> float:
+    """max|s| (0 for no slots) without a slot-width temporary."""
+    return float(max(s.max(initial=0.0), -s.min(initial=0.0)))
 
 
 class KeyContext:
@@ -93,6 +115,7 @@ class KeyContext:
         self.has_secret_key = has_secret_key
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.op_counts = {"add": 0, "mul": 0, "rot": 0, "enc": 0, "dec": 0}
+        self._buf: np.ndarray | None = None
 
     def public_context(self) -> "KeyContext":
         pub = KeyContext(self.config, self.key_id, has_secret_key=False,
@@ -124,10 +147,20 @@ class KeyContext:
         self.op_counts["dec"] += 1
         return c._slots.copy()
 
+    def _scratch(self) -> np.ndarray:
+        """The context's slot-width work buffer, allocated on first use. Its
+        contents are dead between calls; it is never returned in a ciphertext."""
+        if self._buf is None:
+            self._buf = np.empty(self.config.slot_count)
+        return self._buf
+
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
-        # slots is always a fresh result buffer, so the draw is added in place
+        # slots is always a fresh result buffer, so the draw is added in place;
+        # sigma * z is what normal(0, sigma) computes from the same z stream
         if self.config.noise_std > 0:
-            slots += self.rng.normal(0.0, self.config.noise_std, slots.shape)
+            z = self.rng.standard_normal(out=self._scratch())
+            z *= self.config.noise_std
+            slots += z
         return slots
 
 
@@ -199,9 +232,10 @@ def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
     # skips its magnitude scan (the same sum for finite slots).
     bound = 0.0
     if a.noise_bound:
-        bound = a.noise_bound * float(np.max(np.abs(sb), initial=0.0))
+        bound = a.noise_bound * (b._magnitude() if isinstance(b, PackedCiphertext)
+                                 else _max_abs(sb))
     if nb_b:
-        bound += nb_b * float(np.max(np.abs(sa), initial=0.0))
+        bound += nb_b * a._magnitude()
     return _result(ctx, sa * sb, max(a.level, lev_b) + 1, bound,
                    max(a.ops_applied, ops_b) + 1)
 
@@ -216,7 +250,7 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
                    a.ops_applied + 1)
 
 
-def hom_dot(terms) -> PackedCiphertext:
+def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
     """Fused sum_t a_t * rot_{s_t}(b_t) over ciphertext ``terms`` (a, b, s).
 
     Equal to ``rotate(b, s)``, then ``hom_mul(a, .)``, then a left-to-right
@@ -228,6 +262,11 @@ def hom_dot(terms) -> PackedCiphertext:
     noise once: sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the
     law of the composed noise sum_t a_t * e_rot + sum e_mul + sum e_add given
     the a_t slots.
+
+    ``noise_scale``, if given, is ``dot_noise_scale`` of the same a_t in the
+    same order, precomputed by a caller whose a_t do not change; otherwise it
+    is computed here. The partial products and the draw go through the first
+    a's context's scratch buffer.
     """
     terms = list(terms)
     if not terms:
@@ -236,7 +275,7 @@ def hom_dot(terms) -> PackedCiphertext:
     cfg = ctx.config
     sigma, n = cfg.noise_std, cfg.slot_count
     out = np.empty(n)
-    tmp = np.empty(n)
+    tmp = ctx._scratch() if len(terms) > 1 else None
     for t, (a, b, s) in enumerate(terms):
         if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
@@ -246,10 +285,9 @@ def hom_dot(terms) -> PackedCiphertext:
                 f"operation requires level {level} but max_depth is {cfg.max_depth}")
         # hom_mul's first-order rule on rot_s(b), whose max|slot| is max|b|
         rot_bound = b.noise_bound + sigma
-        bound = a.noise_bound * float(np.max(np.abs(b._slots), initial=0.0)) \
-            if a.noise_bound else 0.0
+        bound = a.noise_bound * b._magnitude() if a.noise_bound else 0.0
         if rot_bound:
-            bound += rot_bound * float(np.max(np.abs(a._slots), initial=0.0))
+            bound += rot_bound * a._magnitude()
         bound += sigma
         ops = max(a.ops_applied, b.ops_applied + 1) + 1
         if t == 0:
@@ -271,15 +309,28 @@ def hom_dot(terms) -> PackedCiphertext:
         a._ctx.op_counts["mul"] += 1
     ctx.op_counts["add"] += len(terms) - 1
     if sigma > 0:
-        std = np.full(n, 2.0 * len(terms) - 1)
-        for a, _, _ in terms:
-            std += np.square(a._slots, out=tmp)
-        np.sqrt(std, out=std)
-        std *= sigma
-        std *= ctx.rng.standard_normal(n, out=tmp)
-        out += std
+        if noise_scale is None:
+            noise_scale = dot_noise_scale(a for a, _, _ in terms)
+        z = ctx.rng.standard_normal(out=ctx._scratch())
+        z *= noise_scale
+        out += z
     return PackedCiphertext(_slots=out, level=acc_level, noise_bound=acc_bound,
                             key_id=ctx.key_id, ops_applied=acc_ops, _ctx=ctx)
+
+
+def dot_noise_scale(coeffs) -> np.ndarray:
+    """Per-slot standard deviation of ``hom_dot``'s one noise draw for the
+    coefficient ciphertexts a_t, in term order: sigma * sqrt(sum_t a_t^2 +
+    2T - 1), with sigma of the first a_t's context."""
+    coeffs = list(coeffs)
+    ctx = coeffs[0]._ctx
+    scale = np.full(ctx.config.slot_count, 2.0 * len(coeffs) - 1)
+    sq = ctx._scratch()
+    for a in coeffs:
+        scale += np.square(a._slots, out=sq)
+    np.sqrt(scale, out=scale)
+    scale *= ctx.config.noise_std
+    return scale
 
 
 # -- helpers ----------------------------------------------------------------

@@ -79,9 +79,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    result = verify.run_detection_experiment(args.expansion, args.attack_len,
-                                             args.trials, mode=args.mode,
-                                             seed=args.seed)
+    try:
+        result = verify.run_detection_experiment(args.expansion, args.attack_len,
+                                                 args.trials, mode=args.mode,
+                                                 seed=args.seed)
+    except ValueError as exc:  # the experiment checks its inputs before it runs
+        raise ConfigError("montecarlo", str(exc)) from exc
     print(f"lambda={args.expansion}  L={args.attack_len}  trials={args.trials}  "
           f"mode={args.mode}")
     print("k*    detected")

@@ -9,7 +9,8 @@ slotwise multiplies against rotated copies of the vector:
 and matrix-matrix products to the analogous recombination of diagonals.
 Every such sum goes through the backend's fused ``hom_dot``: one call per
 matvec and one per output diagonal of a matmat, with the op counts, level and
-noise bound of the composed rotations, products and sums.
+noise bound of the composed rotations, products and sums. A matrix computes
+the noise scale of its matvec once, on its first product.
 Only the wrapped diagonals that hold a nonzero entry are stored; the missing
 ones are implicitly zero and are skipped, not materialized.
 
@@ -19,11 +20,12 @@ vector occupies one full ciphertext and rotations wrap consistently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import KeyContext, PackedCiphertext, hom_add, hom_dot, hom_mul, hom_neg, rotate
+from .backend import (KeyContext, PackedCiphertext, dot_noise_scale, hom_add, hom_dot, hom_mul,
+                      hom_neg, rotate)
 
 __all__ = [
     "DiagMatrixCipher",
@@ -45,10 +47,15 @@ class DiagMatrixCipher:
 
     ``diagonals`` maps the wrapped diagonal index (0 <= i < dim) to its
     ciphertext; absent indices are implicitly zero.
+
+    On a noisy context the first ``enc_matvec`` caches ``hom_dot``'s noise
+    scale over the diagonals in key order, so ``diagonals`` must not be
+    changed (no entry added, removed or replaced) after the first product.
     """
 
     dim: int
     diagonals: dict[int, PackedCiphertext]
+    _noise_scale: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def next_pow2(n: int) -> int:
@@ -110,11 +117,14 @@ def enc_matvec(S: DiagMatrixCipher, v: PackedCiphertext) -> PackedCiphertext:
         raise ValueError(f"matrix dim {S.dim} does not match ciphertext slots")
     if not S.diagonals:  # all-zero (empty) matrix
         return hom_mul(v, np.zeros(S.dim))
-    return hom_dot((diag, v, i) for i, diag in S.diagonals.items())
+    if S._noise_scale is None and v._ctx.config.noise_std:
+        S._noise_scale = dot_noise_scale(S.diagonals.values())
+    return hom_dot(((diag, v, i) for i, diag in S.diagonals.items()), S._noise_scale)
 
 
 def enc_matmat(S: DiagMatrixCipher, T: DiagMatrixCipher) -> DiagMatrixCipher:
-    """Encrypted matrix-matrix product in diagonal form; one level deep."""
+    """Encrypted matrix-matrix product in diagonal form; one level deep. Each
+    output diagonal's noise scale is computed afresh (its terms differ)."""
     if S.dim != T.dim:
         raise ValueError(f"dimension mismatch: {S.dim} vs {T.dim}")
     d = S.dim

@@ -196,6 +196,20 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
     return result
 
 
+def _relay_payload(pub, payload, tamper, k: int):
+    """The payload to forward for one relayed ciphertext frame, and whether
+    ``tamper`` changed it. The frame is always deserialized, which checks its
+    length and key tag; a ciphertext the hook returns untouched goes on as
+    the bytes received, and only a tampered one is serialized."""
+    c = deserialize_ciphertext(pub, payload)
+    if tamper is None:
+        return payload, False
+    tampered = tamper(k, c)
+    if tampered is c:
+        return payload, False
+    return serialize_ciphertext(tampered), True
+
+
 def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                  ready=None) -> dict:
     """Attacker proxy: terminates the plant connection, relays to the
@@ -210,6 +224,9 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
             pub = context_create(cfg.backend).public_context()
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
+            tamper_y = tamper_u = None
+            if attacker is not None:
+                tamper_y, tamper_u = attacker.tamper_measurement, attacker.tamper_control
 
             limit = _payload_limit(cfg)
             k = -cfg.pre_roll
@@ -222,25 +239,16 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                     continue
                 if msg_type != MSG_ENC_Y:
                     raise FrameError(f"unexpected frame type {msg_type:#x}")
-                c = deserialize_ciphertext(pub, payload)
-                modified = False
-                if attacker is not None:
-                    tampered = attacker.tamper_measurement(k, c)
-                    modified = tampered is not c
-                    c = tampered
-                send_frame(up, MSG_ENC_Y, serialize_ciphertext(c))
+                payload, modified_y = _relay_payload(pub, payload, tamper_y, k)
+                send_frame(up, MSG_ENC_Y, payload)
                 msg_type, payload = recv_frame(up, limit)
                 if msg_type != MSG_ENC_U:
                     raise FrameError(f"unexpected upstream frame {msg_type:#x}")
-                c = deserialize_ciphertext(pub, payload)
-                if attacker is not None:
-                    tampered = attacker.tamper_control(k, c)
-                    modified = modified or tampered is not c
-                    c = tampered
-                send_frame(plant_conn, MSG_ENC_U, serialize_ciphertext(c))
+                payload, modified_u = _relay_payload(pub, payload, tamper_u, k)
+                send_frame(plant_conn, MSG_ENC_U, payload)
                 stats["relayed"] += 1
                 # a step counts once, whichever direction was modified
-                stats["tampered"] += modified
+                stats["tampered"] += modified_y or modified_u
                 k += 1
         except (FrameError, ValueError, ConnectionError, json.JSONDecodeError) as exc:
             log.warning("attacker: relay stopped: %s", exc)

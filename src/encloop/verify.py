@@ -192,7 +192,8 @@ def p_succ_instant(expansion: int) -> float:
     """Probability of guessing the replica block set in a single step."""
     if expansion < 2 or expansion % 2 != 0:
         raise ValueError(f"expansion factor must be even and >= 2, got {expansion}")
-    return 1.0 / math.comb(expansion, expansion // 2)
+    # int / int rounds exactly and underflows to 0 instead of overflowing
+    return 1 / math.comb(expansion, expansion // 2)
 
 
 def p_succ_cumulative(expansion: int, steps: int) -> float:
@@ -248,8 +249,11 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
 
     ``fast`` draws the guess/replica subsets directly (no ciphertexts,
     vectorized); ``full`` runs the complete encrypted encode-evaluate-decode
-    pipeline per step. Both follow the same detection law.
+    pipeline per step. Both follow the same detection law. Raises
+    ``ValueError`` unless the expansion is even and at least 2, and the
+    attack length and the number of trials are at least 1.
     """
+    p_succ_cumulative(expansion, attack_len)  # validates both
     if trials < 1:
         raise ValueError("need at least one trial")
     if mode == "fast":

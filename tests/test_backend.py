@@ -218,20 +218,29 @@ class TestNoiseAccounting:
         c2 = hom_add(c, ctx.encrypt(np.zeros(8)))
         assert c2.noise_bound > c.noise_bound
 
-    @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
-    def test_mul_noise_bound_first_order(self, noise_std):
+    @pytest.mark.parametrize("noise_std, sign", [(0.0, 1.0), (1e-3, 1.0), (0.0, -1.0),
+                                                 (1e-3, -1.0)],
+                             ids=["0.0", "0.001", "0.0-negative", "0.001-negative"])
+    def test_mul_noise_bound_first_order(self, noise_std, sign):
         """Each operand's bound scaled by the other's largest magnitude, plus
-        the fresh operation noise; a plaintext operand carries no bound."""
+        the fresh operation noise; a plaintext operand carries no bound. The
+        repeated products read each ciphertext's cached max|slot|, which must
+        also find a largest magnitude on the negative side (sign -1)."""
         ctx = make_ctx(noise_std=noise_std)
         rng = np.random.default_rng(7)
-        a = hom_add(ctx.encrypt(rng.uniform(-3, 3, 8)), ctx.encrypt(rng.uniform(-3, 3, 8)))
-        b = ctx.encrypt(rng.uniform(-5, 5, 8))
+        a = hom_add(ctx.encrypt(sign * rng.uniform(-1, 3, 8)),
+                    ctx.encrypt(sign * rng.uniform(-1, 3, 8)))
+        b = ctx.encrypt(sign * rng.uniform(-2, 5, 8))
+        m = sign * rng.uniform(-2, 5, 8)
         sa, sb = ctx.decrypt(a), ctx.decrypt(b)
-        assert hom_mul(a, b).noise_bound == (
-            a.noise_bound * np.max(np.abs(sb)) + b.noise_bound * np.max(np.abs(sa))
-            + noise_std)
-        m = rng.uniform(-5, 5, 8)
-        assert hom_mul(a, m).noise_bound == a.noise_bound * np.max(np.abs(m)) + noise_std
+        for _ in range(2):
+            assert hom_mul(a, b).noise_bound == (
+                a.noise_bound * np.max(np.abs(sb)) + b.noise_bound * np.max(np.abs(sa))
+                + noise_std)
+            assert hom_mul(a, m).noise_bound == a.noise_bound * np.max(np.abs(m)) + noise_std
+            assert hom_mul(b, a).noise_bound == (
+                b.noise_bound * np.max(np.abs(sa)) + a.noise_bound * np.max(np.abs(sb))
+                + noise_std)
 
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its
@@ -246,6 +255,25 @@ class TestNoiseAccounting:
         c_ref = m1 + ref.normal(0.0, sigma, n)
         assert np.array_equal(ctx.decrypt(c), c_ref)
         assert np.array_equal(ctx.decrypt(s), (c_ref + m2) + ref.normal(0.0, sigma, n))
+
+    def test_results_own_their_memory(self):
+        """Noisy results never alias each other or the context's scratch
+        buffer, and a later op leaves an earlier result unchanged."""
+        ctx = make_ctx(slot_count=64, noise_std=1e-3, seed=4)
+        rng = np.random.default_rng(8)
+        results = []
+        for _ in range(3):
+            c = ctx.encrypt(rng.normal(size=64))
+            results += [c, hom_dot([(c, c, 1), (c, c, 5)]), hom_dot([(c, c, 2)]),
+                        hom_add(c, c), hom_mul(c, c)]
+        snapshots = [ctx.decrypt(r) for r in results]
+        hom_dot([(results[0], results[1], 3), (results[2], results[3], 7)])
+        buffers = [r._slots for r in results] + [ctx._scratch()]
+        for i, s in enumerate(buffers):
+            for t in buffers[i + 1:]:
+                assert not np.shares_memory(s, t)
+        for r, snap in zip(results, snapshots):
+            assert np.array_equal(ctx.decrypt(r), snap)
 
     def test_seeded_reproducibility(self):
         def run():

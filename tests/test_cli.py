@@ -88,6 +88,20 @@ class TestMontecarlo:
         assert code == 0
         assert "mode=full" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, message", [
+        (["--lambda", "0"], "expansion factor must be even and >= 2, got 0"),
+        (["--lambda", "3"], "expansion factor must be even and >= 2, got 3"),
+        (["--lambda", "3", "--mode", "full"], "expansion factor must be even"),
+        (["--lambda", "4", "--attack-len", "0"], "attack length must be at least 1"),
+        (["--lambda", "4", "--attack-len", "0", "--mode", "full"],
+         "attack length must be at least 1"),
+        (["--lambda", "4", "--trials", "0"], "need at least one trial")])
+    def test_bad_inputs_exit_one(self, args, message, capsys):
+        assert main(["montecarlo", "--trials", "10", *args]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: montecarlo: {message}" in captured.err
+        assert "undetected" not in captured.out and "k*" not in captured.out
+
 
 class TestProbe:
     def test_table(self, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from encloop.backend import BackendConfig, DepthExhausted, context_create, pad_slots
+from encloop.backend import BackendConfig, DepthExhausted, context_create, hom_dot, pad_slots
 from encloop.control import quadruple_tank
 from encloop.linalg import (
     DiagMatrixCipher,
@@ -214,6 +214,36 @@ class TestMatVec:
         v = ctx.encrypt(rng.uniform(-3, 3, 16))
         assert np.array_equal(ctx.decrypt(enc_matvec(sparse, v)),
                               ctx.decrypt(enc_matvec(full, v)))
+
+    @pytest.mark.parametrize("n", [8, 2 ** 16])
+    def test_cached_noise_scale_matches_hom_dot(self, n):
+        """Repeated noisy products of one matrix, whose noise scale is cached
+        after the first, equal the uncached hom_dot over its diagonals on an
+        identically seeded context: slots, bound, level, ops and op counts."""
+        def build():
+            ctx = context_create(BackendConfig(slot_count=n, noise_std=1e-3, seed=21))
+            rng = np.random.default_rng(4)
+            M = DiagMatrixCipher(dim=n, diagonals={
+                i: ctx.encrypt(rng.uniform(-2, 2, n)) for i in (0, 1, 3, n - 1)})
+            return ctx, rng, M
+
+        ctx, rng, M = build()
+        ctx_ref, rng_ref, M_ref = build()
+        for _ in range(3):
+            got = enc_matvec(M, ctx.encrypt(rng.normal(size=n)))
+            v_ref = ctx_ref.encrypt(rng_ref.normal(size=n))
+            want = hom_dot([(d, v_ref, i) for i, d in M_ref.diagonals.items()])
+            assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
+            assert (got.noise_bound, got.level, got.ops_applied) == (
+                want.noise_bound, want.level, want.ops_applied)
+            assert ctx.op_counts == ctx_ref.op_counts
+        assert M._noise_scale is not None
+
+    def test_noiseless_matvec_caches_no_scale(self):
+        ctx = make_ctx(8)
+        M = encrypt_matrix(ctx, np.diag(np.arange(1.0, 9.0)) + np.eye(8, k=1))
+        enc_matvec(M, ctx.encrypt(np.ones(8)))
+        assert M._noise_scale is None
 
     def test_depth_exhausted_propagates(self):
         ctx = make_ctx(4, max_depth=1)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import struct
@@ -8,7 +9,12 @@ import numpy as np
 import pytest
 
 from encloop import netloop
-from encloop.backend import BackendConfig, context_create, serialize_ciphertext
+from encloop.backend import (
+    BackendConfig,
+    context_create,
+    deserialize_ciphertext,
+    serialize_ciphertext,
+)
 from encloop.netloop import (
     HELLO_MAX_PAYLOAD,
     MSG_BYE,
@@ -333,6 +339,71 @@ class TestRoleFrameLimits:
         assert not ctrl_t.is_alive()
 
 
+NOISY_BACKEND = {"slot_count": 64, "max_depth": 16, "noise_std": 1e-6}
+
+
+@contextlib.contextmanager
+def proxy_between(cfg):
+    """``run_attacker`` between a plant socket and a controller socket that
+    the test drives by hand, once the HELLO has gone through. Yields
+    ``(plant, ctrl, join)``; ``join()`` waits for the proxy and returns its
+    stats."""
+    with socket.create_server((HOST, 0)) as srv:
+        port, t, box = start_role(run_attacker, (HOST, srv.getsockname()[1]))
+
+        def join():
+            t.join(10)
+            assert not t.is_alive()
+            return box["result"]
+
+        with socket.create_connection((HOST, port), timeout=10) as plant:
+            ctrl, _ = srv.accept()
+            with ctrl:
+                ctrl.settimeout(10)
+                hello = json.dumps(cfg.to_dict()).encode()
+                send_frame(plant, MSG_HELLO, hello)
+                assert recv_frame(ctrl) == (MSG_HELLO, hello)
+                yield plant, ctrl, join
+        join()
+
+
+def relay_steps(plant, ctrl, ctx, steps, seed=0):
+    """Send ``steps`` ENC_Y frames as the plant and answer each with an ENC_U
+    frame as the controller. Returns the blobs sent and the payloads the
+    proxy forwarded, as (sent_y, sent_u, fwd_y, fwd_u)."""
+    rng = np.random.default_rng(seed)
+    n = ctx.config.slot_count
+    sent_y, sent_u, fwd_y, fwd_u = [], [], [], []
+    for _ in range(steps):
+        sent_y.append(bytes(serialize_ciphertext(ctx.encrypt(rng.normal(size=n)))))
+        send_frame(plant, MSG_ENC_Y, sent_y[-1])
+        msg_type, payload = recv_frame(ctrl)
+        assert msg_type == MSG_ENC_Y
+        fwd_y.append(bytes(payload))
+        sent_u.append(bytes(serialize_ciphertext(ctx.encrypt(rng.normal(size=n)))))
+        send_frame(ctrl, MSG_ENC_U, sent_u[-1])
+        msg_type, payload = recv_frame(plant)
+        assert msg_type == MSG_ENC_U
+        fwd_u.append(bytes(payload))
+    send_frame(plant, MSG_BYE)
+    assert recv_frame(ctrl)[0] == MSG_BYE
+    return sent_y, sent_u, fwd_y, fwd_u
+
+
+@pytest.fixture
+def serialize_spy(monkeypatch):
+    """Records every ciphertext the proxy serializes, and the blob."""
+    calls = []
+
+    def spy(c):
+        blob = serialize_ciphertext(c)
+        calls.append(bytes(blob))
+        return blob
+
+    monkeypatch.setattr(netloop, "serialize_ciphertext", spy)
+    return calls
+
+
 class TestAttackerProxy:
     def test_transparent_relay_without_plan(self):
         cfg = baseline_cfg(steps=15, pre_roll=5)
@@ -379,3 +450,53 @@ class TestAttackerProxy:
         assert stats["tampered"] >= 1
         assert ctrl_result["aborted"] is True
         assert "error" not in ctrl_result
+
+    @pytest.mark.parametrize("scenario", ["baseline", "attack_plain"])
+    def test_untouched_frames_relayed_as_received(self, scenario, serialize_spy):
+        """Without a plan, or before the attack window (pre-roll), every
+        ENC_Y and ENC_U payload goes on byte for byte, none re-serialized."""
+        extra = {} if scenario == "baseline" else {"attack": STEP_ATTACK}
+        cfg = baseline_cfg(steps=6, pre_roll=6, scenario=scenario,
+                           backend=NOISY_BACKEND, **extra)
+        with proxy_between(cfg) as (plant, ctrl, join):
+            sent_y, sent_u, fwd_y, fwd_u = relay_steps(
+                plant, ctrl, context_create(cfg.backend), 6)
+        stats = join()
+        assert fwd_y == sent_y and fwd_u == sent_u
+        assert serialize_spy == []
+        assert stats == {"relayed": 6, "tampered": 0}
+
+    def test_tampered_frames_reserialized(self, serialize_spy):
+        """Only a modified frame is serialized afresh (it still decodes under
+        the key), and a step counts as tampered once, whichever direction and
+        however many frames were modified."""
+        atk = {"a_u": {"0": [2.0, 2.0], "1": [1.0, -1.0]}, "length": 10,
+               "cooldown_len": 4}
+        cfg = baseline_cfg(steps=8, pre_roll=2, scenario="attack_plain",
+                           backend=NOISY_BACKEND, attack=atk)
+        ctx = context_create(cfg.backend)
+        with proxy_between(cfg) as (plant, ctrl, join):
+            sent_y, sent_u, fwd_y, fwd_u = relay_steps(plant, ctrl, ctx, 8)
+        stats = join()
+        changed_y = [f != s for f, s in zip(fwd_y, sent_y)]
+        changed_u = [f != s for f, s in zip(fwd_u, sent_u)]
+        # pre-roll steps pass; step 0 biases u only; later steps also y
+        assert changed_y[:3] == [False] * 3 and changed_u[:2] == [False] * 2
+        assert changed_u[2] and any(y and u for y, u in zip(changed_y, changed_u))
+        changed = [f for f, c in zip(fwd_y, changed_y) if c] + [
+            f for f, c in zip(fwd_u, changed_u) if c]
+        assert sorted(serialize_spy) == sorted(changed)
+        for blob in changed:
+            deserialize_ciphertext(ctx, blob)
+        assert stats == {"relayed": 8, "tampered": sum(
+            y or u for y, u in zip(changed_y, changed_u))}
+
+    def test_foreign_key_frame_rejected_not_relayed(self):
+        cfg = baseline_cfg(steps=4, pre_roll=0, backend=NOISY_BACKEND)
+        foreign = context_create(BackendConfig(slot_count=64, seed=cfg.backend.seed + 1))
+        with proxy_between(cfg) as (plant, ctrl, join):
+            send_frame(plant, MSG_ENC_Y, serialize_ciphertext(foreign.encrypt(np.ones(64))))
+            stats = join()
+            assert ctrl.recv(1) == b""  # the proxy closed upstream, sending nothing
+        assert "foreign key tag" in stats["error"]
+        assert stats["relayed"] == 0

@@ -266,6 +266,22 @@ class TestDetectionExperiment:
         with pytest.raises(ValueError):
             run_detection_experiment(4, 2, 10, mode="medium")
 
+    @pytest.mark.parametrize("mode", ["fast", "full"])
+    @pytest.mark.parametrize("expansion, attack_len, match", [
+        (0, 10, "even and >= 2"), (3, 10, "even and >= 2"), (-2, 5, "even and >= 2"),
+        (4, 0, "at least 1"), (2, -1, "at least 1")])
+    def test_bad_inputs_rejected(self, mode, expansion, attack_len, match):
+        """Both modes refuse an expansion that is not even and >= 2 and an
+        attack shorter than one step, before any trial runs."""
+        with pytest.raises(ValueError, match=match):
+            run_detection_experiment(expansion, attack_len, 10, mode=mode)
+
+    def test_large_expansion_accepted(self):
+        # 1/C(2048, 1024) underflows to 0 instead of overflowing the check
+        assert p_succ_instant(2048) == 0.0
+        res = run_detection_experiment(2048, 2, 10, mode="fast", seed=4)
+        assert res["counts"] == {1: 10, 2: 0} and res["undetected"] == 0
+
 
 class TestVerifiedClosedLoop:
     def test_honest_loop_never_trips(self):
