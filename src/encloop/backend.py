@@ -48,6 +48,7 @@ __all__ = [
     "rotate",
     "pad_slots",
     "serialize_ciphertext",
+    "check_ciphertext_blob",
     "deserialize_ciphertext",
 ]
 
@@ -359,7 +360,10 @@ def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
     return blob
 
 
-def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
+def check_ciphertext_blob(ctx: KeyContext, data: bytes) -> tuple[int, int]:
+    """Check a wire blob against ``ctx`` from its header alone: its length,
+    slot count and key tag. Returns the slot count and the level; raises
+    ``ValueError`` (``KeyMismatch`` for a foreign key tag) otherwise."""
     if len(data) < 16:
         raise ValueError("ciphertext blob too short")
     n, level, key_id = struct.unpack_from("<IIQ", data, 0)
@@ -370,8 +374,13 @@ def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
         raise ValueError(f"slot_count {n} does not match context {ctx.config.slot_count}")
     if key_id != ctx.key_id:
         raise KeyMismatch("serialized ciphertext carries a foreign key tag")
+    return n, level
+
+
+def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
+    n, level = check_ciphertext_blob(ctx, data)
     # astype copies: the slots own native float64 memory, never the blob's
     slots = np.frombuffer(data, "<f8", count=n, offset=16).astype(np.float64)
     (noise_bound,) = struct.unpack_from("<d", data, 16 + 8 * n)
     return PackedCiphertext(_slots=slots, level=level, noise_bound=noise_bound,
-                            key_id=key_id, ops_applied=0, _ctx=ctx)
+                            key_id=ctx.key_id, ops_applied=0, _ctx=ctx)

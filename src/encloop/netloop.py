@@ -29,7 +29,8 @@ import socket
 import struct
 
 from . import control
-from .backend import context_create, deserialize_ciphertext, serialize_ciphertext
+from .backend import (check_ciphertext_blob, context_create, deserialize_ciphertext,
+                      serialize_ciphertext)
 from .scenario import ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
@@ -198,12 +199,15 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
 
 def _relay_payload(pub, payload, tamper, k: int):
     """The payload to forward for one relayed ciphertext frame, and whether
-    ``tamper`` changed it. The frame is always deserialized, which checks its
-    length and key tag; a ciphertext the hook returns untouched goes on as
-    the bytes received, and only a tampered one is serialized."""
-    c = deserialize_ciphertext(pub, payload)
+    ``tamper`` changed it. ``tamper`` is ``None`` on a step the attacker
+    leaves alone: the frame's header is checked (length, slot count and key
+    tag) and the frame goes on as received. Otherwise the frame is
+    deserialized for the hook; a ciphertext the hook returns untouched goes
+    on as the bytes received, and only a tampered one is serialized."""
     if tamper is None:
+        check_ciphertext_blob(pub, payload)
         return payload, False
+    c = deserialize_ciphertext(pub, payload)
     tampered = tamper(k, c)
     if tampered is c:
         return payload, False
@@ -224,9 +228,6 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
             pub = context_create(cfg.backend).public_context()
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
-            tamper_y = tamper_u = None
-            if attacker is not None:
-                tamper_y, tamper_u = attacker.tamper_measurement, attacker.tamper_control
 
             limit = _payload_limit(cfg)
             k = -cfg.pre_roll
@@ -239,6 +240,10 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                     continue
                 if msg_type != MSG_ENC_Y:
                     raise FrameError(f"unexpected frame type {msg_type:#x}")
+                # outside the attack window the hooks are the identity
+                active = attacker is not None and attacker.active_at(k)
+                tamper_y = attacker.tamper_measurement if active else None
+                tamper_u = attacker.tamper_control if active else None
                 payload, modified_y = _relay_payload(pub, payload, tamper_y, k)
                 send_frame(up, MSG_ENC_Y, payload)
                 msg_type, payload = recv_frame(up, limit)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import PackedCiphertext, hom_add, pad_slots
-from .linalg import next_pow2
+from .backend import BackendConfig, PackedCiphertext, context_create, hom_add, pad_slots
+from .linalg import enc_matvec, encrypt_matrix, next_pow2
 
 __all__ = [
     "VerifierContext",
@@ -45,8 +45,8 @@ class VerifierContext:
     expansion: int                  # even number of blocks per ciphertext
     block_dim: int                  # payload dimension d
     threshold: float                # infinity-norm acceptance threshold
-    challenges: list[np.ndarray]
-    challenge_outputs: list[np.ndarray]
+    challenges: np.ndarray          # (M, d): one challenge input per row
+    challenge_outputs: np.ndarray   # (M, d): h of each row of ``challenges``
     rng: np.random.Generator = field(repr=False, default=None)
 
     @property
@@ -68,6 +68,8 @@ class PermutationTag:
 
 @dataclass
 class DecodeOutcome:
+    eps: float                 # the acceptance threshold this decode applied
+    deviation: np.ndarray      # max |z - h(c)| of each challenge block, in check order
     payload: np.ndarray | None = None
     bottom: bool = False
     failed_challenges: list[int] = field(default_factory=list)
@@ -92,9 +94,11 @@ def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: in
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     rng = np.random.default_rng(seed)
-    challenges = [rng.uniform(-challenge_range, challenge_range, block_dim)
-                  for _ in range(num_challenges)]
-    outputs = [np.asarray(h(c), dtype=float) for c in challenges]
+    challenges = rng.uniform(-challenge_range, challenge_range, (num_challenges, block_dim))
+    outputs = np.array([h(c) for c in challenges], dtype=float)
+    if outputs.shape != challenges.shape:
+        raise ValueError(f"h must map a challenge to a vector of length {block_dim}, "
+                         f"got shape {outputs.shape[1:]}")
     return VerifierContext(expansion=expansion, block_dim=block_dim,
                            threshold=threshold, challenges=challenges,
                            challenge_outputs=outputs, rng=rng)
@@ -165,25 +169,24 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
     against its stored reference output, and on success return one payload
     replica chosen uniformly at random. The acceptance rule lives here only:
     a challenge passes within ``max(ctx.threshold, 8 * noise_bound)`` in the
-    infinity norm, ``noise_bound`` being the response ciphertext's."""
+    infinity norm, ``noise_bound`` being the response ciphertext's. The
+    outcome records that threshold (``eps``) and each challenge block's
+    infinity-norm deviation (``deviation``), accepted or not."""
     z_tilde = np.asarray(z_tilde, dtype=float).ravel()
     lam, d = ctx.expansion, ctx.block_dim
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
     eps = max(ctx.threshold, 8.0 * noise_bound)
     half = lam // 2
-    blocks = [np.zeros(d)] * lam
-    for j in range(lam):
-        blocks[tag.perm[j]] = z_tilde[j * d:(j + 1) * d]
-    failed = []
-    for r, ci in enumerate(tag.challenge_indices):
-        expected = ctx.challenge_outputs[ci]
-        if np.max(np.abs(blocks[half + r] - expected)) > eps:
-            failed.append(r)
+    blocks = np.zeros((lam, d))
+    blocks[tag.perm] = z_tilde.reshape(lam, d)
+    deviation = np.abs(blocks[half:] - ctx.challenge_outputs[tag.challenge_indices]).max(axis=1)
+    failed = np.flatnonzero(deviation > eps).tolist()
     if failed:
-        return DecodeOutcome(bottom=True, failed_challenges=failed)
+        return DecodeOutcome(eps=eps, deviation=deviation, bottom=True,
+                             failed_challenges=failed)
     pick = int(ctx.rng.integers(0, half))
-    return DecodeOutcome(payload=blocks[pick])
+    return DecodeOutcome(eps=eps, deviation=deviation, payload=blocks[pick])
 
 
 # -- attack success statistics ------------------------------------------------
@@ -249,7 +252,11 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
 
     ``fast`` draws the guess/replica subsets directly (no ciphertexts,
     vectorized); ``full`` runs the complete encrypted encode-evaluate-decode
-    pipeline per step. Both follow the same detection law. Raises
+    pipeline per step. Full mode builds one deployment per experiment (key
+    context, verifier and encrypted server matrix) and shares it across
+    trials, with one RNG stream, the verifier's, drawing every step's
+    permutation, challenges and guess; each step draws afresh, so trials stay
+    independent. Both modes follow the same detection law. Raises
     ``ValueError`` unless the expansion is even and at least 2, and the
     attack length and the number of trials are at least 1.
     """
@@ -295,29 +302,21 @@ def _detect_fast(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
 
 
 def _detect_full(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
-    from .backend import BackendConfig, context_create
-    from .linalg import encrypt_matrix, enc_matvec
-
     slot_count = next_pow2(lam)  # block_dim 1: smallest pipeline that fits
     counts = {k: 0 for k in range(1, L + 1)}
-    h = lambda x: 2.0 * x
-    server_matrix = 2.0 * np.eye(slot_count)
-    for t in range(trials):
-        trial_rng = np.random.default_rng([seed, t])
-        ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=L + 2,
-                                           seed=seed * 1000003 + t))
-        vctx = setup(slot_count, 1, h, lam, num_challenges=4,
-                     seed=seed * 7 + t)
-        vctx.rng = trial_rng
-        enc_h = encrypt_matrix(ctx, server_matrix)
-        w = np.array([1.0])
+    # one deployment serves every trial; the verifier's stream draws each
+    # step's permutation, challenges and guess, so trials stay independent
+    ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=L + 2, seed=seed))
+    vctx = setup(slot_count, 1, lambda x: 2.0 * x, lam, num_challenges=4, seed=seed)
+    enc_h = encrypt_matrix(ctx, 2.0 * np.eye(slot_count))
+    w, delta = np.array([1.0]), np.array([3.0])
+    for _ in range(trials):
         for k in range(1, L + 1):
             encoded, tag = ecd(vctx, w)
             c = ctx.encrypt(pad_slots(encoded, slot_count))
-            c, guess = attacker_guess_and_inject(lam, 1, c, np.array([3.0]), trial_rng)
+            c, _ = attacker_guess_and_inject(lam, 1, c, delta, vctx.rng)
             z = enc_matvec(enc_h, c)
-            outcome = dcd(vctx, tag, ctx.decrypt(z)[: lam])
-            if outcome.bottom:
+            if dcd(vctx, tag, ctx.decrypt(z)[:lam]).bottom:
                 counts[k] += 1
                 break
     return counts

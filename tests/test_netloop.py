@@ -466,6 +466,29 @@ class TestAttackerProxy:
         assert serialize_spy == []
         assert stats == {"relayed": 6, "tampered": 0}
 
+    @pytest.mark.parametrize("scenario, attacked_steps", [("baseline", 0),
+                                                          ("attack_plain", 10)])
+    def test_frames_outside_attack_window_not_deserialized(self, scenario, attacked_steps,
+                                                           monkeypatch):
+        """The proxy deserializes a frame only to hand it to its attacker on
+        a step of the attack window; every other frame is checked from its
+        header and forwarded as received."""
+        calls = []
+
+        def spy(ctx, data):
+            calls.append(len(data))
+            return deserialize_ciphertext(ctx, data)
+
+        monkeypatch.setattr(netloop, "deserialize_ciphertext", spy)
+        extra = {} if scenario == "baseline" else {"attack": STEP_ATTACK}
+        cfg = baseline_cfg(steps=12, pre_roll=3, scenario=scenario,
+                           backend=NOISY_BACKEND, **extra)
+        with proxy_between(cfg) as (plant, ctrl, join):
+            relay_steps(plant, ctrl, context_create(cfg.backend), 15)
+        assert join()["relayed"] == 15
+        # STEP_ATTACK is active on steps 0..9 of k = -3..11, both directions
+        assert len(calls) == 2 * attacked_steps
+
     def test_tampered_frames_reserialized(self, serialize_spy):
         """Only a modified frame is serialized afresh (it still decodes under
         the key), and a step counts as tampered once, whichever direction and

@@ -52,9 +52,22 @@ class TestSetup:
 
     def test_challenges_precomputed(self):
         vctx = make_vctx()
-        assert len(vctx.challenges) == 5
+        assert vctx.challenges.shape == vctx.challenge_outputs.shape == (5, 2)
         for c, out in zip(vctx.challenges, vctx.challenge_outputs):
             assert np.allclose(out, 2 * c, atol=1e-15)
+
+    @pytest.mark.parametrize("h, shape", [
+        (lambda c: 2.0 * float(c.sum()), r"\(\)"),
+        (lambda c: np.append(c, 0.0), r"\(3,\)"),
+        (lambda c: c[:1], r"\(1,\)"),
+        (lambda c: np.outer(c, c), r"\(2, 2\)")],
+        ids=["scalar", "too_long", "too_short", "matrix"])
+    def test_h_must_return_one_block(self, h, shape):
+        """A scalar or wrong-length reference output would be broadcast or
+        fail inside ``dcd``; ``setup`` names it instead."""
+        with pytest.raises(ValueError, match=r"h must map a challenge to a vector "
+                                             r"of length 2, got shape " + shape):
+            setup(16, 2, h, 4, num_challenges=3)
 
 
 class TestEncodeDecode:
@@ -121,6 +134,36 @@ class TestEncodeDecode:
         encoded, tag = ecd(vctx, np.zeros(2))
         z = doubler(encoded) + 1e-4
         assert dcd(vctx, tag, z).ok
+
+    @pytest.mark.parametrize("lam", [4, 16])
+    def test_deviation_and_eps_recorded(self, lam):
+        """The outcome records the threshold it applied and each challenge
+        block's deviation in check order, equal to a per-block reference;
+        exactly the blocks whose deviation exceeds it fail."""
+        vctx = make_vctx(expansion=lam, slot_count=2 * lam, threshold=1e-3)
+        half = lam // 2
+        rng = np.random.default_rng(lam)
+        for noise_bound, tampered in [(0.0, False), (0.0, True), (1e-3, False), (1e-3, True)]:
+            encoded, tag = ecd(vctx, np.array([0.5, -1.5]))
+            z = doubler(encoded) + rng.uniform(-5e-4, 5e-4, encoded.shape)
+            victims = []
+            if tampered:
+                challenge_pos = [j for j in range(lam) if tag.perm[j] >= half]
+                victims = rng.choice(challenge_pos, rng.integers(1, half + 1), replace=False)
+                z[2 * victims] += 1.0
+            outcome = dcd(vctx, tag, z, noise_bound=noise_bound)
+            assert outcome.eps == max(1e-3, 8 * noise_bound)
+            blocks = {int(b): z[2 * j: 2 * j + 2] for j, b in enumerate(tag.perm)}
+            reference = [np.max(np.abs(blocks[half + r] - vctx.challenge_outputs[ci]))
+                         for r, ci in enumerate(tag.challenge_indices)]
+            assert np.array_equal(outcome.deviation, reference)
+            assert outcome.failed_challenges == [
+                r for r in range(half) if outcome.deviation[r] > outcome.eps]
+            assert outcome.failed_challenges == sorted(int(tag.perm[j]) - half
+                                                       for j in victims)
+            assert outcome.bottom == tampered
+            if not tampered:
+                assert np.all(outcome.deviation <= outcome.eps)
 
     def test_length_checks(self):
         vctx = make_vctx()
@@ -257,6 +300,38 @@ class TestDetectionExperiment:
         full = run_detection_experiment(4, 3, 4000, mode="full", seed=2)
         for k in (1, 2, 3):
             assert abs(fast["fractions"][k] - full["fractions"][k]) < 0.04
+
+    @pytest.mark.parametrize("lam, trials", [(4, 20_000), (8, 10_000)])
+    def test_full_mode_follows_detection_law(self, lam, trials):
+        """Every per-step count lies within z = 5 binomial bounds of
+        n (1-p) p^(k-1), and the undetected count within those of n p^L."""
+        L = 6
+        res = run_detection_experiment(lam, L, trials, mode="full", seed=lam)
+        p = p_succ_instant(lam)
+        expected = [(res["counts"][k], (1 - p) * p ** (k - 1)) for k in range(1, L + 1)]
+        expected.append((res["undetected"], p ** L))
+        for count, q in expected:
+            slack = 5 * math.sqrt(trials * q * (1 - q)) + 1
+            assert abs(count - trials * q) <= slack, (count, trials * q, slack)
+
+    def test_full_mode_builds_one_deployment(self, monkeypatch):
+        """One key context, one verifier and one encrypted matrix serve
+        every trial of a full-mode experiment."""
+        calls = {"context_create": 0, "setup": 0, "encrypt_matrix": 0}
+
+        def counting(name):
+            real = getattr(verify, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counting(name))
+        res = run_detection_experiment(4, 3, 200, mode="full", seed=5)
+        assert sum(res["counts"].values()) + res["undetected"] == 200
+        assert calls == {"context_create": 1, "setup": 1, "encrypt_matrix": 1}
 
     def test_counts_conserve_trials(self):
         res = run_detection_experiment(8, 5, 10_000, mode="fast", seed=3)
