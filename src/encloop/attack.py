@@ -6,9 +6,11 @@ bias a_u(k) to the control channel and -C dx(k) to the measurement channel,
 so the controller sees the attack-free loop. The plaintext-model attacker
 knows (A, B, C), runs dx in the clear and splices a nonzero bias as a
 plaintext vector (a zero bias is skipped). The encrypted-model attacker
-knows only encrypted copies of the model and runs the same recursion under
-encryption, one multiplicative level per step. Against the verified loop,
-``GuessingAttacker`` lands the same splice on a guessed half of the blocks.
+knows only encrypted copies of the model (an ``EncModel``) and runs the same
+recursion under encryption, one multiplicative level per step. Against the
+verified loop, ``GuessingAttacker`` lands the plaintext-model splice on a
+guessed half of the blocks. The scenario kind alone picks the attacker
+(``scenario.build_attacker``).
 
 The attack has finite length: an active phase with a chosen input bias
 schedule, then a cooldown of n steps whose inputs, computed from the
@@ -60,13 +62,10 @@ class AttackPlan:
     schedule: dict[int, np.ndarray]
     length: int
     cooldown_len: int
-    variant: str = "plain_model"
 
     def __post_init__(self):
         self.schedule = {int(k): np.asarray(v, dtype=float).ravel()
                          for k, v in self.schedule.items()}
-        if self.variant not in ("plain_model", "enc_model"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if not 1 <= self.cooldown_len <= self.length:
             raise ValueError("cooldown length must lie in [1, length]")
         for k in self.schedule:
@@ -137,7 +136,6 @@ class EncModel:
     A: DiagMatrixCipher
     B: DiagMatrixCipher
     C: DiagMatrixCipher
-    Cc_pinv: DiagMatrixCipher
     cooldown_matrix: DiagMatrixCipher
     n: int
     m: int
@@ -168,8 +166,7 @@ def build_enc_model(ctx: KeyContext, model: LtiModel, pinv_mode: str = "oracle",
         raise ValueError(f"unknown pinv_mode {pinv_mode!r}")
     enc_An = enc_matrix_power(enc_A, model.n)
     cooldown_matrix = enc_matmat(enc_pinv, enc_An)
-    return EncModel(A=enc_A, B=enc_B, C=enc_C, Cc_pinv=enc_pinv,
-                    cooldown_matrix=cooldown_matrix,
+    return EncModel(A=enc_A, B=enc_B, C=enc_C, cooldown_matrix=cooldown_matrix,
                     n=model.n, m=model.m, p=model.p)
 
 
@@ -200,7 +197,9 @@ class CovertAttacker:
     Call order per step k: ``tamper_measurement`` (plant -> controller link),
     then ``tamper_control`` (controller -> plant link), which also advances
     the internal compensation state. Transparent outside [0, plan.length).
-    A bias lands in the channel's leading slots (``_place``).
+    A bias lands in the channel's leading slots (``_place``). Given an
+    ``enc_model`` (which needs the public ``ctx``), the compensation state
+    runs under encryption; otherwise it runs in the clear.
     """
 
     def __init__(self, model: LtiModel, plan: AttackPlan,
@@ -211,9 +210,9 @@ class CovertAttacker:
         self.plan = plan
         self.ctx = ctx  # public context; needed for encrypted channels
         self.enc_model = enc_model
-        if plan.variant == "enc_model":
-            if ctx is None or enc_model is None:
-                raise ValueError("encrypted-model attacks need a context and EncModel")
+        if enc_model is not None:
+            if ctx is None:
+                raise ValueError("an encrypted-model attack needs a context")
             self._dx_cipher = ctx.encrypt(np.zeros(ctx.config.slot_count))
         self._dx = np.zeros(model.n)
         self._cooldown: list | None = None
@@ -222,12 +221,12 @@ class CovertAttacker:
 
     def _current_input(self, k: int):
         """Bias input for an active step k; a plaintext vector or (cooldown,
-        encrypted variant) a ciphertext."""
+        encrypted model) a ciphertext."""
         L, n = self.plan.length, self.plan.cooldown_len
         if k < L - n:
             return self.plan.active_input(k, self.model.m)
         if self._cooldown is None:
-            if self.plan.variant == "enc_model":
+            if self.enc_model is not None:
                 self._cooldown = cooldown_inputs_encrypted(self.enc_model,
                                                            self._dx_cipher)
             else:
@@ -257,7 +256,7 @@ class CovertAttacker:
     def tamper_measurement(self, k: int, y):
         if not self.active_at(k):
             return y
-        if self.plan.variant == "enc_model":
+        if self.enc_model is not None:
             return hom_sub(y, enc_matvec(self.enc_model.C, self._dx_cipher))
         return self._splice(y, -(self.model.C @ self._dx))
 
@@ -265,7 +264,7 @@ class CovertAttacker:
         if not self.active_at(k):
             return u_c
         a_u = self._current_input(k)
-        if self.plan.variant == "enc_model":
+        if self.enc_model is not None:
             if not isinstance(a_u, PackedCiphertext):
                 a_u = self.ctx.encrypt(self._place(a_u))
             u = hom_add(u_c, a_u)
@@ -281,25 +280,25 @@ class GuessingAttacker(CovertAttacker):
     land exactly on the payload replica blocks, whose positions are hidden by
     the per-step permutation, so the attacker guesses a block subset
     uniformly at random. It is the plaintext-model ``CovertAttacker`` with
-    one change, where a bias lands (``_place``). One guess per step covers
-    both channel directions; it is drawn at the step's first nonzero splice.
+    one change, where a bias lands (``_place``): on each of the guessed
+    ``expansion / 2`` blocks of the lifted controller's block size
+    ``verify.lifted_dim(p, m)``. One guess per step covers both channel
+    directions; it is drawn from ``rng`` at the step's first nonzero splice.
     """
 
     def __init__(self, model: LtiModel, plan: AttackPlan, ctx: KeyContext,
-                 expansion: int, block_dim: int, rng: np.random.Generator):
-        if plan.variant != "plain_model":
-            raise ValueError("the guessing attacker runs the plaintext-model variant")
+                 expansion: int, rng: np.random.Generator):
         super().__init__(model, plan, ctx=ctx)
         self.expansion = expansion
-        self.block_dim = block_dim
+        self.block_dim = verify.lifted_dim(model.p, model.m)
         self.rng = rng
         self._guess: frozenset[int] | None = None
 
     def _place(self, bias) -> np.ndarray:
         if self._guess is None:
             self._guess = verify.guess_blocks(self.expansion, self.rng)
-        return verify.block_mask(self.expansion, self.block_dim,
-                                 self.ctx.config.slot_count, self._guess, bias)
+        return verify.block_mask(self.block_dim, self.ctx.config.slot_count,
+                                 self._guess, bias)
 
     # Both hooks are defined here rather than inherited, so that a tool which
     # rebinds and later restores a method per class finds it on this class.

@@ -85,7 +85,6 @@ class PackedCiphertext:
     level: int
     noise_bound: float
     key_id: int
-    ops_applied: int
     _ctx: "KeyContext" = field(repr=False)
     _max_abs: float | None = field(default=None, repr=False, compare=False)
 
@@ -136,7 +135,6 @@ class KeyContext:
             level=0,
             noise_bound=self.config.noise_std,
             key_id=self.key_id,
-            ops_applied=0,
             _ctx=self,
         )
 
@@ -181,14 +179,14 @@ def _as_operands(a: PackedCiphertext, b):
     if isinstance(b, PackedCiphertext):
         if b.key_id != a.key_id:
             raise KeyMismatch("operands were created under different keys")
-        return ctx, a._slots, b._slots, b.level, b.noise_bound, b.ops_applied
+        return ctx, a._slots, b._slots, b.level, b.noise_bound
     m = np.asarray(b, dtype=float)
     if m.shape != a._slots.shape:
         raise ValueError(f"plaintext operand shape {m.shape} does not match slots")
-    return ctx, a._slots, m, 0, 0.0, 0
+    return ctx, a._slots, m, 0, 0.0
 
 
-def _result(ctx, slots, level, noise_bound, ops_applied) -> PackedCiphertext:
+def _result(ctx, slots, level, noise_bound) -> PackedCiphertext:
     if level > ctx.config.max_depth:
         raise DepthExhausted(
             f"operation requires level {level} but max_depth is {ctx.config.max_depth}")
@@ -197,36 +195,33 @@ def _result(ctx, slots, level, noise_bound, ops_applied) -> PackedCiphertext:
         level=level,
         noise_bound=noise_bound + ctx.config.noise_std,
         key_id=ctx.key_id,
-        ops_applied=ops_applied,
         _ctx=ctx,
     )
 
 
 def hom_add(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise addition; second operand may be a plaintext vector."""
-    ctx, sa, sb, lev_b, nb_b, ops_b = _as_operands(a, b)
+    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
     ctx.op_counts["add"] += 1
-    return _result(ctx, sa + sb, max(a.level, lev_b), a.noise_bound + nb_b,
-                   max(a.ops_applied, ops_b) + 1)
+    return _result(ctx, sa + sb, max(a.level, lev_b), a.noise_bound + nb_b)
 
 
 def hom_sub(a: PackedCiphertext, b) -> PackedCiphertext:
-    ctx, sa, sb, lev_b, nb_b, ops_b = _as_operands(a, b)
+    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
     ctx.op_counts["add"] += 1
-    return _result(ctx, sa - sb, max(a.level, lev_b), a.noise_bound + nb_b,
-                   max(a.ops_applied, ops_b) + 1)
+    return _result(ctx, sa - sb, max(a.level, lev_b), a.noise_bound + nb_b)
 
 
 def hom_neg(a: PackedCiphertext) -> PackedCiphertext:
     ctx = a._ctx
     ctx.op_counts["add"] += 1
-    return _result(ctx, -a._slots, a.level, a.noise_bound, a.ops_applied + 1)
+    return _result(ctx, -a._slots, a.level, a.noise_bound)
 
 
 def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise product. Consumes one multiplicative level; raises
     DepthExhausted when the budget would be exceeded (no bootstrapping)."""
-    ctx, sa, sb, lev_b, nb_b, ops_b = _as_operands(a, b)
+    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
     ctx.op_counts["mul"] += 1
     # First-order noise propagation: each operand's noise scaled by the
     # other's magnitude, plus the fresh operation noise. A zero coefficient
@@ -237,8 +232,7 @@ def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
                                  else _max_abs(sb))
     if nb_b:
         bound += nb_b * a._magnitude()
-    return _result(ctx, sa * sb, max(a.level, lev_b) + 1, bound,
-                   max(a.ops_applied, ops_b) + 1)
+    return _result(ctx, sa * sb, max(a.level, lev_b) + 1, bound)
 
 
 def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
@@ -247,8 +241,7 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     i = i % ctx.config.slot_count
     ctx.op_counts["rot"] += 1
     s = a._slots
-    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound,
-                   a.ops_applied + 1)
+    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound)
 
 
 def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
@@ -256,9 +249,9 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
 
     Equal to ``rotate(b, s)``, then ``hom_mul(a, .)``, then a left-to-right
     ``hom_add`` chain: the same noiseless slots (products and sums taken in
-    the same order), level, noise bound, ops_applied and op counts (each
-    rotation on b's context, each product on a's, the sums on the first a's),
-    and the same DepthExhausted and KeyMismatch. Operands under one key share
+    the same order), level, noise bound and op counts (each rotation on b's
+    context, each product on a's, the sums on the first a's), and the same
+    DepthExhausted and KeyMismatch. Operands under one key share
     the first a's backend config. It fills one result buffer and draws the
     noise once: sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the
     law of the composed noise sum_t a_t * e_rot + sum e_mul + sum e_add given
@@ -290,13 +283,11 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
         if rot_bound:
             bound += rot_bound * a._magnitude()
         bound += sigma
-        ops = max(a.ops_applied, b.ops_applied + 1) + 1
         if t == 0:
-            acc_level, acc_bound, acc_ops = level, bound, ops
+            acc_level, acc_bound = level, bound
         else:
             acc_level = max(acc_level, level)
             acc_bound = acc_bound + bound + sigma
-            acc_ops = max(acc_ops, ops) + 1
         # a * rot_s(b) without materializing the rotation
         i = s % n
         dst = out if t == 0 else tmp
@@ -316,7 +307,7 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
         z *= noise_scale
         out += z
     return PackedCiphertext(_slots=out, level=acc_level, noise_bound=acc_bound,
-                            key_id=ctx.key_id, ops_applied=acc_ops, _ctx=ctx)
+                            key_id=ctx.key_id, _ctx=ctx)
 
 
 def dot_noise_scale(coeffs) -> np.ndarray:
@@ -383,4 +374,4 @@ def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
     slots = np.frombuffer(data, "<f8", count=n, offset=16).astype(np.float64)
     (noise_bound,) = struct.unpack_from("<d", data, 16 + 8 * n)
     return PackedCiphertext(_slots=slots, level=level, noise_bound=noise_bound,
-                            key_id=ctx.key_id, ops_applied=0, _ctx=ctx)
+                            key_id=ctx.key_id, _ctx=ctx)

@@ -93,16 +93,17 @@ class ScenarioConfig:
             atk = raw.get("attack")
             if atk is None:
                 raise ConfigError("attack", f"scenario {scenario!r} needs an attack plan")
-            variant = atk.get("variant",
-                              "enc_model" if scenario == "attack_encrypted"
-                              else "plain_model")
+            if "variant" in atk:
+                raise ConfigError("attack", "'variant' is not a key: the scenario kind "
+                                  "alone picks the attacker; use scenario 'attack_plain' "
+                                  "for the plaintext model, 'attack_encrypted' for the "
+                                  "encrypted model")
             try:
                 plan = attack.AttackPlan(
                     schedule={int(k): np.asarray(v, dtype=float)
                               for k, v in atk.get("a_u", {}).items()},
                     length=int(atk["length"]),
                     cooldown_len=int(atk.get("cooldown_len", model.n)),
-                    variant=variant,
                 )
             except (KeyError, ValueError) as exc:
                 raise ConfigError("attack", str(exc)) from exc
@@ -133,6 +134,16 @@ class ScenarioConfig:
             raise ConfigError("mode", f"expected plain or encrypted, got {mode!r}")
         if scenario in ("attack_encrypted", "verified_attack") and mode != "encrypted":
             raise ConfigError("mode", f"scenario {scenario!r} requires encrypted mode")
+        if mode == "encrypted":
+            # one lifted block per ciphertext, expansion blocks when verified;
+            # the encrypted-model attacker's widest matrix is (n*m x n)
+            blocks = expansion if scenario == "verified_attack" else 1
+            need = verify.lifted_dim(model.p, model.m) * blocks
+            if scenario == "attack_encrypted":
+                need = max(need, model.n * model.m)
+            if need > backend.slot_count:
+                raise ConfigError("backend", f"scenario {scenario!r} needs slot_count "
+                                  f">= {need}, got {backend.slot_count}")
 
         pre_roll = int(raw.get("pre_roll", 20))
         steps = int(raw.get("steps", 40))
@@ -178,7 +189,6 @@ class ScenarioConfig:
         }
         if self.attack_plan is not None:
             out["attack"] = {
-                "variant": self.attack_plan.variant,
                 "a_u": {str(k): v.tolist() for k, v in self.attack_plan.schedule.items()},
                 "length": self.attack_plan.length,
                 "cooldown_len": self.attack_plan.cooldown_len,
@@ -197,16 +207,16 @@ def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
 def build_attacker(cfg: ScenarioConfig, pub_ctx):
     """The scenario's man-in-the-middle attacker, holding only the public
     context ``pub_ctx`` (``None`` on a plain channel); ``None`` when the
-    scenario has no attack plan. Used in-process and by the TCP proxy."""
+    scenario has no attack plan. The scenario kind alone picks it. Used
+    in-process and by the TCP proxy."""
     if cfg.attack_plan is None:
         return None
     if cfg.scenario == "verified_attack":
-        block_dim = verify.lifted_dim(cfg.model.p, cfg.model.m)
         return attack.GuessingAttacker(cfg.model, cfg.attack_plan, pub_ctx,
-                                       expansion=cfg.expansion, block_dim=block_dim,
+                                       expansion=cfg.expansion,
                                        rng=np.random.default_rng(cfg.seed + 1))
     enc_model = None
-    if cfg.attack_plan.variant == "enc_model":
+    if cfg.scenario == "attack_encrypted":
         enc_model = attack.build_enc_model(pub_ctx, cfg.model)
     return attack.CovertAttacker(cfg.model, cfg.attack_plan, ctx=pub_ctx,
                                  enc_model=enc_model)

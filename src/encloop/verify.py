@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import BackendConfig, PackedCiphertext, context_create, hom_add, pad_slots
+from .backend import BackendConfig, context_create, hom_add, pad_slots
 from .linalg import enc_matvec, encrypt_matrix, next_pow2
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "dcd",
     "p_succ_instant",
     "p_succ_cumulative",
-    "attacker_guess_and_inject",
     "block_mask",
     "run_detection_experiment",
 ]
@@ -209,8 +208,7 @@ def p_succ_cumulative(expansion: int, steps: int) -> float:
 
 # -- the guessing attacker -----------------------------------------------------
 
-def block_mask(expansion: int, block_dim: int, slot_count: int, blocks,
-               delta) -> np.ndarray:
+def block_mask(block_dim: int, slot_count: int, blocks, delta) -> np.ndarray:
     """Plaintext mask carrying ``delta`` in the given block positions."""
     delta = np.asarray(delta, dtype=float).ravel()
     mask = np.zeros(slot_count)
@@ -222,21 +220,6 @@ def block_mask(expansion: int, block_dim: int, slot_count: int, blocks,
 def guess_blocks(expansion: int, rng: np.random.Generator) -> frozenset[int]:
     """Uniformly random lambda/2-subset of block indices."""
     return frozenset(int(i) for i in rng.permutation(expansion)[: expansion // 2])
-
-
-def attacker_guess_and_inject(expansion: int, block_dim: int,
-                              cipher: PackedCiphertext, delta,
-                              rng: np.random.Generator,
-                              guess: frozenset[int] | None = None,
-                              ) -> tuple[PackedCiphertext, frozenset[int]]:
-    """Add ``delta`` to a uniformly guessed half of the blocks, using only
-    the public homomorphic-add capability. Returns the modified ciphertext
-    and the guessed block set (so a caller can reuse one guess per step)."""
-    if guess is None:
-        guess = guess_blocks(expansion, rng)
-    slot_count = cipher._ctx.config.slot_count
-    mask = block_mask(expansion, block_dim, slot_count, guess, delta)
-    return hom_add(cipher, mask), guess
 
 
 # -- detection experiments -----------------------------------------------------
@@ -314,7 +297,7 @@ def _detect_full(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
         for k in range(1, L + 1):
             encoded, tag = ecd(vctx, w)
             c = ctx.encrypt(pad_slots(encoded, slot_count))
-            c, _ = attacker_guess_and_inject(lam, 1, c, delta, vctx.rng)
+            c = hom_add(c, block_mask(1, slot_count, guess_blocks(lam, vctx.rng), delta))
             z = enc_matvec(enc_h, c)
             if dcd(vctx, tag, ctx.decrypt(z)[:lam]).bottom:
                 counts[k] += 1

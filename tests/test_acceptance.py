@@ -66,9 +66,9 @@ STEP_PLAN_RAW = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
                  "length": 10, "cooldown_len": 4}
 
 
-def step_plan(variant="plain_model"):
+def step_plan():
     return AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
-                      length=10, cooldown_len=4, variant=variant)
+                      length=10, cooldown_len=4)
 
 
 def test_criterion_01_detection_rate_table():
@@ -120,7 +120,7 @@ def test_criterion_03_covert_attack_stealthiness():
 
     ctx = context_create(BackendConfig(slot_count=8, max_depth=16, seed=5))
     pub = ctx.public_context()
-    enc_att = CovertAttacker(model, step_plan("enc_model"), ctx=pub,
+    enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                              enc_model=build_enc_model(pub, model))
     t_enc = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
                             mode="encrypted", ctx=ctx, attacker=enc_att)
@@ -273,7 +273,7 @@ def test_criterion_08_depth_budget_fidelity():
         delta_step_encrypted(enc3, dx, a_u)
 
     # and the same budget kills the full encrypted-model scenario early ...
-    att3 = CovertAttacker(model, step_plan("enc_model"), ctx=pub3,
+    att3 = CovertAttacker(model, step_plan(), ctx=pub3,
                           enc_model=build_enc_model(pub3, model))
     with pytest.raises(DepthExhausted):
         run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
@@ -282,7 +282,7 @@ def test_criterion_08_depth_budget_fidelity():
     # ... while a budget of 12 fits the whole attack, cooldown included
     ctx12 = context_create(BackendConfig(slot_count=8, max_depth=12, seed=8))
     pub12 = ctx12.public_context()
-    att12 = CovertAttacker(model, step_plan("enc_model"), ctx=pub12,
+    att12 = CovertAttacker(model, step_plan(), ctx=pub12,
                            enc_model=build_enc_model(pub12, model))
     trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
                             mode="encrypted", ctx=ctx12, attacker=att12)

@@ -33,10 +33,10 @@ def ctrl():
     return tank_controller()
 
 
-def step_plan(variant="plain_model"):
+def step_plan():
     """Input bias of [2, 2] on steps 0..4, zero at 5, cooldown 6..9."""
     return AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
-                      length=10, cooldown_len=4, variant=variant)
+                      length=10, cooldown_len=4)
 
 
 def make_ctx(max_depth=16, seed=3):
@@ -62,10 +62,6 @@ class TestPlan:
     def test_bad_cooldown(self):
         with pytest.raises(ValueError):
             AttackPlan(schedule={}, length=5, cooldown_len=6)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            AttackPlan(schedule={}, length=5, cooldown_len=2, variant="quantum")
 
     def test_default_input_is_zero(self):
         plan = step_plan()
@@ -168,15 +164,17 @@ class TestEncryptedModel:
         enc = build_enc_model(ctx.public_context(), model,
                               pinv_mode="newton_schulz", ns_iterations=30)
         from encloop.linalg import decrypt_matrix
-        got = decrypt_matrix(ctx, enc.Cc_pinv)[:8, :4]
-        ref = np.linalg.pinv(controllability_matrix(model))
+        # the matrix the cooldown applies: pinv(Cc) A^n, n = 4
+        got = decrypt_matrix(ctx, enc.cooldown_matrix)[:8, :4]
+        ref = (np.linalg.pinv(controllability_matrix(model))
+               @ np.linalg.matrix_power(model.A, 4))
         assert np.max(np.abs(got - ref)) < 1e-6
 
 
 ATTACKERS = {
     "covert": lambda model, plan, pub: CovertAttacker(model, plan, ctx=pub),
     "guessing": lambda model, plan, pub: GuessingAttacker(
-        model, plan, pub, expansion=2, block_dim=4, rng=np.random.default_rng(0)),
+        model, plan, pub, expansion=2, rng=np.random.default_rng(0)),
 }
 
 
@@ -234,7 +232,7 @@ class TestSplice:
             # attacker the block it guessed for the step
             out = hook(k, c)
             blocks = {0} if kind == "covert" else attacker._guess
-            spliced.append((out, verify.block_mask(2, 4, 8, blocks, bias)))
+            spliced.append((out, verify.block_mask(4, 8, blocks, bias)))
         # three plaintext additions; nothing is encrypted or decrypted
         assert spent_ops((ctx, pub), before) == {"add": 3, "mul": 0, "rot": 0,
                                                  "enc": 0, "dec": 0}
@@ -259,7 +257,7 @@ class TestSplice:
         ctx = make_ctx()
         pub = ctx.public_context()
         enc = build_enc_model(pub, model)
-        attacker = CovertAttacker(model, step_plan("enc_model"), ctx=pub, enc_model=enc)
+        attacker = CovertAttacker(model, step_plan(), ctx=pub, enc_model=enc)
         # C dx for the measurement, A dx and B a_u for the next state: each
         # product is used once, none is computed twice
         products = sum(len(m.diagonals) for m in (enc.A, enc.B, enc.C))
@@ -281,7 +279,7 @@ class TestSplice:
         pub = ctx.public_context()
         rng = np.random.default_rng(5)
         attacker = GuessingAttacker(model, AttackPlan(schedule={}, length=10, cooldown_len=4),
-                                    pub, expansion=2, block_dim=4, rng=rng)
+                                    pub, expansion=2, rng=rng)
         c = ctx.encrypt(np.arange(8.0))
         state = rng.bit_generator.state
         counts = dict(ctx.op_counts), dict(pub.op_counts)
@@ -332,7 +330,7 @@ class TestCovertAttackClosedLoop:
                                   attacker=plain_att)
         ctx = make_ctx(max_depth=32)
         pub = ctx.public_context()
-        enc_att = CovertAttacker(model, step_plan("enc_model"), ctx=pub,
+        enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         t_enc = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                 mode="encrypted", ctx=ctx, attacker=enc_att)
@@ -347,7 +345,7 @@ class TestCovertAttackClosedLoop:
         ctx = make_ctx(max_depth=3)
         pub = ctx.public_context()
         with pytest.raises(DepthExhausted):
-            enc_att = CovertAttacker(model, step_plan("enc_model"), ctx=pub,
+            enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                      enc_model=build_enc_model(pub, model))
             run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                             mode="encrypted", ctx=ctx, attacker=enc_att)
@@ -355,7 +353,7 @@ class TestCovertAttackClosedLoop:
     def test_encrypted_variant_fits_depth_twelve(self, model, ctrl):
         ctx = make_ctx(max_depth=12)
         pub = ctx.public_context()
-        enc_att = CovertAttacker(model, step_plan("enc_model"), ctx=pub,
+        enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                 mode="encrypted", ctx=ctx, attacker=enc_att)

@@ -207,7 +207,7 @@ class TestNoiseAccounting:
             m1 = rng.uniform(-1, 1, 8)
             m2 = rng.uniform(-1, 1, 8)
             c = hom_add(ctx.encrypt(m1), ctx.encrypt(m2))
-            bound = 6 * sigma * (1 + c.ops_applied)
+            bound = 6 * sigma * 2
             if np.max(np.abs(ctx.decrypt(c) - (m1 + m2))) > bound:
                 failures += 1
         assert failures / 10_000 < 0.001
@@ -317,7 +317,7 @@ class TestHomDot:
     @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_composed_ops(self, seed, noise_std):
-        """Same level, ops_applied and per-context op counts as the composed
+        """Same level and per-context op counts as the composed
         ops. Without noise the slots and the noise bound are bit-identical;
         with noise the composed bound reads max|rot(b)| off the noisy
         rotation, so it moves by O(sigma)."""
@@ -325,8 +325,7 @@ class TestHomDot:
         fused = hom_dot(terms)
         (ctx_ref, pub_ref), terms_ref = dot_operands(seed, noise_std)
         ref = composed_dot(terms_ref)
-        assert (fused.level, fused.ops_applied, fused.key_id) == (
-            ref.level, ref.ops_applied, ref.key_id)
+        assert (fused.level, fused.key_id) == (ref.level, ref.key_id)
         assert fused._ctx is terms[0][0]._ctx
         assert ctx.op_counts == ctx_ref.op_counts
         assert pub.op_counts == pub_ref.op_counts

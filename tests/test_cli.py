@@ -65,6 +65,28 @@ class TestSimulate:
         assert (f"config error: attack: cooldown_len must equal the state dimension 4, "
                 f"got {cooldown_len}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["plain_model", "enc_model"])
+    @pytest.mark.parametrize("scenario", ["attack_plain", "attack_encrypted",
+                                          "verified_attack"])
+    def test_attack_variant_exit_one(self, tmp_path, capsys, scenario, variant):
+        # the scenario kind alone picks the attacker
+        raw = dict(VERIFIED, scenario=scenario)
+        raw["attack"] = dict(VERIFIED["attack"], variant=variant)
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: attack: 'variant' is not a key" in err
+        assert "use scenario 'attack_plain'" in err and "'attack_encrypted'" in err
+
+    @pytest.mark.parametrize("scenario, slot_count, need", [
+        ("verified_attack", 8, 16), ("baseline", 2, 4), ("attack_encrypted", 4, 8)])
+    def test_slot_count_too_small_exit_one(self, tmp_path, capsys, scenario, slot_count,
+                                           need):
+        raw = dict(VERIFIED, scenario=scenario, mode="encrypted",
+                   backend={"slot_count": slot_count}, verify={"expansion": 4})
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert (f"config error: backend: scenario {scenario!r} needs slot_count >= {need}, "
+                f"got {slot_count}") in capsys.readouterr().err
+
 
 class TestMontecarlo:
     def test_summary_and_csv(self, tmp_path, capsys):

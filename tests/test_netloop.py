@@ -415,7 +415,7 @@ class TestAttackerProxy:
 
     def test_covert_attack_over_the_wire(self):
         atk = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4, "variant": "plain_model"}
+               "length": 10, "cooldown_len": 4}
         cfg = baseline_cfg(steps=30, pre_roll=10, scenario="attack_plain",
                            attack=atk)
         baseline = baseline_cfg(steps=30, pre_roll=10)
@@ -432,7 +432,7 @@ class TestAttackerProxy:
 
     def test_encrypted_model_attack_over_the_wire(self):
         atk = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4, "variant": "enc_model"}
+               "length": 10, "cooldown_len": 4}
         cfg = baseline_cfg(steps=15, pre_roll=5, scenario="attack_encrypted",
                            attack=atk)
         trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)

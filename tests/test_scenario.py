@@ -3,16 +3,25 @@ import json
 import numpy as np
 import pytest
 
+from encloop.attack import CovertAttacker, GuessingAttacker
+from encloop.backend import BackendConfig, context_create
 from encloop.scenario import (
+    SCENARIOS,
     ConfigError,
     ScenarioConfig,
+    build_attacker,
     run_scenario,
     write_trace_svg,
 )
 
+STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
+               "length": 10, "cooldown_len": 4}
+
 
 def minimal(scenario="baseline", **extra):
     raw = {"scenario": scenario, "steps": 10, "pre_roll": 5, "seed": 1}
+    if scenario != "baseline":
+        raw["attack"] = STEP_ATTACK
     raw.update(extra)
     return raw
 
@@ -52,9 +61,31 @@ class TestConfigParsing:
         assert exc.value.name == "x0"
 
     def test_attack_scenario_needs_plan(self):
+        raw = minimal("attack_plain")
+        del raw["attack"]
         with pytest.raises(ConfigError) as exc:
-            ScenarioConfig.from_dict(minimal("attack_plain"))
+            ScenarioConfig.from_dict(raw)
         assert exc.value.name == "attack"
+
+    @pytest.mark.parametrize("scenario, slot_count", [
+        ("baseline", 4), ("attack_plain", 4), ("attack_encrypted", 8),
+        ("verified_attack", 16)])
+    def test_smallest_slot_count(self, scenario, slot_count):
+        # one lifted tank block is 4 slots; the verified loop packs
+        # expansion = 4 of them, and the encrypted model's widest matrix,
+        # the (8 x 4) cooldown matrix, needs n * m = 8
+        raw = minimal(scenario, mode="encrypted", steps=6, pre_roll=2)
+        raw["backend"] = {"slot_count": slot_count}
+        _, code = run_scenario(ScenarioConfig.from_dict(raw))
+        assert code in (0, 3)
+        raw["backend"] = {"slot_count": slot_count // 2}
+        with pytest.raises(ConfigError, match=f"slot_count >= {slot_count}") as exc:
+            ScenarioConfig.from_dict(raw)
+        assert exc.value.name == "backend"
+
+    def test_plain_channel_ignores_slot_count(self):
+        raw = minimal("attack_plain", backend={"slot_count": 1})
+        assert ScenarioConfig.from_dict(raw).mode == "plain"
 
     def test_attack_bias_dimension_check(self):
         raw = minimal("attack_plain",
@@ -98,6 +129,32 @@ class TestConfigParsing:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("mode", ["plain", "encrypted"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_kind_and_mode(self, scenario, mode):
+        """A (kind, mode) pair is a named config error or a run that exits 0
+        or 3; no other exception escapes."""
+        raw = minimal(scenario, mode=mode, steps=6, pre_roll=2)
+        try:
+            cfg = ScenarioConfig.from_dict(raw)
+        except ConfigError as exc:
+            assert (exc.name, mode) == ("mode", "plain")
+            assert scenario in ("attack_encrypted", "verified_attack")
+            return
+        _, code = run_scenario(cfg)
+        assert code in (0, 3)
+
+    @pytest.mark.parametrize("scenario, kind, encrypted_model", [
+        ("attack_plain", CovertAttacker, False),
+        ("attack_encrypted", CovertAttacker, True),
+        ("verified_attack", GuessingAttacker, False)])
+    def test_kind_alone_picks_the_attacker(self, scenario, kind, encrypted_model):
+        cfg = ScenarioConfig.from_dict(minimal(scenario, mode="encrypted"))
+        pub = context_create(BackendConfig(slot_count=64)).public_context()
+        attacker = build_attacker(cfg, pub)
+        assert type(attacker) is kind
+        assert (attacker.enc_model is not None) == encrypted_model
+
     def test_baseline_exit_zero(self):
         trace, code = run_scenario(ScenarioConfig.from_dict(minimal(steps=30)))
         assert code == 0
