@@ -7,7 +7,8 @@ so the controller sees the attack-free loop. The plaintext-model attacker
 knows (A, B, C), runs dx in the clear and splices a nonzero bias as a
 plaintext vector (a zero bias is skipped). The encrypted-model attacker
 knows only encrypted copies of the model (an ``EncModel``) and runs the same
-recursion under encryption, one multiplicative level per step. Against the
+recursion under encryption, one multiplicative level per step
+(``encrypted_attack_depth`` is the depth budget this needs). Against the
 verified loop, ``GuessingAttacker`` lands the plaintext-model splice on a
 guessed half of the blocks. The scenario kind alone picks the attacker
 (``scenario.build_attacker``).
@@ -31,7 +32,6 @@ from .linalg import (
     enc_matmat,
     enc_matrix_power,
     enc_matvec,
-    enc_pinv_newton_schulz,
     encrypt_matrix,
 )
 from . import verify
@@ -47,6 +47,7 @@ __all__ = [
     "cooldown_inputs_encrypted",
     "delta_step_encrypted",
     "build_enc_model",
+    "encrypted_attack_depth",
 ]
 
 
@@ -128,10 +129,10 @@ def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
 
 @dataclass
 class EncModel:
-    """Encrypted system knowledge of the second attack variant, padded to the
-    backend slot count. ``cooldown_matrix`` holds the encrypted product of
-    the pseudo-inverse of the controllability matrix with A^n, precomputed so
-    the online cooldown costs a single encrypted matrix-vector product."""
+    """Encrypted system knowledge of the encrypted-model attacker, padded to
+    the backend slot count. ``cooldown_matrix`` is the encrypted
+    pinv(controllability matrix) times A^n, precomputed so that the online
+    cooldown costs one encrypted matrix-vector product."""
 
     A: DiagMatrixCipher
     B: DiagMatrixCipher
@@ -139,35 +140,41 @@ class EncModel:
     cooldown_matrix: DiagMatrixCipher
     n: int
     m: int
-    p: int
 
 
-def build_enc_model(ctx: KeyContext, model: LtiModel, pinv_mode: str = "oracle",
-                    ns_iterations: int = 25) -> EncModel:
+def build_enc_model(ctx: KeyContext, model: LtiModel) -> EncModel:
     """Encrypt the model matrices for the encrypted-model attacker.
 
-    ``pinv_mode="oracle"`` encrypts the plaintext pseudo-inverse at setup,
-    standing in for an attacker that obtained it through an encrypted
-    identification pipeline. ``pinv_mode="newton_schulz"`` computes it
-    homomorphically from the encrypted controllability matrix (deep circuit;
-    the spectral scaling constant is treated as public).
+    The pseudo-inverse of the controllability matrix is computed in the clear
+    and encrypted at setup, standing in for an attacker that obtained it
+    through an encrypted identification pipeline, and multiplied with A^n
+    under encryption.
     """
     enc_A = encrypt_matrix(ctx, model.A)
     enc_B = encrypt_matrix(ctx, model.B)
     enc_C = encrypt_matrix(ctx, model.C)
-    Cc = controllability_matrix(model)
-    if pinv_mode == "oracle":
-        enc_pinv = encrypt_matrix(ctx, np.linalg.pinv(Cc))
-    elif pinv_mode == "newton_schulz":
-        enc_Cc = encrypt_matrix(ctx, Cc)
-        scale = 1.0 / float(np.linalg.norm(Cc, 2)) ** 2
-        enc_pinv = enc_pinv_newton_schulz(ctx, enc_Cc, scale, ns_iterations)
-    else:
-        raise ValueError(f"unknown pinv_mode {pinv_mode!r}")
-    enc_An = enc_matrix_power(enc_A, model.n)
-    cooldown_matrix = enc_matmat(enc_pinv, enc_An)
+    enc_pinv = encrypt_matrix(ctx, np.linalg.pinv(controllability_matrix(model)))
+    cooldown_matrix = enc_matmat(enc_pinv, enc_matrix_power(enc_A, model.n))
     return EncModel(A=enc_A, B=enc_B, C=enc_C, cooldown_matrix=cooldown_matrix,
-                    n=model.n, m=model.m, p=model.p)
+                    n=model.n, m=model.m)
+
+
+def encrypted_attack_depth(model: LtiModel, plan: AttackPlan) -> int:
+    """The smallest ``max_depth`` that runs the plan's encrypted-model attack
+    to its end, from the model and the plan alone (no HE run).
+
+    The cooldown matrix sits one level above A^n, which
+    ``enc_matrix_power``'s square-and-multiply leaves at floor(log2 n), plus
+    one when n is not a power of two. dx gains one level per active step.
+    The cooldown stack, computed at step L - n, sits one above the higher of
+    the two, and dx(L - n + j) at stack + j. The controller's output sits two
+    above dx (the measurement splice, then its matvec), highest at step L - 1.
+    """
+    n = model.n
+    power = n.bit_length() - 1 + ((n & (n - 1)) != 0)
+    stack = max(power + 1, plan.length - plan.cooldown_len) + 1
+    dx_last = stack + plan.cooldown_len - 1
+    return dx_last + 2
 
 
 def delta_step_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import (KeyContext, PackedCiphertext, dot_noise_scale, hom_add, hom_dot, hom_mul,
-                      hom_neg, rotate)
+from .backend import KeyContext, PackedCiphertext, dot_noise_scale, hom_dot, hom_mul
 
 __all__ = [
     "DiagMatrixCipher",
@@ -36,8 +35,6 @@ __all__ = [
     "enc_matvec",
     "enc_matmat",
     "enc_matrix_power",
-    "enc_transpose",
-    "enc_pinv_newton_schulz",
 ]
 
 
@@ -149,41 +146,3 @@ def enc_matrix_power(S: DiagMatrixCipher, n: int) -> DiagMatrixCipher:
             base = enc_matmat(base, base)
     return result
 
-
-def enc_transpose(S: DiagMatrixCipher) -> DiagMatrixCipher:
-    """Transpose in diagonal form: (S^T)_i = rot_i(S_{-i}); rotations only."""
-    d = S.dim
-    out = {}
-    for i, c in S.diagonals.items():
-        k = (d - i) % d
-        out[k] = rotate(c, k)
-    return DiagMatrixCipher(dim=d, diagonals=out)
-
-
-def enc_pinv_newton_schulz(ctx: KeyContext, S: DiagMatrixCipher, scale: float,
-                           iterations: int = 12) -> DiagMatrixCipher:
-    """Approximate Moore-Penrose inverse of an encrypted matrix.
-
-    Newton-Schulz iteration X <- X (2I - S X) starting from X0 = scale * S^T.
-    ``scale`` must be a public constant in (0, 2 / sigma_max(S)^2); the caller
-    supplies it since the backend cannot compute spectral norms under
-    encryption. Each iteration costs two encrypted matrix products.
-    """
-    d = S.dim
-    two_eye = 2.0 * np.eye(d)
-    St = enc_transpose(S)
-    X = DiagMatrixCipher(
-        dim=d,
-        diagonals={i: hom_mul(c, np.full(d, scale)) for i, c in St.diagonals.items()},
-    )
-    for _ in range(iterations):
-        SX = enc_matmat(S, X)
-        # R = 2I - S X, computed diagonal-wise against the plaintext identity
-        R_diags = {}
-        j = np.arange(d)
-        for i, c in SX.diagonals.items():
-            eye_diag = two_eye[j, (i + j) % d]
-            R_diags[i] = hom_add(hom_neg(c), eye_diag)
-        R = DiagMatrixCipher(dim=d, diagonals=R_diags)
-        X = enc_matmat(X, R)
-    return X

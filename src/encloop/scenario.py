@@ -20,12 +20,31 @@ __all__ = ["ConfigError", "ScenarioConfig", "build_attacker", "run_scenario",
            "write_trace_svg"]
 
 SCENARIOS = ("baseline", "attack_plain", "attack_encrypted", "verified_attack")
+# the keys each section of a config accepts
+KEYS = {
+    "config": ("scenario", "backend", "model", "controller", "x0", "attack", "verify",
+               "mode", "pre_roll", "steps", "seed"),
+    "backend": ("slot_count", "noise_std", "max_depth", "seed"),
+    "model": ("A", "B", "C"),
+    "controller": ("K", "u0"),
+    "attack": ("a_u", "length", "cooldown_len"),
+    "verify": ("expansion", "num_challenges", "threshold"),
+}
 
 
 class ConfigError(ValueError):
     def __init__(self, name: str, message: str):
         super().__init__(f"{name}: {message}")
         self.name = name
+
+
+def _check_keys(section: str, raw: dict):
+    if not isinstance(raw, dict):
+        raise ConfigError(section, f"expected a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(KEYS[section]))
+    if unknown:
+        raise ConfigError(section, f"unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"expected {', '.join(KEYS[section])}")
 
 
 @dataclass
@@ -46,11 +65,13 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        _check_keys("config", raw)
         scenario = raw.get("scenario", "baseline")
         if scenario not in SCENARIOS:
             raise ConfigError("scenario", f"unknown scenario {scenario!r}; "
                               f"expected one of {', '.join(SCENARIOS)}")
         be = raw.get("backend", {})
+        _check_keys("backend", be)
         try:
             backend = BackendConfig(
                 slot_count=int(be.get("slot_count", 64)),
@@ -65,6 +86,7 @@ class ScenarioConfig:
         if model_raw == "quadruple_tank":
             model = control.quadruple_tank()
         elif isinstance(model_raw, dict):
+            _check_keys("model", model_raw)
             try:
                 model = control.LtiModel(A=model_raw["A"], B=model_raw["B"],
                                          C=model_raw["C"])
@@ -77,6 +99,7 @@ class ScenarioConfig:
         if ctrl_raw == "quadruple_tank":
             ctrl = control.tank_controller()
         elif isinstance(ctrl_raw, dict):
+            _check_keys("controller", ctrl_raw)
             try:
                 ctrl = control.AffineController(K=ctrl_raw["K"], u0=ctrl_raw["u0"])
             except (KeyError, ValueError) as exc:
@@ -98,6 +121,7 @@ class ScenarioConfig:
                                   "alone picks the attacker; use scenario 'attack_plain' "
                                   "for the plaintext model, 'attack_encrypted' for the "
                                   "encrypted model")
+            _check_keys("attack", atk)
             try:
                 plan = attack.AttackPlan(
                     schedule={int(k): np.asarray(v, dtype=float)
@@ -116,9 +140,10 @@ class ScenarioConfig:
                 raise ConfigError("attack", str(exc)) from exc
 
         ver = raw.get("verify", {})
-        expansion = int(ver.get("expansion", ver.get("lambda", 4)))
-        num_challenges = int(ver.get("num_challenges", ver.get("M", 16)))
-        threshold = float(ver.get("threshold", ver.get("epsilon", 1e-9)))
+        _check_keys("verify", ver)
+        expansion = int(ver.get("expansion", 4))
+        num_challenges = int(ver.get("num_challenges", 16))
+        threshold = float(ver.get("threshold", 1e-9))
         if scenario == "verified_attack":
             if expansion < 2 or expansion % 2:
                 raise ConfigError("verify", f"expansion must be even >= 2, got {expansion}")
@@ -144,6 +169,12 @@ class ScenarioConfig:
             if need > backend.slot_count:
                 raise ConfigError("backend", f"scenario {scenario!r} needs slot_count "
                                   f">= {need}, got {backend.slot_count}")
+        if scenario == "attack_encrypted":
+            depth = attack.encrypted_attack_depth(model, plan)
+            if depth > backend.max_depth:
+                raise ConfigError("backend", f"an encrypted-model attack of length "
+                                  f"{plan.length} needs max_depth >= {depth}, "
+                                  f"got {backend.max_depth}")
 
         pre_roll = int(raw.get("pre_roll", 20))
         steps = int(raw.get("steps", 40))

@@ -78,9 +78,11 @@ class DecodeOutcome:
         return not self.bottom
 
 
+CHALLENGE_RANGE = 10.0  # challenge inputs are drawn uniformly from [-10, 10)
+
+
 def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: int,
-          threshold: float = 1e-9, seed: int = 0, challenge_range: float = 10.0,
-          ) -> VerifierContext:
+          threshold: float = 1e-9, seed: int = 0) -> VerifierContext:
     """Instantiate the verifier: draw challenge inputs, precompute their
     reference outputs, and fix the expansion factor."""
     if expansion < 2 or expansion % 2 != 0:
@@ -93,7 +95,7 @@ def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: in
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     rng = np.random.default_rng(seed)
-    challenges = rng.uniform(-challenge_range, challenge_range, (num_challenges, block_dim))
+    challenges = rng.uniform(-CHALLENGE_RANGE, CHALLENGE_RANGE, (num_challenges, block_dim))
     outputs = np.array([h(c) for c in challenges], dtype=float)
     if outputs.shape != challenges.shape:
         raise ValueError(f"h must map a challenge to a vector of length {block_dim}, "
@@ -138,28 +140,22 @@ def lifted_input(w, offset, block_dim: int) -> np.ndarray:
     return block
 
 
-def ecd(ctx: VerifierContext, w, perm=None, challenge_indices=None,
-        ) -> tuple[np.ndarray, PermutationTag]:
+def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
     """Encode one payload block: replicate, append fresh challenges, shuffle.
 
-    ``perm`` / ``challenge_indices`` may be forced for tests; by default both
-    are drawn fresh from the context RNG (uniform shuffle, indices with
-    replacement).
+    The challenge indices (with replacement), then the permutation (uniform
+    shuffle), are drawn fresh from the context RNG.
     """
     w = np.asarray(w, dtype=float).ravel()
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
     lam, d = ctx.expansion, ctx.block_dim
     half = lam // 2
-    if challenge_indices is None:
-        challenge_indices = [int(ctx.rng.integers(0, len(ctx.challenges)))
-                             for _ in range(half)]
-    if perm is None:
-        perm = ctx.rng.permutation(lam)
-    perm = np.asarray(perm)
+    challenge_indices = [int(ctx.rng.integers(0, len(ctx.challenges))) for _ in range(half)]
+    perm = ctx.rng.permutation(lam)
     blocks = [w] * half + [ctx.challenges[i] for i in challenge_indices]
     encoded = np.concatenate([blocks[perm[j]] for j in range(lam)])
-    return encoded, PermutationTag(perm=perm, challenge_indices=list(challenge_indices))
+    return encoded, PermutationTag(perm=perm, challenge_indices=challenge_indices)
 
 
 def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,

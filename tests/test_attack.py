@@ -159,17 +159,6 @@ class TestEncryptedModel:
         for c, a in zip(got, ref):
             assert np.max(np.abs(ctx.decrypt(c)[:2] - a)) < 1e-8
 
-    def test_newton_schulz_pinv_mode(self, model):
-        ctx = context_create(BackendConfig(slot_count=8, max_depth=128, seed=5))
-        enc = build_enc_model(ctx.public_context(), model,
-                              pinv_mode="newton_schulz", ns_iterations=30)
-        from encloop.linalg import decrypt_matrix
-        # the matrix the cooldown applies: pinv(Cc) A^n, n = 4
-        got = decrypt_matrix(ctx, enc.cooldown_matrix)[:8, :4]
-        ref = (np.linalg.pinv(controllability_matrix(model))
-               @ np.linalg.matrix_power(model.A, 4))
-        assert np.max(np.abs(got - ref)) < 1e-6
-
 
 ATTACKERS = {
     "covert": lambda model, plan, pub: CovertAttacker(model, plan, ctx=pub),

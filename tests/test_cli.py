@@ -77,6 +77,16 @@ class TestSimulate:
         assert "config error: attack: 'variant' is not a key" in err
         assert "use scenario 'attack_plain'" in err and "'attack_encrypted'" in err
 
+    @pytest.mark.parametrize("max_depth, code", [(11, 1), (12, 0)])
+    def test_depth_budget_exit_code(self, tmp_path, capsys, max_depth, code):
+        # an encrypted-model attack of length 10 on the tank needs depth 12
+        raw = dict(VERIFIED, scenario="attack_encrypted", verify={},
+                   backend={"slot_count": 64, "max_depth": max_depth})
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == code
+        msg = ("config error: backend: an encrypted-model attack of length 10 "
+               "needs max_depth >= 12, got 11")
+        assert (msg in capsys.readouterr().err) == (code == 1)
+
     @pytest.mark.parametrize("scenario, slot_count, need", [
         ("verified_attack", 8, 16), ("baseline", 2, 4), ("attack_encrypted", 4, 8)])
     def test_slot_count_too_small_exit_one(self, tmp_path, capsys, scenario, slot_count,

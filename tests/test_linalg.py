@@ -9,8 +9,6 @@ from encloop.linalg import (
     enc_matmat,
     enc_matrix_power,
     enc_matvec,
-    enc_pinv_newton_schulz,
-    enc_transpose,
     encrypt_matrix,
     next_pow2,
     wrapping_diagonal,
@@ -318,25 +316,6 @@ class TestMatrixPower:
         ctx = make_ctx(4)
         with pytest.raises(ValueError):
             enc_matrix_power(encrypt_matrix(ctx, np.eye(4)), 0)
-
-
-class TestTransposeAndPinv:
-    def test_transpose(self):
-        ctx = make_ctx(8)
-        rng = np.random.default_rng(14)
-        S = rng.uniform(-3, 3, (8, 8))
-        out = enc_transpose(encrypt_matrix(ctx, S))
-        assert np.allclose(decrypt_matrix(ctx, out), S.T, atol=1e-12)
-
-    def test_newton_schulz_pinv(self):
-        ctx = make_ctx(8, max_depth=64)
-        rng = np.random.default_rng(15)
-        M = rng.uniform(-1, 1, (4, 8))  # wide, full row rank w.h.p.
-        scale = 1.0 / np.linalg.norm(M, 2) ** 2
-        out = enc_pinv_newton_schulz(ctx, encrypt_matrix(ctx, M), scale,
-                                     iterations=25)
-        got = decrypt_matrix(ctx, out)[:8, :4]
-        assert np.max(np.abs(got - np.linalg.pinv(M))) < 1e-6
 
 
 def test_next_pow2():

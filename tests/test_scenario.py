@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from encloop.attack import CovertAttacker, GuessingAttacker
-from encloop.backend import BackendConfig, context_create
+from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
+from encloop.backend import BackendConfig, DepthExhausted, context_create
 from encloop.scenario import (
     SCENARIOS,
     ConfigError,
@@ -116,6 +117,21 @@ class TestConfigParsing:
             ScenarioConfig.from_json(path)
         assert exc.value.name == "json"
 
+    @pytest.mark.parametrize("section, raw", [
+        ("config", {"scenario": "baseline", "stpes": 10}),
+        ("backend", {"backend": {"slot_count": 64, "max_dpeth": 8}}),
+        ("verify", {"verify": {"lambda": 8}}),
+        ("verify", {"verify": {"M": 8}}),
+        ("verify", {"verify": {"epsilon": 1e-6}}),
+        ("attack", {"scenario": "attack_plain",
+                    "attack": dict(STEP_ATTACK, cooldown=4)}),
+        ("verify", {"verify": 4})])
+    def test_unknown_key_named_error(self, section, raw):
+        # an old alias or a misspelt key is refused, never silently defaulted
+        with pytest.raises(ConfigError, match="unknown key|expected a JSON object") as exc:
+            ScenarioConfig.from_dict(raw)
+        assert exc.value.name == section
+
     def test_round_trip_through_dict(self):
         raw = minimal("attack_plain",
                       attack={"a_u": {"0": [2.0, 2.0]}, "length": 10,
@@ -126,6 +142,46 @@ class TestConfigParsing:
         assert cfg2.attack_plan.length == 10
         assert np.array_equal(cfg2.attack_plan.schedule[0], [2.0, 2.0])
         assert np.array_equal(cfg2.model.A, cfg.model.A)
+
+
+# a controllable 3-state, single-input, single-output model
+MODEL3 = {"A": [[0.9, 0.1, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]],
+          "B": [[0.0], [0.0], [1.0]], "C": [[1.0, 0.0, 0.0]]}
+
+
+class TestDepthBudget:
+    """``attack_encrypted`` needs max_depth >= ``encrypted_attack_depth``,
+    and the derived depth is tight: it runs, and one level less fails."""
+
+    @staticmethod
+    def config(length, max_depth, n=4):
+        m = 2 if n == 4 else 1
+        bias = {"0": [1.0] * m} if length > n else {}  # no active phase when length == n
+        raw = minimal("attack_encrypted", steps=length + 2, pre_roll=2,
+                      backend={"slot_count": 64, "max_depth": max_depth},
+                      attack={"a_u": bias, "length": length, "cooldown_len": n})
+        if n == 3:
+            raw.update(model=MODEL3, controller={"K": [[0.5]], "u0": [0.0]},
+                       x0=[1.0, 0.0, 0.0])
+        return raw
+
+    @pytest.mark.parametrize("n, length, need", [
+        (4, 4, 9), (4, 7, 9), (4, 8, 10), (4, 10, 12), (4, 12, 14), (4, 16, 18),
+        (3, 3, 8), (3, 6, 8), (3, 9, 11)])
+    def test_derived_depth_is_tight(self, n, length, need):
+        cfg = ScenarioConfig.from_dict(self.config(length, need, n))
+        assert encrypted_attack_depth(cfg.model, cfg.attack_plan) == need
+        _, code = run_scenario(cfg)
+        assert code == 0
+        with pytest.raises(ConfigError, match=f"needs max_depth >= {need}, got {need - 1}"
+                           ) as exc:
+            ScenarioConfig.from_dict(self.config(length, need - 1, n))
+        assert exc.value.name == "backend"
+        # one level less fails at run time when the check is bypassed
+        short = dataclasses.replace(cfg, backend=dataclasses.replace(
+            cfg.backend, max_depth=need - 1))
+        with pytest.raises(DepthExhausted):
+            run_scenario(short)
 
 
 class TestRunScenario:

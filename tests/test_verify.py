@@ -80,15 +80,19 @@ class TestEncodeDecode:
         assert np.allclose(outcome.payload, 2 * w, atol=1e-12)
 
     def test_forced_permutation_layout(self):
+        # encoded block j carries pre-shuffle block perm[j]: the payload below
+        # half, challenge challenge_indices[perm[j] - half] from half on
         vctx = make_vctx()
         w = np.array([1.0, 2.0])
-        encoded, tag = ecd(vctx, w, perm=[2, 0, 3, 1], challenge_indices=[0, 1])
-        # encoded block j carries pre-shuffle block perm[j]
-        assert np.array_equal(encoded[0:2], vctx.challenges[0])
-        assert np.array_equal(encoded[2:4], w)
-        assert np.array_equal(encoded[4:6], vctx.challenges[1])
-        assert np.array_equal(encoded[6:8], w)
-        assert tag.payload_positions() == {1, 3}
+        for _ in range(10):
+            encoded, tag = ecd(vctx, w)
+            assert sorted(tag.perm) == [0, 1, 2, 3]
+            blocks = encoded.reshape(4, 2)
+            for j, b in enumerate(tag.perm):
+                want = w if b < 2 else vctx.challenges[tag.challenge_indices[b - 2]]
+                assert np.array_equal(blocks[j], want)
+            carries_w = {j for j in range(4) if np.array_equal(blocks[j], w)}
+            assert tag.payload_positions() == carries_w
 
     def test_challenges_drawn_with_replacement(self):
         vctx = make_vctx(expansion=16, block_dim=1, slot_count=16, seed=1)
