@@ -46,6 +46,13 @@ def scenario_runs() -> dict[str, dict]:
         if kind != "baseline":
             raw["attack"] = ATTACK
         runs[f"{kind}/{mode}/slots{slots}/noise{noise:g}/seed{seed}"] = raw
+    # sixteen blocks per ciphertext: the lifted controller replicates its
+    # block sixteen times, so its wrapped diagonals cross block boundaries
+    for noise, seed in itertools.product(NOISE, SEEDS):
+        raw = {"scenario": "verified_attack", "steps": 40, "pre_roll": 20, "seed": seed,
+               "backend": {"slot_count": 1024, "noise_std": noise},
+               "attack": ATTACK, "verify": {"expansion": 16}}
+        runs[f"verified_attack/encrypted/slots1024/noise{noise:g}/seed{seed}/lam16"] = raw
     return runs
 
 
