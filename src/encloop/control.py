@@ -130,9 +130,10 @@ def controller_eval_plain(ctrl: AffineController, y_c) -> np.ndarray:
 def encrypt_controller(ctx: KeyContext, ctrl: AffineController,
                        expansion: int = 1) -> DiagMatrixCipher:
     """Encrypt the controller in lifted linear form: the block-diagonal
-    replication of K_aug over ``expansion`` stacked [y; u0] blocks."""
+    replication kron(I_expansion, K_aug) over ``expansion`` stacked [y; u0]
+    blocks, encoded from the d x d block alone (no dense replication)."""
     K_aug = verify.lift_affine(-ctrl.K, ctrl.u0)
-    return encrypt_matrix(ctx, np.kron(np.eye(expansion), K_aug))
+    return encrypt_matrix(ctx, K_aug, copies=expansion)
 
 
 def controller_eval_encrypted(enc_ctrl: DiagMatrixCipher, y_cipher):
@@ -203,29 +204,29 @@ def _in_process_link(ctx: KeyContext, enc_ctrl: DiagMatrixCipher, attacker,
 
 
 def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
-                    attacker=None, mode: str = "plain",
-                    ctx: KeyContext | None = None, pre_roll: int = 0,
+                    attacker=None, ctx: KeyContext | None = None, pre_roll: int = 0,
                     verifier: verify.VerifierContext | None = None,
                     link=None) -> SimTrace:
     """Simulate the closed loop for ``pre_roll + steps`` steps.
 
     Attack time runs from k = -pre_roll to steps - 1; an attached attacker is
     consulted at every step and passes values through unchanged outside its
-    own active window (``active_at``). In
-    ``encrypted`` mode each step encodes y, encrypts it once, hands the
-    ciphertext to ``link(k, y_cipher, lo)``, and decrypts and decodes the
-    reply; with a ``verifier`` the encoding is ``verify.ecd`` and the loop
-    terminates at the first rejected response (verdict ``"bottom"``). The
-    link returns ``(u_cipher, y_c, u_c)``: the reply and the controller-side
-    view of the payload block at slot offset ``lo``, or ``None`` twice where
-    it cannot see it (the trace then records the plant's y and u). The
-    default link encrypts the controller and runs ``attacker`` in-process.
+    own active window (``active_at``). The channel is encrypted exactly when
+    a key context ``ctx`` is given: each step then encodes y, encrypts it
+    once, hands the ciphertext to ``link(k, y_cipher, lo)``, and decrypts and
+    decodes the reply; with a ``verifier`` the encoding is ``verify.ecd`` and
+    the loop terminates at the first rejected response (verdict
+    ``"bottom"``). The link returns ``(u_cipher, y_c, u_c)``: the reply and
+    the controller-side view of the payload block at slot offset ``lo``, or
+    ``None`` twice where it cannot see it (the trace then records the
+    plant's y and u). The default link encrypts the controller and runs
+    ``attacker`` in-process. A ``verifier`` or ``link`` without ``ctx``
+    raises ``ValueError``: both act on ciphertexts only.
     """
-    if mode not in ("plain", "encrypted"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "encrypted":
-        if ctx is None:
-            raise ValueError("encrypted mode requires a key context")
+    if ctx is None:
+        if verifier is not None or link is not None:
+            raise ValueError("a verifier or link needs a key context")
+    else:
         block_dim = verify.lifted_dim(model.p, model.m)
         if verifier is not None and verifier.block_dim != block_dim:
             raise ValueError("verifier block dimension does not match controller lift")
@@ -242,7 +243,7 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
         y = model.C @ x
         verdict = "n/a"
 
-        if mode == "plain":
+        if ctx is None:
             y_c = attacker.tamper_measurement(k, y) if attacker is not None else y
             u_c = controller_eval_plain(ctrl, y_c)
             u = attacker.tamper_control(k, u_c) if attacker is not None else u_c

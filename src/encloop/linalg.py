@@ -64,7 +64,8 @@ def next_pow2(n: int) -> int:
 
 def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
     """The i-th wrapping diagonal of S at logical dimension ``dim``, without
-    materializing the padded matrix (S may be rectangular)."""
+    materializing the padded matrix (S may be rectangular). The per-diagonal
+    reference for ``encrypt_matrix``, which places entries directly."""
     S = np.asarray(S, dtype=float)
     rows, cols = S.shape
     d = dim if dim is not None else rows
@@ -78,23 +79,41 @@ def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def encrypt_matrix(ctx: KeyContext, S) -> DiagMatrixCipher:
-    """Encrypt a matrix as its wrapping diagonals, padded to the slot count.
+def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
+    """Encrypt the block-diagonal replication kron(I_copies, S) as its
+    wrapping diagonals, padded to the slot count, without materializing it.
 
-    Only the wrapped diagonals holding a nonzero entry are encrypted, in
-    ascending index order. Which ones these are is public structure: every
-    party in this simulator builds its matrices from plaintext.
+    Copy b of the nonzero entry S[r, c] sits at (b*rows + r, b*cols + c): it
+    belongs to wrapped diagonal (c' - r') mod slot_count and fills that
+    diagonal's slot r'. Only the wrapped diagonals holding a nonzero entry
+    are encrypted, in ascending index order. Which ones these are is public
+    structure: every party in this simulator builds its matrices from
+    plaintext.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
         raise ValueError("expected a matrix")
     dim = ctx.config.slot_count
-    if S.shape[0] > dim or S.shape[1] > dim:
-        raise ValueError(f"matrix of shape {S.shape} exceeds slot_count {dim}")
+    rows, cols = S.shape
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    if copies * rows > dim or copies * cols > dim:
+        raise ValueError(f"{copies} copies of a matrix of shape {S.shape} "
+                         f"exceed slot_count {dim}")
     r, c = np.nonzero(S)
-    indices = sorted(set(((c - r) % dim).tolist()))
-    diagonals = {i: ctx.encrypt(wrapping_diagonal(S, i, dim)) for i in indices}
-    return DiagMatrixCipher(dim=dim, diagonals=diagonals)
+    vals = S[r, c]
+    if copies > 1:
+        b = np.arange(copies)[:, None]
+        r, c = (r + b * rows).ravel(), (c + b * cols).ravel()
+        vals = np.tile(vals, copies)
+    keys = (c - r) % dim
+    indices = sorted(set(keys.tolist()))
+    row = np.empty(dim, dtype=np.intp)  # wrapped diagonal -> row of ``diags``
+    row[indices] = np.arange(len(indices))
+    diags = np.zeros((len(indices), dim))
+    diags[row[keys], r] = vals
+    return DiagMatrixCipher(dim=dim, diagonals={
+        i: ctx.encrypt(diag) for i, diag in zip(indices, diags)})
 
 
 def decrypt_matrix(ctx: KeyContext, M: DiagMatrixCipher) -> np.ndarray:

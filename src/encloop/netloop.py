@@ -149,7 +149,7 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
             return deserialize_ciphertext(ctx, payload), None, None
 
         trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
-                                        mode="encrypted", ctx=ctx, pre_roll=cfg.pre_roll,
+                                        ctx=ctx, pre_roll=cfg.pre_roll,
                                         verifier=verifier, link=exchange)
         if trace.verdict[-1] == "bottom":
             send_frame(sock, MSG_ABORT, json.dumps({"step": trace.k[-1]}).encode())

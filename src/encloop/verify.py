@@ -111,9 +111,10 @@ def lift_affine(K, offset):
 
     Returns K_aug, the d x d padded matrix [K I] acting on stacked
     [w; offset] blocks. The server applies its block-diagonal replication
-    kron(I_lambda, K_aug) to every block at once; ``encrypt_matrix`` stores
-    only the wrapped diagonals of that replication which hold a nonzero
-    entry (for the tank controller, d = 4: offsets {-1, 0, 1, 2}).
+    kron(I_lambda, K_aug) to every block at once;
+    ``encrypt_matrix(ctx, K_aug, copies=lambda)`` encodes that replication
+    from K_aug's nonzero entries, storing only the wrapped diagonals that
+    hold one (for the tank controller, d = 4: offsets {-1, 0, 1, 2}).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     offset = np.asarray(offset, dtype=float).ravel()

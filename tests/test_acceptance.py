@@ -42,12 +42,10 @@ from encloop.control import (
     tank_controller,
 )
 from encloop.linalg import (
-    DiagMatrixCipher,
     decrypt_matrix,
     enc_matmat,
     enc_matvec,
     encrypt_matrix,
-    wrapping_diagonal,
 )
 from encloop.scenario import ScenarioConfig, run_scenario
 from encloop.verify import (
@@ -123,7 +121,7 @@ def test_criterion_03_covert_attack_stealthiness():
     enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                              enc_model=build_enc_model(pub, model))
     t_enc = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
-                            mode="encrypted", ctx=ctx, attacker=enc_att)
+                            ctx=ctx, attacker=enc_att)
 
     ks = np.array(baseline.k)
     for attacked in (t_plain, t_enc):
@@ -277,7 +275,7 @@ def test_criterion_08_depth_budget_fidelity():
                           enc_model=build_enc_model(pub3, model))
     with pytest.raises(DepthExhausted):
         run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
-                        mode="encrypted", ctx=ctx3, attacker=att3)
+                        ctx=ctx3, attacker=att3)
 
     # ... while a budget of 12 fits the whole attack, cooldown included
     ctx12 = context_create(BackendConfig(slot_count=8, max_depth=12, seed=8))
@@ -285,7 +283,7 @@ def test_criterion_08_depth_budget_fidelity():
     att12 = CovertAttacker(model, step_plan(), ctx=pub12,
                            enc_model=build_enc_model(pub12, model))
     trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
-                            mode="encrypted", ctx=ctx12, attacker=att12)
+                            ctx=ctx12, attacker=att12)
     assert len(trace) == 50
     assert np.max(np.abs(ctx12.decrypt(att12._dx_cipher)[:4])) < 1e-8
 
@@ -303,15 +301,11 @@ def test_criterion_09_large_scale_capacity():
     K_aug[:2, 2:4] = np.eye(2)
     vctx = setup(slot_count, d, lambda w: K_aug @ w, lam, num_challenges=8,
                  seed=9)
-    # the block-replicated matrix has its nonzero entries on wrapped
-    # diagonals -3..3; encrypt those directly
-    # (tiling a block diagonal over the replicas, never materializing the
-    # full slot_count x slot_count matrix)
-    diagonals = {}
-    for i in (-3, -2, -1, 0, 1, 2, 3):
-        vals = np.tile(wrapping_diagonal(K_aug, i % d), lam)
-        diagonals[i % slot_count] = ctx.encrypt(vals)
-    enc_K = DiagMatrixCipher(dim=slot_count, diagonals=diagonals)
+    # the production encoder replicates the block lam times without
+    # materializing the slot_count x slot_count lift; only the wrapped
+    # diagonals -1..2 of [-K I] hold an entry
+    enc_K = encrypt_matrix(ctx, K_aug, lam)
+    assert list(enc_K.diagonals) == [0, 1, 2, slot_count - 1]
 
     y = np.array([0.9, 1.1])
     block = lifted_input(y, ctrl.u0, d)

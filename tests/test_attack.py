@@ -232,10 +232,10 @@ class TestSplice:
         ctx = make_ctx()
         pub = ctx.public_context()
         start = op_totals(ctx)
-        run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, mode="encrypted", ctx=ctx)
+        run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, ctx=ctx)
         clean = spent_ops((ctx,), start)
         before = op_totals(ctx, pub)
-        run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, mode="encrypted", ctx=ctx,
+        run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, ctx=ctx,
                         attacker=CovertAttacker(model, step_plan(), ctx=pub))
         spent = spent_ops((ctx, pub), before)
         # one addition per nonzero bias on top of the clean loop: measurements
@@ -322,7 +322,7 @@ class TestCovertAttackClosedLoop:
         enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         t_enc = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
-                                mode="encrypted", ctx=ctx, attacker=enc_att)
+                                ctx=ctx, attacker=enc_att)
         for fieldname in ("x", "u", "y", "u_c", "y_c"):
             a = np.array(getattr(t_plain, fieldname))
             b = np.array(getattr(t_enc, fieldname))
@@ -337,7 +337,7 @@ class TestCovertAttackClosedLoop:
             enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                      enc_model=build_enc_model(pub, model))
             run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
-                            mode="encrypted", ctx=ctx, attacker=enc_att)
+                            ctx=ctx, attacker=enc_att)
 
     def test_encrypted_variant_fits_depth_twelve(self, model, ctrl):
         ctx = make_ctx(max_depth=12)
@@ -345,5 +345,5 @@ class TestCovertAttackClosedLoop:
         enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
-                                mode="encrypted", ctx=ctx, attacker=enc_att)
+                                ctx=ctx, attacker=enc_att)
         assert len(trace) == 60

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,21 @@ class TestControllerEncrypted:
         enc_ctrl = encrypt_controller(ctx, ctrl, expansion=16)
         assert list(enc_ctrl.diagonals) == [0, 1, 2, 2 ** 16 - 1]
 
+    def test_full_slot_lift_allocates_only_its_diagonals(self, ctrl):
+        """lambda=1024 blocks fill 4096 slots. The lift is encoded from the
+        4x4 block, so encryption allocates about its four diagonal
+        ciphertexts (4 x 32 KiB), never the dense 4096 x 4096 replication
+        (128 MiB)."""
+        ctx = make_ctx(slot_count=4096, max_depth=4)
+        tracemalloc.start()
+        try:
+            enc_ctrl = encrypt_controller(ctx, ctrl, expansion=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(enc_ctrl.diagonals) == [0, 1, 2, 4095]
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
 
 class TestClosedLoop:
     def test_converges_to_setpoint(self, model, ctrl):
@@ -159,15 +176,20 @@ class TestClosedLoop:
     def test_encrypted_matches_plain(self, model, ctrl):
         plain = run_closed_loop(model, ctrl, TANK_X0, 200, pre_roll=20)
         enc = run_closed_loop(model, ctrl, TANK_X0, 200, pre_roll=20,
-                              mode="encrypted", ctx=make_ctx())
+                              ctx=make_ctx())
         for fieldname in ("x", "u", "y", "u_c", "y_c"):
             a = np.array(getattr(plain, fieldname))
             b = np.array(getattr(enc, fieldname))
             assert np.max(np.abs(a - b)) < 1e-8
 
     def test_encrypted_needs_context(self, model, ctrl):
-        with pytest.raises(ValueError):
-            run_closed_loop(model, ctrl, TANK_X0, 5, mode="encrypted")
+        """A verifier or a link acts on ciphertexts only; without a key
+        context the loop refuses them instead of running a plain channel."""
+        vctx = verify.setup(16, 4, lambda w: w, 4, num_challenges=1)
+        with pytest.raises(ValueError, match="key context"):
+            run_closed_loop(model, ctrl, TANK_X0, 5, verifier=vctx)
+        with pytest.raises(ValueError, match="key context"):
+            run_closed_loop(model, ctrl, TANK_X0, 5, link=lambda k, y_cipher, lo: None)
 
 
 class TestTrace:

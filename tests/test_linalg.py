@@ -99,17 +99,19 @@ class TestEncryptMatrix:
 
     def test_band_scan_matches_per_diagonal_reference(self):
         """The nonzero-entry scan stores exactly the wrapped diagonals that a
-        scan over every diagonal finds holding a nonzero entry, in ascending
-        order, each equal to its plaintext diagonal."""
+        scan over every diagonal of the replication kron(I_copies, S) finds
+        holding a nonzero entry, in ascending order, each equal to its
+        plaintext diagonal."""
 
         def reference(S, dim):
             return [i for i in range(dim) if np.any(wrapping_diagonal(S, i, dim) != 0)]
 
         rng = np.random.default_rng(12)
         for case in range(300):
-            dim = int(rng.choice([2, 4, 8, 16]))
+            copies = int(rng.choice([1, 2, 3, 5]))
+            dim = int(rng.choice([d for d in (2, 4, 8, 16) if d >= copies]))
             ctx = make_ctx(dim)
-            rows, cols = rng.integers(1, dim + 1, size=2)
+            rows, cols = rng.integers(1, dim // copies + 1, size=2)
             S = rng.uniform(-2, 2, (rows, cols))
             S[rng.random((rows, cols)) > rng.choice([0.0, 0.05, 0.3, 1.0])] = 0.0
             if case % 5 == 0:  # a lone entry below the diagonal wraps around
@@ -117,10 +119,38 @@ class TestEncryptMatrix:
                 S[rows - 1, 0] = 1.0
             elif case % 5 == 1:  # the all-zero matrix stores nothing
                 S[:] = 0.0
-            M = encrypt_matrix(ctx, S)
-            assert list(M.diagonals) == reference(S, dim)
+            lifted = np.kron(np.eye(copies), S)
+            M = encrypt_matrix(ctx, S, copies)
+            assert list(M.diagonals) == reference(lifted, dim)
             for i, c in M.diagonals.items():
-                assert np.array_equal(ctx.decrypt(c), wrapping_diagonal(S, i, dim))
+                assert np.array_equal(ctx.decrypt(c), wrapping_diagonal(lifted, i, dim))
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 5])
+    def test_copies_match_dense_replication(self, copies):
+        """Encrypting S with ``copies`` equals encrypting the dense
+        kron(I_copies, S): the same diagonal keys and, on identically seeded
+        noisy contexts, the same slots, so the RNG stream is unchanged."""
+        rng = np.random.default_rng(30 + copies)
+        for _ in range(40):
+            dim = int(rng.choice([16, 32, 64]))
+            rows, cols = rng.integers(1, dim // copies + 1, size=2)
+            S = rng.uniform(-2, 2, (rows, cols))
+            S[rng.random((rows, cols)) > rng.choice([0.05, 0.3, 1.0])] = 0.0
+            seed = int(rng.integers(1 << 30))
+            ctx, ctx_ref = (context_create(BackendConfig(slot_count=dim, noise_std=1e-6,
+                                                         seed=seed)) for _ in range(2))
+            got = encrypt_matrix(ctx, S, copies)
+            want = encrypt_matrix(ctx_ref, np.kron(np.eye(copies), S))
+            assert list(got.diagonals) == list(want.diagonals)
+            for g, w in zip(got.diagonals.values(), want.diagonals.values()):
+                assert np.array_equal(ctx.decrypt(g), ctx_ref.decrypt(w))
+
+    @pytest.mark.parametrize("copies, shape", [(0, (1, 1)), (-1, (1, 1)),
+                                               (3, (3, 2)), (3, (2, 3))])
+    def test_copies_out_of_range_rejected(self, copies, shape):
+        # three copies of a 3 x 2 (2 x 3) block need 9 rows (columns) of 8 slots
+        with pytest.raises(ValueError, match="copies"):
+            encrypt_matrix(make_ctx(8), np.ones(shape), copies)
 
 
 class TestMatVec:

@@ -252,6 +252,17 @@ class TestRunScenario:
             bottoms += trace.verdict.count("bottom")
         assert bottoms == 0
 
+    def test_honest_verified_fills_4096_slots(self):
+        """expansion 1024 x block 4 fills every slot: the lifted controller
+        is encoded from its block, not from a dense 4096 x 4096 lift."""
+        raw = minimal("verified_attack", steps=3, pre_roll=0,
+                      backend={"slot_count": 4096},
+                      attack={"a_u": {}, "length": 10},
+                      verify={"expansion": 1024})
+        trace, code = run_scenario(ScenarioConfig.from_dict(raw))
+        assert code == 0
+        assert trace.verdict == ["ok"] * 3
+
 
 class TestSvgPlot:
     def test_writes_valid_svg(self, tmp_path):

@@ -356,7 +356,7 @@ class TestVerifiedClosedLoop:
         K_aug = lift_affine(-ctrl.K, ctrl.u0)
         vctx = setup(64, 4, lambda w: K_aug @ w, 4, num_challenges=8, seed=11)
         trace = run_closed_loop(model, ctrl, TANK_X0, 100, pre_roll=20,
-                                mode="encrypted", ctx=ctx, verifier=vctx)
+                                ctx=ctx, verifier=vctx)
         assert all(v != "bottom" for v in trace.verdict)
         plain = run_closed_loop(model, ctrl, TANK_X0, 100, pre_roll=20)
         assert np.max(np.abs(np.array(trace.x) - np.array(plain.x))) < 1e-8
@@ -371,7 +371,7 @@ class TestVerifiedClosedLoop:
         attacker = GuessingAttacker(model, plan, ctx.public_context(), 8,
                                     np.random.default_rng(12))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
-                                mode="encrypted", ctx=ctx, verifier=vctx,
+                                ctx=ctx, verifier=vctx,
                                 attacker=attacker)
         # p_succ(8) = 1/70 per step: detection at the very first tampered step
         # is overwhelmingly likely, and the loop halts on bottom
