@@ -27,6 +27,7 @@ up inside a ciphertext, and ciphertext slots are never mutated once built.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -71,8 +72,8 @@ class BackendConfig:
     def __post_init__(self):
         if self.slot_count < 1 or (self.slot_count & (self.slot_count - 1)) != 0:
             raise ValueError(f"slot_count must be a power of two, got {self.slot_count}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 

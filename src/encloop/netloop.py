@@ -31,7 +31,7 @@ import struct
 from . import control
 from .backend import (check_ciphertext_blob, context_create, deserialize_ciphertext,
                       serialize_ciphertext)
-from .scenario import ScenarioConfig, build_attacker, build_verifier
+from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
     "MSG_ENC_Y", "MSG_ENC_U", "MSG_HELLO", "MSG_BYE", "MSG_ABORT",
@@ -121,12 +121,19 @@ def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
         return srv.accept()[0]
 
 
+def _check_encrypted(cfg: ScenarioConfig):
+    if cfg.mode != "encrypted":
+        raise ConfigError("mode", f"the networked loop is encrypted, got {cfg.mode!r}")
+
+
 def _recv_hello(sock: socket.socket) -> tuple[ScenarioConfig, bytes]:
-    """The peer's first frame: HELLO carrying the scenario configuration."""
+    """The peer's first frame: HELLO carrying the plant's config document."""
     msg_type, payload = recv_frame(sock, HELLO_MAX_PAYLOAD)
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO as the first frame")
-    return ScenarioConfig.from_dict(json.loads(payload.decode())), payload
+    cfg = ScenarioConfig.from_dict(json.loads(payload.decode()))
+    _check_encrypted(cfg)
+    return cfg, payload
 
 
 # -- roles ---------------------------------------------------------------------
@@ -135,11 +142,12 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
     """Plant client: runs the shared ``control.run_closed_loop`` step with a
     link that ships each encrypted measurement frame and waits for the
     control frame. With verification enabled it announces the first
-    rejected response with ABORT before it says BYE."""
+    rejected response with ABORT before it says BYE. Refuses a plain ``cfg``."""
+    _check_encrypted(cfg)
     ctx = context_create(cfg.backend)
     verifier = build_verifier(cfg) if cfg.scenario == "verified_attack" else None
     with socket.create_connection(connect) as sock:
-        send_frame(sock, MSG_HELLO, json.dumps(cfg.to_dict()).encode())
+        send_frame(sock, MSG_HELLO, json.dumps(cfg.document).encode())
 
         def exchange(k, y_cipher, lo):
             send_frame(sock, MSG_ENC_Y, serialize_ciphertext(y_cipher))

@@ -9,6 +9,7 @@ attack variants, and a covert attack against the verified pipeline.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,51 +48,70 @@ def _check_keys(section: str, raw: dict):
                           f"expected {', '.join(KEYS[section])}")
 
 
-@dataclass
-class ScenarioConfig:
-    scenario: str = "baseline"
-    backend: BackendConfig = field(default_factory=lambda: BackendConfig(slot_count=64))
-    model: control.LtiModel = field(default_factory=control.quadruple_tank)
-    controller: control.AffineController = field(default_factory=control.tank_controller)
-    x0: np.ndarray = field(default_factory=lambda: control.TANK_X0.copy())
-    pre_roll: int = 20
-    steps: int = 40
-    seed: int = 0
-    mode: str = "plain"            # channel: plain | encrypted
-    attack_plan: attack.AttackPlan | None = None
-    expansion: int = 4             # verification blocks per ciphertext
-    num_challenges: int = 16
-    threshold: float = 1e-9
+@contextmanager
+def _section(name: str):
+    """Report a malformed value read inside the block as a ConfigError
+    naming ``name``."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(name, str(exc)) from exc
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
+
+def _parsed():
+    """A field derived from the document, set once by ``__post_init__``."""
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One scenario, parsed once from ``document``: the config's own JSON copy
+    of the object it was parsed from, which the networked plant sends as the
+    HELLO. Two configs are equal when their documents are."""
+
+    document: dict
+    scenario: str = _parsed()
+    backend: BackendConfig = _parsed()
+    model: control.LtiModel = _parsed()
+    controller: control.AffineController = _parsed()
+    x0: np.ndarray = _parsed()
+    pre_roll: int = _parsed()
+    steps: int = _parsed()
+    seed: int = _parsed()
+    mode: str = _parsed()            # channel: plain | encrypted
+    attack_plan: attack.AttackPlan | None = _parsed()
+    expansion: int = _parsed()       # verification blocks per ciphertext
+    num_challenges: int = _parsed()
+    threshold: float = _parsed()
+
+    def __post_init__(self):
+        with _section("config"):
+            raw = json.loads(json.dumps(self.document))
         _check_keys("config", raw)
         scenario = raw.get("scenario", "baseline")
         if scenario not in SCENARIOS:
             raise ConfigError("scenario", f"unknown scenario {scenario!r}; "
                               f"expected one of {', '.join(SCENARIOS)}")
+        with _section("seed"):
+            seed = int(raw.get("seed", 0))
         be = raw.get("backend", {})
         _check_keys("backend", be)
-        try:
+        with _section("backend"):
             backend = BackendConfig(
                 slot_count=int(be.get("slot_count", 64)),
                 noise_std=float(be.get("noise_std", 0.0)),
                 max_depth=int(be.get("max_depth", 16)),
-                seed=int(be.get("seed", raw.get("seed", 0))),
+                seed=int(be.get("seed", seed)),
             )
-        except ValueError as exc:
-            raise ConfigError("backend", str(exc)) from exc
 
         model_raw = raw.get("model", "quadruple_tank")
         if model_raw == "quadruple_tank":
             model = control.quadruple_tank()
         elif isinstance(model_raw, dict):
             _check_keys("model", model_raw)
-            try:
+            with _section("model"):
                 model = control.LtiModel(A=model_raw["A"], B=model_raw["B"],
                                          C=model_raw["C"])
-            except (KeyError, ValueError) as exc:
-                raise ConfigError("model", str(exc)) from exc
         else:
             raise ConfigError("model", f"unknown model preset {model_raw!r}")
 
@@ -100,14 +120,13 @@ class ScenarioConfig:
             ctrl = control.tank_controller()
         elif isinstance(ctrl_raw, dict):
             _check_keys("controller", ctrl_raw)
-            try:
+            with _section("controller"):
                 ctrl = control.AffineController(K=ctrl_raw["K"], u0=ctrl_raw["u0"])
-            except (KeyError, ValueError) as exc:
-                raise ConfigError("controller", str(exc)) from exc
         else:
             raise ConfigError("controller", f"unknown controller preset {ctrl_raw!r}")
 
-        x0 = np.asarray(raw.get("x0", control.TANK_X0), dtype=float)
+        with _section("x0"):
+            x0 = np.asarray(raw.get("x0", control.TANK_X0), dtype=float)
         if x0.shape != (model.n,):
             raise ConfigError("x0", f"expected length {model.n}, got {x0.shape}")
 
@@ -116,41 +135,31 @@ class ScenarioConfig:
             atk = raw.get("attack")
             if atk is None:
                 raise ConfigError("attack", f"scenario {scenario!r} needs an attack plan")
-            if "variant" in atk:
+            if isinstance(atk, dict) and "variant" in atk:
                 raise ConfigError("attack", "'variant' is not a key: the scenario kind "
                                   "alone picks the attacker; use scenario 'attack_plain' "
                                   "for the plaintext model, 'attack_encrypted' for the "
                                   "encrypted model")
             _check_keys("attack", atk)
-            try:
+            with _section("attack"):
                 plan = attack.AttackPlan(
                     schedule={int(k): np.asarray(v, dtype=float)
                               for k, v in atk.get("a_u", {}).items()},
                     length=int(atk["length"]),
                     cooldown_len=int(atk.get("cooldown_len", model.n)),
                 )
-            except (KeyError, ValueError) as exc:
-                raise ConfigError("attack", str(exc)) from exc
-            for a in plan.schedule.values():
-                if a.shape != (model.m,):
-                    raise ConfigError("attack", f"bias vectors must have length {model.m}")
-            try:
+                if any(a.shape != (model.m,) for a in plan.schedule.values()):
+                    raise ValueError(f"bias vectors must have length {model.m}")
                 attack.check_cooldown(model, plan)
-            except ValueError as exc:
-                raise ConfigError("attack", str(exc)) from exc
 
         ver = raw.get("verify", {})
         _check_keys("verify", ver)
-        expansion = int(ver.get("expansion", 4))
-        num_challenges = int(ver.get("num_challenges", 16))
-        threshold = float(ver.get("threshold", 1e-9))
-        if scenario == "verified_attack":
-            if expansion < 2 or expansion % 2:
-                raise ConfigError("verify", f"expansion must be even >= 2, got {expansion}")
-            if num_challenges < 1:
-                raise ConfigError("verify", "need at least one challenge value")
-            if threshold <= 0:
-                raise ConfigError("verify", "threshold must be positive")
+        with _section("verify"):
+            expansion = int(ver.get("expansion", 4))
+            num_challenges = int(ver.get("num_challenges", 16))
+            threshold = float(ver.get("threshold", 1e-9))
+            if scenario == "verified_attack":
+                verify.check_params(expansion, num_challenges, threshold)
 
         mode = raw.get("mode")
         if mode is None:
@@ -176,15 +185,24 @@ class ScenarioConfig:
                                   f"{plan.length} needs max_depth >= {depth}, "
                                   f"got {backend.max_depth}")
 
-        pre_roll = int(raw.get("pre_roll", 20))
-        steps = int(raw.get("steps", 40))
+        with _section("horizon"):
+            pre_roll = int(raw.get("pre_roll", 20))
+            steps = int(raw.get("steps", 40))
         if pre_roll < 0 or steps < 1:
             raise ConfigError("horizon", "pre_roll must be >= 0 and steps >= 1")
 
-        return cls(scenario=scenario, backend=backend, model=model, controller=ctrl,
-                   x0=x0, pre_roll=pre_roll, steps=steps, seed=int(raw.get("seed", 0)),
-                   mode=mode, attack_plan=plan, expansion=expansion,
-                   num_challenges=num_challenges, threshold=threshold)
+        for name, value in dict(
+                document=raw, scenario=scenario, backend=backend, model=model,
+                controller=ctrl, x0=x0, pre_roll=pre_roll, steps=steps, seed=seed,
+                mode=mode, attack_plan=plan, expansion=expansion,
+                num_challenges=num_challenges, threshold=threshold).items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """Parse ``raw``; a bad value raises a ConfigError naming its section.
+        Later changes to ``raw`` do not reach the config."""
+        return cls(raw)
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -194,37 +212,6 @@ class ScenarioConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError("json", str(exc)) from exc
         return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (used as the networked HELLO payload)."""
-        out = {
-            "scenario": self.scenario,
-            "backend": {
-                "slot_count": self.backend.slot_count,
-                "noise_std": self.backend.noise_std,
-                "max_depth": self.backend.max_depth,
-                "seed": self.backend.seed,
-            },
-            "model": {"A": self.model.A.tolist(), "B": self.model.B.tolist(),
-                      "C": self.model.C.tolist()},
-            "controller": {"K": self.controller.K.tolist(),
-                           "u0": self.controller.u0.tolist()},
-            "x0": self.x0.tolist(),
-            "pre_roll": self.pre_roll,
-            "steps": self.steps,
-            "seed": self.seed,
-            "mode": self.mode,
-            "verify": {"expansion": self.expansion,
-                       "num_challenges": self.num_challenges,
-                       "threshold": self.threshold},
-        }
-        if self.attack_plan is not None:
-            out["attack"] = {
-                "a_u": {str(k): v.tolist() for k, v in self.attack_plan.schedule.items()},
-                "length": self.attack_plan.length,
-                "cooldown_len": self.attack_plan.cooldown_len,
-            }
-        return out
 
 
 def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":

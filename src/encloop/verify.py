@@ -26,6 +26,7 @@ __all__ = [
     "VerifierContext",
     "PermutationTag",
     "DecodeOutcome",
+    "check_params",
     "setup",
     "lift_affine",
     "lifted_dim",
@@ -81,19 +82,25 @@ class DecodeOutcome:
 CHALLENGE_RANGE = 10.0  # challenge inputs are drawn uniformly from [-10, 10)
 
 
+def check_params(expansion: int, num_challenges: int = 1, threshold: float = 1e-9):
+    """Raise ``ValueError`` unless the expansion is even and >= 2, there is a
+    challenge value and the threshold is finite and positive."""
+    if expansion < 2 or expansion % 2 != 0:
+        raise ValueError(f"expansion factor must be even and >= 2, got {expansion}")
+    if num_challenges < 1:
+        raise ValueError("need at least one challenge value")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+
+
 def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: int,
           threshold: float = 1e-9, seed: int = 0) -> VerifierContext:
     """Instantiate the verifier: draw challenge inputs, precompute their
     reference outputs, and fix the expansion factor."""
-    if expansion < 2 or expansion % 2 != 0:
-        raise ValueError(f"expansion factor must be even and >= 2, got {expansion}")
+    check_params(expansion, num_challenges, threshold)
     if expansion * block_dim > slot_count:
         raise ValueError(
             f"expansion {expansion} x block_dim {block_dim} exceeds slot_count {slot_count}")
-    if num_challenges < 1:
-        raise ValueError("need at least one challenge value")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     rng = np.random.default_rng(seed)
     challenges = rng.uniform(-CHALLENGE_RANGE, CHALLENGE_RANGE, (num_challenges, block_dim))
     outputs = np.array([h(c) for c in challenges], dtype=float)
@@ -177,7 +184,7 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
     blocks = np.zeros((lam, d))
     blocks[tag.perm] = z_tilde.reshape(lam, d)
     deviation = np.abs(blocks[half:] - ctx.challenge_outputs[tag.challenge_indices]).max(axis=1)
-    failed = np.flatnonzero(deviation > eps).tolist()
+    failed = np.flatnonzero(~(deviation <= eps)).tolist()  # a NaN deviation fails
     if failed:
         return DecodeOutcome(eps=eps, deviation=deviation, bottom=True,
                              failed_challenges=failed)
@@ -189,8 +196,7 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
 
 def p_succ_instant(expansion: int) -> float:
     """Probability of guessing the replica block set in a single step."""
-    if expansion < 2 or expansion % 2 != 0:
-        raise ValueError(f"expansion factor must be even and >= 2, got {expansion}")
+    check_params(expansion)
     # int / int rounds exactly and underflows to 0 instead of overflowing
     return 1 / math.comb(expansion, expansion // 2)
 
@@ -270,11 +276,11 @@ def _detect_fast(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
     for k in range(1, L + 1):
         if alive == 0:
             break
-        # Draw uniform half-subsets for every surviving trial at once; by
-        # permutation symmetry, comparing against the fixed reference subset
-        # {0..half-1} is the same experiment as guessing a hidden shuffle.
-        ranks = np.argsort(rng.random((alive, lam)), axis=1)[:, :half]
-        hit = (np.sort(ranks, axis=1) == np.arange(half)).all(axis=1)
+        # The half smallest of lam uniform draws is a uniform half-subset; by
+        # permutation symmetry, hitting the fixed reference subset {0..half-1}
+        # is the same experiment as guessing a hidden shuffle.
+        r = rng.random((alive, lam))
+        hit = r[:, :half].max(axis=1) < r[:, half:].min(axis=1)
         detected = int(np.count_nonzero(~hit))
         counts[k] = detected
         alive -= detected

@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             BackendConfig(slot_count=8, noise_std=-1.0)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std must be finite and nonnegative"):
+            BackendConfig(slot_count=8, noise_std=noise_std)
+
 
 class TestEncryptDecrypt:
     def test_zero_round_trip(self):

@@ -98,6 +98,31 @@ class TestSimulate:
                 f"got {slot_count}") in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section, extra", [
+        ("horizon", {"steps": "abc"}),
+        ("horizon", {"pre_roll": "x"}),
+        ("x0", {"x0": ["a", "b", "c", "d"]}),
+        ("verify", {"verify": {"expansion": "four"}}),
+        ("horizon", {"steps": [1]}),
+        ("attack", {"attack": {"a_u": [1], "length": 10}})])
+    def test_malformed_value_exit_one(self, tmp_path, capsys, section, extra):
+        raw = dict(VERIFIED, **extra)
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert f"config error: {section}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, extra", [
+        ("verify", {"verify": {"threshold": float("inf")}}),
+        ("verify", {"verify": {"threshold": float("nan")}}),
+        ("backend", {"backend": {"slot_count": 64, "noise_std": float("nan")}}),
+        ("backend", {"backend": {"slot_count": 64, "noise_std": float("inf")}})])
+    def test_non_finite_value_exit_one(self, tmp_path, capsys, section, extra):
+        # json writes and reads these as Infinity and NaN
+        raw = dict(VERIFIED, **extra)
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {section}:" in err and "must be finite" in err
+
+
 class TestMontecarlo:
     def test_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
@@ -176,6 +201,20 @@ class TestNet:
         assert code == 0
         assert "completed 40 steps" in capsys.readouterr().out
         assert trace_path.exists()
+
+    def test_plain_mode_plant_exit_one(self, tmp_path, capsys):
+        # refused before it connects: nothing listens on the port
+        import socket
+
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        cfg = write_cfg(tmp_path, dict(BASELINE, mode="plain"))
+        code = main(["net", "--role", "plant", "--connect", f"127.0.0.1:{port}",
+                     "--config", cfg])
+        assert code == 1
+        assert "config error: mode: the networked loop is encrypted" in (
+            capsys.readouterr().err)
 
     def test_controller_error_exit_two(self, capsys):
         import socket

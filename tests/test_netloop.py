@@ -28,7 +28,7 @@ from encloop.netloop import (
     run_plant,
     send_frame,
 )
-from encloop.scenario import ScenarioConfig, run_scenario
+from encloop.scenario import ConfigError, ScenarioConfig, run_scenario
 
 HOST = "127.0.0.1"
 
@@ -327,7 +327,7 @@ class TestRoleFrameLimits:
         if frame == "hello":
             data = struct.pack("<IB", HELLO_MAX_PAYLOAD + 1, MSG_HELLO)
         else:
-            hello = json.dumps(baseline_cfg().to_dict()).encode()
+            hello = json.dumps(baseline_cfg().document).encode()
             data = (raw_frame(MSG_HELLO, hello)
                     + struct.pack("<IB", 24 + 8 * 64 + 1, MSG_ENC_Y))
         with socket.create_connection((HOST, port)) as sock:
@@ -337,6 +337,32 @@ class TestRoleFrameLimits:
         assert "exceeds the limit" in box["result"]["error"]
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
+
+
+class TestPlainModeRefused:
+    """The networked loop is the encrypted one: a plain-mode config is
+    refused by the plant before it connects and by a peer in the HELLO."""
+
+    def test_plant_refuses_before_connecting(self):
+        cfg = baseline_cfg(mode="plain")
+        with pytest.raises(ConfigError) as exc:
+            run_plant((HOST, free_port()), cfg)
+        assert exc.value.name == "mode"
+
+    @pytest.mark.parametrize("role", ["controller", "attacker"])
+    def test_peer_refuses_plain_hello(self, role):
+        ctrl_port, ctrl_t, ctrl_box = start_role(run_controller)
+        port, t, box = ((ctrl_port, ctrl_t, ctrl_box) if role == "controller"
+                        else start_role(run_attacker, (HOST, ctrl_port)))
+        hello = json.dumps(baseline_cfg(mode="plain").document).encode()
+        with socket.create_connection((HOST, port)) as sock:
+            sock.sendall(raw_frame(MSG_HELLO, hello) + raw_frame(MSG_BYE))
+            t.join(10)
+        assert not t.is_alive()
+        assert "mode: the networked loop is encrypted" in box["result"]["error"]
+        ctrl_t.join(10)
+        assert not ctrl_t.is_alive()
+        assert role == "controller" or ctrl_box["result"]["y_c"] == []
 
 
 NOISY_BACKEND = {"slot_count": 64, "max_depth": 16, "noise_std": 1e-6}
@@ -360,7 +386,7 @@ def proxy_between(cfg):
             ctrl, _ = srv.accept()
             with ctrl:
                 ctrl.settimeout(10)
-                hello = json.dumps(cfg.to_dict()).encode()
+                hello = json.dumps(cfg.document).encode()
                 send_frame(plant, MSG_HELLO, hello)
                 assert recv_frame(ctrl) == (MSG_HELLO, hello)
                 yield plant, ctrl, join

@@ -6,6 +6,7 @@ import pytest
 
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
 from encloop.backend import BackendConfig, DepthExhausted, context_create
+from encloop.control import run_closed_loop
 from encloop.scenario import (
     SCENARIOS,
     ConfigError,
@@ -132,16 +133,108 @@ class TestConfigParsing:
             ScenarioConfig.from_dict(raw)
         assert exc.value.name == section
 
-    def test_round_trip_through_dict(self):
+    def test_peer_parses_hello_to_equal_values(self):
         raw = minimal("attack_plain",
                       attack={"a_u": {"0": [2.0, 2.0]}, "length": 10,
                               "cooldown_len": 4})
         cfg = ScenarioConfig.from_dict(raw)
-        cfg2 = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert cfg2.scenario == cfg.scenario
-        assert cfg2.attack_plan.length == 10
-        assert np.array_equal(cfg2.attack_plan.schedule[0], [2.0, 2.0])
-        assert np.array_equal(cfg2.model.A, cfg.model.A)
+        peer = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.document)))
+        assert peer == cfg
+        assert (peer.scenario, peer.mode, peer.steps, peer.pre_roll, peer.seed) == (
+            cfg.scenario, cfg.mode, cfg.steps, cfg.pre_roll, cfg.seed)
+        assert peer.backend == cfg.backend
+        assert (peer.expansion, peer.num_challenges, peer.threshold) == (
+            cfg.expansion, cfg.num_challenges, cfg.threshold)
+        assert peer.attack_plan.length == 10
+        assert np.array_equal(peer.attack_plan.schedule[0], [2.0, 2.0])
+        for a, b in ((peer.model.A, cfg.model.A), (peer.controller.K, cfg.controller.K),
+                     (peer.x0, cfg.x0)):
+            assert np.array_equal(a, b)
+
+
+class TestFrozenDocument:
+    """A config is the parse of its own copy of a JSON document; nothing
+    changes it afterwards."""
+
+    def test_assigning_a_field_raises(self):
+        cfg = ScenarioConfig.from_dict(minimal())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.steps = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.document = {}
+
+    @pytest.mark.parametrize("name, value", [
+        ("backend", BackendConfig(slot_count=64, max_depth=1)), ("steps", 3),
+        ("threshold", float("inf"))])
+    def test_replace_of_a_parsed_field_raises(self, name, value):
+        cfg = ScenarioConfig.from_dict(minimal())
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cfg, **{name: value})
+
+    def test_replace_of_the_document_parses_it(self):
+        cfg = ScenarioConfig.from_dict(minimal())
+        assert dataclasses.replace(cfg, document=minimal(steps=3)).steps == 3
+        with pytest.raises(ConfigError, match="steps >= 1"):
+            dataclasses.replace(cfg, document=minimal(steps=0))
+
+    def test_later_changes_to_the_dict_do_not_reach_the_config(self):
+        raw = json.loads(json.dumps(minimal("attack_plain", backend={"slot_count": 64})))
+        cfg = ScenarioConfig.from_dict(raw)
+        hello = json.dumps(cfg.document)
+        raw["steps"] = 99
+        raw["backend"]["slot_count"] = 8
+        raw["attack"]["a_u"]["0"][0] = -7.0
+        assert cfg.steps == 10 and cfg.backend.slot_count == 64
+        assert np.array_equal(cfg.attack_plan.schedule[0], [2.0, 2.0])
+        assert json.dumps(cfg.document) == hello
+
+    def test_document_is_json(self):
+        # integer keys become strings, as the peer receives them
+        cfg = ScenarioConfig.from_dict(minimal("attack_plain",
+                                               attack={"a_u": {0: [1.0, 1.0]}, "length": 10}))
+        assert cfg.document["attack"]["a_u"] == {"0": [1.0, 1.0]}
+        with pytest.raises(ConfigError, match="not JSON serializable") as exc:
+            ScenarioConfig.from_dict(minimal(x0=np.zeros(4)))
+        assert exc.value.name == "config"
+
+
+class TestMalformedValues:
+    """Every value the parse reads is checked under its section's name."""
+
+    @pytest.mark.parametrize("section, extra", [
+        ("horizon", {"steps": "abc"}),
+        ("horizon", {"pre_roll": "x"}),
+        ("horizon", {"steps": [1]}),
+        ("seed", {"seed": "s"}),
+        ("x0", {"x0": ["a", "b", "c", "d"]}),
+        ("backend", {"backend": {"slot_count": None}}),
+        ("verify", {"verify": {"expansion": "four"}}),
+        ("attack", {"attack": {"a_u": [1], "length": 10}}),
+        ("attack", {"attack": {"a_u": {"x": [1.0, 1.0]}, "length": 10}}),
+        ("attack", {"attack": [1]}),
+        ("model", {"model": {"A": None, "B": [[1.0]], "C": [[1.0]]}})])
+    def test_named_config_error(self, section, extra):
+        raw = minimal("attack_plain", **extra)
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert exc.value.name == section
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", float("inf")), ("threshold", float("nan")), ("threshold", 0.0),
+        ("threshold", -1e-9)])
+    def test_threshold_finite_and_positive(self, key, value):
+        raw = minimal("verified_attack", verify={key: value})
+        with pytest.raises(ConfigError, match="threshold must be finite and positive"
+                           ) as exc:
+            ScenarioConfig.from_dict(raw)
+        assert exc.value.name == "verify"
+
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -1.0])
+    def test_noise_std_finite_and_nonnegative(self, noise_std):
+        raw = minimal("verified_attack", backend={"slot_count": 64, "noise_std": noise_std})
+        with pytest.raises(ConfigError, match="noise_std must be finite") as exc:
+            ScenarioConfig.from_dict(raw)
+        assert exc.value.name == "backend"
 
 
 # a controllable 3-state, single-input, single-output model
@@ -177,11 +270,13 @@ class TestDepthBudget:
                            ) as exc:
             ScenarioConfig.from_dict(self.config(length, need - 1, n))
         assert exc.value.name == "backend"
-        # one level less fails at run time when the check is bypassed
-        short = dataclasses.replace(cfg, backend=dataclasses.replace(
-            cfg.backend, max_depth=need - 1))
+        # one level less fails at run time: the same attack under a context
+        # built with max_depth = need - 1
+        ctx = context_create(dataclasses.replace(cfg.backend, max_depth=need - 1))
         with pytest.raises(DepthExhausted):
-            run_scenario(short)
+            run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
+                            attacker=build_attacker(cfg, ctx.public_context()),
+                            ctx=ctx, pre_roll=cfg.pre_roll)
 
 
 class TestRunScenario:

@@ -17,6 +17,7 @@ from encloop.control import (
 )
 from encloop.attack import AttackPlan, GuessingAttacker
 from encloop.linalg import decrypt_matrix, enc_matvec, encrypt_matrix
+from encloop.scenario import ScenarioConfig
 from encloop.verify import (
     block_mask,
     dcd,
@@ -44,6 +45,21 @@ class TestSetup:
     def test_odd_expansion_rejected(self):
         with pytest.raises(ValueError):
             make_vctx(expansion=3)
+
+    @pytest.mark.parametrize("threshold", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_threshold_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            make_vctx(threshold=threshold)
+
+    def test_setup_and_parse_share_one_rule(self, monkeypatch):
+        """``setup`` checks its parameters with ``check_params``, the rule the
+        scenario parse applies to a verified config."""
+        seen = []
+        monkeypatch.setattr(verify, "check_params", lambda *a: seen.append(a))
+        make_vctx(threshold=1e-6)
+        ScenarioConfig.from_dict({"scenario": "verified_attack", "verify": {"expansion": 6},
+                                  "attack": {"a_u": {}, "length": 10}})
+        assert seen == [(4, 5, 1e-6), (6, 16, 1e-9)]
 
     def test_capacity_check(self):
         with pytest.raises(ValueError):
@@ -119,6 +135,15 @@ class TestEncodeDecode:
         assert outcome.bottom
         assert not outcome.ok
         assert outcome.failed_challenges
+
+    def test_nan_challenge_rejected(self):
+        """A NaN deviation compares false against any threshold; it still fails."""
+        vctx = make_vctx()
+        encoded, tag = ecd(vctx, np.array([1.0, 2.0]))
+        z = doubler(encoded)
+        victim = next(j for j in range(4) if j not in tag.payload_positions())
+        z[victim * 2] = np.nan
+        assert dcd(vctx, tag, z).bottom
 
     def test_payload_only_tampering_accepted_but_corrupt(self):
         # hitting exactly the replica blocks evades the check by design
