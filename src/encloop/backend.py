@@ -19,10 +19,20 @@ diagonals of an encrypted matrix) computes it once with ``dot_noise_scale``
 and passes it in.
 
 Per-step work that does not change is done once: every ``KeyContext`` owns
-one slot-width scratch buffer (allocated on first use) that its noise draws
-and ``hom_dot``'s partial products go through, and a ciphertext computes its
-max|slot| for the first-order noise bound once. The scratch buffer never ends
-up inside a ciphertext, and ciphertext slots are never mutated once built.
+one scratch buffer (allocated on first use, and again when the shape it is
+asked for changes) that its noise draws and ``hom_dot``'s partial products go
+through, and a ciphertext computes its max|slot| for the first-order noise
+bound once. The scratch buffer never ends up inside a ciphertext, and
+ciphertext slots are never mutated once built.
+
+Slots may carry a leading batch axis, shape (B, n): B ciphertexts under one
+key and at one level, which every operation acts on row by row. An unbatched
+(n,) operand, such as a matrix diagonal, broadcasts over the rows. Each
+batched op counts B in ``op_counts``, so counts stay per ciphertext; its noise
+draw is B consecutive slot-width draws, the draws of the same op applied to
+the rows in turn. ``noise_bound`` stays one scalar that bounds every row: each
+max|slot| in it is taken over all rows. The wire carries one ciphertext, so
+``serialize_ciphertext`` refuses a batch of more than one.
 """
 
 from __future__ import annotations
@@ -80,7 +90,8 @@ class BackendConfig:
 
 @dataclass
 class PackedCiphertext:
-    """One SIMD ciphertext. Slot values are private to the backend."""
+    """One SIMD ciphertext, or a batch of them (slots of shape (B, n)). Slot
+    values are private to the backend."""
 
     _slots: np.ndarray
     level: int
@@ -99,6 +110,17 @@ class PackedCiphertext:
 def _max_abs(s: np.ndarray) -> float:
     """max|s| (0 for no slots) without a slot-width temporary."""
     return float(max(s.max(initial=0.0), -s.min(initial=0.0)))
+
+
+def _batch(sa: np.ndarray, sb: np.ndarray) -> tuple[int, ...]:
+    """The shape of a slotwise result of ``sa`` and ``sb``: equal shapes, or
+    an (n,) operand broadcast over the other's (B, n) rows."""
+    if sa.shape == sb.shape:
+        return sa.shape
+    if sa.ndim + sb.ndim == 3 and sa.shape[-1] == sb.shape[-1]:
+        return sa.shape if sa.ndim == 2 else sb.shape
+    raise ValueError(f"operand shapes {sa.shape} and {sb.shape} do not match: "
+                     f"batch sizes differ, or the slot widths do")
 
 
 class KeyContext:
@@ -126,11 +148,12 @@ class KeyContext:
     # -- core API ---------------------------------------------------------
 
     def encrypt(self, slots) -> PackedCiphertext:
+        """Encrypt n slot values, or a (B, n) batch of them row by row."""
         m = np.asarray(slots, dtype=float)
-        if m.shape != (self.config.slot_count,):
-            raise ValueError(
-                f"plaintext length {m.shape} does not match slot_count {self.config.slot_count}")
-        self.op_counts["enc"] += 1
+        n = self.config.slot_count
+        if m.shape != (n,) and (m.ndim != 2 or m.shape[1] != n):
+            raise ValueError(f"plaintext length {m.shape} does not match slot_count {n}")
+        self.op_counts["enc"] += 1 if m.ndim == 1 else len(m)
         return PackedCiphertext(
             _slots=self._noisy(m.copy()),
             level=0,
@@ -144,47 +167,56 @@ class KeyContext:
             raise KeyMismatch("this context holds no secret key")
         if c.key_id != self.key_id:
             raise KeyMismatch("ciphertext was created under a different key")
-        self.op_counts["dec"] += 1
+        self.op_counts["dec"] += 1 if c._slots.ndim == 1 else len(c._slots)
         return c._slots.copy()
 
-    def _scratch(self) -> np.ndarray:
-        """The context's slot-width work buffer, allocated on first use. Its
-        contents are dead between calls; it is never returned in a ciphertext."""
-        if self._buf is None:
-            self._buf = np.empty(self.config.slot_count)
+    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The context's work buffer of ``shape``, allocated on first use and
+        again when the shape changes. Its contents are dead between calls; it
+        is never returned in a ciphertext."""
+        if self._buf is None or self._buf.shape != shape:
+            self._buf = np.empty(shape)
         return self._buf
 
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
         # slots is always a fresh result buffer, so the draw is added in place;
-        # sigma * z is what normal(0, sigma) computes from the same z stream
+        # sigma * z is what normal(0, sigma) computes from the same z stream,
+        # and a (B, n) draw is B consecutive slot-width draws
         if self.config.noise_std > 0:
-            z = self.rng.standard_normal(out=self._scratch())
+            z = self.rng.standard_normal(out=self._scratch(slots.shape))
             z *= self.config.noise_std
             slots += z
         return slots
 
 
-def context_create(config: BackendConfig) -> KeyContext:
+def context_create(config: BackendConfig, stream: int | None = None) -> KeyContext:
     """Create a key context. The key tag is derived from the seed so that two
     processes configured identically interoperate (needed by the networked
-    deployment)."""
+    deployment). Noise is drawn from ``default_rng(seed)``; a second party
+    holding the same key passes its own ``stream`` tag and draws from
+    ``default_rng([seed, stream])``, since two parties drawing one stream
+    would add the same noise."""
     key_id = (config.seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF
-    return KeyContext(config, key_id)
+    rng = None if stream is None else np.random.default_rng([config.seed, stream])
+    return KeyContext(config, key_id, rng=rng)
 
 
 # -- homomorphic operations -------------------------------------------------
 
 def _as_operands(a: PackedCiphertext, b):
-    """Return (ctx, a_slots, b_slots, b_level, b_bound) handling plaintext b."""
-    ctx = a._ctx
+    """Return (ctx, a_slots, b_slots, b_level, b_bound, rows) handling
+    plaintext b; ``rows`` is the batch size of the result."""
+    sa = a._slots
     if isinstance(b, PackedCiphertext):
         if b.key_id != a.key_id:
             raise KeyMismatch("operands were created under different keys")
-        return ctx, a._slots, b._slots, b.level, b.noise_bound
-    m = np.asarray(b, dtype=float)
-    if m.shape != a._slots.shape:
-        raise ValueError(f"plaintext operand shape {m.shape} does not match slots")
-    return ctx, a._slots, m, 0, 0.0
+        sb, level, bound = b._slots, b.level, b.noise_bound
+        if sa.ndim == 1 == sb.ndim:  # one ciphertext each, of one slot width
+            return a._ctx, sa, sb, level, bound, 1
+    else:
+        sb, level, bound = np.asarray(b, dtype=float), 0, 0.0
+    shape = _batch(sa, sb)
+    return a._ctx, sa, sb, level, bound, 1 if len(shape) == 1 else shape[0]
 
 
 def _result(ctx, slots, level, noise_bound) -> PackedCiphertext:
@@ -202,28 +234,28 @@ def _result(ctx, slots, level, noise_bound) -> PackedCiphertext:
 
 def hom_add(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise addition; second operand may be a plaintext vector."""
-    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
-    ctx.op_counts["add"] += 1
+    ctx, sa, sb, lev_b, nb_b, rows = _as_operands(a, b)
+    ctx.op_counts["add"] += rows
     return _result(ctx, sa + sb, max(a.level, lev_b), a.noise_bound + nb_b)
 
 
 def hom_sub(a: PackedCiphertext, b) -> PackedCiphertext:
-    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
-    ctx.op_counts["add"] += 1
+    ctx, sa, sb, lev_b, nb_b, rows = _as_operands(a, b)
+    ctx.op_counts["add"] += rows
     return _result(ctx, sa - sb, max(a.level, lev_b), a.noise_bound + nb_b)
 
 
 def hom_neg(a: PackedCiphertext) -> PackedCiphertext:
     ctx = a._ctx
-    ctx.op_counts["add"] += 1
+    ctx.op_counts["add"] += 1 if a._slots.ndim == 1 else len(a._slots)
     return _result(ctx, -a._slots, a.level, a.noise_bound)
 
 
 def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise product. Consumes one multiplicative level; raises
     DepthExhausted when the budget would be exceeded (no bootstrapping)."""
-    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
-    ctx.op_counts["mul"] += 1
+    ctx, sa, sb, lev_b, nb_b, rows = _as_operands(a, b)
+    ctx.op_counts["mul"] += rows
     # First-order noise propagation: each operand's noise scaled by the
     # other's magnitude, plus the fresh operation noise. A zero coefficient
     # skips its magnitude scan (the same sum for finite slots).
@@ -240,9 +272,10 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     """Circular left rotation: result slot j holds input slot (j+i) mod d."""
     ctx = a._ctx
     i = i % ctx.config.slot_count
-    ctx.op_counts["rot"] += 1
     s = a._slots
-    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound)
+    ctx.op_counts["rot"] += 1 if s.ndim == 1 else len(s)
+    return _result(ctx, np.concatenate((s[..., i:], s[..., :i]), axis=-1), a.level,
+                   a.noise_bound)
 
 
 def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
@@ -266,11 +299,13 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
     terms = list(terms)
     if not terms:
         raise ValueError("hom_dot needs at least one term")
-    ctx = terms[0][0]._ctx
+    a, b, _ = terms[0]
+    ctx = a._ctx
     cfg = ctx.config
     sigma, n = cfg.noise_std, cfg.slot_count
-    out = np.empty(n)
-    tmp = ctx._scratch() if len(terms) > 1 else None
+    batched = a._slots.ndim + b._slots.ndim > 2
+    out = np.empty(_batch(a._slots, b._slots) if batched else n)
+    tmp = ctx._scratch(out.shape) if len(terms) > 1 else None
     for t, (a, b, s) in enumerate(terms):
         if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
@@ -292,33 +327,52 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
         # a * rot_s(b) without materializing the rotation
         i = s % n
         dst = out if t == 0 else tmp
-        np.multiply(a._slots[:n - i], b._slots[i:], out=dst[:n - i])
-        if i:
-            np.multiply(a._slots[n - i:], b._slots[:i], out=dst[n - i:])
+        if batched:
+            _rows_product(a._slots, b._slots, i, dst)
+        else:
+            np.multiply(a._slots[:n - i], b._slots[i:], out=dst[:n - i])
+            if i:
+                np.multiply(a._slots[n - i:], b._slots[:i], out=dst[n - i:])
         if t:
             out += tmp
+    rows = len(out) if batched else 1
     for a, b, _ in terms:
-        b._ctx.op_counts["rot"] += 1
-        a._ctx.op_counts["mul"] += 1
-    ctx.op_counts["add"] += len(terms) - 1
+        b._ctx.op_counts["rot"] += rows
+        a._ctx.op_counts["mul"] += rows
+    ctx.op_counts["add"] += (len(terms) - 1) * rows
     if sigma > 0:
         if noise_scale is None:
             noise_scale = dot_noise_scale(a for a, _, _ in terms)
-        z = ctx.rng.standard_normal(out=ctx._scratch())
+        z = ctx.rng.standard_normal(out=ctx._scratch(out.shape))
         z *= noise_scale
         out += z
     return PackedCiphertext(_slots=out, level=acc_level, noise_bound=acc_bound,
                             key_id=ctx.key_id, _ctx=ctx)
 
 
+def _rows_product(sa: np.ndarray, sb: np.ndarray, i: int, dst: np.ndarray):
+    """dst = sa * rot_i(sb) for one ``hom_dot`` term of a (rows, n) batch,
+    on (rows, n) views: an (n,) operand is one row that broadcasts."""
+    if _batch(sa, sb) != dst.shape:
+        raise ValueError(f"hom_dot terms of shapes {dst.shape} and {_batch(sa, sb)} differ")
+    n = dst.shape[1]
+    sa, sb = sa.reshape(-1, n), sb.reshape(-1, n)
+    if not i:
+        np.multiply(sa, sb, out=dst)
+        return
+    np.multiply(sa[:, :n - i], sb[:, i:], out=dst[:, :n - i])
+    np.multiply(sa[:, n - i:], sb[:, :i], out=dst[:, n - i:])
+
+
 def dot_noise_scale(coeffs) -> np.ndarray:
     """Per-slot standard deviation of ``hom_dot``'s one noise draw for the
     coefficient ciphertexts a_t, in term order: sigma * sqrt(sum_t a_t^2 +
-    2T - 1), with sigma of the first a_t's context."""
+    2T - 1), with sigma of the first a_t's context; of the first a_t's
+    shape, which the others broadcast to."""
     coeffs = list(coeffs)
     ctx = coeffs[0]._ctx
-    scale = np.full(ctx.config.slot_count, 2.0 * len(coeffs) - 1)
-    sq = ctx._scratch()
+    scale = np.full(coeffs[0]._slots.shape, 2.0 * len(coeffs) - 1)
+    sq = ctx._scratch(scale.shape)
     for a in coeffs:
         scale += np.square(a._slots, out=sq)
     np.sqrt(scale, out=scale)
@@ -343,11 +397,17 @@ def pad_slots(values, slot_count: int) -> np.ndarray:
 # slot_count f64 slot values, f64 noise_bound.
 
 def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
-    """The wire blob, written into one buffer."""
-    n = len(c._slots)
+    """The wire blob, written into one buffer. A batch of B = 1 is sent as
+    its one ciphertext; a larger batch raises ``ValueError``."""
+    slots = c._slots
+    if slots.ndim != 1:
+        if len(slots) != 1:
+            raise ValueError(f"the wire carries one ciphertext, not a batch of {len(slots)}")
+        slots = slots[0]
+    n = len(slots)
     blob = bytearray(24 + 8 * n)
     struct.pack_into("<IIQ", blob, 0, n, c.level, c.key_id)
-    np.frombuffer(blob, "<f8", count=n, offset=16)[:] = c._slots
+    np.frombuffer(blob, "<f8", count=n, offset=16)[:] = slots
     struct.pack_into("<d", blob, 16 + 8 * n, c.noise_bound)
     return blob
 

@@ -2,7 +2,8 @@
 
 Subcommands:
   simulate    run one scenario from a JSON config, write trace CSV / SVG
-  montecarlo  detection-rate experiment, write per-step histogram CSV
+  montecarlo  detection-rate experiment: print its wall time and trials/s,
+              write per-step histogram CSV
   probe       print guess-success probabilities and bounds per expansion factor
   net         run one networked role (plant, controller, or attacker proxy)
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import verify
 from .scenario import ConfigError, ScenarioConfig, run_scenario, write_trace_svg
@@ -79,14 +81,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    start = time.perf_counter()
     try:
         result = verify.run_detection_experiment(args.expansion, args.attack_len,
                                                  args.trials, mode=args.mode,
                                                  seed=args.seed)
     except ValueError as exc:  # the experiment checks its inputs before it runs
         raise ConfigError("montecarlo", str(exc)) from exc
+    elapsed = time.perf_counter() - start
     print(f"lambda={args.expansion}  L={args.attack_len}  trials={args.trials}  "
-          f"mode={args.mode}")
+          f"mode={args.mode}  time={elapsed:.4g} s  trials/s={args.trials / elapsed:.0f}")
     print("k*    detected")
     for k in range(1, args.attack_len + 1):
         print(f"{k:<5d} {100 * result['fractions'][k]:6.2f}%")

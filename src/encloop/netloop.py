@@ -50,6 +50,9 @@ _VALID_TYPES = {MSG_ENC_Y, MSG_ENC_U, MSG_HELLO, MSG_BYE, MSG_ABORT}
 
 MAX_PAYLOAD = 2 ** 31
 HELLO_MAX_PAYLOAD = 2 ** 20  # a scenario configuration as JSON
+# the controller's noise stream tag: seeded like the plant, it would otherwise
+# draw the plant's noise blocks again, offset by the blocks its own set-up drew
+CONTROLLER_STREAM = 0xC7
 
 
 class FrameError(ValueError):
@@ -179,7 +182,7 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
     with _accept_one(listen, ready) as conn:
         try:
             cfg, _ = _recv_hello(conn)
-            ctx = context_create(cfg.backend)
+            ctx = context_create(cfg.backend, stream=CONTROLLER_STREAM)
             verified = cfg.scenario == "verified_attack"
             expansion = cfg.expansion if verified else 1
             enc_ctrl = control.encrypt_controller(ctx, cfg.controller, expansion)

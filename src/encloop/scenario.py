@@ -58,6 +58,22 @@ def _section(name: str):
         raise ConfigError(name, str(exc)) from exc
 
 
+def _count(value, key: str) -> int:
+    """The count ``value`` of ``key`` as an int; a boolean or a number with a
+    fractional part, infinite or NaN raises ``ValueError`` rather than being
+    truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, *arrays):
+    """Raise ``ValueError`` unless every entry of ``arrays`` is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite, got {np.asarray(a).tolist()}")
+
+
 def _parsed():
     """A field derived from the document, set once by ``__post_init__``."""
     return field(init=False, repr=False, compare=False)
@@ -93,15 +109,15 @@ class ScenarioConfig:
             raise ConfigError("scenario", f"unknown scenario {scenario!r}; "
                               f"expected one of {', '.join(SCENARIOS)}")
         with _section("seed"):
-            seed = int(raw.get("seed", 0))
+            seed = _count(raw.get("seed", 0), "seed")
         be = raw.get("backend", {})
         _check_keys("backend", be)
         with _section("backend"):
             backend = BackendConfig(
-                slot_count=int(be.get("slot_count", 64)),
+                slot_count=_count(be.get("slot_count", 64), "slot_count"),
                 noise_std=float(be.get("noise_std", 0.0)),
-                max_depth=int(be.get("max_depth", 16)),
-                seed=int(be.get("seed", seed)),
+                max_depth=_count(be.get("max_depth", 16), "max_depth"),
+                seed=_count(be.get("seed", seed), "seed"),
             )
 
         model_raw = raw.get("model", "quadruple_tank")
@@ -112,6 +128,7 @@ class ScenarioConfig:
             with _section("model"):
                 model = control.LtiModel(A=model_raw["A"], B=model_raw["B"],
                                          C=model_raw["C"])
+                _finite("model", model.A, model.B, model.C)
         else:
             raise ConfigError("model", f"unknown model preset {model_raw!r}")
 
@@ -122,11 +139,13 @@ class ScenarioConfig:
             _check_keys("controller", ctrl_raw)
             with _section("controller"):
                 ctrl = control.AffineController(K=ctrl_raw["K"], u0=ctrl_raw["u0"])
+                _finite("controller", ctrl.K, ctrl.u0)
         else:
             raise ConfigError("controller", f"unknown controller preset {ctrl_raw!r}")
 
         with _section("x0"):
             x0 = np.asarray(raw.get("x0", control.TANK_X0), dtype=float)
+            _finite("x0", x0)
         if x0.shape != (model.n,):
             raise ConfigError("x0", f"expected length {model.n}, got {x0.shape}")
 
@@ -145,18 +164,19 @@ class ScenarioConfig:
                 plan = attack.AttackPlan(
                     schedule={int(k): np.asarray(v, dtype=float)
                               for k, v in atk.get("a_u", {}).items()},
-                    length=int(atk["length"]),
-                    cooldown_len=int(atk.get("cooldown_len", model.n)),
+                    length=_count(atk["length"], "length"),
+                    cooldown_len=_count(atk.get("cooldown_len", model.n), "cooldown_len"),
                 )
                 if any(a.shape != (model.m,) for a in plan.schedule.values()):
                     raise ValueError(f"bias vectors must have length {model.m}")
+                _finite("bias vectors", *plan.schedule.values())
                 attack.check_cooldown(model, plan)
 
         ver = raw.get("verify", {})
         _check_keys("verify", ver)
         with _section("verify"):
-            expansion = int(ver.get("expansion", 4))
-            num_challenges = int(ver.get("num_challenges", 16))
+            expansion = _count(ver.get("expansion", 4), "expansion")
+            num_challenges = _count(ver.get("num_challenges", 16), "num_challenges")
             threshold = float(ver.get("threshold", 1e-9))
             if scenario == "verified_attack":
                 verify.check_params(expansion, num_challenges, threshold)
@@ -186,8 +206,8 @@ class ScenarioConfig:
                                   f"got {backend.max_depth}")
 
         with _section("horizon"):
-            pre_roll = int(raw.get("pre_roll", 20))
-            steps = int(raw.get("steps", 40))
+            pre_roll = _count(raw.get("pre_roll", 20), "pre_roll")
+            steps = _count(raw.get("steps", 40), "steps")
         if pre_roll < 0 or steps < 1:
             raise ConfigError("horizon", "pre_roll must be >= 0 and steps >= 1")
 

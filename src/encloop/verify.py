@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import BackendConfig, context_create, hom_add, pad_slots
+from .backend import BackendConfig, context_create, hom_add
 from .linalg import enc_matvec, encrypt_matrix, next_pow2
 
 __all__ = [
@@ -58,8 +58,8 @@ class VerifierContext:
 class PermutationTag:
     """Client-side record of one encode step; never transmitted."""
 
-    perm: np.ndarray           # encoded block j carries pre-shuffle block perm[j]
-    challenge_indices: list[int]
+    perm: np.ndarray               # encoded block j carries pre-shuffle block perm[j]
+    challenge_indices: np.ndarray  # challenge of pre-shuffle block half + i, per i
 
     def payload_positions(self) -> set[int]:
         half = len(self.perm) // 2
@@ -80,6 +80,7 @@ class DecodeOutcome:
 
 
 CHALLENGE_RANGE = 10.0  # challenge inputs are drawn uniformly from [-10, 10)
+FULL_MODE_SLOTS = 1 << 16  # slots per batched step of a full-mode experiment: bounds its memory
 
 
 def check_params(expansion: int, num_challenges: int = 1, threshold: float = 1e-9):
@@ -157,13 +158,8 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
     w = np.asarray(w, dtype=float).ravel()
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
-    lam, d = ctx.expansion, ctx.block_dim
-    half = lam // 2
-    challenge_indices = [int(ctx.rng.integers(0, len(ctx.challenges))) for _ in range(half)]
-    perm = ctx.rng.permutation(lam)
-    blocks = [w] * half + [ctx.challenges[i] for i in challenge_indices]
-    encoded = np.concatenate([blocks[perm[j]] for j in range(lam)])
-    return encoded, PermutationTag(perm=perm, challenge_indices=challenge_indices)
+    encoded, perm, indices = _encode(ctx, w, 1)
+    return encoded[0], PermutationTag(perm=perm[0], challenge_indices=indices[0])
 
 
 def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
@@ -180,16 +176,95 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
     eps = max(ctx.threshold, 8.0 * noise_bound)
+    deviation, accepted, payload = _decode(ctx, tag.perm[None], tag.challenge_indices[None],
+                                           z_tilde[None], eps)
+    deviation = deviation[0]
+    if len(accepted):
+        return DecodeOutcome(eps=eps, deviation=deviation, payload=payload[0])
+    return DecodeOutcome(eps=eps, deviation=deviation, bottom=True,
+                         failed_challenges=np.flatnonzero(~(deviation <= eps)).tolist())
+
+
+# -- the batch core: encoding, decoding and guessing for B steps at once ---------
+# ecd, dcd, guess_blocks and block_mask are its one-row case. A batch draws
+# each kind of value for all rows at once, in the one-step order (challenge
+# indices, permutations, guesses, then replica picks), so one row draws the
+# one-step stream exactly: integers(0, M, size=k) is the stream of k scalar
+# integers(0, M). Where an array call's fixed cost would dominate (a draw
+# or two, one row), the scalar calls are made instead.
+
+def _permutations(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """A (rows, n) array whose row r is a uniform permutation of r*n ..
+    r*n + n - 1: indices into a flattened (rows, n) array, so that a gather
+    or scatter by them needs no row offsets. Row 0 is a permutation of
+    range(n)."""
+    if rows == 1:
+        return rng.permutation(n)[None]
+    out = np.arange(rows * n).reshape(rows, n)
+    return rng.permuted(out, axis=1, out=out)
+
+
+def _encode(ctx: VerifierContext, w: np.ndarray, rows: int):
+    """Encode payload block ``w`` for ``rows`` steps: per row, lambda/2
+    challenge indices, then a permutation. Returns the encoded rows
+    (rows, lambda*d), the permutations (rows, lambda) in the flat form of
+    ``_permutations`` and the challenge indices (rows, lambda/2)."""
+    lam, d, m = ctx.expansion, ctx.block_dim, len(ctx.challenges)
     half = lam // 2
-    blocks = np.zeros((lam, d))
-    blocks[tag.perm] = z_tilde.reshape(lam, d)
-    deviation = np.abs(blocks[half:] - ctx.challenge_outputs[tag.challenge_indices]).max(axis=1)
-    failed = np.flatnonzero(~(deviation <= eps)).tolist()  # a NaN deviation fails
-    if failed:
-        return DecodeOutcome(eps=eps, deviation=deviation, bottom=True,
-                             failed_challenges=failed)
-    pick = int(ctx.rng.integers(0, half))
-    return DecodeOutcome(eps=eps, deviation=deviation, payload=blocks[pick])
+    # source[r, p] is the table row of pre-shuffle block p: challenge i is
+    # row i, the payload row m
+    if rows * half <= 2:
+        source = np.array([[m] * half + [int(ctx.rng.integers(0, m)) for _ in range(half)]
+                           for _ in range(rows)])
+    else:
+        source = np.empty((rows, lam), dtype=np.int64)
+        source[:, :half] = m
+        source[:, half:] = ctx.rng.integers(0, m, size=(rows, half))
+    perm = _permutations(ctx.rng, rows, lam)
+    table = np.concatenate((ctx.challenges, w[None]))
+    encoded = table[source.ravel()[perm]]
+    return encoded.reshape(rows, lam * d), perm, source[:, half:]
+
+
+def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
+            z: np.ndarray, eps: float):
+    """Check ``rows`` responses ``z`` (rows, lambda*d) encoded with the flat
+    permutations ``perm`` and challenge ``indices`` against threshold
+    ``eps``. Returns each challenge block's deviation (rows, lambda/2), the
+    rows whose challenges all passed, and one payload replica of each of
+    them, drawn uniformly at random (accepted rows, d)."""
+    lam, d = ctx.expansion, ctx.block_dim
+    rows = len(z)
+    blocks = np.empty((rows * lam, d))
+    blocks[perm.ravel()] = z.reshape(rows * lam, d)
+    blocks = blocks.reshape(rows, lam, d)
+    deviation = np.abs(blocks[:, lam // 2:] - ctx.challenge_outputs[indices])
+    deviation = np.maximum.reduce(deviation, axis=2)
+    # a NaN deviation fails
+    accepted = (np.maximum.reduce(deviation, axis=1) <= eps).nonzero()[0]
+    if not len(accepted):
+        return deviation, accepted, blocks[:0, 0]
+    # one scalar draw is the stream of size=1, and cheaper
+    picks = ctx.rng.integers(0, lam // 2, size=None if len(accepted) == 1 else len(accepted))
+    return deviation, accepted, blocks[accepted, picks]
+
+
+def _guesses(expansion: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` uniformly random lambda/2-subsets of block indices (rows,
+    lambda/2): the first half of each permutation, taken mod lambda."""
+    return _permutations(rng, rows, expansion)[:, : expansion // 2] % expansion
+
+
+def _block_masks(block_dim: int, slot_count: int, blocks: np.ndarray, delta) -> np.ndarray:
+    """(rows, slot_count) plaintext masks, row r carrying ``delta`` in the
+    block positions ``blocks[r]``."""
+    delta = np.asarray(delta, dtype=float).ravel()
+    if len(delta) > block_dim:
+        raise ValueError(f"delta of length {len(delta)} exceeds block_dim {block_dim}")
+    mask = np.zeros((len(blocks), slot_count))
+    by_block = mask.reshape(len(blocks), slot_count // block_dim, block_dim)
+    by_block[np.arange(len(blocks))[:, None], blocks, :len(delta)] = delta
+    return mask
 
 
 # -- attack success statistics ------------------------------------------------
@@ -213,16 +288,12 @@ def p_succ_cumulative(expansion: int, steps: int) -> float:
 
 def block_mask(block_dim: int, slot_count: int, blocks, delta) -> np.ndarray:
     """Plaintext mask carrying ``delta`` in the given block positions."""
-    delta = np.asarray(delta, dtype=float).ravel()
-    mask = np.zeros(slot_count)
-    for b in blocks:
-        mask[b * block_dim: b * block_dim + len(delta)] = delta
-    return mask
+    return _block_masks(block_dim, slot_count, np.fromiter(blocks, np.int64)[None], delta)[0]
 
 
 def guess_blocks(expansion: int, rng: np.random.Generator) -> frozenset[int]:
     """Uniformly random lambda/2-subset of block indices."""
-    return frozenset(int(i) for i in rng.permutation(expansion)[: expansion // 2])
+    return frozenset(_guesses(expansion, rng, 1)[0].tolist())
 
 
 # -- detection experiments -----------------------------------------------------
@@ -240,9 +311,12 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
     vectorized); ``full`` runs the complete encrypted encode-evaluate-decode
     pipeline per step. Full mode builds one deployment per experiment (key
     context, verifier and encrypted server matrix) and shares it across
-    trials, with one RNG stream, the verifier's, drawing every step's
-    permutation, challenges and guess; each step draws afresh, so trials stay
-    independent. Both modes follow the same detection law. Raises
+    trials. Every live trial takes its step k in one batched pipeline step
+    (ciphertexts of shape (B, n)), in chunks of at most ``FULL_MODE_SLOTS``
+    slots, and detected trials drop out. One RNG stream, the verifier's,
+    draws every step's permutations, challenges and guesses; each step draws
+    afresh, so trials stay independent. Both modes follow the same detection
+    law. Raises
     ``ValueError`` unless the expansion is even and at least 2, and the
     attack length and the number of trials are at least 1.
     """
@@ -291,18 +365,25 @@ def _detect_full(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
     slot_count = next_pow2(lam)  # block_dim 1: smallest pipeline that fits
     counts = {k: 0 for k in range(1, L + 1)}
     # one deployment serves every trial; the verifier's stream draws each
-    # step's permutation, challenges and guess, so trials stay independent
+    # step's permutations, challenges and guesses, so trials stay independent
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=L + 2, seed=seed))
     vctx = setup(slot_count, 1, lambda x: 2.0 * x, lam, num_challenges=4, seed=seed)
     enc_h = encrypt_matrix(ctx, 2.0 * np.eye(slot_count))
     w, delta = np.array([1.0]), np.array([3.0])
-    for _ in range(trials):
+    chunk = max(1, FULL_MODE_SLOTS // slot_count)
+    for first in range(0, trials, chunk):
+        # every live trial of the chunk takes its step k in one batch
+        alive = min(chunk, trials - first)
         for k in range(1, L + 1):
-            encoded, tag = ecd(vctx, w)
-            c = ctx.encrypt(pad_slots(encoded, slot_count))
-            c = hom_add(c, block_mask(1, slot_count, guess_blocks(lam, vctx.rng), delta))
-            z = enc_matvec(enc_h, c)
-            if dcd(vctx, tag, ctx.decrypt(z)[:lam]).bottom:
-                counts[k] += 1
+            encoded, perm, indices = _encode(vctx, w, alive)
+            slots = np.zeros((alive, slot_count))
+            slots[:, :lam] = encoded
+            c = ctx.encrypt(slots)
+            c = hom_add(c, _block_masks(1, slot_count, _guesses(lam, vctx.rng, alive), delta))
+            z = ctx.decrypt(enc_matvec(enc_h, c))
+            accepted = len(_decode(vctx, perm, indices, z[:, :lam], vctx.threshold)[2])
+            counts[k] += alive - accepted
+            alive = accepted
+            if not alive:
                 break
     return counts

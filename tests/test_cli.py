@@ -123,6 +123,22 @@ class TestSimulate:
         assert f"config error: {section}:" in err and "must be finite" in err
 
 
+    @pytest.mark.parametrize("section, extra, message", [
+        ("x0", {"x0": [float("nan"), 0, 0, 0]}, "x0 must be finite"),
+        ("attack", {"attack": {"a_u": {"0": [float("nan"), 1.0]}, "length": 10}},
+         "bias vectors must be finite"),
+        ("horizon", {"steps": 2.7}, "steps must be an integer, got 2.7"),
+        ("horizon", {"pre_roll": True}, "pre_roll must be an integer, got True")])
+    def test_truncated_or_non_finite_number_exit_one(self, tmp_path, capsys, section, extra,
+                                                     message):
+        """Each ran to exit 0 before: NaN inputs gave an all-NaN trace, and
+        int() truncated 2.7 to 2 and read true as 1."""
+        raw = dict(BASELINE, scenario="attack_plain", **extra)
+        raw.setdefault("attack", VERIFIED["attack"])
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert f"config error: {section}: {message}" in capsys.readouterr().err
+
+
 class TestMontecarlo:
     def test_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
@@ -143,7 +159,11 @@ class TestMontecarlo:
         code = main(["montecarlo", "--lambda", "2", "--attack-len", "2",
                      "--trials", "500", "--mode", "full", "--seed", "1"])
         assert code == 0
-        assert "mode=full" in capsys.readouterr().out
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "mode=full" in summary
+        fields = dict(f.split("=") for f in summary.replace(" s ", " ").split())
+        seconds, rate = float(fields["time"]), float(fields["trials/s"])
+        assert seconds > 0 and rate == pytest.approx(500 / seconds, rel=1e-2, abs=1)
 
     @pytest.mark.parametrize("args, message", [
         (["--lambda", "0"], "expansion factor must be even and >= 2, got 0"),

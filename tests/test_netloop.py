@@ -284,6 +284,31 @@ class TestPlantControllerLoop:
         assert "error" not in ctrl_result
         assert ctrl_result["y_c"] == [] and ctrl_result["u_c"] == []
 
+    def test_roles_draw_their_own_noise(self, monkeypatch):
+        """The plant and the controller hold one key and one seed but draw
+        noise from different streams: no draw of one appears among the
+        other's, at any lag."""
+        states = {}
+        real = netloop.context_create
+
+        def recording(config, stream=None):
+            ctx = real(config, stream)
+            states[stream] = ctx.rng.bit_generator.state
+            return ctx
+
+        monkeypatch.setattr(netloop, "context_create", recording)
+        cfg = baseline_cfg(steps=5, pre_roll=0, seed=7,
+                           backend={"slot_count": 64, "noise_std": 1e-6})
+        trace, ctrl_result, _ = run_pipeline(cfg)
+        assert "error" not in ctrl_result and len(trace) == 5
+        assert set(states) == {None, netloop.CONTROLLER_STREAM}
+        draws = []
+        for state in states.values():
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            draws.append(rng.standard_normal(64 * 20))
+        assert np.intersect1d(*draws).size == 0
+
     def test_controller_survives_garbage(self):
         port = free_port()
         ready = threading.Event()

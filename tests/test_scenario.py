@@ -16,6 +16,7 @@ from encloop.scenario import (
     write_trace_svg,
 )
 
+NAN, INF = float("nan"), float("inf")
 STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
                "length": 10, "cooldown_len": 4}
 
@@ -218,6 +219,41 @@ class TestMalformedValues:
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(raw)
         assert exc.value.name == section
+
+    @pytest.mark.parametrize("section, extra", [
+        ("x0", {"x0": [NAN, 0.0, 0.0, 0.0]}),
+        ("x0", {"x0": [0.0, INF, 0.0, 0.0]}),
+        ("attack", {"attack": dict(STEP_ATTACK, a_u={"0": [NAN, 1.0]})}),
+        ("attack", {"attack": dict(STEP_ATTACK, a_u={"0": [1.0, -INF]})}),
+        ("model", {"model": {"A": [[NAN]], "B": [[1.0]], "C": [[1.0]]}}),
+        ("model", {"model": {"A": [[0.5]], "B": [[INF]], "C": [[1.0]]}}),
+        ("controller", {"controller": {"K": [[NAN, 0.0]], "u0": [0.0]}}),
+        ("controller", {"controller": {"K": [[1.0, 0.0]], "u0": [INF]}})])
+    def test_non_finite_array_refused(self, section, extra):
+        with pytest.raises(ConfigError, match="must be finite") as exc:
+            ScenarioConfig.from_dict(minimal("attack_plain", **extra))
+        assert exc.value.name == section
+
+    @pytest.mark.parametrize("section, extra", [
+        ("horizon", {"steps": 2.7}), ("horizon", {"pre_roll": True}),
+        ("horizon", {"steps": NAN}), ("horizon", {"pre_roll": INF}),
+        ("seed", {"seed": 1.5}), ("seed", {"seed": False}),
+        ("backend", {"backend": {"slot_count": 64.5}}),
+        ("backend", {"backend": {"max_depth": True}}),
+        ("backend", {"backend": {"seed": 2.5}}),
+        ("attack", {"attack": dict(STEP_ATTACK, length=10.5)}),
+        ("attack", {"attack": dict(STEP_ATTACK, cooldown_len=True)}),
+        ("verify", {"verify": {"expansion": 4.5}}),
+        ("verify", {"verify": {"num_challenges": True}})])
+    def test_count_must_be_an_integer(self, section, extra):
+        with pytest.raises(ConfigError, match="must be an integer") as exc:
+            ScenarioConfig.from_dict(minimal("attack_plain", **extra))
+        assert exc.value.name == section
+
+    def test_integral_float_count_accepted(self):
+        cfg = ScenarioConfig.from_dict(minimal(steps=3.0, backend={"slot_count": 64.0}))
+        assert (cfg.steps, cfg.backend.slot_count) == (3, 64)
+        assert type(cfg.steps) is int
 
     @pytest.mark.parametrize("key, value", [
         ("threshold", float("inf")), ("threshold", float("nan")), ("threshold", 0.0),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,35 @@ class TestEncodeDecode:
             if not tampered:
                 assert np.all(outcome.deviation <= outcome.eps)
 
+    @pytest.mark.parametrize("lam", [2, 4, 6, 16])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_one_step_replays_the_scalar_draws(self, lam, seed):
+        """One ecd and dcd draw what they drew as one-step code: lambda/2
+        scalar integers(0, M), one permutation(lambda), and one
+        integers(0, lambda/2) on accept only. The verifier's generator ends
+        in the replay's state, and the encoding is the replay's."""
+        vctx = make_vctx(expansion=lam, slot_count=2 * lam, seed=seed)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = vctx.rng.bit_generator.state
+        half, w = lam // 2, np.array([0.5, -1.5])
+        for tampered in (False, True, False):
+            encoded, tag = ecd(vctx, w)
+            indices = [int(replay.integers(0, 5)) for _ in range(half)]
+            perm = replay.permutation(lam)
+            blocks = [w] * half + [vctx.challenges[i] for i in indices]
+            assert tag.challenge_indices.tolist() == indices
+            assert np.array_equal(tag.perm, perm)
+            assert np.array_equal(encoded, np.concatenate([blocks[b] for b in perm]))
+            z = doubler(encoded)
+            if tampered:
+                z[2 * int(np.flatnonzero(perm >= half)[0])] += 1.0
+            outcome = dcd(vctx, tag, z)
+            assert outcome.bottom == tampered
+            if not tampered:
+                assert np.array_equal(outcome.payload, 2 * w)
+                replay.integers(0, half)
+            assert vctx.rng.bit_generator.state == replay.bit_generator.state
+
     def test_length_checks(self):
         vctx = make_vctx()
         with pytest.raises(ValueError):
@@ -286,12 +316,22 @@ class TestGuessing:
         obs = np.array(list(counts.values()))
         assert stats.chisquare(obs).pvalue > 0.001
 
+    @pytest.mark.parametrize("lam", [2, 4, 6, 16])
+    def test_guess_replays_one_permutation(self, lam):
+        rng, replay = np.random.default_rng(lam), np.random.default_rng(lam)
+        for _ in range(20):
+            assert guess_blocks(lam, rng) == frozenset(replay.permutation(lam)[: lam // 2].tolist())
+        assert rng.bit_generator.state == replay.bit_generator.state
+
     def test_block_mask(self):
         mask = block_mask(2, 16, {1, 3}, [5.0, 6.0])
         expected = np.zeros(16)
         expected[2:4] = [5, 6]
         expected[6:8] = [5, 6]
         assert np.array_equal(mask, expected)
+        assert np.array_equal(block_mask(4, 16, {2}, [7.0]), np.eye(16)[8] * 7.0)
+        with pytest.raises(ValueError, match="exceeds block_dim"):
+            block_mask(2, 16, {1}, [1.0, 2.0, 3.0])
 
 
 class TestDetectionExperiment:
@@ -348,6 +388,39 @@ class TestDetectionExperiment:
         res = run_detection_experiment(4, 3, 200, mode="full", seed=5)
         assert sum(res["counts"].values()) + res["undetected"] == 200
         assert calls == {"context_create": 1, "setup": 1, "encrypt_matrix": 1}
+
+    def test_full_mode_spans_chunks(self, monkeypatch):
+        """A slot budget of 64 makes chunks of 16 trials at lambda = 4: the
+        batches never exceed a chunk, the trials are conserved and the
+        counts follow the z = 5 binomial law."""
+        monkeypatch.setattr(verify, "FULL_MODE_SLOTS", 64)
+        rows = []
+        encode = verify._encode
+
+        def spy(ctx, w, n):
+            rows.append(n)
+            return encode(ctx, w, n)
+
+        monkeypatch.setattr(verify, "_encode", spy)
+        lam, L, trials = 4, 5, 3000
+        res = run_detection_experiment(lam, L, trials, mode="full", seed=9)
+        assert max(rows) == 16 and rows.count(16) >= trials // 16 - 1
+        assert sum(res["counts"].values()) + res["undetected"] == trials
+        p = p_succ_instant(lam)
+        for count, q in [(res["counts"][k], (1 - p) * p ** (k - 1)) for k in range(1, L + 1)]:
+            assert abs(count - trials * q) <= 5 * math.sqrt(trials * q * (1 - q)) + 1
+
+    def test_full_mode_memory_is_bounded(self):
+        """100k trials at lambda = 64 run in chunks: the traced peak stays
+        far below the ~50 MiB of one slot-width array over every trial."""
+        tracemalloc.start()
+        try:
+            res = run_detection_experiment(64, 10, 100_000, mode="full", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res["counts"][1] == 100_000
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_counts_conserve_trials(self):
         res = run_detection_experiment(8, 5, 10_000, mode="fast", seed=3)
