@@ -19,20 +19,10 @@ diagonals of an encrypted matrix) computes it once with ``dot_noise_scale``
 and passes it in.
 
 Per-step work that does not change is done once: every ``KeyContext`` owns
-one scratch buffer (allocated on first use, and again when the shape it is
-asked for changes) that its noise draws and ``hom_dot``'s partial products go
-through, and a ciphertext computes its max|slot| for the first-order noise
-bound once. The scratch buffer never ends up inside a ciphertext, and
-ciphertext slots are never mutated once built.
-
-Slots may carry a leading batch axis, shape (B, n): B ciphertexts under one
-key and at one level, which every operation acts on row by row. An unbatched
-(n,) operand, such as a matrix diagonal, broadcasts over the rows. Each
-batched op counts B in ``op_counts``, so counts stay per ciphertext; its noise
-draw is B consecutive slot-width draws, the draws of the same op applied to
-the rows in turn. ``noise_bound`` stays one scalar that bounds every row: each
-max|slot| in it is taken over all rows. The wire carries one ciphertext, so
-``serialize_ciphertext`` refuses a batch of more than one.
+one slot-width scratch buffer (allocated on first use) that its noise draws
+and ``hom_dot``'s partial products go through, and a ciphertext computes its
+max|slot| for the first-order noise bound once. The scratch buffer never ends
+up inside a ciphertext, and ciphertext slots are never mutated once built.
 """
 
 from __future__ import annotations
@@ -86,12 +76,13 @@ class BackendConfig:
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class PackedCiphertext:
-    """One SIMD ciphertext, or a batch of them (slots of shape (B, n)). Slot
-    values are private to the backend."""
+    """One SIMD ciphertext. Slot values are private to the backend."""
 
     _slots: np.ndarray
     level: int
@@ -112,17 +103,6 @@ def _max_abs(s: np.ndarray) -> float:
     return float(max(s.max(initial=0.0), -s.min(initial=0.0)))
 
 
-def _batch(sa: np.ndarray, sb: np.ndarray) -> tuple[int, ...]:
-    """The shape of a slotwise result of ``sa`` and ``sb``: equal shapes, or
-    an (n,) operand broadcast over the other's (B, n) rows."""
-    if sa.shape == sb.shape:
-        return sa.shape
-    if sa.ndim + sb.ndim == 3 and sa.shape[-1] == sb.shape[-1]:
-        return sa.shape if sa.ndim == 2 else sb.shape
-    raise ValueError(f"operand shapes {sa.shape} and {sb.shape} do not match: "
-                     f"batch sizes differ, or the slot widths do")
-
-
 class KeyContext:
     """Holds the backend config, a deterministic PRNG stream, and op counters.
 
@@ -136,9 +116,17 @@ class KeyContext:
         self.config = config
         self.key_id = key_id
         self.has_secret_key = has_secret_key
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._rng = rng
         self.op_counts = {"add": 0, "mul": 0, "rot": 0, "enc": 0, "dec": 0}
         self._buf: np.ndarray | None = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The noise stream, ``default_rng(seed)`` unless one was passed,
+        built on first use: a context that draws no noise builds none."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.config.seed)
+        return self._rng
 
     def public_context(self) -> "KeyContext":
         pub = KeyContext(self.config, self.key_id, has_secret_key=False,
@@ -148,12 +136,11 @@ class KeyContext:
     # -- core API ---------------------------------------------------------
 
     def encrypt(self, slots) -> PackedCiphertext:
-        """Encrypt n slot values, or a (B, n) batch of them row by row."""
         m = np.asarray(slots, dtype=float)
-        n = self.config.slot_count
-        if m.shape != (n,) and (m.ndim != 2 or m.shape[1] != n):
-            raise ValueError(f"plaintext length {m.shape} does not match slot_count {n}")
-        self.op_counts["enc"] += 1 if m.ndim == 1 else len(m)
+        if m.shape != (self.config.slot_count,):
+            raise ValueError(
+                f"plaintext length {m.shape} does not match slot_count {self.config.slot_count}")
+        self.op_counts["enc"] += 1
         return PackedCiphertext(
             _slots=self._noisy(m.copy()),
             level=0,
@@ -167,23 +154,21 @@ class KeyContext:
             raise KeyMismatch("this context holds no secret key")
         if c.key_id != self.key_id:
             raise KeyMismatch("ciphertext was created under a different key")
-        self.op_counts["dec"] += 1 if c._slots.ndim == 1 else len(c._slots)
+        self.op_counts["dec"] += 1
         return c._slots.copy()
 
-    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The context's work buffer of ``shape``, allocated on first use and
-        again when the shape changes. Its contents are dead between calls; it
-        is never returned in a ciphertext."""
-        if self._buf is None or self._buf.shape != shape:
-            self._buf = np.empty(shape)
+    def _scratch(self) -> np.ndarray:
+        """The context's slot-width work buffer, allocated on first use. Its
+        contents are dead between calls; it is never returned in a ciphertext."""
+        if self._buf is None:
+            self._buf = np.empty(self.config.slot_count)
         return self._buf
 
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
         # slots is always a fresh result buffer, so the draw is added in place;
-        # sigma * z is what normal(0, sigma) computes from the same z stream,
-        # and a (B, n) draw is B consecutive slot-width draws
+        # sigma * z is what normal(0, sigma) computes from the same z stream
         if self.config.noise_std > 0:
-            z = self.rng.standard_normal(out=self._scratch(slots.shape))
+            z = self.rng.standard_normal(out=self._scratch())
             z *= self.config.noise_std
             slots += z
         return slots
@@ -204,19 +189,16 @@ def context_create(config: BackendConfig, stream: int | None = None) -> KeyConte
 # -- homomorphic operations -------------------------------------------------
 
 def _as_operands(a: PackedCiphertext, b):
-    """Return (ctx, a_slots, b_slots, b_level, b_bound, rows) handling
-    plaintext b; ``rows`` is the batch size of the result."""
-    sa = a._slots
+    """Return (ctx, a_slots, b_slots, b_level, b_bound) handling plaintext b."""
+    ctx = a._ctx
     if isinstance(b, PackedCiphertext):
         if b.key_id != a.key_id:
             raise KeyMismatch("operands were created under different keys")
-        sb, level, bound = b._slots, b.level, b.noise_bound
-        if sa.ndim == 1 == sb.ndim:  # one ciphertext each, of one slot width
-            return a._ctx, sa, sb, level, bound, 1
-    else:
-        sb, level, bound = np.asarray(b, dtype=float), 0, 0.0
-    shape = _batch(sa, sb)
-    return a._ctx, sa, sb, level, bound, 1 if len(shape) == 1 else shape[0]
+        return ctx, a._slots, b._slots, b.level, b.noise_bound
+    m = np.asarray(b, dtype=float)
+    if m.shape != a._slots.shape:
+        raise ValueError(f"plaintext operand shape {m.shape} does not match slots")
+    return ctx, a._slots, m, 0, 0.0
 
 
 def _result(ctx, slots, level, noise_bound) -> PackedCiphertext:
@@ -234,28 +216,28 @@ def _result(ctx, slots, level, noise_bound) -> PackedCiphertext:
 
 def hom_add(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise addition; second operand may be a plaintext vector."""
-    ctx, sa, sb, lev_b, nb_b, rows = _as_operands(a, b)
-    ctx.op_counts["add"] += rows
+    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
+    ctx.op_counts["add"] += 1
     return _result(ctx, sa + sb, max(a.level, lev_b), a.noise_bound + nb_b)
 
 
 def hom_sub(a: PackedCiphertext, b) -> PackedCiphertext:
-    ctx, sa, sb, lev_b, nb_b, rows = _as_operands(a, b)
-    ctx.op_counts["add"] += rows
+    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
+    ctx.op_counts["add"] += 1
     return _result(ctx, sa - sb, max(a.level, lev_b), a.noise_bound + nb_b)
 
 
 def hom_neg(a: PackedCiphertext) -> PackedCiphertext:
     ctx = a._ctx
-    ctx.op_counts["add"] += 1 if a._slots.ndim == 1 else len(a._slots)
+    ctx.op_counts["add"] += 1
     return _result(ctx, -a._slots, a.level, a.noise_bound)
 
 
 def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise product. Consumes one multiplicative level; raises
     DepthExhausted when the budget would be exceeded (no bootstrapping)."""
-    ctx, sa, sb, lev_b, nb_b, rows = _as_operands(a, b)
-    ctx.op_counts["mul"] += rows
+    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
+    ctx.op_counts["mul"] += 1
     # First-order noise propagation: each operand's noise scaled by the
     # other's magnitude, plus the fresh operation noise. A zero coefficient
     # skips its magnitude scan (the same sum for finite slots).
@@ -272,10 +254,9 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     """Circular left rotation: result slot j holds input slot (j+i) mod d."""
     ctx = a._ctx
     i = i % ctx.config.slot_count
+    ctx.op_counts["rot"] += 1
     s = a._slots
-    ctx.op_counts["rot"] += 1 if s.ndim == 1 else len(s)
-    return _result(ctx, np.concatenate((s[..., i:], s[..., :i]), axis=-1), a.level,
-                   a.noise_bound)
+    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound)
 
 
 def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
@@ -299,13 +280,11 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
     terms = list(terms)
     if not terms:
         raise ValueError("hom_dot needs at least one term")
-    a, b, _ = terms[0]
-    ctx = a._ctx
+    ctx = terms[0][0]._ctx
     cfg = ctx.config
     sigma, n = cfg.noise_std, cfg.slot_count
-    batched = a._slots.ndim + b._slots.ndim > 2
-    out = np.empty(_batch(a._slots, b._slots) if batched else n)
-    tmp = ctx._scratch(out.shape) if len(terms) > 1 else None
+    out = np.empty(n)
+    tmp = ctx._scratch() if len(terms) > 1 else None
     for t, (a, b, s) in enumerate(terms):
         if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
@@ -327,52 +306,33 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
         # a * rot_s(b) without materializing the rotation
         i = s % n
         dst = out if t == 0 else tmp
-        if batched:
-            _rows_product(a._slots, b._slots, i, dst)
-        else:
-            np.multiply(a._slots[:n - i], b._slots[i:], out=dst[:n - i])
-            if i:
-                np.multiply(a._slots[n - i:], b._slots[:i], out=dst[n - i:])
+        np.multiply(a._slots[:n - i], b._slots[i:], out=dst[:n - i])
+        if i:
+            np.multiply(a._slots[n - i:], b._slots[:i], out=dst[n - i:])
         if t:
             out += tmp
-    rows = len(out) if batched else 1
     for a, b, _ in terms:
-        b._ctx.op_counts["rot"] += rows
-        a._ctx.op_counts["mul"] += rows
-    ctx.op_counts["add"] += (len(terms) - 1) * rows
+        b._ctx.op_counts["rot"] += 1
+        a._ctx.op_counts["mul"] += 1
+    ctx.op_counts["add"] += len(terms) - 1
     if sigma > 0:
         if noise_scale is None:
             noise_scale = dot_noise_scale(a for a, _, _ in terms)
-        z = ctx.rng.standard_normal(out=ctx._scratch(out.shape))
+        z = ctx.rng.standard_normal(out=ctx._scratch())
         z *= noise_scale
         out += z
     return PackedCiphertext(_slots=out, level=acc_level, noise_bound=acc_bound,
                             key_id=ctx.key_id, _ctx=ctx)
 
 
-def _rows_product(sa: np.ndarray, sb: np.ndarray, i: int, dst: np.ndarray):
-    """dst = sa * rot_i(sb) for one ``hom_dot`` term of a (rows, n) batch,
-    on (rows, n) views: an (n,) operand is one row that broadcasts."""
-    if _batch(sa, sb) != dst.shape:
-        raise ValueError(f"hom_dot terms of shapes {dst.shape} and {_batch(sa, sb)} differ")
-    n = dst.shape[1]
-    sa, sb = sa.reshape(-1, n), sb.reshape(-1, n)
-    if not i:
-        np.multiply(sa, sb, out=dst)
-        return
-    np.multiply(sa[:, :n - i], sb[:, i:], out=dst[:, :n - i])
-    np.multiply(sa[:, n - i:], sb[:, :i], out=dst[:, n - i:])
-
-
 def dot_noise_scale(coeffs) -> np.ndarray:
     """Per-slot standard deviation of ``hom_dot``'s one noise draw for the
     coefficient ciphertexts a_t, in term order: sigma * sqrt(sum_t a_t^2 +
-    2T - 1), with sigma of the first a_t's context; of the first a_t's
-    shape, which the others broadcast to."""
+    2T - 1), with sigma of the first a_t's context."""
     coeffs = list(coeffs)
     ctx = coeffs[0]._ctx
-    scale = np.full(coeffs[0]._slots.shape, 2.0 * len(coeffs) - 1)
-    sq = ctx._scratch(scale.shape)
+    scale = np.full(ctx.config.slot_count, 2.0 * len(coeffs) - 1)
+    sq = ctx._scratch()
     for a in coeffs:
         scale += np.square(a._slots, out=sq)
     np.sqrt(scale, out=scale)
@@ -397,17 +357,11 @@ def pad_slots(values, slot_count: int) -> np.ndarray:
 # slot_count f64 slot values, f64 noise_bound.
 
 def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
-    """The wire blob, written into one buffer. A batch of B = 1 is sent as
-    its one ciphertext; a larger batch raises ``ValueError``."""
-    slots = c._slots
-    if slots.ndim != 1:
-        if len(slots) != 1:
-            raise ValueError(f"the wire carries one ciphertext, not a batch of {len(slots)}")
-        slots = slots[0]
-    n = len(slots)
+    """The wire blob, written into one buffer."""
+    n = len(c._slots)
     blob = bytearray(24 + 8 * n)
     struct.pack_into("<IIQ", blob, 0, n, c.level, c.key_id)
-    np.frombuffer(blob, "<f8", count=n, offset=16)[:] = slots
+    np.frombuffer(blob, "<f8", count=n, offset=16)[:] = c._slots
     struct.pack_into("<d", blob, 16 + 8 * n, c.noise_bound)
     return blob
 

@@ -2,8 +2,8 @@
 
 Subcommands:
   simulate    run one scenario from a JSON config, write trace CSV / SVG
-  montecarlo  detection-rate experiment: print its wall time and trials/s,
-              write per-step histogram CSV
+  montecarlo  detection-rate experiment: print its wall time, trials/s and
+              (full mode) HE op counts, write per-step histogram CSV
   probe       print guess-success probabilities and bounds per expansion factor
   net         run one networked role (plant, controller, or attacker proxy)
 
@@ -89,8 +89,15 @@ def cmd_montecarlo(args) -> int:
     except ValueError as exc:  # the experiment checks its inputs before it runs
         raise ConfigError("montecarlo", str(exc)) from exc
     elapsed = time.perf_counter() - start
-    print(f"lambda={args.expansion}  L={args.attack_len}  trials={args.trials}  "
-          f"mode={args.mode}  time={elapsed:.4g} s  trials/s={args.trials / elapsed:.0f}")
+    summary = (f"lambda={args.expansion}  L={args.attack_len}  trials={args.trials}  "
+               f"mode={args.mode}  time={elapsed:.4g} s  trials/s={args.trials / elapsed:.0f}")
+    if "ops" in result:  # full mode: HE op counts, and per trial-step taken
+        ops = result["ops"]
+        steps = (sum(k * n for k, n in result["counts"].items())
+                 + args.attack_len * result["undetected"])
+        summary += "".join(f"  {op}={ops[op]}" for op in ("enc", "add", "mul", "rot", "dec"))
+        summary += f"  ops/trial-step={sum(ops.values()) / steps:.4g}"
+    print(summary)
     print("k*    detected")
     for k in range(1, args.attack_len + 1):
         print(f"{k:<5d} {100 * result['fractions'][k]:6.2f}%")

@@ -102,18 +102,19 @@ def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
                          f"exceed slot_count {dim}")
     r, c = np.nonzero(S)
     vals = S[r, c]
-    if copies > 1:
+    if copies > 1:  # (copies, nnz) positions; the values broadcast over copies
         b = np.arange(copies)[:, None]
-        r, c = (r + b * rows).ravel(), (c + b * cols).ravel()
-        vals = np.tile(vals, copies)
+        r, c = r + b * rows, c + b * cols
     keys = (c - r) % dim
-    indices = sorted(set(keys.tolist()))
+    present = np.zeros(dim, dtype=bool)
+    present[keys] = True
+    indices = np.flatnonzero(present)
     row = np.empty(dim, dtype=np.intp)  # wrapped diagonal -> row of ``diags``
     row[indices] = np.arange(len(indices))
     diags = np.zeros((len(indices), dim))
     diags[row[keys], r] = vals
     return DiagMatrixCipher(dim=dim, diagonals={
-        i: ctx.encrypt(diag) for i, diag in zip(indices, diags)})
+        i: ctx.encrypt(diag) for i, diag in zip(indices.tolist(), diags)})
 
 
 def decrypt_matrix(ctx: KeyContext, M: DiagMatrixCipher) -> np.ndarray:

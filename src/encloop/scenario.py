@@ -110,6 +110,8 @@ class ScenarioConfig:
                               f"expected one of {', '.join(SCENARIOS)}")
         with _section("seed"):
             seed = _count(raw.get("seed", 0), "seed")
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
         be = raw.get("backend", {})
         _check_keys("backend", be)
         with _section("backend"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import BackendConfig, context_create, hom_add
+from .backend import BackendConfig, context_create, hom_add, pad_slots
 from .linalg import enc_matvec, encrypt_matrix, next_pow2
 
 __all__ = [
@@ -80,7 +80,7 @@ class DecodeOutcome:
 
 
 CHALLENGE_RANGE = 10.0  # challenge inputs are drawn uniformly from [-10, 10)
-FULL_MODE_SLOTS = 1 << 16  # slots per batched step of a full-mode experiment: bounds its memory
+FULL_MODE_SLOTS = 1 << 16  # most slots full mode packs into a ciphertext: bounds its memory
 
 
 def check_params(expansion: int, num_challenges: int = 1, threshold: float = 1e-9):
@@ -185,13 +185,14 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
                          failed_challenges=np.flatnonzero(~(deviation <= eps)).tolist())
 
 
-# -- the batch core: encoding, decoding and guessing for B steps at once ---------
-# ecd, dcd, guess_blocks and block_mask are its one-row case. A batch draws
-# each kind of value for all rows at once, in the one-step order (challenge
-# indices, permutations, guesses, then replica picks), so one row draws the
-# one-step stream exactly: integers(0, M, size=k) is the stream of k scalar
-# integers(0, M). Where an array call's fixed cost would dominate (a draw
-# or two, one row), the scalar calls are made instead.
+# -- the batch core: encoding and decoding for B steps at once -------------------
+# ecd and dcd are its one-row case; full-mode Monte Carlo packs B trials into
+# one ciphertext through it. A batch draws each kind of value for all rows at
+# once, in the one-step order (challenge indices, permutations, then replica
+# picks), so one row draws the one-step stream exactly: integers(0, M,
+# size=k) is the stream of k scalar integers(0, M). Where an array call's
+# fixed cost would dominate (a draw or two, one row), the scalar calls are
+# made instead.
 
 def _permutations(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """A (rows, n) array whose row r is a uniform permutation of r*n ..
@@ -249,24 +250,6 @@ def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
     return deviation, accepted, blocks[accepted, picks]
 
 
-def _guesses(expansion: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` uniformly random lambda/2-subsets of block indices (rows,
-    lambda/2): the first half of each permutation, taken mod lambda."""
-    return _permutations(rng, rows, expansion)[:, : expansion // 2] % expansion
-
-
-def _block_masks(block_dim: int, slot_count: int, blocks: np.ndarray, delta) -> np.ndarray:
-    """(rows, slot_count) plaintext masks, row r carrying ``delta`` in the
-    block positions ``blocks[r]``."""
-    delta = np.asarray(delta, dtype=float).ravel()
-    if len(delta) > block_dim:
-        raise ValueError(f"delta of length {len(delta)} exceeds block_dim {block_dim}")
-    mask = np.zeros((len(blocks), slot_count))
-    by_block = mask.reshape(len(blocks), slot_count // block_dim, block_dim)
-    by_block[np.arange(len(blocks))[:, None], blocks, :len(delta)] = delta
-    return mask
-
-
 # -- attack success statistics ------------------------------------------------
 
 def p_succ_instant(expansion: int) -> float:
@@ -288,12 +271,18 @@ def p_succ_cumulative(expansion: int, steps: int) -> float:
 
 def block_mask(block_dim: int, slot_count: int, blocks, delta) -> np.ndarray:
     """Plaintext mask carrying ``delta`` in the given block positions."""
-    return _block_masks(block_dim, slot_count, np.fromiter(blocks, np.int64)[None], delta)[0]
+    delta = np.asarray(delta, dtype=float).ravel()
+    if len(delta) > block_dim:
+        raise ValueError(f"delta of length {len(delta)} exceeds block_dim {block_dim}")
+    mask = np.zeros(slot_count)
+    for b in blocks:
+        mask[b * block_dim: b * block_dim + len(delta)] = delta
+    return mask
 
 
 def guess_blocks(expansion: int, rng: np.random.Generator) -> frozenset[int]:
     """Uniformly random lambda/2-subset of block indices."""
-    return frozenset(_guesses(expansion, rng, 1)[0].tolist())
+    return frozenset(rng.permutation(expansion)[: expansion // 2].tolist())
 
 
 # -- detection experiments -----------------------------------------------------
@@ -305,28 +294,34 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
     Per trial the attacker guesses a block subset each step; the detection
     step k* is the first step whose guess misses the replica set. Returns
     ``{"counts": {k: int}, "undetected": int, "fractions": {...}, ...}`` with
-    k in 1..attack_len.
+    k in 1..attack_len; a full-mode result also carries ``"ops"``, the HE op
+    counts of its key context.
 
     ``fast`` draws the guess/replica subsets directly (no ciphertexts,
     vectorized); ``full`` runs the complete encrypted encode-evaluate-decode
     pipeline per step. Full mode builds one deployment per experiment (key
-    context, verifier and encrypted server matrix) and shares it across
-    trials. Every live trial takes its step k in one batched pipeline step
-    (ciphertexts of shape (B, n)), in chunks of at most ``FULL_MODE_SLOTS``
-    slots, and detected trials drop out. One RNG stream, the verifier's,
-    draws every step's permutations, challenges and guesses; each step draws
-    afresh, so trials stay independent. Both modes follow the same detection
-    law. Raises
-    ``ValueError`` unless the expansion is even and at least 2, and the
-    attack length and the number of trials are at least 1.
+    context, verifier and encrypted server matrix) and packs its trials into
+    the slots of one ciphertext, lambda slots per trial (block dimension 1),
+    as the verifier packs blocks: at most ``FULL_MODE_SLOTS`` slots, so the
+    trials run in chunks of ``FULL_MODE_SLOTS // lambda``. Every live trial
+    of a chunk takes its step k in one encrypt, splice, matvec and decrypt,
+    and detected trials drop out. One RNG stream, the verifier's, draws every
+    step's permutations, challenges and guesses; each step draws afresh, so
+    trials stay independent. Both modes follow the same detection law. Raises
+    ``ValueError`` unless the expansion is even and at least 2, the attack
+    length and the number of trials are at least 1 and the seed is
+    non-negative.
     """
     p_succ_cumulative(expansion, attack_len)  # validates both
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    extra = {}
     if mode == "fast":
         counts = _detect_fast(expansion, attack_len, trials, seed)
     elif mode == "full":
-        counts = _detect_full(expansion, attack_len, trials, seed)
+        counts, extra["ops"] = _detect_full(expansion, attack_len, trials, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     undetected = trials - sum(counts.values())
@@ -339,6 +334,7 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
         "undetected": undetected,
         "fractions": fractions,
         "undetected_fraction": undetected / trials,
+        **extra,
     }
 
 
@@ -361,29 +357,32 @@ def _detect_fast(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
     return counts
 
 
-def _detect_full(lam: int, L: int, trials: int, seed: int) -> dict[int, int]:
-    slot_count = next_pow2(lam)  # block_dim 1: smallest pipeline that fits
+def _detect_full(lam: int, L: int, trials: int, seed: int):
+    """The per-step counts and the key context's op counts of a full-mode
+    experiment. Trial r of a chunk owns slots [r*lam, r*lam + lam)."""
+    chunk = max(1, FULL_MODE_SLOTS // lam)
+    slot_count = next_pow2(min(trials, chunk) * lam)
     counts = {k: 0 for k in range(1, L + 1)}
     # one deployment serves every trial; the verifier's stream draws each
     # step's permutations, challenges and guesses, so trials stay independent
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=L + 2, seed=seed))
     vctx = setup(slot_count, 1, lambda x: 2.0 * x, lam, num_challenges=4, seed=seed)
-    enc_h = encrypt_matrix(ctx, 2.0 * np.eye(slot_count))
-    w, delta = np.array([1.0]), np.array([3.0])
-    chunk = max(1, FULL_MODE_SLOTS // slot_count)
+    enc_h = encrypt_matrix(ctx, 2.0 * np.eye(lam), copies=slot_count // lam)
+    w, delta = np.array([1.0]), 3.0
     for first in range(0, trials, chunk):
-        # every live trial of the chunk takes its step k in one batch
         alive = min(chunk, trials - first)
         for k in range(1, L + 1):
             encoded, perm, indices = _encode(vctx, w, alive)
-            slots = np.zeros((alive, slot_count))
-            slots[:, :lam] = encoded
-            c = ctx.encrypt(slots)
-            c = hom_add(c, _block_masks(1, slot_count, _guesses(lam, vctx.rng, alive), delta))
-            z = ctx.decrypt(enc_matvec(enc_h, c))
-            accepted = len(_decode(vctx, perm, indices, z[:, :lam], vctx.threshold)[2])
+            c = ctx.encrypt(pad_slots(encoded, slot_count))
+            # each trial's guess: the flat slots of the first half of a
+            # permutation of its own lam slots
+            mask = np.zeros(slot_count)
+            mask[_permutations(vctx.rng, alive, lam)[:, :lam // 2]] = delta
+            z = ctx.decrypt(enc_matvec(enc_h, hom_add(c, mask)))
+            z = z[:alive * lam].reshape(alive, lam)
+            accepted = len(_decode(vctx, perm, indices, z, vctx.threshold)[2])
             counts[k] += alive - accepted
             alive = accepted
             if not alive:
                 break
-    return counts
+    return counts, dict(ctx.op_counts)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from encloop.linalg import enc_matvec, encrypt_matrix
 from encloop.backend import (
     BackendConfig,
     DepthExhausted,
@@ -45,6 +44,10 @@ class TestConfig:
             BackendConfig(slot_count=8, max_depth=0)
         with pytest.raises(ValueError):
             BackendConfig(slot_count=8, noise_std=-1.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            BackendConfig(slot_count=8, seed=-1)
 
     @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
     def test_non_finite_noise_rejected(self, noise_std):
@@ -248,6 +251,18 @@ class TestNoiseAccounting:
                 b.noise_bound * np.max(np.abs(sa)) + a.noise_bound * np.max(np.abs(sb))
                 + noise_std)
 
+    def test_noise_stream_built_on_first_draw(self):
+        """A noiseless context builds no generator; a noisy one builds
+        default_rng(seed) at its first draw."""
+        quiet = make_ctx(seed=11)
+        c = quiet.encrypt(np.ones(8))
+        hom_dot([(c, hom_mul(c, c), 1)])
+        assert quiet._rng is None
+        ctx = make_ctx(noise_std=1e-3, seed=11)
+        assert ctx._rng is None
+        noisy = ctx.decrypt(ctx.encrypt(np.zeros(8)))
+        assert np.array_equal(noisy, np.random.default_rng(11).normal(0.0, 1e-3, 8))
+
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its
         exact result."""
@@ -274,7 +289,7 @@ class TestNoiseAccounting:
                         hom_add(c, c), hom_mul(c, c)]
         snapshots = [ctx.decrypt(r) for r in results]
         hom_dot([(results[0], results[1], 3), (results[2], results[3], 7)])
-        buffers = [r._slots for r in results] + [ctx._scratch((64,))]
+        buffers = [r._slots for r in results] + [ctx._scratch()]
         for i, s in enumerate(buffers):
             for t in buffers[i + 1:]:
                 assert not np.shares_memory(s, t)
@@ -399,93 +414,6 @@ class TestMalleability:
             pub.decrypt(c)
         shifted = hom_add(c, pub.encrypt(a))
         assert np.allclose(ctx.decrypt(shifted), m + a, atol=1e-12)
-
-
-class TestBatch:
-    """Slots of shape (B, n): B ciphertexts that every op acts on row by row."""
-
-    B, N = 5, 16
-
-    def inputs(self, seed=0):
-        rng = np.random.default_rng(seed)
-        S = rng.normal(size=(self.N, self.N)) * (rng.random((self.N, self.N)) < 0.2)
-        return S, rng.normal(size=(self.B, self.N)), rng.normal(size=(self.B, self.N))
-
-    def pipeline(self, ctx, S, P, Q):
-        """encrypt -> hom_add -> enc_matvec -> decrypt on P and Q: as one
-        batch if they are arrays, else one unbatched ciphertext per row; the
-        op counts of the pipeline alone."""
-        M = encrypt_matrix(ctx, S)
-        before = dict(ctx.op_counts)
-        if isinstance(P, np.ndarray):
-            z = enc_matvec(M, hom_add(ctx.encrypt(P), Q))
-            out = ctx.decrypt(z)
-            levels, bounds = [z.level], [z.noise_bound]
-        else:  # each op over all rows in turn, as a batch draws its noise
-            cs = [ctx.encrypt(p) for p in P]
-            cs = [hom_add(c, q) for c, q in zip(cs, Q)]
-            zs = [enc_matvec(M, c) for c in cs]
-            out = np.array([ctx.decrypt(z) for z in zs])
-            levels, bounds = [z.level for z in zs], [z.noise_bound for z in zs]
-        counts = {op: n - before[op] for op, n in ctx.op_counts.items()}
-        return out, counts, levels, bounds
-
-    def test_noiseless_batch_equals_unbatched_runs(self):
-        S, P, Q = self.inputs()
-        out, counts, levels, bounds = self.pipeline(make_ctx(self.N), S, P, Q)
-        assert out.shape == (self.B, self.N)
-        for p, q, row in zip(P, Q, out):
-            ref, ref_counts, ref_levels, ref_bounds = self.pipeline(
-                make_ctx(self.N), S, [p], [q])
-            assert np.array_equal(row, ref[0])
-            assert counts == {op: self.B * n for op, n in ref_counts.items()}
-            assert levels == ref_levels and bounds == ref_bounds
-
-    @pytest.mark.parametrize("seed", [3, 7])
-    def test_noisy_batch_equals_sequential_ops(self, seed):
-        S, P, Q = self.inputs(seed)
-        out, counts, levels, bounds = self.pipeline(make_ctx(self.N, 1e-3, seed=seed), S, P, Q)
-        ref, ref_counts, ref_levels, ref_bounds = self.pipeline(
-            make_ctx(self.N, 1e-3, seed=seed), S, list(P), list(Q))
-        assert np.array_equal(out, ref)
-        assert counts == ref_counts
-        assert counts["enc"] == counts["dec"] == self.B
-        assert levels == [max(ref_levels)] and bounds == [max(ref_bounds)]
-
-    def test_unbatched_operand_broadcasts_over_rows(self):
-        ctx = make_ctx(self.N)
-        _, P, _ = self.inputs()
-        c, d = ctx.encrypt(P), ctx.encrypt(P[0])
-        for batched, ref in [(hom_add(c, P[1]), P + P[1]), (hom_sub(d, c), P[0] - P),
-                             (hom_mul(d, c), P[0] * P), (hom_neg(c), -P),
-                             (rotate(c, 3), np.roll(P, -3, axis=1)),
-                             (hom_dot([(d, c, 2), (c, c, 5)]),
-                              P[0] * np.roll(P, -2, axis=1) + P * np.roll(P, -5, axis=1))]:
-            assert np.array_equal(ctx.decrypt(batched), ref)
-        assert ctx.op_counts == {"enc": self.B + 1, "add": 4 * self.B, "mul": 3 * self.B,
-                                 "rot": 3 * self.B, "dec": 6 * self.B}
-
-    def test_batched_blob_refused(self):
-        ctx = make_ctx()
-        with pytest.raises(ValueError, match="one ciphertext, not a batch of 3"):
-            serialize_ciphertext(ctx.encrypt(np.zeros((3, 8))))
-        one = np.arange(8.0)
-        assert serialize_ciphertext(ctx.encrypt(one[None])) == serialize_ciphertext(ctx.encrypt(one))
-
-    def test_mismatched_batches_rejected(self):
-        ctx = make_ctx()
-        two, three = ctx.encrypt(np.zeros((2, 8))), ctx.encrypt(np.zeros((3, 8)))
-        one_row = ctx.encrypt(np.zeros((1, 8)))
-        for op in (hom_add, hom_sub, hom_mul):
-            for a, b in [(two, three), (two, np.zeros((3, 8))), (one_row, three),
-                         (two, np.zeros(4))]:
-                with pytest.raises(ValueError, match="do not match"):
-                    op(a, b)
-        with pytest.raises(ValueError, match="differ"):
-            hom_dot([(two, two, 1), (three, three, 1)])
-        with pytest.raises(ValueError, match="slot_count"):
-            ctx.encrypt(np.zeros((2, 2, 8)))
-        assert ctx.op_counts["add"] == ctx.op_counts["mul"] == ctx.op_counts["rot"] == 0
 
 
 class TestSerialization:

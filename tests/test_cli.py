@@ -138,6 +138,18 @@ class TestSimulate:
         assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
         assert f"config error: {section}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, raw", [
+        ("seed", dict(BASELINE, seed=-1, mode="encrypted")),
+        ("seed", dict(BASELINE, seed=-1)),
+        ("backend", dict(BASELINE, backend={"seed": -3})),
+        ("seed", dict(VERIFIED, seed=-1))])
+    def test_negative_seed_exit_one(self, tmp_path, capsys, section, raw):
+        """A negative seed is a named config error in every mode, not numpy's
+        bare "expected non-negative integer" at the first draw."""
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {section}: seed must be non-negative, got" in err
+
 
 class TestMontecarlo:
     def test_summary_and_csv(self, tmp_path, capsys):
@@ -165,6 +177,21 @@ class TestMontecarlo:
         seconds, rate = float(fields["time"]), float(fields["trials/s"])
         assert seconds > 0 and rate == pytest.approx(500 / seconds, rel=1e-2, abs=1)
 
+    def test_full_mode_prints_op_counts(self, capsys):
+        """Full mode's summary line carries the experiment's HE op counts
+        and their sum per trial-step taken; fast mode runs no HE op."""
+        assert main(["montecarlo", "--lambda", "4", "--attack-len", "10",
+                     "--trials", "200", "--mode", "full", "--seed", "0"]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        fields = dict(f.split("=") for f in summary.replace(" s ", " ").split())
+        ops = {op: int(fields[op]) for op in ("enc", "add", "mul", "rot", "dec")}
+        # the pinned detect/full run: 4 batched steps over 251 trial-steps
+        assert ops == {"enc": 5, "add": 4, "mul": 4, "rot": 4, "dec": 4}
+        assert float(fields["ops/trial-step"]) == pytest.approx(21 / 251, rel=1e-3)
+        assert main(["montecarlo", "--lambda", "4", "--trials", "200"]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "enc=" not in summary and "ops/trial-step" not in summary
+
     @pytest.mark.parametrize("args, message", [
         (["--lambda", "0"], "expansion factor must be even and >= 2, got 0"),
         (["--lambda", "3"], "expansion factor must be even and >= 2, got 3"),
@@ -172,7 +199,10 @@ class TestMontecarlo:
         (["--lambda", "4", "--attack-len", "0"], "attack length must be at least 1"),
         (["--lambda", "4", "--attack-len", "0", "--mode", "full"],
          "attack length must be at least 1"),
-        (["--lambda", "4", "--trials", "0"], "need at least one trial")])
+        (["--lambda", "4", "--trials", "0"], "need at least one trial"),
+        (["--lambda", "4", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--lambda", "4", "--seed", "-1", "--mode", "full"],
+         "seed must be non-negative, got -1")])
     def test_bad_inputs_exit_one(self, args, message, capsys):
         assert main(["montecarlo", "--trials", "10", *args]) == 1
         captured = capsys.readouterr()

@@ -389,6 +389,22 @@ class TestPlainModeRefused:
         assert not ctrl_t.is_alive()
         assert role == "controller" or ctrl_box["result"]["y_c"] == []
 
+    @pytest.mark.parametrize("role", ["controller", "attacker"])
+    def test_peer_refuses_negative_seed_hello(self, role):
+        """A peer parses the HELLO with the plant's rules: a negative seed
+        is a named config error, not numpy's bare one."""
+        ctrl_port, ctrl_t, ctrl_box = start_role(run_controller)
+        port, t, box = ((ctrl_port, ctrl_t, ctrl_box) if role == "controller"
+                        else start_role(run_attacker, (HOST, ctrl_port)))
+        hello = json.dumps(dict(baseline_cfg().document, seed=-1)).encode()
+        with socket.create_connection((HOST, port)) as sock:
+            sock.sendall(raw_frame(MSG_HELLO, hello) + raw_frame(MSG_BYE))
+            t.join(10)
+        assert not t.is_alive()
+        assert "seed: seed must be non-negative, got -1" in box["result"]["error"]
+        ctrl_t.join(10)
+        assert not ctrl_t.is_alive()
+
 
 NOISY_BACKEND = {"slot_count": 64, "max_depth": 16, "noise_std": 1e-6}
 

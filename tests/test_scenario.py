@@ -250,6 +250,20 @@ class TestMalformedValues:
             ScenarioConfig.from_dict(minimal("attack_plain", **extra))
         assert exc.value.name == section
 
+    @pytest.mark.parametrize("scenario, section, extra", [
+        ("baseline", "seed", {"seed": -1, "mode": "encrypted"}),
+        ("baseline", "seed", {"seed": -1, "mode": "plain"}),
+        ("attack_plain", "seed", {"seed": -2, "mode": "plain"}),
+        ("verified_attack", "seed", {"seed": -1}),
+        ("baseline", "backend", {"backend": {"seed": -3}}),
+        ("baseline", "backend", {"seed": 1, "mode": "plain", "backend": {"seed": -1}})])
+    def test_negative_seed_refused(self, scenario, section, extra):
+        """A negative seed is refused under its section's name, in plain
+        mode too, where nothing would draw from it."""
+        with pytest.raises(ConfigError, match="seed must be non-negative") as exc:
+            ScenarioConfig.from_dict(minimal(scenario, **extra))
+        assert exc.value.name == section
+
     def test_integral_float_count_accepted(self):
         cfg = ScenarioConfig.from_dict(minimal(steps=3.0, backend={"slot_count": 64.0}))
         assert (cfg.steps, cfg.backend.slot_count) == (3, 64)

@@ -410,9 +410,57 @@ class TestDetectionExperiment:
         for count, q in [(res["counts"][k], (1 - p) * p ** (k - 1)) for k in range(1, L + 1)]:
             assert abs(count - trials * q) <= 5 * math.sqrt(trials * q * (1 - q)) + 1
 
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_permutations_own_their_rows(self, rows):
+        """Row r of ``_permutations`` is a permutation of [r*n, r*n + n), so
+        its entries are the flat slots of trial r's own block in a packed
+        ciphertext; every (row, position) takes every value of its row."""
+        rng = np.random.default_rng(rows)
+        for n in (2, 4, 6):
+            seen = [[set() for _ in range(n)] for _ in range(rows)]
+            for _ in range(200):
+                perm = verify._permutations(rng, rows, n)
+                assert perm.shape == (rows, n)
+                for r, row in enumerate(perm):
+                    assert sorted(row.tolist()) == list(range(r * n, r * n + n))
+                    for j, v in enumerate(row.tolist()):
+                        seen[r][j].add(v)
+            assert all(len(values) == n for row in seen for values in row)
+
+    @pytest.mark.parametrize("trials, budget, slots", [
+        (1, None, 4), (200, None, 1024), (3000, 64, 64)])
+    def test_full_mode_op_count_law(self, monkeypatch, trials, budget, slots):
+        """Trials share ciphertexts: one matrix encryption, then one enc,
+        add, mul, rot and dec per batched step, which takes every live
+        trial of its chunk one step. One trial packs into lambda slots."""
+        if budget:
+            monkeypatch.setattr(verify, "FULL_MODE_SLOTS", budget)
+        rows, widths = [], []
+        encode, create = verify._encode, verify.context_create
+
+        def encode_spy(ctx, w, n):
+            rows.append(n)
+            return encode(ctx, w, n)
+
+        def create_spy(config, *args):
+            widths.append(config.slot_count)
+            return create(config, *args)
+
+        monkeypatch.setattr(verify, "_encode", encode_spy)
+        monkeypatch.setattr(verify, "context_create", create_spy)
+        L = 10
+        res = run_detection_experiment(4, L, trials, mode="full", seed=3)
+        s = len(rows)
+        assert widths == [slots]
+        assert res["ops"] == {"add": s, "mul": s, "rot": s, "enc": s + 1, "dec": s}
+        trial_steps = sum(k * n for k, n in res["counts"].items()) + L * res["undetected"]
+        assert sum(rows) == trial_steps
+        assert s >= -(-trials // (slots // 4))  # at least one step per chunk
+
     def test_full_mode_memory_is_bounded(self):
-        """100k trials at lambda = 64 run in chunks: the traced peak stays
-        far below the ~50 MiB of one slot-width array over every trial."""
+        """100k trials at lambda = 64 run in chunks of 1024, packed into
+        2^16-slot ciphertexts: the traced peak stays far below the ~50 MiB
+        of one array over every trial's slots."""
         tracemalloc.start()
         try:
             res = run_detection_experiment(64, 10, 100_000, mode="full", seed=1)
