@@ -10,18 +10,21 @@ approximate arithmetic.
 
 ``hom_dot`` is the fused linear transform sum_t a_t * rot_{s_t}(b_t) that real
 HE libraries evaluate in one pass (Halevi & Shoup, CRYPTO 2018). It returns
-the slots, level, noise bound and op counts of the composed rotate, multiply
-and add chain, but fills one buffer and draws its noise once: per slot,
+the slots, level and op counts of the composed rotate, multiply and add chain,
+but fills one buffer and draws its noise once: per slot,
 sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given the
 a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
 per-slot scale depends on the a_t alone, so a caller whose a_t are fixed (the
 diagonals of an encrypted matrix) computes it once with ``dot_noise_scale``
 and passes it in.
 
+A ciphertext carries no noise estimate: as in a real scheme, a receiver
+cannot trust one, so whoever checks a decryption derives its own tolerance
+(``verify`` does, from the noise level and the data it encrypted).
+
 Per-step work that does not change is done once: every ``KeyContext`` owns
 one slot-width scratch buffer (allocated on first use) that its noise draws
-and ``hom_dot``'s partial products go through, and a ciphertext computes its
-max|slot| for the first-order noise bound once. The scratch buffer never ends
+and ``hom_dot``'s partial products go through. The scratch buffer never ends
 up inside a ciphertext, and ciphertext slots are never mutated once built.
 """
 
@@ -86,21 +89,8 @@ class PackedCiphertext:
 
     _slots: np.ndarray
     level: int
-    noise_bound: float
     key_id: int
     _ctx: "KeyContext" = field(repr=False)
-    _max_abs: float | None = field(default=None, repr=False, compare=False)
-
-    def _magnitude(self) -> float:
-        """max|slot|, computed on first use (the slots are never mutated)."""
-        if self._max_abs is None:
-            self._max_abs = _max_abs(self._slots)
-        return self._max_abs
-
-
-def _max_abs(s: np.ndarray) -> float:
-    """max|s| (0 for no slots) without a slot-width temporary."""
-    return float(max(s.max(initial=0.0), -s.min(initial=0.0)))
 
 
 class KeyContext:
@@ -144,7 +134,6 @@ class KeyContext:
         return PackedCiphertext(
             _slots=self._noisy(m.copy()),
             level=0,
-            noise_bound=self.config.noise_std,
             key_id=self.key_id,
             _ctx=self,
         )
@@ -189,65 +178,51 @@ def context_create(config: BackendConfig, stream: int | None = None) -> KeyConte
 # -- homomorphic operations -------------------------------------------------
 
 def _as_operands(a: PackedCiphertext, b):
-    """Return (ctx, a_slots, b_slots, b_level, b_bound) handling plaintext b."""
+    """Return (ctx, a_slots, b_slots, b_level) handling plaintext b."""
     ctx = a._ctx
     if isinstance(b, PackedCiphertext):
         if b.key_id != a.key_id:
             raise KeyMismatch("operands were created under different keys")
-        return ctx, a._slots, b._slots, b.level, b.noise_bound
+        return ctx, a._slots, b._slots, b.level
     m = np.asarray(b, dtype=float)
     if m.shape != a._slots.shape:
         raise ValueError(f"plaintext operand shape {m.shape} does not match slots")
-    return ctx, a._slots, m, 0, 0.0
+    return ctx, a._slots, m, 0
 
 
-def _result(ctx, slots, level, noise_bound) -> PackedCiphertext:
+def _result(ctx, slots, level) -> PackedCiphertext:
     if level > ctx.config.max_depth:
         raise DepthExhausted(
             f"operation requires level {level} but max_depth is {ctx.config.max_depth}")
-    return PackedCiphertext(
-        _slots=ctx._noisy(slots),
-        level=level,
-        noise_bound=noise_bound + ctx.config.noise_std,
-        key_id=ctx.key_id,
-        _ctx=ctx,
-    )
+    return PackedCiphertext(_slots=ctx._noisy(slots), level=level, key_id=ctx.key_id,
+                            _ctx=ctx)
 
 
 def hom_add(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise addition; second operand may be a plaintext vector."""
-    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
+    ctx, sa, sb, lev_b = _as_operands(a, b)
     ctx.op_counts["add"] += 1
-    return _result(ctx, sa + sb, max(a.level, lev_b), a.noise_bound + nb_b)
+    return _result(ctx, sa + sb, max(a.level, lev_b))
 
 
 def hom_sub(a: PackedCiphertext, b) -> PackedCiphertext:
-    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
+    ctx, sa, sb, lev_b = _as_operands(a, b)
     ctx.op_counts["add"] += 1
-    return _result(ctx, sa - sb, max(a.level, lev_b), a.noise_bound + nb_b)
+    return _result(ctx, sa - sb, max(a.level, lev_b))
 
 
 def hom_neg(a: PackedCiphertext) -> PackedCiphertext:
     ctx = a._ctx
     ctx.op_counts["add"] += 1
-    return _result(ctx, -a._slots, a.level, a.noise_bound)
+    return _result(ctx, -a._slots, a.level)
 
 
 def hom_mul(a: PackedCiphertext, b) -> PackedCiphertext:
     """Slotwise product. Consumes one multiplicative level; raises
     DepthExhausted when the budget would be exceeded (no bootstrapping)."""
-    ctx, sa, sb, lev_b, nb_b = _as_operands(a, b)
+    ctx, sa, sb, lev_b = _as_operands(a, b)
     ctx.op_counts["mul"] += 1
-    # First-order noise propagation: each operand's noise scaled by the
-    # other's magnitude, plus the fresh operation noise. A zero coefficient
-    # skips its magnitude scan (the same sum for finite slots).
-    bound = 0.0
-    if a.noise_bound:
-        bound = a.noise_bound * (b._magnitude() if isinstance(b, PackedCiphertext)
-                                 else _max_abs(sb))
-    if nb_b:
-        bound += nb_b * a._magnitude()
-    return _result(ctx, sa * sb, max(a.level, lev_b) + 1, bound)
+    return _result(ctx, sa * sb, max(a.level, lev_b) + 1)
 
 
 def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
@@ -256,7 +231,7 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     i = i % ctx.config.slot_count
     ctx.op_counts["rot"] += 1
     s = a._slots
-    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level, a.noise_bound)
+    return _result(ctx, np.concatenate((s[i:], s[:i])), a.level)
 
 
 def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
@@ -264,13 +239,12 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
 
     Equal to ``rotate(b, s)``, then ``hom_mul(a, .)``, then a left-to-right
     ``hom_add`` chain: the same noiseless slots (products and sums taken in
-    the same order), level, noise bound and op counts (each rotation on b's
-    context, each product on a's, the sums on the first a's), and the same
-    DepthExhausted and KeyMismatch. Operands under one key share
-    the first a's backend config. It fills one result buffer and draws the
-    noise once: sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the
-    law of the composed noise sum_t a_t * e_rot + sum e_mul + sum e_add given
-    the a_t slots.
+    the same order), level and op counts (each rotation on b's context, each
+    product on a's, the sums on the first a's), and the same DepthExhausted
+    and KeyMismatch. Operands under one key share the first a's backend
+    config. It fills one result buffer and draws the noise once: sigma *
+    sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the law of the composed
+    noise sum_t a_t * e_rot + sum e_mul + sum e_add given the a_t slots.
 
     ``noise_scale``, if given, is ``dot_noise_scale`` of the same a_t in the
     same order, precomputed by a caller whose a_t do not change; otherwise it
@@ -285,24 +259,14 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
     sigma, n = cfg.noise_std, cfg.slot_count
     out = np.empty(n)
     tmp = ctx._scratch() if len(terms) > 1 else None
+    level = 0
     for t, (a, b, s) in enumerate(terms):
         if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
-        level = max(a.level, b.level) + 1
+        level = max(level, a.level + 1, b.level + 1)
         if level > cfg.max_depth:
             raise DepthExhausted(
                 f"operation requires level {level} but max_depth is {cfg.max_depth}")
-        # hom_mul's first-order rule on rot_s(b), whose max|slot| is max|b|
-        rot_bound = b.noise_bound + sigma
-        bound = a.noise_bound * b._magnitude() if a.noise_bound else 0.0
-        if rot_bound:
-            bound += rot_bound * a._magnitude()
-        bound += sigma
-        if t == 0:
-            acc_level, acc_bound = level, bound
-        else:
-            acc_level = max(acc_level, level)
-            acc_bound = acc_bound + bound + sigma
         # a * rot_s(b) without materializing the rotation
         i = s % n
         dst = out if t == 0 else tmp
@@ -321,8 +285,7 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
         z = ctx.rng.standard_normal(out=ctx._scratch())
         z *= noise_scale
         out += z
-    return PackedCiphertext(_slots=out, level=acc_level, noise_bound=acc_bound,
-                            key_id=ctx.key_id, _ctx=ctx)
+    return PackedCiphertext(_slots=out, level=level, key_id=ctx.key_id, _ctx=ctx)
 
 
 def dot_noise_scale(coeffs) -> np.ndarray:
@@ -354,7 +317,7 @@ def pad_slots(values, slot_count: int) -> np.ndarray:
 
 # -- wire format --------------------------------------------------------------
 # little-endian: u32 slot_count, u32 level, u64 key_id,
-# slot_count f64 slot values, f64 noise_bound.
+# slot_count f64 slot values, a reserved f64 (written 0.0, ignored on read).
 
 def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
     """The wire blob, written into one buffer."""
@@ -362,7 +325,6 @@ def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
     blob = bytearray(24 + 8 * n)
     struct.pack_into("<IIQ", blob, 0, n, c.level, c.key_id)
     np.frombuffer(blob, "<f8", count=n, offset=16)[:] = c._slots
-    struct.pack_into("<d", blob, 16 + 8 * n, c.noise_bound)
     return blob
 
 
@@ -387,6 +349,4 @@ def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
     n, level = check_ciphertext_blob(ctx, data)
     # astype copies: the slots own native float64 memory, never the blob's
     slots = np.frombuffer(data, "<f8", count=n, offset=16).astype(np.float64)
-    (noise_bound,) = struct.unpack_from("<d", data, 16 + 8 * n)
-    return PackedCiphertext(_slots=slots, level=level, noise_bound=noise_bound,
-                            key_id=ctx.key_id, _ctx=ctx)
+    return PackedCiphertext(_slots=slots, level=level, key_id=ctx.key_id, _ctx=ctx)

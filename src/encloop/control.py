@@ -261,8 +261,7 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
             if verifier is None:
                 u = z[: model.m]
             else:
-                outcome = verify.dcd(verifier, tag, z[: verifier.encoded_dim],
-                                     u_cipher.noise_bound)
+                outcome = verify.dcd(verifier, tag, z[: verifier.encoded_dim])
                 if outcome.bottom:
                     u, verdict = np.zeros(model.m), "bottom"
                 else:

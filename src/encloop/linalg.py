@@ -8,9 +8,9 @@ slotwise multiplies against rotated copies of the vector:
 
 and matrix-matrix products to the analogous recombination of diagonals.
 Every such sum goes through the backend's fused ``hom_dot``: one call per
-matvec and one per output diagonal of a matmat, with the op counts, level and
-noise bound of the composed rotations, products and sums. A matrix computes
-the noise scale of its matvec once, on its first product.
+matvec and one per output diagonal of a matmat, with the op counts and level
+of the composed rotations, products and sums. A matrix computes the noise
+scale of its matvec once, on its first product.
 Only the wrapped diagonals that hold a nonzero entry are stored; the missing
 ones are implicitly zero and are skipped, not materialized.
 

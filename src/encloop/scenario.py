@@ -239,9 +239,9 @@ class ScenarioConfig:
 def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
     """Verifier over the lifted controller block: h(w) = K_aug w."""
     K_aug = verify.lift_affine(-cfg.controller.K, cfg.controller.u0)
-    return verify.setup(cfg.backend.slot_count, K_aug.shape[0],
-                        lambda w: K_aug @ w, cfg.expansion, cfg.num_challenges,
-                        threshold=cfg.threshold, seed=cfg.seed)
+    return verify.setup(cfg.backend.slot_count, K_aug, cfg.expansion, cfg.num_challenges,
+                        threshold=cfg.threshold, noise_std=cfg.backend.noise_std,
+                        seed=cfg.seed)
 
 
 def build_attacker(cfg: ScenarioConfig, pub_ctx):

@@ -5,7 +5,8 @@ lambda/2 precomputed challenge blocks into the unused SIMD slots of a single
 ciphertext, block-shuffled under a fresh secret permutation each step. The
 server evaluates the lifted function on all blocks at once; the client checks
 the challenge blocks against stored reference outputs and rejects the whole
-response if any deviates by more than a threshold.
+response if any deviates by more than a threshold, or if the payload replicas
+disagree. The client derives that threshold itself; nothing on the wire sets it.
 
 An attacker that wants to modify the payload consistently must hit exactly
 the replica blocks; guessing them succeeds with probability 1/C(lambda,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +46,9 @@ __all__ = [
 class VerifierContext:
     expansion: int                  # even number of blocks per ciphertext
     block_dim: int                  # payload dimension d
-    threshold: float                # infinity-norm acceptance threshold
+    threshold: float                # floor of the infinity-norm acceptance threshold
+    noise_std: float                # the backend's per-operation noise sigma
+    h: np.ndarray                   # (d, d): the map the server applies to each block
     challenges: np.ndarray          # (M, d): one challenge input per row
     challenge_outputs: np.ndarray   # (M, d): h of each row of ``challenges``
     rng: np.random.Generator = field(repr=False, default=None)
@@ -53,6 +57,18 @@ class VerifierContext:
     def encoded_dim(self) -> int:
         return self.expansion * self.block_dim
 
+    @cached_property
+    def noise_terms(self) -> tuple[int, float]:
+        """(T, 2 sum_t max|K_t| + 2T - 1) of ``_eps``: the K_t are the nonzero
+        diagonals of h, which ``encrypt_matrix`` stores for kron(I, h) as its
+        >= 2d slots (expansion >= 2) hold h's 2d - 1 diagonals apart."""
+        d = self.block_dim
+        r, c = np.nonzero(self.h)
+        diag_max = np.zeros(2 * d - 1)  # max|entry| on diagonal c - r, at c - r + d - 1
+        np.maximum.at(diag_max, c - r + d - 1, np.abs(self.h[r, c]))
+        T = int(np.count_nonzero(diag_max))
+        return T, 2.0 * float(diag_max.sum()) + 2 * T - 1
+
 
 @dataclass
 class PermutationTag:
@@ -60,6 +76,7 @@ class PermutationTag:
 
     perm: np.ndarray               # encoded block j carries pre-shuffle block perm[j]
     challenge_indices: np.ndarray  # challenge of pre-shuffle block half + i, per i
+    eps: float                     # acceptance threshold of the response, from ``_eps``
 
     def payload_positions(self) -> set[int]:
         half = len(self.perm) // 2
@@ -70,6 +87,7 @@ class PermutationTag:
 class DecodeOutcome:
     eps: float                 # the acceptance threshold this decode applied
     deviation: np.ndarray      # max |z - h(c)| of each challenge block, in check order
+    spread: float              # max |replica - first replica| over the payload replicas
     payload: np.ndarray | None = None
     bottom: bool = False
     failed_challenges: list[int] = field(default_factory=list)
@@ -94,23 +112,39 @@ def check_params(expansion: int, num_challenges: int = 1, threshold: float = 1e-
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
 
-def setup(slot_count: int, block_dim: int, h, expansion: int, num_challenges: int,
-          threshold: float = 1e-9, seed: int = 0) -> VerifierContext:
-    """Instantiate the verifier: draw challenge inputs, precompute their
-    reference outputs, and fix the expansion factor."""
+def setup(slot_count: int, h, expansion: int, num_challenges: int,
+          threshold: float = 1e-9, noise_std: float = 0.0, seed: int = 0) -> VerifierContext:
+    """Instantiate the verifier for a server that evaluates the d x d matrix
+    ``h`` on every block, as ``encrypt_matrix(ctx, h, copies)`` on a backend
+    of ``slot_count`` slots and noise ``noise_std``: draw challenge inputs,
+    precompute their reference outputs h c, and fix the expansion factor."""
     check_params(expansion, num_challenges, threshold)
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"h must be a square matrix mapping one block to one block, "
+                         f"got shape {h.shape}")
+    block_dim = len(h)
     if expansion * block_dim > slot_count:
         raise ValueError(
             f"expansion {expansion} x block_dim {block_dim} exceeds slot_count {slot_count}")
     rng = np.random.default_rng(seed)
     challenges = rng.uniform(-CHALLENGE_RANGE, CHALLENGE_RANGE, (num_challenges, block_dim))
-    outputs = np.array([h(c) for c in challenges], dtype=float)
-    if outputs.shape != challenges.shape:
-        raise ValueError(f"h must map a challenge to a vector of length {block_dim}, "
-                         f"got shape {outputs.shape[1:]}")
-    return VerifierContext(expansion=expansion, block_dim=block_dim,
-                           threshold=threshold, challenges=challenges,
-                           challenge_outputs=outputs, rng=rng)
+    return VerifierContext(expansion=expansion, block_dim=block_dim, threshold=threshold,
+                           noise_std=noise_std, h=h, challenges=challenges,
+                           challenge_outputs=challenges @ h.T, rng=rng)
+
+
+def _eps(ctx: VerifierContext, encoded: np.ndarray) -> float:
+    """The acceptance rule: 8 times the first-order noise bound of the honest
+    response to ``encoded`` (w~), never below ``ctx.threshold``. Term t of
+    the matvec multiplies stored diagonal K_t (noise sigma) by the rotated
+    w~ (2 sigma) and adds sigma; T - 1 sums add sigma each: sigma (T max|w~|
+    + 2 sum_t max|K_t| + 2T - 1). Nothing in it comes from the response."""
+    if not ctx.noise_std:
+        return ctx.threshold
+    T, rest = ctx.noise_terms
+    bound = ctx.noise_std * (T * float(np.abs(encoded).max()) + rest)
+    return max(ctx.threshold, 8.0 * bound)
 
 
 def lift_affine(K, offset):
@@ -159,29 +193,29 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
     encoded, perm, indices = _encode(ctx, w, 1)
-    return encoded[0], PermutationTag(perm=perm[0], challenge_indices=indices[0])
+    return encoded[0], PermutationTag(perm=perm[0], challenge_indices=indices[0],
+                                      eps=_eps(ctx, encoded))
 
 
-def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde,
-        noise_bound: float = 0.0) -> DecodeOutcome:
+def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
     """Decode a server response: un-shuffle, check every challenge block
-    against its stored reference output, and on success return one payload
-    replica chosen uniformly at random. The acceptance rule lives here only:
-    a challenge passes within ``max(ctx.threshold, 8 * noise_bound)`` in the
-    infinity norm, ``noise_bound`` being the response ciphertext's. The
-    outcome records that threshold (``eps``) and each challenge block's
-    infinity-norm deviation (``deviation``), accepted or not."""
+    against its stored reference output and the payload replicas against each
+    other, and on success return one replica chosen uniformly at random. The
+    threshold is ``tag.eps``, which ``ecd`` derived from what it encoded
+    (``_eps``): a challenge passes within it in the infinity norm, and each
+    replica within twice it of the first, as honest replicas lie within it
+    of h(w). The outcome records the threshold, each challenge block's
+    deviation and the replicas' spread, accepted or not."""
     z_tilde = np.asarray(z_tilde, dtype=float).ravel()
     lam, d = ctx.expansion, ctx.block_dim
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
-    eps = max(ctx.threshold, 8.0 * noise_bound)
-    deviation, accepted, payload = _decode(ctx, tag.perm[None], tag.challenge_indices[None],
-                                           z_tilde[None], eps)
-    deviation = deviation[0]
+    eps = tag.eps
+    (deviation,), (spread,), accepted, payload = _decode(
+        ctx, tag.perm[None], tag.challenge_indices[None], z_tilde[None], eps)
     if len(accepted):
-        return DecodeOutcome(eps=eps, deviation=deviation, payload=payload[0])
-    return DecodeOutcome(eps=eps, deviation=deviation, bottom=True,
+        return DecodeOutcome(eps, deviation, float(spread), payload=payload[0])
+    return DecodeOutcome(eps, deviation, float(spread), bottom=True,
                          failed_challenges=np.flatnonzero(~(deviation <= eps)).tolist())
 
 
@@ -231,23 +265,28 @@ def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
             z: np.ndarray, eps: float):
     """Check ``rows`` responses ``z`` (rows, lambda*d) encoded with the flat
     permutations ``perm`` and challenge ``indices`` against threshold
-    ``eps``. Returns each challenge block's deviation (rows, lambda/2), the
-    rows whose challenges all passed, and one payload replica of each of
-    them, drawn uniformly at random (accepted rows, d)."""
+    ``eps``: a row passes when every challenge block is within ``eps`` of its
+    reference and every payload replica within 2 ``eps`` of the first.
+    Returns each challenge block's deviation (rows, lambda/2), each row's
+    replica spread (rows,), the rows that passed, and one payload replica of
+    each of them, drawn uniformly at random (accepted rows, d)."""
     lam, d = ctx.expansion, ctx.block_dim
-    rows = len(z)
+    half, rows = lam // 2, len(z)
     blocks = np.empty((rows * lam, d))
     blocks[perm.ravel()] = z.reshape(rows * lam, d)
     blocks = blocks.reshape(rows, lam, d)
-    deviation = np.abs(blocks[:, lam // 2:] - ctx.challenge_outputs[indices])
+    deviation = np.abs(blocks[:, half:] - ctx.challenge_outputs[indices])
     deviation = np.maximum.reduce(deviation, axis=2)
-    # a NaN deviation fails
-    accepted = (np.maximum.reduce(deviation, axis=1) <= eps).nonzero()[0]
+    spread = np.abs(blocks[:, :half] - blocks[:, :1]).reshape(rows, half * d)
+    spread = np.maximum.reduce(spread, axis=1)
+    # a NaN deviation or spread fails
+    passed = (np.maximum.reduce(deviation, axis=1) <= eps) & (spread <= 2 * eps)
+    accepted = passed.nonzero()[0]
     if not len(accepted):
-        return deviation, accepted, blocks[:0, 0]
+        return deviation, spread, accepted, blocks[:0, 0]
     # one scalar draw is the stream of size=1, and cheaper
-    picks = ctx.rng.integers(0, lam // 2, size=None if len(accepted) == 1 else len(accepted))
-    return deviation, accepted, blocks[accepted, picks]
+    picks = ctx.rng.integers(0, half, size=None if len(accepted) == 1 else len(accepted))
+    return deviation, spread, accepted, blocks[accepted, picks]
 
 
 # -- attack success statistics ------------------------------------------------
@@ -366,7 +405,7 @@ def _detect_full(lam: int, L: int, trials: int, seed: int):
     # one deployment serves every trial; the verifier's stream draws each
     # step's permutations, challenges and guesses, so trials stay independent
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=L + 2, seed=seed))
-    vctx = setup(slot_count, 1, lambda x: 2.0 * x, lam, num_challenges=4, seed=seed)
+    vctx = setup(slot_count, 2.0 * np.eye(1), lam, num_challenges=4, seed=seed)
     enc_h = encrypt_matrix(ctx, 2.0 * np.eye(lam), copies=slot_count // lam)
     w, delta = np.array([1.0]), 3.0
     for first in range(0, trials, chunk):
@@ -380,7 +419,7 @@ def _detect_full(lam: int, L: int, trials: int, seed: int):
             mask[_permutations(vctx.rng, alive, lam)[:, :lam // 2]] = delta
             z = ctx.decrypt(enc_matvec(enc_h, hom_add(c, mask)))
             z = z[:alive * lam].reshape(alive, lam)
-            accepted = len(_decode(vctx, perm, indices, z, vctx.threshold)[2])
+            accepted = len(_decode(vctx, perm, indices, z, _eps(vctx, encoded))[2])
             counts[k] += alive - accepted
             alive = accepted
             if not alive:

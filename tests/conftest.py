@@ -1,6 +1,44 @@
-"""Shared pytest wiring: print one pass/fail line per acceptance criterion."""
+"""Shared pytest wiring: print one pass/fail line per acceptance criterion,
+and the trailer-forging attacker that the in-process and networked verified
+loops are both tested against."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from encloop.backend import deserialize_ciphertext, hom_add, serialize_ciphertext
 
 _acceptance_results: dict[str, str] = {}
+
+
+class TrailerForger:
+    """A man-in-the-middle attacker on the verified loop holding the public
+    context only. From step 0 it adds 1.0 to every slot of the control
+    ciphertext and writes 1e6 into the blob's reserved f64 trailer: a
+    receiver that took its tolerance from the trailer would accept the
+    shifted response."""
+
+    def __init__(self, pub):
+        self.pub = pub
+
+    def active_at(self, k):
+        return k >= 0
+
+    def tamper_measurement(self, k, c):
+        return c
+
+    def tamper_control(self, k, c):
+        if not self.active_at(k):
+            return c
+        blob = serialize_ciphertext(hom_add(c, np.ones(self.pub.config.slot_count)))
+        struct.pack_into("<d", blob, len(blob) - 8, 1e6)
+        return deserialize_ciphertext(self.pub, blob)
+
+
+@pytest.fixture
+def trailer_forger():
+    return TrailerForger
 
 
 def pytest_runtest_logreport(report):

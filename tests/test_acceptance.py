@@ -200,8 +200,7 @@ def test_criterion_06_verification_completeness_and_overhead():
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=4,
                                        seed=17))
     K_aug = lift_affine(-ctrl.K, ctrl.u0)
-    vctx = setup(slot_count, K_aug.shape[0], lambda w: K_aug @ w, lam,
-                 num_challenges=16, seed=17)
+    vctx = setup(slot_count, K_aug, lam, num_challenges=16, seed=17)
     enc_K = encrypt_controller(ctx, ctrl, lam)
     rng = np.random.default_rng(17)
     bottoms = 0
@@ -299,8 +298,7 @@ def test_criterion_09_large_scale_capacity():
     K_aug = np.zeros((d, d))
     K_aug[:2, :2] = -ctrl.K
     K_aug[:2, 2:4] = np.eye(2)
-    vctx = setup(slot_count, d, lambda w: K_aug @ w, lam, num_challenges=8,
-                 seed=9)
+    vctx = setup(slot_count, K_aug, lam, num_challenges=8, seed=9)
     # the production encoder replicates the block lam times without
     # materializing the slot_count x slot_count lift; only the wrapped
     # diagonals -1..2 of [-K I] hold an entry

@@ -185,7 +185,7 @@ class TestClosedLoop:
     def test_encrypted_needs_context(self, model, ctrl):
         """A verifier or a link acts on ciphertexts only; without a key
         context the loop refuses them instead of running a plain channel."""
-        vctx = verify.setup(16, 4, lambda w: w, 4, num_challenges=1)
+        vctx = verify.setup(16, np.eye(4), 4, num_challenges=1)
         with pytest.raises(ValueError, match="key context"):
             run_closed_loop(model, ctrl, TANK_X0, 5, verifier=vctx)
         with pytest.raises(ValueError, match="key context"):

@@ -507,6 +507,30 @@ class TestAttackerProxy:
         assert stats["tampered"] > 0
         assert np.max(np.abs(np.array(trace.x) - np.array(ref.x))) < 1e-6
 
+    def test_forged_trailer_trips_over_the_wire(self, monkeypatch, trailer_forger):
+        """The proxy shifts the control ciphertext by 1.0 and declares a
+        huge noise bound in its trailer: the plant rejects the first
+        tampered step and sends ABORT."""
+        monkeypatch.setattr(netloop, "build_attacker", lambda cfg, pub: trailer_forger(pub))
+        cfg = baseline_cfg(steps=30, pre_roll=5, scenario="verified_attack",
+                           attack=STEP_ATTACK, verify={"expansion": 4, "num_challenges": 8})
+        trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
+        assert trace.verdict == ["ok"] * 5 + ["bottom"]
+        assert stats["tampered"] == 1
+        assert ctrl_result["aborted"] is True
+        assert "error" not in ctrl_result and "error" not in stats
+
+    def test_honest_noisy_verified_loop_over_the_wire(self):
+        """Through the proxy with no attack, at noise_std 1e-2, the plant's
+        own threshold accepts every step: it reads nothing off the wire."""
+        cfg = baseline_cfg(steps=30, pre_roll=10, scenario="verified_attack",
+                           attack={"a_u": {}, "length": 10}, verify={"expansion": 4},
+                           backend={"slot_count": 64, "max_depth": 16, "noise_std": 1e-2})
+        trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
+        assert trace.verdict == ["ok"] * 40
+        assert stats == {"relayed": 40, "tampered": 0}
+        assert ctrl_result["aborted"] is False
+
     def test_verified_attack_trips_over_the_wire(self):
         cfg = baseline_cfg(steps=30, pre_roll=5, scenario="verified_attack",
                            attack=STEP_ATTACK, verify={"expansion": 8,

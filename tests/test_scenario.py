@@ -383,9 +383,10 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("noise_std", [1e-4, 1e-2])
     def test_honest_verified_never_rejected_under_noise(self, noise_std):
-        """The acceptance threshold follows the response's noise bound, so an
-        honest loop (the attacker never injects) passes every step at any
-        backend noise level."""
+        """The verifier derives its acceptance threshold from the noise
+        level, the lifted controller and its own input, so an honest loop
+        (the attacker never injects) passes every step at any backend noise
+        level."""
         bottoms = 0
         for seed in range(50):
             raw = minimal("verified_attack", steps=40, pre_roll=10, seed=seed,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from encloop.attack import AttackPlan, GuessingAttacker
 from encloop.linalg import decrypt_matrix, enc_matvec, encrypt_matrix
 from encloop.scenario import ScenarioConfig
 from encloop.verify import (
+    PermutationTag,
     block_mask,
     dcd,
     ecd,
@@ -38,7 +40,7 @@ def doubler(x):
 
 
 def make_vctx(expansion=4, block_dim=2, slot_count=16, seed=0, **kw):
-    return setup(slot_count, block_dim, doubler, expansion,
+    return setup(slot_count, 2.0 * np.eye(block_dim), expansion,
                  num_challenges=5, seed=seed, **kw)
 
 
@@ -64,7 +66,28 @@ class TestSetup:
 
     def test_capacity_check(self):
         with pytest.raises(ValueError):
-            setup(8, 4, doubler, 4, num_challenges=2)
+            setup(8, 2.0 * np.eye(4), 4, num_challenges=2)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_noise_terms_follow_the_stored_diagonals(self, d):
+        """T is the number of wrapped diagonals ``encrypt_matrix`` stores for
+        the server's kron(I, h), and sum_t max|K_t| sums their largest
+        entries, at the narrowest and a wide slot count; the tank's lifted
+        controller has the four diagonals {-1, 0, 1, 2}."""
+        rng = np.random.default_rng(d)
+        for slot_count in (2 * d, 64):
+            for _ in range(5):
+                h = rng.uniform(-3, 3, (d, d)) * (rng.random((d, d)) < 0.4)
+                h[rng.integers(d), rng.integers(d)] = 1.5
+                vctx = setup(slot_count, h, 2, num_challenges=1)
+                ctx = context_create(BackendConfig(slot_count=slot_count))
+                stored = encrypt_matrix(ctx, h, copies=slot_count // d).diagonals
+                K_max = [np.max(np.abs(ctx.decrypt(c))) for c in stored.values()]
+                T, rest = vctx.noise_terms
+                assert T == len(stored)
+                assert rest == pytest.approx(2 * sum(K_max) + 2 * T - 1, rel=1e-15)
+        ctrl = tank_controller()
+        assert setup(64, lift_affine(-ctrl.K, ctrl.u0), 4, 1).noise_terms[0] == 4
 
     def test_challenges_precomputed(self):
         vctx = make_vctx()
@@ -73,17 +96,19 @@ class TestSetup:
             assert np.allclose(out, 2 * c, atol=1e-15)
 
     @pytest.mark.parametrize("h, shape", [
-        (lambda c: 2.0 * float(c.sum()), r"\(\)"),
-        (lambda c: np.append(c, 0.0), r"\(3,\)"),
-        (lambda c: c[:1], r"\(1,\)"),
-        (lambda c: np.outer(c, c), r"\(2, 2\)")],
+        (2.0, r"\(\)"),
+        (np.ones((3, 2)), r"\(3, 2\)"),
+        (np.ones((1, 2)), r"\(1, 2\)"),
+        (np.ones((2, 2, 2)), r"\(2, 2, 2\)")],
         ids=["scalar", "too_long", "too_short", "matrix"])
     def test_h_must_return_one_block(self, h, shape):
-        """A scalar or wrong-length reference output would be broadcast or
+        """h is the matrix the server applies to each block. A scalar, a
+        matrix whose output is longer or shorter than its input block, or a
+        stack of matrices would give reference outputs that are broadcast or
         fail inside ``dcd``; ``setup`` names it instead."""
-        with pytest.raises(ValueError, match=r"h must map a challenge to a vector "
-                                             r"of length 2, got shape " + shape):
-            setup(16, 2, h, 4, num_challenges=3)
+        with pytest.raises(ValueError, match=r"h must be a square matrix mapping one "
+                                             r"block to one block, got shape " + shape):
+            setup(16, h, 4, num_challenges=3)
 
 
 class TestEncodeDecode:
@@ -158,6 +183,18 @@ class TestEncodeDecode:
         assert outcome.ok
         assert np.allclose(outcome.payload, 2 * w + 5.0, atol=1e-12)
 
+    def test_replica_disagreement_rejected(self):
+        """One payload replica off by 1.0 fails the response although every
+        challenge passes; the outcome records the spread, and no failed
+        challenge."""
+        vctx = make_vctx()
+        encoded, tag = ecd(vctx, np.array([1.0, 2.0]))
+        z = doubler(encoded)
+        z[2 * max(tag.payload_positions())] += 1.0
+        outcome = dcd(vctx, tag, z)
+        assert outcome.bottom and outcome.failed_challenges == []
+        assert outcome.spread == 1.0 and np.all(outcome.deviation == 0)
+
     def test_threshold_tolerates_small_noise(self):
         vctx = make_vctx(threshold=1e-3)
         encoded, tag = ecd(vctx, np.zeros(2))
@@ -166,13 +203,17 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("lam", [4, 16])
     def test_deviation_and_eps_recorded(self, lam):
-        """The outcome records the threshold it applied and each challenge
-        block's deviation in check order, equal to a per-block reference;
-        exactly the blocks whose deviation exceeds it fail."""
-        vctx = make_vctx(expansion=lam, slot_count=2 * lam, threshold=1e-3)
+        """The outcome records the threshold it applied, each challenge
+        block's deviation in check order and the payload replicas' spread,
+        equal to per-block references; exactly the blocks whose deviation
+        exceeds the threshold fail. The threshold is the verifier's own:
+        for h = 2 I (one stored diagonal, max 2) on an input of largest
+        magnitude m, max(threshold, 8 sigma (m + 2*2 + 1))."""
         half = lam // 2
         rng = np.random.default_rng(lam)
-        for noise_bound, tampered in [(0.0, False), (0.0, True), (1e-3, False), (1e-3, True)]:
+        for noise_std, tampered in [(0.0, False), (0.0, True), (1e-3, False), (1e-3, True)]:
+            vctx = make_vctx(expansion=lam, slot_count=2 * lam, threshold=1e-3,
+                             noise_std=noise_std)
             encoded, tag = ecd(vctx, np.array([0.5, -1.5]))
             z = doubler(encoded) + rng.uniform(-5e-4, 5e-4, encoded.shape)
             victims = []
@@ -180,12 +221,15 @@ class TestEncodeDecode:
                 challenge_pos = [j for j in range(lam) if tag.perm[j] >= half]
                 victims = rng.choice(challenge_pos, rng.integers(1, half + 1), replace=False)
                 z[2 * victims] += 1.0
-            outcome = dcd(vctx, tag, z, noise_bound=noise_bound)
-            assert outcome.eps == max(1e-3, 8 * noise_bound)
+            outcome = dcd(vctx, tag, z)
+            assert outcome.eps == tag.eps == max(
+                1e-3, 8 * noise_std * (np.max(np.abs(encoded)) + 5))
             blocks = {int(b): z[2 * j: 2 * j + 2] for j, b in enumerate(tag.perm)}
             reference = [np.max(np.abs(blocks[half + r] - vctx.challenge_outputs[ci]))
                          for r, ci in enumerate(tag.challenge_indices)]
             assert np.array_equal(outcome.deviation, reference)
+            assert outcome.spread == max(np.max(np.abs(blocks[r] - blocks[0]))
+                                         for r in range(half))
             assert outcome.failed_challenges == [
                 r for r in range(half) if outcome.deviation[r] > outcome.eps]
             assert outcome.failed_challenges == sorted(int(tag.perm[j]) - half
@@ -232,6 +276,48 @@ class TestEncodeDecode:
             dcd(vctx, tag, np.zeros(7))
 
 
+class TestReplicaAgreement:
+    @pytest.mark.parametrize("lam", [2, 4, 6, 8])
+    def test_only_the_replica_set_passes_corrupted(self, lam):
+        """Exact count, no sampling: for every payload position set R and
+        every nonempty tamper set S, a noiseless response with +1 on each
+        block of S passes with a corrupted payload only when S = R. So at
+        most one tamper set per position set passes corrupted, and each
+        tamper set does so for at most 1/C(lam, lam/2) of the position
+        sets. Without the replica check, a proper nonempty subset of R
+        would pass too, and corrupt the payload whenever the returned
+        replica is among S."""
+        half, d = lam // 2, 2
+        vctx = make_vctx(expansion=lam, block_dim=d, slot_count=lam * d)
+        w = np.array([0.5, -1.5])
+        position_sets = list(itertools.combinations(range(lam), half))
+        tamper_sets = [S for k in range(1, lam + 1)
+                       for S in itertools.combinations(range(lam), k)]
+        corrupted = {S: 0 for S in tamper_sets}
+        for R in position_sets:
+            perm = np.empty(lam, dtype=np.int64)
+            perm[list(R)] = np.arange(half)
+            perm[[j for j in range(lam) if j not in R]] = np.arange(half, lam)
+            indices = np.arange(half) % len(vctx.challenges)
+            blocks = [w] * half + [vctx.challenges[i] for i in indices]
+            encoded = np.concatenate([blocks[b] for b in perm])
+            tag = PermutationTag(perm=perm, challenge_indices=indices,
+                                 eps=verify._eps(vctx, encoded))
+            assert tag.payload_positions() == set(R)
+            passed = []
+            for S in tamper_sets:
+                z = doubler(encoded)
+                for j in S:
+                    z[j * d: j * d + d] += 1.0
+                outcome = dcd(vctx, tag, z)
+                if outcome.ok and not np.array_equal(outcome.payload, 2 * w):
+                    passed.append(S)
+                    corrupted[S] += 1
+            assert passed == [R]
+        bound = 1 / math.comb(lam, half)
+        assert all(n / len(position_sets) <= bound for n in corrupted.values())
+
+
 class TestAffineLift:
     def test_tank_controller_lift(self):
         ctrl = tank_controller()
@@ -258,7 +344,7 @@ class TestAffineLift:
         # full pipeline: encode -> encrypt -> lifted matvec -> decode
         ctrl = tank_controller()
         K_aug = lift_affine(-ctrl.K, ctrl.u0)
-        vctx = setup(16, 4, lambda w: K_aug @ w, 4, num_challenges=3, seed=7)
+        vctx = setup(16, K_aug, 4, num_challenges=3, seed=7)
         ctx = context_create(BackendConfig(slot_count=16, max_depth=4, seed=7))
         enc_K = encrypt_controller(ctx, ctrl, 4)
         y = np.array([0.9, 1.1])
@@ -500,7 +586,7 @@ class TestVerifiedClosedLoop:
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=11))
         K_aug = lift_affine(-ctrl.K, ctrl.u0)
-        vctx = setup(64, 4, lambda w: K_aug @ w, 4, num_challenges=8, seed=11)
+        vctx = setup(64, K_aug, 4, num_challenges=8, seed=11)
         trace = run_closed_loop(model, ctrl, TANK_X0, 100, pre_roll=20,
                                 ctx=ctx, verifier=vctx)
         assert all(v != "bottom" for v in trace.verdict)
@@ -511,7 +597,7 @@ class TestVerifiedClosedLoop:
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=12))
         K_aug = lift_affine(-ctrl.K, ctrl.u0)
-        vctx = setup(64, 4, lambda w: K_aug @ w, 8, num_challenges=8, seed=12)
+        vctx = setup(64, K_aug, 8, num_challenges=8, seed=12)
         plan = AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
                           length=10, cooldown_len=4)
         attacker = GuessingAttacker(model, plan, ctx.public_context(), 8,
@@ -523,3 +609,15 @@ class TestVerifiedClosedLoop:
         # is overwhelmingly likely, and the loop halts on bottom
         assert trace.verdict[-1] == "bottom"
         assert trace.k[-1] < 10
+
+    def test_forged_trailer_rejected(self, trailer_forger):
+        """A control ciphertext shifted by 1.0 whose trailer declares a huge
+        noise bound is rejected at the first tampered step: the threshold
+        is the verifier's own, not the wire's."""
+        model, ctrl = quadruple_tank(), tank_controller()
+        ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=13))
+        vctx = setup(64, lift_affine(-ctrl.K, ctrl.u0), 4, num_challenges=8, seed=13)
+        trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=5, ctx=ctx,
+                                verifier=vctx, attacker=trailer_forger(ctx.public_context()))
+        assert trace.verdict == ["ok"] * 5 + ["bottom"]
+        assert trace.k[-1] == 0
