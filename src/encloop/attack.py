@@ -299,11 +299,11 @@ class GuessingAttacker(CovertAttacker):
         self.expansion = expansion
         self.block_dim = verify.lifted_dim(model.p, model.m)
         self.rng = rng
-        self._guess: frozenset[int] | None = None
+        self._guess: np.ndarray | None = None
 
     def _place(self, bias) -> np.ndarray:
         if self._guess is None:
-            self._guess = verify.guess_blocks(self.expansion, self.rng)
+            self._guess = verify.guess_blocks(self.rng, 1, self.expansion)
         return verify.block_mask(self.block_dim, self.ctx.config.slot_count,
                                  self._guess, bias)
 

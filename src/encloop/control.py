@@ -132,7 +132,7 @@ def encrypt_controller(ctx: KeyContext, ctrl: AffineController,
     """Encrypt the controller in lifted linear form: the block-diagonal
     replication kron(I_expansion, K_aug) over ``expansion`` stacked [y; u0]
     blocks, encoded from the d x d block alone (no dense replication)."""
-    K_aug = verify.lift_affine(-ctrl.K, ctrl.u0)
+    K_aug = verify.lift_affine(-ctrl.K)
     return encrypt_matrix(ctx, K_aug, copies=expansion)
 
 

@@ -202,7 +202,7 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
                     result["y_c"].append(ctx.decrypt(y_cipher)[: cfg.model.p])
                     result["u_c"].append(ctx.decrypt(u_cipher)[: cfg.model.m])
                 send_frame(conn, MSG_ENC_U, serialize_ciphertext(u_cipher))
-        except (FrameError, ValueError, ConnectionError, json.JSONDecodeError) as exc:
+        except (ValueError, ConnectionError) as exc:  # FrameError, JSONDecodeError too
             log.warning("controller: rejected input: %s", exc)
             result["error"] = str(exc)
     return result
@@ -266,7 +266,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                 # a step counts once, whichever direction was modified
                 stats["tampered"] += modified_y or modified_u
                 k += 1
-        except (FrameError, ValueError, ConnectionError, json.JSONDecodeError) as exc:
+        except (ValueError, ConnectionError) as exc:  # FrameError, JSONDecodeError too
             log.warning("attacker: relay stopped: %s", exc)
             stats["error"] = str(exc)
     return stats

@@ -238,7 +238,7 @@ class ScenarioConfig:
 
 def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
     """Verifier over the lifted controller block: h(w) = K_aug w."""
-    K_aug = verify.lift_affine(-cfg.controller.K, cfg.controller.u0)
+    K_aug = verify.lift_affine(-cfg.controller.K)
     return verify.setup(cfg.backend.slot_count, K_aug, cfg.expansion, cfg.num_challenges,
                         threshold=cfg.threshold, noise_std=cfg.backend.noise_std,
                         seed=cfg.seed)
@@ -293,10 +293,10 @@ def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
         arr = np.array(rows)
         for col in range(arr.shape[1]):
             series.append((f"{name}{col + 1}", arr[:, col]))
+    if not series:
+        raise ValueError("empty trace: nothing to plot")
     ks = np.array(trace.k, dtype=float)
-    if not series or len(ks) < 2:
-        raise ValueError("trace too short to plot")
-
+    k_span = ks[-1] - ks[0] or 1.0  # one step: a unit span, as for a constant value
     all_vals = np.concatenate([v for _, v in series])
     lo, hi = float(all_vals.min()), float(all_vals.max())
     if hi - lo < 1e-12:
@@ -305,7 +305,7 @@ def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
     pw, ph = width - 2 * mx, height - 2 * my
 
     def sx(k):
-        return mx + pw * (k - ks[0]) / (ks[-1] - ks[0])
+        return mx + pw * (k - ks[0]) / k_span
 
     def sy(v):
         return my + ph * (1 - (v - lo) / (hi - lo))

@@ -38,6 +38,7 @@ __all__ = [
     "p_succ_instant",
     "p_succ_cumulative",
     "block_mask",
+    "guess_blocks",
     "run_detection_experiment",
 ]
 
@@ -147,7 +148,7 @@ def _eps(ctx: VerifierContext, encoded: np.ndarray) -> float:
     return max(ctx.threshold, 8.0 * bound)
 
 
-def lift_affine(K, offset):
+def lift_affine(K):
     """Turn the affine map w -> K w + offset into the linear form evaluated
     on one block of an encoded input.
 
@@ -159,7 +160,6 @@ def lift_affine(K, offset):
     hold one (for the tank controller, d = 4: offsets {-1, 0, 1, 2}).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    offset = np.asarray(offset, dtype=float).ravel()
     m, p = K.shape
     d = lifted_dim(p, m)
     K_aug = np.zeros((d, d))
@@ -309,19 +309,20 @@ def p_succ_cumulative(expansion: int, steps: int) -> float:
 # -- the guessing attacker -----------------------------------------------------
 
 def block_mask(block_dim: int, slot_count: int, blocks, delta) -> np.ndarray:
-    """Plaintext mask carrying ``delta`` in the given block positions."""
+    """Plaintext mask carrying ``delta`` at the head of each block indexed by
+    the integer array ``blocks`` (any shape); ``block_dim`` divides ``slot_count``."""
     delta = np.asarray(delta, dtype=float).ravel()
     if len(delta) > block_dim:
         raise ValueError(f"delta of length {len(delta)} exceeds block_dim {block_dim}")
     mask = np.zeros(slot_count)
-    for b in blocks:
-        mask[b * block_dim: b * block_dim + len(delta)] = delta
+    mask.reshape(-1, block_dim)[blocks, :len(delta)] = delta
     return mask
 
 
-def guess_blocks(expansion: int, rng: np.random.Generator) -> frozenset[int]:
-    """Uniformly random lambda/2-subset of block indices."""
-    return frozenset(rng.permutation(expansion)[: expansion // 2].tolist())
+def guess_blocks(rng: np.random.Generator, rows: int, expansion: int) -> np.ndarray:
+    """(rows, lambda/2): row r guesses a uniform half of its own blocks, flat
+    indices r*lambda .. r*lambda + lambda - 1 (``_permutations``)."""
+    return _permutations(rng, rows, expansion)[:, :expansion // 2]
 
 
 # -- detection experiments -----------------------------------------------------
@@ -339,14 +340,15 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
     ``fast`` draws the guess/replica subsets directly (no ciphertexts,
     vectorized); ``full`` runs the complete encrypted encode-evaluate-decode
     pipeline per step. Full mode builds one deployment per experiment (key
-    context, verifier and encrypted server matrix) and packs its trials into
-    the slots of one ciphertext, lambda slots per trial (block dimension 1),
-    as the verifier packs blocks: at most ``FULL_MODE_SLOTS`` slots, so the
-    trials run in chunks of ``FULL_MODE_SLOTS // lambda``. Every live trial
-    of a chunk takes its step k in one encrypt, splice, matvec and decrypt,
-    and detected trials drop out. One RNG stream, the verifier's, draws every
-    step's permutations, challenges and guesses; each step draws afresh, so
-    trials stay independent. Both modes follow the same detection law. Raises
+    context, verifier, and the verifier's map h encrypted on every slot) and
+    packs its trials into one ciphertext, lambda slots per trial (block
+    dimension 1), as the verifier packs blocks: at most ``FULL_MODE_SLOTS``
+    slots, so the trials run in chunks of ``FULL_MODE_SLOTS // lambda``.
+    Every live trial of a chunk takes its step k in one encrypt, splice (that
+    of ``GuessingAttacker``), matvec and decrypt; detected trials drop out.
+    One RNG stream, the verifier's, draws every step's permutations,
+    challenges and guesses; each step draws afresh, so trials stay
+    independent. Both modes follow the same detection law. Raises
     ``ValueError`` unless the expansion is even and at least 2, the attack
     length and the number of trials are at least 1 and the seed is
     non-negative.
@@ -406,17 +408,15 @@ def _detect_full(lam: int, L: int, trials: int, seed: int):
     # step's permutations, challenges and guesses, so trials stay independent
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=L + 2, seed=seed))
     vctx = setup(slot_count, 2.0 * np.eye(1), lam, num_challenges=4, seed=seed)
-    enc_h = encrypt_matrix(ctx, 2.0 * np.eye(lam), copies=slot_count // lam)
+    enc_h = encrypt_matrix(ctx, vctx.h, copies=slot_count)
     w, delta = np.array([1.0]), 3.0
     for first in range(0, trials, chunk):
         alive = min(chunk, trials - first)
         for k in range(1, L + 1):
             encoded, perm, indices = _encode(vctx, w, alive)
             c = ctx.encrypt(pad_slots(encoded, slot_count))
-            # each trial's guess: the flat slots of the first half of a
-            # permutation of its own lam slots
-            mask = np.zeros(slot_count)
-            mask[_permutations(vctx.rng, alive, lam)[:, :lam // 2]] = delta
+            # one-slot blocks: each trial's guess is a half of its own lam slots
+            mask = block_mask(1, slot_count, guess_blocks(vctx.rng, alive, lam), delta)
             z = ctx.decrypt(enc_matvec(enc_h, hom_add(c, mask)))
             z = z[:alive * lam].reshape(alive, lam)
             accepted = len(_decode(vctx, perm, indices, z, _eps(vctx, encoded))[2])

@@ -199,7 +199,7 @@ def test_criterion_06_verification_completeness_and_overhead():
     slot_count, lam = 16, 4
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=4,
                                        seed=17))
-    K_aug = lift_affine(-ctrl.K, ctrl.u0)
+    K_aug = lift_affine(-ctrl.K)
     vctx = setup(slot_count, K_aug, lam, num_challenges=16, seed=17)
     enc_K = encrypt_controller(ctx, ctrl, lam)
     rng = np.random.default_rng(17)

@@ -220,7 +220,7 @@ class TestSplice:
             # the covert attacker hits the leading block, the guessing
             # attacker the block it guessed for the step
             out = hook(k, c)
-            blocks = {0} if kind == "covert" else attacker._guess
+            blocks = [0] if kind == "covert" else attacker._guess
             spliced.append((out, verify.block_mask(4, 8, blocks, bias)))
         # three plaintext additions; nothing is encrypted or decrypted
         assert spent_ops((ctx, pub), before) == {"add": 3, "mul": 0, "rot": 0,

@@ -39,6 +39,20 @@ class TestSimulate:
         assert trace_path.read_text().startswith("k,x1")
         assert plot_path.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("raw, code, line", [
+        (dict(VERIFIED, pre_roll=0), 3, "verification tripped at step 0"),
+        ({"scenario": "baseline", "steps": 1, "pre_roll": 0}, 0,
+         "completed 1 steps (k = 0..0)")], ids=["caught_at_0", "one_step_baseline"])
+    def test_one_step_trace_written_and_plotted(self, tmp_path, capsys, raw, code, line):
+        """A run that ends after one step (caught at k = 0, or one step
+        long) still writes its trace and its plot."""
+        trace_path, plot_path = tmp_path / "trace.csv", tmp_path / "trace.svg"
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw),
+                     "--out-trace", str(trace_path), "--out-plot", str(plot_path)]) == code
+        assert line in capsys.readouterr().out
+        assert len(trace_path.read_text().splitlines()) == 2
+        assert plot_path.read_text().startswith("<svg")
+
     def test_verification_trips_exit_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, VERIFIED)
         code = main(["simulate", "--config", cfg])

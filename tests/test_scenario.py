@@ -6,7 +6,7 @@ import pytest
 
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
 from encloop.backend import BackendConfig, DepthExhausted, context_create
-from encloop.control import run_closed_loop
+from encloop.control import SimTrace, run_closed_loop
 from encloop.scenario import (
     SCENARIOS,
     ConfigError,
@@ -421,8 +421,17 @@ class TestSvgPlot:
         # one polyline per channel component: u1 u2 y1 y2 uc1 uc2 yc1 yc2
         assert text.count("<polyline") == 8
 
-    def test_short_trace_rejected(self, tmp_path):
+    def test_one_step_trace_plots(self, tmp_path):
+        # a zero k-span is drawn over a unit span, every point at the axis
         trace, _ = run_scenario(
             ScenarioConfig.from_dict(minimal(steps=1, pre_roll=0)))
-        with pytest.raises(ValueError):
-            write_trace_svg(trace, tmp_path / "x.svg")
+        path = tmp_path / "x.svg"
+        write_trace_svg(trace, path)
+        text = path.read_text()
+        assert text.count("<polyline") == 8 and "nan" not in text
+        assert text.count('<polyline points="60.00,') == 8
+
+    def test_empty_trace_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="empty trace"):
+            write_trace_svg(SimTrace(), tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()

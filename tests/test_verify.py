@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from encloop import verify
-from encloop.backend import BackendConfig, context_create, pad_slots
+from encloop.backend import BackendConfig, context_create, hom_add, pad_slots
 from encloop.control import (
     TANK_X0,
     AffineController,
@@ -87,7 +87,7 @@ class TestSetup:
                 assert T == len(stored)
                 assert rest == pytest.approx(2 * sum(K_max) + 2 * T - 1, rel=1e-15)
         ctrl = tank_controller()
-        assert setup(64, lift_affine(-ctrl.K, ctrl.u0), 4, 1).noise_terms[0] == 4
+        assert setup(64, lift_affine(-ctrl.K), 4, 1).noise_terms[0] == 4
 
     def test_challenges_precomputed(self):
         vctx = make_vctx()
@@ -321,7 +321,7 @@ class TestReplicaAgreement:
 class TestAffineLift:
     def test_tank_controller_lift(self):
         ctrl = tank_controller()
-        K_aug = lift_affine(-ctrl.K, ctrl.u0)
+        K_aug = lift_affine(-ctrl.K)
         assert K_aug.shape == (4, 4)
         y = np.array([0.7, -0.3])
         w = lifted_input(y, ctrl.u0, 4)
@@ -333,7 +333,7 @@ class TestAffineLift:
         rng = np.random.default_rng(5)
         ctrl = AffineController(K=rng.uniform(-2, 2, (2, 2)), u0=rng.uniform(-1, 1, 2))
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=5))
-        K_aug = lift_affine(-ctrl.K, ctrl.u0)
+        K_aug = lift_affine(-ctrl.K)
         for expansion in (1, 2, 4, 16):
             expected = np.zeros((64, 64))
             expected[:4 * expansion, :4 * expansion] = np.kron(np.eye(expansion), K_aug)
@@ -343,7 +343,7 @@ class TestAffineLift:
     def test_encrypted_lifted_evaluation(self):
         # full pipeline: encode -> encrypt -> lifted matvec -> decode
         ctrl = tank_controller()
-        K_aug = lift_affine(-ctrl.K, ctrl.u0)
+        K_aug = lift_affine(-ctrl.K)
         vctx = setup(16, K_aug, 4, num_challenges=3, seed=7)
         ctx = context_create(BackendConfig(slot_count=16, max_depth=4, seed=7))
         enc_K = encrypt_controller(ctx, ctrl, 4)
@@ -387,16 +387,20 @@ class TestGuessing:
     def test_guess_is_half_subset(self):
         rng = np.random.default_rng(0)
         for lam in (2, 4, 8):
-            g = guess_blocks(lam, rng)
-            assert len(g) == lam // 2
-            assert all(0 <= b < lam for b in g)
+            for rows in (1, 3):
+                g = guess_blocks(rng, rows, lam)
+                assert g.shape == (rows, lam // 2)
+                for r, row in enumerate(g.tolist()):
+                    # row r picks distinct blocks among its own lam
+                    assert len(set(row)) == lam // 2
+                    assert all(r * lam <= b < (r + 1) * lam for b in row)
 
     def test_guess_uniformity(self):
         rng = np.random.default_rng(1)
         counts = {}
         n = 60_000
         for _ in range(n):
-            g = guess_blocks(4, rng)
+            g = frozenset(guess_blocks(rng, 1, 4)[0].tolist())
             counts[g] = counts.get(g, 0) + 1
         assert len(counts) == 6
         obs = np.array(list(counts.values()))
@@ -406,18 +410,23 @@ class TestGuessing:
     def test_guess_replays_one_permutation(self, lam):
         rng, replay = np.random.default_rng(lam), np.random.default_rng(lam)
         for _ in range(20):
-            assert guess_blocks(lam, rng) == frozenset(replay.permutation(lam)[: lam // 2].tolist())
+            assert np.array_equal(guess_blocks(rng, 1, lam),
+                                  replay.permutation(lam)[None, : lam // 2])
         assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_block_mask(self):
-        mask = block_mask(2, 16, {1, 3}, [5.0, 6.0])
+        mask = block_mask(2, 16, np.array([1, 3]), [5.0, 6.0])
         expected = np.zeros(16)
         expected[2:4] = [5, 6]
         expected[6:8] = [5, 6]
         assert np.array_equal(mask, expected)
-        assert np.array_equal(block_mask(4, 16, {2}, [7.0]), np.eye(16)[8] * 7.0)
+        assert np.array_equal(block_mask(4, 16, np.array([2]), [7.0]), np.eye(16)[8] * 7.0)
+        # a (rows, lambda/2) guess places every row's blocks in one mask
+        assert np.array_equal(block_mask(2, 16, np.array([[1], [3]]), [5.0, 6.0]), expected)
+        assert np.array_equal(block_mask(1, 8, np.array([[0, 2], [5, 6]]), 3.0),
+                              3.0 * np.isin(np.arange(8), [0, 2, 5, 6]))
         with pytest.raises(ValueError, match="exceeds block_dim"):
-            block_mask(2, 16, {1}, [1.0, 2.0, 3.0])
+            block_mask(2, 16, np.array([1]), [1.0, 2.0, 3.0])
 
 
 class TestDetectionExperiment:
@@ -556,6 +565,18 @@ class TestDetectionExperiment:
         assert res["counts"][1] == 100_000
         assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
+    def test_full_mode_memory_is_linear_in_slots(self):
+        """At lambda = 4096 the server is the verifier's 1 x 1 map on every
+        slot, not a dense lambda x lambda matrix (128 MiB at this lambda)."""
+        tracemalloc.start()
+        try:
+            res = run_detection_experiment(4096, 2, 8, mode="full", seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res["counts"][1] == 8
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
     def test_counts_conserve_trials(self):
         res = run_detection_experiment(8, 5, 10_000, mode="fast", seed=3)
         assert sum(res["counts"].values()) + res["undetected"] == 10_000
@@ -581,11 +602,60 @@ class TestDetectionExperiment:
         assert res["counts"] == {1: 10, 2: 0} and res["undetected"] == 0
 
 
+class OneBlockAttacker:
+    """Adds 1.0 to the first slot of block ``j`` of the control ciphertext
+    from step 0 on; the measurement passes untouched."""
+
+    def __init__(self, block_dim, slot_count, j):
+        self.mask = block_mask(block_dim, slot_count, np.array([j]), [1.0])
+
+    def tamper_measurement(self, k, c):
+        return c
+
+    def tamper_control(self, k, c):
+        return hom_add(c, self.mask) if k >= 0 else c
+
+
 class TestVerifiedClosedLoop:
+    @pytest.mark.parametrize("lam", [4, 8])
+    def test_one_block_attacker_caught_at_first_step(self, monkeypatch, lam):
+        """Shifting any single block j ends the loop bottom at step 0: a hit
+        challenge fails its own check, a hit replica fails replica agreement
+        with every challenge passing. Every j faces the same step-0
+        permutation (one seed, and the attacker draws nothing), so half of
+        the j hit a replica."""
+        model, ctrl = quadruple_tank(), tank_controller()
+        d, half = verify.lifted_dim(model.p, model.m), lam // 2
+        decodes = []
+        real_dcd = verify.dcd
+
+        def spy(vctx, tag, z):
+            decodes.append((tag, real_dcd(vctx, tag, z)))
+            return decodes[-1][1]
+
+        monkeypatch.setattr(verify, "dcd", spy)
+        replica_hits = 0
+        for j in range(lam):
+            ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=lam))
+            vctx = setup(64, lift_affine(-ctrl.K), lam, num_challenges=8, seed=lam)
+            trace = run_closed_loop(model, ctrl, TANK_X0, 10, pre_roll=3, ctx=ctx,
+                                    verifier=vctx, attacker=OneBlockAttacker(d, 64, j))
+            assert trace.verdict == ["ok"] * 3 + ["bottom"] and trace.k[-1] == 0
+            tag, outcome = decodes[-1]
+            block = int(tag.perm[j])  # the pre-shuffle block at position j
+            if block < half:
+                replica_hits += 1
+                assert outcome.failed_challenges == []
+                assert outcome.spread == pytest.approx(1.0)
+            else:
+                assert outcome.failed_challenges == [block - half]
+                assert outcome.spread <= 2 * outcome.eps
+        assert replica_hits == half
+
     def test_honest_loop_never_trips(self):
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=11))
-        K_aug = lift_affine(-ctrl.K, ctrl.u0)
+        K_aug = lift_affine(-ctrl.K)
         vctx = setup(64, K_aug, 4, num_challenges=8, seed=11)
         trace = run_closed_loop(model, ctrl, TANK_X0, 100, pre_roll=20,
                                 ctx=ctx, verifier=vctx)
@@ -596,7 +666,7 @@ class TestVerifiedClosedLoop:
     def test_guessing_attacker_detected_quickly(self):
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=12))
-        K_aug = lift_affine(-ctrl.K, ctrl.u0)
+        K_aug = lift_affine(-ctrl.K)
         vctx = setup(64, K_aug, 8, num_challenges=8, seed=12)
         plan = AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
                           length=10, cooldown_len=4)
@@ -616,7 +686,7 @@ class TestVerifiedClosedLoop:
         is the verifier's own, not the wire's."""
         model, ctrl = quadruple_tank(), tank_controller()
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=13))
-        vctx = setup(64, lift_affine(-ctrl.K, ctrl.u0), 4, num_challenges=8, seed=13)
+        vctx = setup(64, lift_affine(-ctrl.K), 4, num_challenges=8, seed=13)
         trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=5, ctx=ctx,
                                 verifier=vctx, attacker=trailer_forger(ctx.public_context()))
         assert trace.verdict == ["ok"] * 5 + ["bottom"]
