@@ -16,7 +16,7 @@ sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given the
 a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
 per-slot scale depends on the a_t alone, so a caller whose a_t are fixed (the
 diagonals of an encrypted matrix) computes it once with ``dot_noise_scale``
-and passes it in.
+and passes it in; ``DotTerms`` likewise checks fixed a_t once.
 
 A ciphertext carries no noise estimate: as in a real scheme, a receiver
 cannot trust one, so whoever checks a decryption derives its own tolerance
@@ -48,6 +48,7 @@ __all__ = [
     "hom_neg",
     "hom_mul",
     "hom_dot",
+    "DotTerms",
     "dot_noise_scale",
     "rotate",
     "pad_slots",
@@ -126,13 +127,13 @@ class KeyContext:
     # -- core API ---------------------------------------------------------
 
     def encrypt(self, slots) -> PackedCiphertext:
-        m = np.asarray(slots, dtype=float)
+        m = np.array(slots, dtype=float)  # the ciphertext's own copy
         if m.shape != (self.config.slot_count,):
             raise ValueError(
                 f"plaintext length {m.shape} does not match slot_count {self.config.slot_count}")
         self.op_counts["enc"] += 1
         return PackedCiphertext(
-            _slots=self._noisy(m.copy()),
+            _slots=self._noisy(m),
             level=0,
             key_id=self.key_id,
             _ctx=self,
@@ -249,39 +250,107 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
     ``noise_scale``, if given, is ``dot_noise_scale`` of the same a_t in the
     same order, precomputed by a caller whose a_t do not change; otherwise it
     is computed here. The partial products and the draw go through the first
-    a's context's scratch buffer.
+    a's context's scratch buffer. Each term is checked, multiplied and
+    counted in one pass; ``DotTerms`` is the form for fixed a_t and one b.
     """
     terms = list(terms)
     if not terms:
         raise ValueError("hom_dot needs at least one term")
     ctx = terms[0][0]._ctx
     cfg = ctx.config
-    sigma, n = cfg.noise_std, cfg.slot_count
+    n = cfg.slot_count
     out = np.empty(n)
     tmp = ctx._scratch() if len(terms) > 1 else None
-    level = 0
-    for t, (a, b, s) in enumerate(terms):
+    dst, level = out, 0
+    for a, b, s in terms:
         if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
         level = max(level, a.level + 1, b.level + 1)
-        if level > cfg.max_depth:
-            raise DepthExhausted(
-                f"operation requires level {level} but max_depth is {cfg.max_depth}")
-        # a * rot_s(b) without materializing the rotation
-        i = s % n
-        dst = out if t == 0 else tmp
-        np.multiply(a._slots[:n - i], b._slots[i:], out=dst[:n - i])
-        if i:
-            np.multiply(a._slots[n - i:], b._slots[:i], out=dst[n - i:])
-        if t:
+        _check_level(cfg, level)
+        _mul_rotated(dst, a._slots, s % n, b._slots)
+        if dst is tmp:
             out += tmp
-    for a, b, _ in terms:
+        dst = tmp
         b._ctx.op_counts["rot"] += 1
         a._ctx.op_counts["mul"] += 1
     ctx.op_counts["add"] += len(terms) - 1
-    if sigma > 0:
-        if noise_scale is None:
-            noise_scale = dot_noise_scale(a for a, _, _ in terms)
+    if cfg.noise_std > 0 and noise_scale is None:
+        noise_scale = dot_noise_scale(a for a, _, _ in terms)
+    return _dot_result(ctx, out, level, noise_scale)
+
+
+class DotTerms:
+    """``hom_dot`` over fixed coefficient ciphertexts a_t and shifts s_t with
+    one b per call, sum_t a_t * rot_{s_t}(b): a matrix-vector product in
+    diagonal form. The a_t's keys and levels are checked once, here; each
+    call checks b alone and returns what ``hom_dot`` over the terms (a_t, b,
+    s_t) and ``noise_scale`` returns, with the same op counts, level and
+    errors. The a_t must not change while this object is in use."""
+
+    def __init__(self, coeffs, shifts):
+        coeffs = list(coeffs)
+        if not coeffs:
+            raise ValueError("hom_dot needs at least one term")
+        self.ctx = ctx = coeffs[0]._ctx
+        if {a.key_id for a in coeffs} != {ctx.key_id}:
+            raise KeyMismatch("operands were created under different keys")
+        n = ctx.config.slot_count
+        self.level = max([a.level for a in coeffs]) + 1
+        self.coeff_ctxs = [a._ctx for a in coeffs]  # each product counts on a_t's
+        shifts = [s % n for s in shifts]
+        self.first = coeffs[0]._slots, shifts[0]
+        # every later product goes to the scratch buffer; a_t and the buffer
+        # are split once at n - s_t, where the rotation wraps
+        self.tmp = ctx._scratch() if len(coeffs) > 1 else None
+        self.rest = [(a._slots[:n - s], a._slots[n - s:], s, self.tmp[:n - s], self.tmp[n - s:])
+                     for a, s in zip(coeffs[1:], shifts[1:])]
+
+    def __call__(self, b: PackedCiphertext, noise_scale: np.ndarray | None) -> PackedCiphertext:
+        """The product with ``b``. On a noisy context ``noise_scale`` is
+        ``dot_noise_scale`` of the a_t; it is not read otherwise."""
+        ctx = self.ctx
+        cfg = ctx.config
+        if b.key_id != ctx.key_id:
+            raise KeyMismatch("operands were created under different keys")
+        level = max(self.level, b.level + 1)
+        _check_level(cfg, level)
+        bs = b._slots
+        out = np.empty(cfg.slot_count)
+        _mul_rotated(out, *self.first, bs)
+        for a_head, a_tail, s, tmp_head, tmp_tail in self.rest:
+            np.multiply(a_head, bs[s:], out=tmp_head)
+            if s:
+                np.multiply(a_tail, bs[:s], out=tmp_tail)
+            out += self.tmp
+        T = len(self.coeff_ctxs)
+        b._ctx.op_counts["rot"] += T
+        for c in self.coeff_ctxs:
+            c.op_counts["mul"] += 1
+        ctx.op_counts["add"] += T - 1
+        return _dot_result(ctx, out, level, noise_scale)
+
+
+def _check_level(cfg: BackendConfig, level: int):
+    if level > cfg.max_depth:
+        raise DepthExhausted(
+            f"operation requires level {level} but max_depth is {cfg.max_depth}")
+
+
+def _mul_rotated(dst: np.ndarray, a: np.ndarray, i: int, b: np.ndarray):
+    """dst = a * rot_i(b) for 0 <= i < n, without materializing the rotation."""
+    if i:
+        n = len(b)
+        np.multiply(a[:n - i], b[i:], out=dst[:n - i])
+        np.multiply(a[n - i:], b[:i], out=dst[n - i:])
+    else:
+        np.multiply(a, b, out=dst)
+
+
+def _dot_result(ctx: KeyContext, out: np.ndarray, level: int,
+                noise_scale: np.ndarray | None) -> PackedCiphertext:
+    """Wrap a dot product's result buffer, adding one draw scaled by
+    ``noise_scale`` on a noisy context."""
+    if ctx.config.noise_std > 0:
         z = ctx.rng.standard_normal(out=ctx._scratch())
         z *= noise_scale
         out += z

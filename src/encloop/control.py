@@ -156,11 +156,11 @@ class SimTrace:
 
     def append(self, k, x, u, y, u_c, y_c, verdict="n/a"):
         self.k.append(int(k))
-        self.x.append(np.asarray(x, dtype=float).copy())
-        self.u.append(np.asarray(u, dtype=float).copy())
-        self.y.append(np.asarray(y, dtype=float).copy())
-        self.u_c.append(np.asarray(u_c, dtype=float).copy())
-        self.y_c.append(np.asarray(y_c, dtype=float).copy())
+        self.x.append(np.array(x, dtype=float))
+        self.u.append(np.array(u, dtype=float))
+        self.y.append(np.array(y, dtype=float))
+        self.u_c.append(np.array(u_c, dtype=float))
+        self.y_c.append(np.array(y_c, dtype=float))
         self.verdict.append(verdict)
 
     def __len__(self):
@@ -248,14 +248,16 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
             u_c = controller_eval_plain(ctrl, y_c)
             u = attacker.tamper_control(k, u_c) if attacker is not None else u_c
         else:
-            w = verify.lifted_input(y, ctrl.u0, block_dim)
             if verifier is None:
+                # the lifted block, zero-padded straight to the slot count
+                slots = verify.lifted_input(y, ctrl.u0, ctx.config.slot_count)
                 tag, lo = None, 0
             else:
-                w, tag = verify.ecd(verifier, w)
+                w, tag = verify.ecd(verifier, verify.lifted_input(y, ctrl.u0, block_dim))
+                slots = pad_slots(w, ctx.config.slot_count)
                 # trace the payload block the controller effectively processes
-                lo = min(tag.payload_positions()) * block_dim
-            y_cipher = ctx.encrypt(pad_slots(w, ctx.config.slot_count))
+                lo = tag.payload_block * block_dim
+            y_cipher = ctx.encrypt(slots)
             u_cipher, y_c, u_c = link(k, y_cipher, lo)
             z = ctx.decrypt(u_cipher)
             if verifier is None:

@@ -7,10 +7,11 @@ slotwise multiplies against rotated copies of the vector:
     S v = sum_i  S_i * rot_i(v)
 
 and matrix-matrix products to the analogous recombination of diagonals.
-Every such sum goes through the backend's fused ``hom_dot``: one call per
-matvec and one per output diagonal of a matmat, with the op counts and level
-of the composed rotations, products and sums. A matrix computes the noise
-scale of its matvec once, on its first product.
+Every such sum is the backend's fused ``hom_dot``, with the op counts and
+level of the composed rotations, products and sums: one per output diagonal
+of a matmat, and one per matvec in the form ``DotTerms``, which a matrix
+builds on its first product (its diagonals checked once, and their noise
+scale computed once).
 Only the wrapped diagonals that hold a nonzero entry are stored; the missing
 ones are implicitly zero and are skipped, not materialized.
 
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import KeyContext, PackedCiphertext, dot_noise_scale, hom_dot, hom_mul
+from .backend import (DotTerms, KeyContext, PackedCiphertext, dot_noise_scale, hom_dot,
+                      hom_mul)
 
 __all__ = [
     "DiagMatrixCipher",
@@ -45,13 +47,15 @@ class DiagMatrixCipher:
     ``diagonals`` maps the wrapped diagonal index (0 <= i < dim) to its
     ciphertext; absent indices are implicitly zero.
 
-    On a noisy context the first ``enc_matvec`` caches ``hom_dot``'s noise
-    scale over the diagonals in key order, so ``diagonals`` must not be
-    changed (no entry added, removed or replaced) after the first product.
+    The first ``enc_matvec`` caches its terms (``DotTerms`` over the
+    diagonals in key order) and, on a noisy context, ``hom_dot``'s noise
+    scale over them, so ``diagonals`` must not be changed (no entry added,
+    removed or replaced) after the first product.
     """
 
     dim: int
     diagonals: dict[int, PackedCiphertext]
+    _terms: DotTerms | None = field(default=None, repr=False, compare=False)
     _noise_scale: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -101,20 +105,31 @@ def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
         raise ValueError(f"{copies} copies of a matrix of shape {S.shape} "
                          f"exceed slot_count {dim}")
     r, c = np.nonzero(S)
-    vals = S[r, c]
-    if copies > 1:  # (copies, nnz) positions; the values broadcast over copies
-        b = np.arange(copies)[:, None]
-        r, c = r + b * rows, c + b * cols
-    keys = (c - r) % dim
-    present = np.zeros(dim, dtype=bool)
-    present[keys] = True
-    indices = np.flatnonzero(present)
-    row = np.empty(dim, dtype=np.intp)  # wrapped diagonal -> row of ``diags``
-    row[indices] = np.arange(len(indices))
-    diags = np.zeros((len(indices), dim))
-    diags[row[keys], r] = vals
+    if copies > 1 and rows == cols:
+        # every copy of a square block's entry lies on the entry's own wrapped
+        # diagonal, in every rows-th slot from r: one strided slice per entry
+        entries = [((j - i) % dim, i, S[i, j]) for i, j in zip(r.tolist(), c.tolist())]
+        indices = sorted({key for key, _, _ in entries})
+        row = {key: k for k, key in enumerate(indices)}  # wrapped diagonal -> row of ``diags``
+        diags = np.zeros((len(indices), dim))
+        for key, i, v in entries:
+            diags[row[key], i: i + copies * rows: rows] = v
+    else:
+        vals = S[r, c]
+        if copies > 1:  # (copies, nnz) positions; the values broadcast over copies
+            b = np.arange(copies)[:, None]
+            r, c = r + b * rows, c + b * cols
+        keys = (c - r) % dim
+        present = np.zeros(dim, dtype=bool)
+        present[keys] = True
+        indices = np.flatnonzero(present)
+        row = np.empty(dim, dtype=np.intp)  # wrapped diagonal -> row of ``diags``
+        row[indices] = np.arange(len(indices))
+        diags = np.zeros((len(indices), dim))
+        diags[row[keys], r] = vals
+        indices = indices.tolist()
     return DiagMatrixCipher(dim=dim, diagonals={
-        i: ctx.encrypt(diag) for i, diag in zip(indices.tolist(), diags)})
+        i: ctx.encrypt(diag) for i, diag in zip(indices, diags)})
 
 
 def decrypt_matrix(ctx: KeyContext, M: DiagMatrixCipher) -> np.ndarray:
@@ -134,9 +149,11 @@ def enc_matvec(S: DiagMatrixCipher, v: PackedCiphertext) -> PackedCiphertext:
         raise ValueError(f"matrix dim {S.dim} does not match ciphertext slots")
     if not S.diagonals:  # all-zero (empty) matrix
         return hom_mul(v, np.zeros(S.dim))
-    if S._noise_scale is None and v._ctx.config.noise_std:
-        S._noise_scale = dot_noise_scale(S.diagonals.values())
-    return hom_dot(((diag, v, i) for i, diag in S.diagonals.items()), S._noise_scale)
+    if S._terms is None:
+        S._terms = DotTerms(S.diagonals.values(), S.diagonals)
+        if S._terms.ctx.config.noise_std:
+            S._noise_scale = dot_noise_scale(S.diagonals.values())
+    return S._terms(v, S._noise_scale)
 
 
 def enc_matmat(S: DiagMatrixCipher, T: DiagMatrixCipher) -> DiagMatrixCipher:

@@ -284,7 +284,8 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 
 def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
-    """One polyline per signal channel (u, y, u_c, y_c components) over k."""
+    """One polyline per signal channel (u, y, u_c, y_c components) over k;
+    a one-step trace also gets a marker per channel."""
     series = []
     for name, rows in (("u", trace.u), ("y", trace.y),
                        ("uc", trace.u_c), ("yc", trace.y_c)):
@@ -321,6 +322,9 @@ def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
         pts = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in zip(ks, vals))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
+        if len(vals) == 1:  # a one-point polyline renders as nothing
+            parts.append(f'<circle cx="{sx(ks[0]):.2f}" cy="{sy(vals[0]):.2f}" r="3" '
+                         f'fill="{color}"/>')
         lx, ly = mx + pw + 4, my + 14 * idx
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 14}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"/>')

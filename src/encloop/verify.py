@@ -53,6 +53,20 @@ class VerifierContext:
     challenges: np.ndarray          # (M, d): one challenge input per row
     challenge_outputs: np.ndarray   # (M, d): h of each row of ``challenges``
     rng: np.random.Generator = field(repr=False, default=None)
+    # (M + 1, d): ``challenges`` and a last row for the payload, which every
+    # encode overwrites with its own payload block
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    # ``_decode``'s checks over the lambda*d errors of one unshuffled
+    # response, the replicas' then each challenge block's: where each check
+    # starts, and its bound in units of eps (2 for the replica spread, 1 for a
+    # challenge), as a column
+    checks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.table = np.concatenate((self.challenges, self.challenges[:1]))
+        half, d = self.expansion // 2, self.block_dim
+        self.checks = (np.array([0, *range(half * d, self.expansion * d, d)]),
+                       np.array([[2.0]] + [[1.0]] * half))
 
     @property
     def encoded_dim(self) -> int:
@@ -78,6 +92,7 @@ class PermutationTag:
     perm: np.ndarray               # encoded block j carries pre-shuffle block perm[j]
     challenge_indices: np.ndarray  # challenge of pre-shuffle block half + i, per i
     eps: float                     # acceptance threshold of the response, from ``_eps``
+    payload_block: int             # the first encoded block carrying the payload
 
     def payload_positions(self) -> set[int]:
         half = len(self.perm) // 2
@@ -187,14 +202,17 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
     """Encode one payload block: replicate, append fresh challenges, shuffle.
 
     The challenge indices (with replacement), then the permutation (uniform
-    shuffle), are drawn fresh from the context RNG.
+    shuffle), are drawn fresh from the context RNG. The tag records the
+    first encoded block that carries the payload, ``min(payload_positions())``.
     """
     w = np.asarray(w, dtype=float).ravel()
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
     encoded, perm, indices = _encode(ctx, w, 1)
+    # the payload replicas are pre-shuffle blocks 0 .. lambda/2 - 1
+    first = min(map(perm[0].tolist().index, range(ctx.expansion // 2)))
     return encoded[0], PermutationTag(perm=perm[0], challenge_indices=indices[0],
-                                      eps=_eps(ctx, encoded))
+                                      eps=_eps(ctx, encoded), payload_block=first)
 
 
 def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
@@ -211,11 +229,12 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
     eps = tag.eps
-    (deviation,), (spread,), accepted, payload = _decode(
-        ctx, tag.perm[None], tag.challenge_indices[None], z_tilde[None], eps)
+    deviation, spread, accepted, payload = _decode(
+        ctx, tag.perm, tag.challenge_indices, z_tilde, eps)
+    deviation, spread = deviation[0], float(spread[0])
     if len(accepted):
-        return DecodeOutcome(eps, deviation, float(spread), payload=payload[0])
-    return DecodeOutcome(eps, deviation, float(spread), bottom=True,
+        return DecodeOutcome(eps, deviation, spread, payload=payload[0])
+    return DecodeOutcome(eps, deviation, spread, bottom=True,
                          failed_challenges=np.flatnonzero(~(deviation <= eps)).tolist())
 
 
@@ -256,7 +275,8 @@ def _encode(ctx: VerifierContext, w: np.ndarray, rows: int):
         source[:, :half] = m
         source[:, half:] = ctx.rng.integers(0, m, size=(rows, half))
     perm = _permutations(ctx.rng, rows, lam)
-    table = np.concatenate((ctx.challenges, w[None]))
+    table = ctx.table
+    table[m] = w
     encoded = table[source.ravel()[perm]]
     return encoded.reshape(rows, lam * d), perm, source[:, half:]
 
@@ -266,21 +286,30 @@ def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
     """Check ``rows`` responses ``z`` (rows, lambda*d) encoded with the flat
     permutations ``perm`` and challenge ``indices`` against threshold
     ``eps``: a row passes when every challenge block is within ``eps`` of its
-    reference and every payload replica within 2 ``eps`` of the first.
-    Returns each challenge block's deviation (rows, lambda/2), each row's
-    replica spread (rows,), the rows that passed, and one payload replica of
-    each of them, drawn uniformly at random (accepted rows, d)."""
+    reference and every payload replica within 2 ``eps`` of the first. One
+    row may come as ``ecd``'s tag and ``dcd``'s response, without the row
+    axis. Returns each challenge block's deviation (rows, lambda/2), each
+    row's replica spread (rows,), the rows that passed, and one payload
+    replica of each of them, drawn uniformly at random (accepted rows, d)."""
     lam, d = ctx.expansion, ctx.block_dim
-    half, rows = lam // 2, len(z)
+    half, rows = lam // 2, perm.size // lam
     blocks = np.empty((rows * lam, d))
     blocks[perm.ravel()] = z.reshape(rows * lam, d)
     blocks = blocks.reshape(rows, lam, d)
-    deviation = np.abs(blocks[:, half:] - ctx.challenge_outputs[indices])
-    deviation = np.maximum.reduce(deviation, axis=2)
-    spread = np.abs(blocks[:, :half] - blocks[:, :1]).reshape(rows, half * d)
-    spread = np.maximum.reduce(spread, axis=1)
+    # |replica - first replica| and |challenge block - reference|, laid out
+    # (lambda, d, rows) so that the reductions run over the rows at once: a
+    # reduction along a short last axis costs many rows several times more
+    err = np.empty((lam, d, rows))
+    by_row = err.transpose(2, 0, 1)
+    np.subtract(blocks[:, :half], blocks[:, :1], out=by_row[:, :half])
+    np.subtract(blocks[:, half:], ctx.challenge_outputs[indices], out=by_row[:, half:])
+    np.abs(err, out=err)
+    # one reduction for every check: the spread, then each challenge's deviation
+    starts, bound = ctx.checks
+    maxima = np.maximum.reduceat(err.reshape(lam * d, rows), starts, axis=0)
+    spread, deviation = maxima[0], maxima[1:].T
     # a NaN deviation or spread fails
-    passed = (np.maximum.reduce(deviation, axis=1) <= eps) & (spread <= 2 * eps)
+    passed = np.logical_and.reduce(maxima <= bound * eps, axis=0)
     accepted = passed.nonzero()[0]
     if not len(accepted):
         return deviation, spread, accepted, blocks[:0, 0]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from encloop.backend import BackendConfig, DepthExhausted, context_create, hom_dot, pad_slots
+from encloop.backend import (BackendConfig, DepthExhausted, KeyMismatch, context_create,
+                             hom_add, hom_dot, hom_mul, pad_slots, rotate)
 from encloop.control import quadruple_tank
 from encloop.linalg import (
     DiagMatrixCipher,
@@ -131,9 +132,11 @@ class TestEncryptMatrix:
         kron(I_copies, S): the same diagonal keys and, on identically seeded
         noisy contexts, the same slots, so the RNG stream is unchanged."""
         rng = np.random.default_rng(30 + copies)
-        for _ in range(40):
+        for case in range(40):
             dim = int(rng.choice([16, 32, 64]))
             rows, cols = rng.integers(1, dim // copies + 1, size=2)
+            if case % 2:  # a square block: each entry's copies share one diagonal
+                cols = rows
             S = rng.uniform(-2, 2, (rows, cols))
             S[rng.random((rows, cols)) > rng.choice([0.05, 0.3, 1.0])] = 0.0
             seed = int(rng.integers(1 << 30))
@@ -277,6 +280,69 @@ class TestMatVec:
         v = enc_matvec(encrypt_matrix(ctx, np.eye(4)), ctx.encrypt(np.ones(4)))
         with pytest.raises(DepthExhausted):
             enc_matvec(encrypt_matrix(ctx, np.eye(4)), v)
+
+
+class TestCachedMatVec:
+    """The first product caches a matrix's terms; every later one reuses them."""
+
+    @staticmethod
+    def banded(n, noise_std=0.0, seed=21):
+        """A context and an 8 x 8 block with wrapping entries, replicated over
+        every slot, so that its diagonals sit at shifts 0, 1, 2 and n - 1."""
+        ctx = context_create(BackendConfig(slot_count=n, noise_std=noise_std, seed=seed))
+        S = np.diag(np.arange(1.0, 9.0)) + np.eye(8, k=1) - 0.5 * np.eye(8, k=2)
+        S += 0.25 * np.eye(8, k=-1)
+        return ctx, encrypt_matrix(ctx, S, copies=n // 8)
+
+    @pytest.mark.parametrize("n", [64, 1024, 2 ** 16])
+    def test_noiseless_equals_composed_ops(self, n):
+        ctx, M = self.banded(n)
+        assert list(M.diagonals) == [0, 1, 2, n - 1]
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            v = ctx.encrypt(rng.normal(size=n))
+            acc = None
+            for i, diag in M.diagonals.items():
+                term = hom_mul(diag, rotate(v, i))
+                acc = term if acc is None else hom_add(acc, term)
+            got = enc_matvec(M, v)
+            assert M._terms is not None
+            assert np.array_equal(ctx.decrypt(got), ctx.decrypt(acc))
+            assert got.level == acc.level == 1
+
+    def test_noisy_equals_uncached_hom_dot(self):
+        """Two identically seeded sigma = 1e-3 contexts: the cached product
+        equals ``hom_dot`` over the same terms, with the same level and the
+        same op-count deltas on two products in a row."""
+        n = 64
+        (ctx, M), (ctx_ref, M_ref) = self.banded(n, 1e-3), self.banded(n, 1e-3)
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):
+            v = ctx.encrypt(rng.normal(size=n))
+            v_ref = ctx_ref.encrypt(rng_ref.normal(size=n))
+            before, before_ref = dict(ctx.op_counts), dict(ctx_ref.op_counts)
+            got = enc_matvec(M, v)
+            want = hom_dot([(d, v_ref, i) for i, d in M_ref.diagonals.items()])
+            assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
+            assert got.level == want.level
+            assert ({op: ctx.op_counts[op] - before[op] for op in before}
+                    == {op: ctx_ref.op_counts[op] - before_ref[op] for op in before_ref}
+                    == {"add": 3, "mul": 4, "rot": 4, "enc": 0, "dec": 1})
+
+    def test_foreign_key_and_depth_still_raise(self):
+        ctx, M = self.banded(64)
+        other = context_create(BackendConfig(slot_count=64, seed=99))
+        for _ in range(2):  # before and after the terms are cached
+            with pytest.raises(KeyMismatch):
+                enc_matvec(M, other.encrypt(np.ones(64)))
+            enc_matvec(M, ctx.encrypt(np.ones(64)))
+        v = ctx.encrypt(np.ones(64))
+        while v.level < ctx.config.max_depth:
+            v = hom_mul(v, np.ones(64))
+        counts = dict(ctx.op_counts)
+        with pytest.raises(DepthExhausted):
+            enc_matvec(M, v)
+        assert ctx.op_counts == counts
 
 
 class TestMatMat:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -419,7 +420,7 @@ class TestSvgPlot:
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
         # one polyline per channel component: u1 u2 y1 y2 uc1 uc2 yc1 yc2
-        assert text.count("<polyline") == 8
+        assert text.count("<polyline") == 8 and "<circle" not in text
 
     def test_one_step_trace_plots(self, tmp_path):
         # a zero k-span is drawn over a unit span, every point at the axis
@@ -430,6 +431,10 @@ class TestSvgPlot:
         text = path.read_text()
         assert text.count("<polyline") == 8 and "nan" not in text
         assert text.count('<polyline points="60.00,') == 8
+        # a one-point polyline renders as nothing: one marker per channel, in its color
+        strokes = re.findall(r'<polyline [^>]*stroke="([^"]+)"', text)
+        fills = re.findall(r'<circle cx="60.00" cy="[^"]+" r="3" fill="([^"]+)"/>', text)
+        assert fills == strokes
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty trace"):

@@ -276,6 +276,47 @@ class TestEncodeDecode:
             dcd(vctx, tag, np.zeros(7))
 
 
+class TestOneRowDecode:
+    @pytest.mark.parametrize("lam", [2, 4, 16])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_dcd_is_the_batch_core_on_one_row(self, lam, d):
+        """``dcd`` on row r of a batch, under row r's own tag, gives the
+        verdict, deviation, spread and eps that ``_decode`` gives row r of the
+        whole batch, with one row tampered and the others honest or noisy."""
+        rng = np.random.default_rng(100 * lam + d)
+        h = rng.uniform(-1, 1, (d, d))
+        rows = 7
+        for trial in range(10):
+            vctx = setup(64 * lam, h, lam, num_challenges=6, threshold=1e-3,
+                         seed=trial)
+            w = rng.uniform(-2, 2, d)
+            encoded, perm, indices = verify._encode(vctx, w, rows)
+            z = (encoded.reshape(-1, d) @ h.T).reshape(rows, lam * d)
+            z += rng.uniform(-4e-4, 4e-4, z.shape)
+            victim = int(rng.integers(rows))  # one of its challenge blocks is off by 1
+            block = rng.choice(np.flatnonzero(perm[victim] - victim * lam >= lam // 2))
+            z[victim, block * d + int(rng.integers(d))] += 1.0
+            eps = verify._eps(vctx, encoded)
+            deviation, spread, accepted, _ = verify._decode(vctx, perm, indices, z, eps)
+            assert accepted.tolist() == [r for r in range(rows) if r != victim]
+            for r in range(rows):
+                local = perm[r] - r * lam
+                tag = PermutationTag(perm=local, challenge_indices=indices[r], eps=eps,
+                                     payload_block=int(np.flatnonzero(local < lam // 2)[0]))
+                outcome = dcd(vctx, tag, z[r])
+                assert outcome.ok == (r in accepted.tolist())
+                assert outcome.eps == eps
+                assert np.array_equal(outcome.deviation, deviation[r])
+                assert outcome.spread == spread[r]
+
+    @pytest.mark.parametrize("lam", [2, 4, 16])
+    def test_tag_records_the_first_payload_block(self, lam):
+        vctx = make_vctx(expansion=lam, slot_count=2 * lam, seed=lam)
+        for _ in range(50):
+            _, tag = ecd(vctx, np.array([0.5, -1.5]))
+            assert tag.payload_block == min(tag.payload_positions())
+
+
 class TestReplicaAgreement:
     @pytest.mark.parametrize("lam", [2, 4, 6, 8])
     def test_only_the_replica_set_passes_corrupted(self, lam):
@@ -302,7 +343,7 @@ class TestReplicaAgreement:
             blocks = [w] * half + [vctx.challenges[i] for i in indices]
             encoded = np.concatenate([blocks[b] for b in perm])
             tag = PermutationTag(perm=perm, challenge_indices=indices,
-                                 eps=verify._eps(vctx, encoded))
+                                 eps=verify._eps(vctx, encoded), payload_block=min(R))
             assert tag.payload_positions() == set(R)
             passed = []
             for S in tamper_sets:
