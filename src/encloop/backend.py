@@ -14,9 +14,10 @@ the slots, level and op counts of the composed rotate, multiply and add chain,
 but fills one buffer and draws its noise once: per slot,
 sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given the
 a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
-per-slot scale depends on the a_t alone, so a caller whose a_t are fixed (the
-diagonals of an encrypted matrix) computes it once with ``dot_noise_scale``
-and passes it in; ``DotTerms`` likewise checks fixed a_t once.
+per-slot scale (``dot_noise_scale``) depends on the a_t alone, so
+``DotTerms``, the form for fixed a_t (the diagonals of an encrypted matrix),
+computes it once, as it checks the a_t once. Every op builds its ciphertext
+one way (``_result``): a depth check, then one noise draw.
 
 A ciphertext carries no noise estimate: as in a real scheme, a receiver
 cannot trust one, so whoever checks a decryption derives its own tolerance
@@ -154,12 +155,13 @@ class KeyContext:
             self._buf = np.empty(self.config.slot_count)
         return self._buf
 
-    def _noisy(self, slots: np.ndarray) -> np.ndarray:
-        # slots is always a fresh result buffer, so the draw is added in place;
-        # sigma * z is what normal(0, sigma) computes from the same z stream
+    def _noisy(self, slots: np.ndarray, scale=None) -> np.ndarray:
+        # one draw, scaled by sigma or by a per-slot ``scale``; slots is always
+        # a fresh result buffer, so the draw is added in place; sigma * z is
+        # what normal(0, sigma) computes from the same z stream
         if self.config.noise_std > 0:
             z = self.rng.standard_normal(out=self._scratch())
-            z *= self.config.noise_std
+            z *= self.config.noise_std if scale is None else scale
             slots += z
         return slots
 
@@ -191,12 +193,12 @@ def _as_operands(a: PackedCiphertext, b):
     return ctx, a._slots, m, 0
 
 
-def _result(ctx, slots, level) -> PackedCiphertext:
-    if level > ctx.config.max_depth:
-        raise DepthExhausted(
-            f"operation requires level {level} but max_depth is {ctx.config.max_depth}")
-    return PackedCiphertext(_slots=ctx._noisy(slots), level=level, key_id=ctx.key_id,
-                            _ctx=ctx)
+def _result(ctx: KeyContext, slots: np.ndarray, level: int, scale=None) -> PackedCiphertext:
+    """An op's ciphertext from its fresh result buffer: a depth check, then
+    one noise draw (``KeyContext._noisy``)."""
+    _check_level(ctx.config, level)
+    return PackedCiphertext(_slots=ctx._noisy(slots, scale), level=level,
+                            key_id=ctx.key_id, _ctx=ctx)
 
 
 def hom_add(a: PackedCiphertext, b) -> PackedCiphertext:
@@ -235,7 +237,7 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     return _result(ctx, np.concatenate((s[i:], s[:i])), a.level)
 
 
-def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
+def hom_dot(terms) -> PackedCiphertext:
     """Fused sum_t a_t * rot_{s_t}(b_t) over ciphertext ``terms`` (a, b, s).
 
     Equal to ``rotate(b, s)``, then ``hom_mul(a, .)``, then a left-to-right
@@ -247,11 +249,9 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
     sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the law of the composed
     noise sum_t a_t * e_rot + sum e_mul + sum e_add given the a_t slots.
 
-    ``noise_scale``, if given, is ``dot_noise_scale`` of the same a_t in the
-    same order, precomputed by a caller whose a_t do not change; otherwise it
-    is computed here. The partial products and the draw go through the first
-    a's context's scratch buffer. Each term is checked, multiplied and
-    counted in one pass; ``DotTerms`` is the form for fixed a_t and one b.
+    The partial products and the draw go through the first a's context's
+    scratch buffer. Each term is checked, multiplied and counted in one pass;
+    ``DotTerms`` is the form for fixed a_t and one b.
     """
     terms = list(terms)
     if not terms:
@@ -274,18 +274,18 @@ def hom_dot(terms, noise_scale: np.ndarray | None = None) -> PackedCiphertext:
         b._ctx.op_counts["rot"] += 1
         a._ctx.op_counts["mul"] += 1
     ctx.op_counts["add"] += len(terms) - 1
-    if cfg.noise_std > 0 and noise_scale is None:
-        noise_scale = dot_noise_scale(a for a, _, _ in terms)
-    return _dot_result(ctx, out, level, noise_scale)
+    scale = dot_noise_scale(a for a, _, _ in terms) if cfg.noise_std > 0 else None
+    return _result(ctx, out, level, scale)
 
 
 class DotTerms:
     """``hom_dot`` over fixed coefficient ciphertexts a_t and shifts s_t with
     one b per call, sum_t a_t * rot_{s_t}(b): a matrix-vector product in
-    diagonal form. The a_t's keys and levels are checked once, here; each
-    call checks b alone and returns what ``hom_dot`` over the terms (a_t, b,
-    s_t) and ``noise_scale`` returns, with the same op counts, level and
-    errors. The a_t must not change while this object is in use."""
+    diagonal form. The a_t's keys and levels are checked, and their noise
+    scale computed, once, here; each call checks b alone and returns what
+    ``hom_dot`` over the terms (a_t, b, s_t) returns, with the same op
+    counts, level and errors (a call that raises counts no op). The a_t must
+    not change while this object is in use."""
 
     def __init__(self, coeffs, shifts):
         coeffs = list(coeffs)
@@ -304,30 +304,28 @@ class DotTerms:
         self.tmp = ctx._scratch() if len(coeffs) > 1 else None
         self.rest = [(a._slots[:n - s], a._slots[n - s:], s, self.tmp[:n - s], self.tmp[n - s:])
                      for a, s in zip(coeffs[1:], shifts[1:])]
+        self.noise_scale = dot_noise_scale(coeffs) if ctx.config.noise_std > 0 else None
 
-    def __call__(self, b: PackedCiphertext, noise_scale: np.ndarray | None) -> PackedCiphertext:
-        """The product with ``b``. On a noisy context ``noise_scale`` is
-        ``dot_noise_scale`` of the a_t; it is not read otherwise."""
+    def __call__(self, b: PackedCiphertext) -> PackedCiphertext:
+        """The product with ``b``."""
         ctx = self.ctx
-        cfg = ctx.config
         if b.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
-        level = max(self.level, b.level + 1)
-        _check_level(cfg, level)
         bs = b._slots
-        out = np.empty(cfg.slot_count)
+        out = np.empty(ctx.config.slot_count)
         _mul_rotated(out, *self.first, bs)
         for a_head, a_tail, s, tmp_head, tmp_tail in self.rest:
             np.multiply(a_head, bs[s:], out=tmp_head)
             if s:
                 np.multiply(a_tail, bs[:s], out=tmp_tail)
             out += self.tmp
+        result = _result(ctx, out, max(self.level, b.level + 1), self.noise_scale)
         T = len(self.coeff_ctxs)
         b._ctx.op_counts["rot"] += T
         for c in self.coeff_ctxs:
             c.op_counts["mul"] += 1
         ctx.op_counts["add"] += T - 1
-        return _dot_result(ctx, out, level, noise_scale)
+        return result
 
 
 def _check_level(cfg: BackendConfig, level: int):
@@ -344,17 +342,6 @@ def _mul_rotated(dst: np.ndarray, a: np.ndarray, i: int, b: np.ndarray):
         np.multiply(a[n - i:], b[:i], out=dst[n - i:])
     else:
         np.multiply(a, b, out=dst)
-
-
-def _dot_result(ctx: KeyContext, out: np.ndarray, level: int,
-                noise_scale: np.ndarray | None) -> PackedCiphertext:
-    """Wrap a dot product's result buffer, adding one draw scaled by
-    ``noise_scale`` on a noisy context."""
-    if ctx.config.noise_std > 0:
-        z = ctx.rng.standard_normal(out=ctx._scratch())
-        z *= noise_scale
-        out += z
-    return PackedCiphertext(_slots=out, level=level, key_id=ctx.key_id, _ctx=ctx)
 
 
 def dot_noise_scale(coeffs) -> np.ndarray:

@@ -10,8 +10,7 @@ and matrix-matrix products to the analogous recombination of diagonals.
 Every such sum is the backend's fused ``hom_dot``, with the op counts and
 level of the composed rotations, products and sums: one per output diagonal
 of a matmat, and one per matvec in the form ``DotTerms``, which a matrix
-builds on its first product (its diagonals checked once, and their noise
-scale computed once).
+builds on its first product and keeps as its only cache.
 Only the wrapped diagonals that hold a nonzero entry are stored; the missing
 ones are implicitly zero and are skipped, not materialized.
 
@@ -25,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import (DotTerms, KeyContext, PackedCiphertext, dot_noise_scale, hom_dot,
-                      hom_mul)
+from .backend import DotTerms, KeyContext, PackedCiphertext, hom_dot, hom_mul
 
 __all__ = [
     "DiagMatrixCipher",
@@ -48,15 +46,14 @@ class DiagMatrixCipher:
     ciphertext; absent indices are implicitly zero.
 
     The first ``enc_matvec`` caches its terms (``DotTerms`` over the
-    diagonals in key order) and, on a noisy context, ``hom_dot``'s noise
-    scale over them, so ``diagonals`` must not be changed (no entry added,
-    removed or replaced) after the first product.
+    diagonals in key order, which also holds their noise scale), so
+    ``diagonals`` must not be changed (no entry added, removed or replaced)
+    after the first product.
     """
 
     dim: int
     diagonals: dict[int, PackedCiphertext]
     _terms: DotTerms | None = field(default=None, repr=False, compare=False)
-    _noise_scale: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def next_pow2(n: int) -> int:
@@ -87,9 +84,11 @@ def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
     """Encrypt the block-diagonal replication kron(I_copies, S) as its
     wrapping diagonals, padded to the slot count, without materializing it.
 
-    Copy b of the nonzero entry S[r, c] sits at (b*rows + r, b*cols + c): it
-    belongs to wrapped diagonal (c' - r') mod slot_count and fills that
-    diagonal's slot r'. Only the wrapped diagonals holding a nonzero entry
+    The nonzero entry S[r, c] belongs to wrapped diagonal (c - r) mod
+    slot_count and fills its slot r. With more than one copy S must be
+    square: copy b of the entry sits at (b*rows + r, b*rows + c), on the
+    same diagonal in slot b*rows + r, so each entry's copies are one strided
+    slice of its diagonal. Only the wrapped diagonals holding a nonzero entry
     are encrypted, in ascending index order. Which ones these are is public
     structure: every party in this simulator builds its matrices from
     plaintext.
@@ -104,30 +103,15 @@ def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
     if copies * rows > dim or copies * cols > dim:
         raise ValueError(f"{copies} copies of a matrix of shape {S.shape} "
                          f"exceed slot_count {dim}")
+    if copies > 1 and rows != cols:
+        raise ValueError(f"{copies} copies need a square block, got shape {S.shape}")
     r, c = np.nonzero(S)
-    if copies > 1 and rows == cols:
-        # every copy of a square block's entry lies on the entry's own wrapped
-        # diagonal, in every rows-th slot from r: one strided slice per entry
-        entries = [((j - i) % dim, i, S[i, j]) for i, j in zip(r.tolist(), c.tolist())]
-        indices = sorted({key for key, _, _ in entries})
-        row = {key: k for k, key in enumerate(indices)}  # wrapped diagonal -> row of ``diags``
-        diags = np.zeros((len(indices), dim))
-        for key, i, v in entries:
-            diags[row[key], i: i + copies * rows: rows] = v
-    else:
-        vals = S[r, c]
-        if copies > 1:  # (copies, nnz) positions; the values broadcast over copies
-            b = np.arange(copies)[:, None]
-            r, c = r + b * rows, c + b * cols
-        keys = (c - r) % dim
-        present = np.zeros(dim, dtype=bool)
-        present[keys] = True
-        indices = np.flatnonzero(present)
-        row = np.empty(dim, dtype=np.intp)  # wrapped diagonal -> row of ``diags``
-        row[indices] = np.arange(len(indices))
-        diags = np.zeros((len(indices), dim))
-        diags[row[keys], r] = vals
-        indices = indices.tolist()
+    entries = [((j - i) % dim, i, S[i, j]) for i, j in zip(r.tolist(), c.tolist())]
+    indices = sorted({key for key, _, _ in entries})
+    row = {key: k for k, key in enumerate(indices)}  # wrapped diagonal -> row of ``diags``
+    diags = np.zeros((len(indices), dim))
+    for key, i, v in entries:
+        diags[row[key], i: i + copies * rows: rows] = v
     return DiagMatrixCipher(dim=dim, diagonals={
         i: ctx.encrypt(diag) for i, diag in zip(indices, diags)})
 
@@ -151,9 +135,7 @@ def enc_matvec(S: DiagMatrixCipher, v: PackedCiphertext) -> PackedCiphertext:
         return hom_mul(v, np.zeros(S.dim))
     if S._terms is None:
         S._terms = DotTerms(S.diagonals.values(), S.diagonals)
-        if S._terms.ctx.config.noise_std:
-            S._noise_scale = dot_noise_scale(S.diagonals.values())
-    return S._terms(v, S._noise_scale)
+    return S._terms(v)
 
 
 def enc_matmat(S: DiagMatrixCipher, T: DiagMatrixCipher) -> DiagMatrixCipher:

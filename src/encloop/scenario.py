@@ -247,9 +247,12 @@ def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
 def build_attacker(cfg: ScenarioConfig, pub_ctx):
     """The scenario's man-in-the-middle attacker, holding only the public
     context ``pub_ctx`` (``None`` on a plain channel); ``None`` when the
-    scenario has no attack plan. The scenario kind alone picks it. Used
-    in-process and by the TCP proxy."""
-    if cfg.attack_plan is None:
+    scenario has no attack plan, or a plaintext-model plan whose biases are
+    all zero (each splice would be skipped). The scenario kind alone picks
+    it. Used in-process and by the TCP proxy."""
+    plan = cfg.attack_plan
+    if plan is None or (cfg.scenario != "attack_encrypted"
+                        and not any(np.any(a) for a in plan.schedule.values())):
         return None
     if cfg.scenario == "verified_attack":
         return attack.GuessingAttacker(cfg.model, cfg.attack_plan, pub_ctx,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestEncryptMatrix:
         """The nonzero-entry scan stores exactly the wrapped diagonals that a
         scan over every diagonal of the replication kron(I_copies, S) finds
         holding a nonzero entry, in ascending order, each equal to its
-        plaintext diagonal."""
+        plaintext diagonal. Only one copy may be of a non-square block."""
 
         def reference(S, dim):
             return [i for i in range(dim) if np.any(wrapping_diagonal(S, i, dim) != 0)]
@@ -113,6 +115,8 @@ class TestEncryptMatrix:
             dim = int(rng.choice([d for d in (2, 4, 8, 16) if d >= copies]))
             ctx = make_ctx(dim)
             rows, cols = rng.integers(1, dim // copies + 1, size=2)
+            if copies > 1:
+                cols = rows
             S = rng.uniform(-2, 2, (rows, cols))
             S[rng.random((rows, cols)) > rng.choice([0.0, 0.05, 0.3, 1.0])] = 0.0
             if case % 5 == 0:  # a lone entry below the diagonal wraps around
@@ -135,7 +139,7 @@ class TestEncryptMatrix:
         for case in range(40):
             dim = int(rng.choice([16, 32, 64]))
             rows, cols = rng.integers(1, dim // copies + 1, size=2)
-            if case % 2:  # a square block: each entry's copies share one diagonal
+            if copies > 1 or case % 2:  # only one copy may be of a non-square block
                 cols = rows
             S = rng.uniform(-2, 2, (rows, cols))
             S[rng.random((rows, cols)) > rng.choice([0.05, 0.3, 1.0])] = 0.0
@@ -149,10 +153,14 @@ class TestEncryptMatrix:
                 assert np.array_equal(ctx.decrypt(g), ctx_ref.decrypt(w))
 
     @pytest.mark.parametrize("copies, shape", [(0, (1, 1)), (-1, (1, 1)),
-                                               (3, (3, 2)), (3, (2, 3))])
+                                               (3, (3, 2)), (3, (2, 3)),
+                                               (2, (2, 3)), (2, (3, 1))])
     def test_copies_out_of_range_rejected(self, copies, shape):
-        # three copies of a 3 x 2 (2 x 3) block need 9 rows (columns) of 8 slots
-        with pytest.raises(ValueError, match="copies"):
+        # three copies of a 3 x 2 (2 x 3) block need 9 rows (columns) of 8
+        # slots; two copies of a 2 x 3 or 3 x 1 block fit, but are not square
+        fits = copies >= 1 and copies * max(shape) <= 8
+        match = re.escape(f"square block, got shape {shape}") if fits else "copies"
+        with pytest.raises(ValueError, match=match):
             encrypt_matrix(make_ctx(8), np.ones(shape), copies)
 
 
@@ -267,13 +275,13 @@ class TestMatVec:
             assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
             assert got.level == want.level
             assert ctx.op_counts == ctx_ref.op_counts
-        assert M._noise_scale is not None
+        assert M._terms.noise_scale is not None
 
     def test_noiseless_matvec_caches_no_scale(self):
         ctx = make_ctx(8)
         M = encrypt_matrix(ctx, np.diag(np.arange(1.0, 9.0)) + np.eye(8, k=1))
         enc_matvec(M, ctx.encrypt(np.ones(8)))
-        assert M._noise_scale is None
+        assert M._terms.noise_scale is None
 
     def test_depth_exhausted_propagates(self):
         ctx = make_ctx(4, max_depth=1)

@@ -13,6 +13,7 @@ from encloop.scenario import (
     ConfigError,
     ScenarioConfig,
     build_attacker,
+    build_verifier,
     run_scenario,
     write_trace_svg,
 )
@@ -356,6 +357,41 @@ class TestRunScenario:
         attacker = build_attacker(cfg, pub)
         assert type(attacker) is kind
         assert (attacker.enc_model is not None) == encrypted_model
+
+    @pytest.mark.parametrize("scenario, mode", [("attack_plain", "plain"),
+                                                ("attack_plain", "encrypted"),
+                                                ("verified_attack", "encrypted")])
+    @pytest.mark.parametrize("a_u", [{}, {"0": [0.0, 0.0], "4": [-0.0, 0.0]}])
+    def test_zero_plaintext_plan_builds_no_attacker(self, scenario, mode, a_u):
+        """A plaintext-model attacker with all-zero biases splices nothing, so
+        none is built: the run equals the one with that attacker attached, in
+        its trace and its op counts."""
+        cfg = ScenarioConfig.from_dict(minimal(
+            scenario, mode=mode, steps=20, backend={"slot_count": 64, "noise_std": 1e-3},
+            attack={"a_u": a_u, "length": 10, "cooldown_len": 4}))
+        attackers = {
+            "attack_plain": lambda pub: CovertAttacker(cfg.model, cfg.attack_plan, ctx=pub),
+            "verified_attack": lambda pub: GuessingAttacker(
+                cfg.model, cfg.attack_plan, pub, expansion=cfg.expansion,
+                rng=np.random.default_rng(cfg.seed + 1))}
+        runs = []
+        for attached in (False, True):
+            ctx = context_create(cfg.backend) if mode == "encrypted" else None
+            pub = ctx.public_context() if ctx is not None else None
+            attacker = build_attacker(cfg, pub)
+            assert attacker is None
+            if attached:
+                attacker = attackers[scenario](pub)
+            verifier = build_verifier(cfg) if scenario == "verified_attack" else None
+            trace = run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
+                                    attacker=attacker, ctx=ctx, pre_roll=cfg.pre_roll,
+                                    verifier=verifier)
+            runs.append((trace, ctx and ctx.op_counts, pub and pub.op_counts))
+        (t0, ops0, pub0), (t1, ops1, pub1) = runs
+        assert t0.verdict == t1.verdict and len(t0) == 25
+        for name in ("k", "x", "u", "y", "u_c", "y_c"):
+            assert np.array_equal(getattr(t0, name), getattr(t1, name))
+        assert (ops0, pub0) == (ops1, pub1)
 
     def test_baseline_exit_zero(self):
         trace, code = run_scenario(ScenarioConfig.from_dict(minimal(steps=30)))
