@@ -234,6 +234,18 @@ class TestNoiseAccounting:
         noisy = ctx.decrypt(ctx.encrypt(np.zeros(8)))
         assert np.array_equal(noisy, np.random.default_rng(11).normal(0.0, 1e-3, 8))
 
+    def test_stream_tag_picks_the_generator(self):
+        """A public context, and a context created with a ``stream`` tag,
+        build default_rng([seed, tag]) at their first draw, not before."""
+        ctx = make_ctx(noise_std=1e-3, seed=11)
+        for other, tag in ((ctx.public_context(), 0x5EC0),
+                           (context_create(ctx.config, stream=7), 7)):
+            assert other.key_id == ctx.key_id and other._rng is None
+            other.encrypt(np.zeros(8))
+            ref = np.random.default_rng([11, tag])
+            ref.standard_normal(8)  # the encryption's one draw
+            assert other.rng.bit_generator.state == ref.bit_generator.state
+
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its
         exact result."""

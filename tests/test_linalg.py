@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from encloop.backend import (BackendConfig, DepthExhausted, KeyMismatch, context_create,
-                             hom_add, hom_dot, hom_mul, pad_slots, rotate)
+from encloop.backend import (GATHER_MAX, BackendConfig, DepthExhausted, DotTerms, KeyMismatch,
+                             context_create, hom_add, hom_dot, hom_mul, pad_slots, rotate)
 from encloop.control import quadruple_tank
 from encloop.linalg import (
     DiagMatrixCipher,
@@ -291,7 +291,9 @@ class TestMatVec:
 
 
 class TestCachedMatVec:
-    """The first product caches a matrix's terms; every later one reuses them."""
+    """The first product caches a matrix's terms; every later one reuses them.
+    Its T terms over n slots gather at T * n <= GATHER_MAX (T >= 2) and
+    multiply slice by slice otherwise."""
 
     @staticmethod
     def banded(n, noise_std=0.0, seed=21):
@@ -302,7 +304,21 @@ class TestCachedMatVec:
         S += 0.25 * np.eye(8, k=-1)
         return ctx, encrypt_matrix(ctx, S, copies=n // 8)
 
-    @pytest.mark.parametrize("n", [64, 1024, 2 ** 16])
+    @pytest.mark.parametrize("n, T, gather", [
+        (64, 4, True), (1024, 4, False), (2 ** 16, 4, False),
+        (GATHER_MAX // 4, 4, True), (GATHER_MAX // 4, 5, False),
+        (GATHER_MAX // 2, 2, True), (GATHER_MAX, 1, False), (64, 1, False)])
+    def test_plan_by_size(self, n, T, gather):
+        """Only the chosen plan is built; one term keeps its one multiply."""
+        ctx = context_create(BackendConfig(slot_count=n))
+        terms = DotTerms([ctx.encrypt(np.ones(n)) for _ in range(T)], range(T))
+        assert terms.gather is gather
+        assert hasattr(terms, "index") is gather
+        assert hasattr(terms, "rest") is not gather
+        if T == 1:
+            assert terms.rest == [] and terms.tmp is None and ctx._buf is None
+
+    @pytest.mark.parametrize("n", [64, 1024, 2 ** 16, GATHER_MAX // 4])
     def test_noiseless_equals_composed_ops(self, n):
         ctx, M = self.banded(n)
         assert list(M.diagonals) == [0, 1, 2, n - 1]
@@ -314,36 +330,44 @@ class TestCachedMatVec:
                 term = hom_mul(diag, rotate(v, i))
                 acc = term if acc is None else hom_add(acc, term)
             got = enc_matvec(M, v)
-            assert M._terms is not None
+            assert M._terms.gather is (4 * n <= GATHER_MAX)
             assert np.array_equal(ctx.decrypt(got), ctx.decrypt(acc))
             assert got.level == acc.level == 1
 
     def test_noisy_equals_uncached_hom_dot(self):
         """Two identically seeded sigma = 1e-3 contexts: the cached product
-        equals ``hom_dot`` over the same terms, with the same level and the
-        same op-count deltas on two products in a row."""
-        n = 64
-        (ctx, M), (ctx_ref, M_ref) = self.banded(n, 1e-3), self.banded(n, 1e-3)
-        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(2):
-            v = ctx.encrypt(rng.normal(size=n))
-            v_ref = ctx_ref.encrypt(rng_ref.normal(size=n))
-            before, before_ref = dict(ctx.op_counts), dict(ctx_ref.op_counts)
-            got = enc_matvec(M, v)
-            want = hom_dot([(d, v_ref, i) for i, d in M_ref.diagonals.items()])
-            assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
-            assert got.level == want.level
-            assert ({op: ctx.op_counts[op] - before[op] for op in before}
-                    == {op: ctx_ref.op_counts[op] - before_ref[op] for op in before_ref}
-                    == {"add": 3, "mul": 4, "rot": 4, "enc": 0, "dec": 1})
+        (gathered at 64 slots, sliced at 2^16) equals ``hom_dot`` over the
+        same terms, with the same level and the same op-count deltas on two
+        products in a row."""
+        for n in (64, 2 ** 16):
+            (ctx, M), (ctx_ref, M_ref) = self.banded(n, 1e-3), self.banded(n, 1e-3)
+            rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(2):
+                v = ctx.encrypt(rng.normal(size=n))
+                v_ref = ctx_ref.encrypt(rng_ref.normal(size=n))
+                before, before_ref = dict(ctx.op_counts), dict(ctx_ref.op_counts)
+                got = enc_matvec(M, v)
+                assert M._terms.gather is (n == 64)
+                want = hom_dot([(d, v_ref, i) for i, d in M_ref.diagonals.items()])
+                assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
+                assert got.level == want.level
+                assert ({op: ctx.op_counts[op] - before[op] for op in before}
+                        == {op: ctx_ref.op_counts[op] - before_ref[op] for op in before_ref}
+                        == {"add": 3, "mul": 4, "rot": 4, "enc": 0, "dec": 1})
 
     def test_foreign_key_and_depth_still_raise(self):
+        """Through the gather plan: a foreign key or an exhausted depth
+        raises, and a call that raises counts no op."""
         ctx, M = self.banded(64)
         other = context_create(BackendConfig(slot_count=64, seed=99))
         for _ in range(2):  # before and after the terms are cached
+            foreign = other.encrypt(np.ones(64))
+            counts, other_counts = dict(ctx.op_counts), dict(other.op_counts)
             with pytest.raises(KeyMismatch):
-                enc_matvec(M, other.encrypt(np.ones(64)))
+                enc_matvec(M, foreign)
+            assert (ctx.op_counts, other.op_counts) == (counts, other_counts)
             enc_matvec(M, ctx.encrypt(np.ones(64)))
+        assert M._terms.gather
         v = ctx.encrypt(np.ones(64))
         while v.level < ctx.config.max_depth:
             v = hom_mul(v, np.ones(64))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
-from encloop.backend import BackendConfig, DepthExhausted, context_create
+from encloop.backend import BackendConfig, DepthExhausted, KeyContext, context_create
 from encloop.control import SimTrace, run_closed_loop
 from encloop.scenario import (
     SCENARIOS,
@@ -392,6 +392,23 @@ class TestRunScenario:
         for name in ("k", "x", "u", "y", "u_c", "y_c"):
             assert np.array_equal(getattr(t0, name), getattr(t1, name))
         assert (ops0, pub0) == (ops1, pub1)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_noiseless_run_builds_no_noise_generator(self, scenario, monkeypatch):
+        """A noiseless run draws no noise, so none of its key contexts (the
+        loop's, and the attacker's public one) builds a generator."""
+        contexts = []
+        init = KeyContext.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            contexts.append(self)
+
+        monkeypatch.setattr(KeyContext, "__init__", recording_init)
+        _, code = run_scenario(ScenarioConfig.from_dict(minimal(scenario, mode="encrypted")))
+        assert code == (3 if scenario == "verified_attack" else 0)
+        assert len(contexts) == (1 if scenario == "baseline" else 2)
+        assert all(c._rng is None for c in contexts)
 
     def test_baseline_exit_zero(self):
         trace, code = run_scenario(ScenarioConfig.from_dict(minimal(steps=30)))
