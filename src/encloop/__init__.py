@@ -10,7 +10,6 @@ from .backend import (
     PackedCiphertext,
     context_create,
     hom_add,
-    hom_dot,
     hom_mul,
     hom_neg,
     hom_sub,

@@ -27,13 +27,7 @@ import numpy as np
 from .backend import (KeyContext, PackedCiphertext, hom_add, hom_neg, hom_sub, pad_slots,
                       rotate)
 from .control import LtiModel, plant_step
-from .linalg import (
-    DiagMatrixCipher,
-    enc_matmat,
-    enc_matrix_power,
-    enc_matvec,
-    encrypt_matrix,
-)
+from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix
 from . import verify
 
 __all__ = [
@@ -132,7 +126,8 @@ class EncModel:
     """Encrypted system knowledge of the encrypted-model attacker, padded to
     the backend slot count. ``cooldown_matrix`` is the encrypted
     pinv(controllability matrix) times A^n, precomputed so that the online
-    cooldown costs one encrypted matrix-vector product."""
+    cooldown costs one encrypted matrix-vector product. Every matrix is a
+    fresh encryption (level 0)."""
 
     A: DiagMatrixCipher
     B: DiagMatrixCipher
@@ -145,36 +140,33 @@ class EncModel:
 def build_enc_model(ctx: KeyContext, model: LtiModel) -> EncModel:
     """Encrypt the model matrices for the encrypted-model attacker.
 
-    The pseudo-inverse of the controllability matrix is computed in the clear
-    and encrypted at setup, standing in for an attacker that obtained it
-    through an encrypted identification pipeline, and multiplied with A^n
-    under encryption.
+    The cooldown matrix pinv(controllability matrix) times A^n is computed
+    in the clear and encrypted once at setup, standing in for an attacker
+    that obtained it through an encrypted identification pipeline.
     """
-    enc_A = encrypt_matrix(ctx, model.A)
-    enc_B = encrypt_matrix(ctx, model.B)
-    enc_C = encrypt_matrix(ctx, model.C)
-    enc_pinv = encrypt_matrix(ctx, np.linalg.pinv(controllability_matrix(model)))
-    cooldown_matrix = enc_matmat(enc_pinv, enc_matrix_power(enc_A, model.n))
-    return EncModel(A=enc_A, B=enc_B, C=enc_C, cooldown_matrix=cooldown_matrix,
-                    n=model.n, m=model.m)
+    cooldown = (np.linalg.pinv(controllability_matrix(model))
+                @ np.linalg.matrix_power(model.A, model.n))
+    return EncModel(A=encrypt_matrix(ctx, model.A), B=encrypt_matrix(ctx, model.B),
+                    C=encrypt_matrix(ctx, model.C),
+                    cooldown_matrix=encrypt_matrix(ctx, cooldown), n=model.n, m=model.m)
 
 
-def encrypted_attack_depth(model: LtiModel, plan: AttackPlan) -> int:
+def encrypted_attack_depth(plan: AttackPlan) -> int:
     """The smallest ``max_depth`` that runs the plan's encrypted-model attack
-    to its end, from the model and the plan alone (no HE run).
+    to its end, from the plan alone (no HE run).
 
-    The cooldown matrix sits one level above A^n, which
-    ``enc_matrix_power``'s square-and-multiply leaves at floor(log2 n), plus
-    one when n is not a power of two. dx gains one level per active step.
-    The cooldown stack, computed at step L - n, sits one above the higher of
-    the two, and dx(L - n + j) at stack + j. The controller's output sits two
-    above dx (the measurement splice, then its matvec), highest at step L - 1.
+    Every model matrix and each active step's bias is a fresh encryption
+    (level 0). The compensation state dx starts fresh, and each step's
+    A dx + B a_u sits one level above dx and above a_u, so dx after active
+    step k sits at k + 1. The cooldown stack, one matvec of dx(L - n), sits
+    at L - n + 1, so the first cooldown step lifts dx to L - n + 2, and dx
+    after cooldown step k sits at k + 2. The controller's output at step k
+    sits two above dx before it (the measurement splice, then its matvec),
+    and the last step's update one above: with a cooldown of n >= 2 steps
+    the output of step L - 1 sits highest, at L + 2, and with n = 1 the
+    last update and that output both sit at L + 1.
     """
-    n = model.n
-    power = n.bit_length() - 1 + ((n & (n - 1)) != 0)
-    stack = max(power + 1, plan.length - plan.cooldown_len) + 1
-    dx_last = stack + plan.cooldown_len - 1
-    return dx_last + 2
+    return plan.length + min(plan.cooldown_len, 2)
 
 
 def delta_step_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,

@@ -8,32 +8,35 @@ and ciphertext-plaintext), negation, circular slot rotation, a multiplicative
 depth budget, and an optional per-operation Gaussian noise term mimicking
 approximate arithmetic.
 
-``hom_dot`` is the fused linear transform sum_t a_t * rot_{s_t}(b_t) that real
-HE libraries evaluate in one pass (Halevi & Shoup, CRYPTO 2018). It returns
-the slots, level and op counts of the composed rotate, multiply and add chain,
-but fills one buffer and draws its noise once: per slot,
-sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given the
-a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
+``DotTerms`` is the fused linear transform sum_t a_t * rot_{s_t}(b) that real
+HE libraries evaluate in one pass (Halevi & Shoup, CRYPTO 2018), for fixed
+coefficient ciphertexts a_t (the diagonals of an encrypted matrix) and one b
+per call. It returns the slots, level and op counts of the composed rotate,
+multiply and add chain, but fills one buffer and draws its noise once: per
+slot, sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given
+the a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
 per-slot scale (``dot_noise_scale``) depends on the a_t alone, so
-``DotTerms``, the form for fixed a_t (the diagonals of an encrypted matrix),
-computes it once, as it checks the a_t once. Every op builds its ciphertext
-one way (``_result``): a depth check, then one noise draw.
+``DotTerms`` computes it once, as it checks the a_t once. Every op builds its
+ciphertext one way (``_result``): a depth check, then one noise draw.
 
-``DotTerms`` picks one of two plans for its product when it is built, by the
-size T * n of its T terms over n slots. At T * n <= ``GATHER_MAX`` (and
-T >= 2) it gathers: one T x n index of slots (j + s_t) mod n, built once,
-takes every rotated b at once, and one multiply and one sum over the term
-axis finish the product, so a call costs about four numpy calls whatever T
-is. Wider products keep one multiply per contiguous run of each a_t (two
-where the rotation wraps) and one add per term, which streams n-long slices
-instead of gathering T * n indexed elements. The crossover was measured on a
-2-vCPU x86-64 VM (numpy 2.4): at T = 4 the gather takes 2.3 us against
-5.2 us at n = 64 and 8.5 against 11 us at n = 512, is at parity at
-n = 1024 and three times as slow at 2^16 (0.9 ms against 0.3 ms). At T = 2
-its gain ends earlier (parity at n = 128, +0.4 to +2.7 us per call from
-n = 256 to 1024), which a rule on T * n does not follow. Either plan adds
-the terms in order, so the slots are bit-identical to ``hom_dot``'s and to
-the composed ops'.
+``DotTerms`` picks one of two plans for its product when it is built, by its
+T terms and n slots. With T >= 2, T * n <= ``GATHER_MAX`` and
+n <= ``GATHER_WIDTH`` * (T - 1)^2 it gathers: one T x n index of slots
+(j + s_t) mod n, built once, takes every rotated b at once, and one multiply
+and one sum over the term axis finish the product, so a call costs about
+four numpy calls whatever T is. Other products keep one multiply per
+contiguous run of each a_t (two where the rotation wraps) and one add per
+term, which streams n-long slices instead of gathering T * n indexed
+elements. The gather saves numpy calls per term and costs more per element,
+so the widest product it pays at grows with T. Measured on a 2-vCPU x86-64
+VM (numpy 2.4, one pinned vCPU), gather against slices per call: at T = 4,
+2.3 against 5.2 us at n = 64, 8.5 against 11 us at n = 512, parity at
+n = 1024 and 0.9 against 0.3 ms at 2^16; at T = 3, parity at n = 512 and
+7.5 against 6.4 us at 1024; at T = 2, 3.5 against 3.7 us at n = 128 and
+4.3 against 3.9 us at 256. For power-of-two slot counts the two bounds let
+T = 2 gather up to 128 slots, T = 3 up to 512 and T >= 4 up to 2048 / T.
+Either plan adds the terms in order, so the slots are bit-identical to the
+composed ops'.
 
 A ciphertext carries no noise estimate: as in a real scheme, a receiver
 cannot trust one, so whoever checks a decryption derives its own tolerance
@@ -41,8 +44,9 @@ cannot trust one, so whoever checks a decryption derives its own tolerance
 
 Per-step work that does not change is done once: every ``KeyContext`` owns
 one slot-width scratch buffer (allocated on first use) that its noise draws
-and ``hom_dot``'s partial products go through. The scratch buffer never ends
-up inside a ciphertext, and ciphertext slots are never mutated once built.
+and the sliced ``DotTerms`` plan's partial products go through. The scratch
+buffer never ends up inside a ciphertext, and ciphertext slots are never
+mutated once built.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ __all__ = [
     "hom_sub",
     "hom_neg",
     "hom_mul",
-    "hom_dot",
     "DotTerms",
     "dot_noise_scale",
     "rotate",
@@ -254,66 +257,30 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
     return _result(ctx, np.concatenate((s[i:], s[:i])), a.level)
 
 
-def hom_dot(terms) -> PackedCiphertext:
-    """Fused sum_t a_t * rot_{s_t}(b_t) over ciphertext ``terms`` (a, b, s).
-
-    Equal to ``rotate(b, s)``, then ``hom_mul(a, .)``, then a left-to-right
-    ``hom_add`` chain: the same noiseless slots (products and sums taken in
-    the same order), level and op counts (each rotation on b's context, each
-    product on a's, the sums on the first a's), and the same DepthExhausted
-    and KeyMismatch. Operands under one key share the first a's backend
-    config. It fills one result buffer and draws the noise once: sigma *
-    sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) per slot, the law of the composed
-    noise sum_t a_t * e_rot + sum e_mul + sum e_add given the a_t slots.
-
-    The partial products and the draw go through the first a's context's
-    scratch buffer. Each term is checked, multiplied and counted in one pass;
-    ``DotTerms`` is the form for fixed a_t and one b.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("hom_dot needs at least one term")
-    ctx = terms[0][0]._ctx
-    cfg = ctx.config
-    n = cfg.slot_count
-    out = np.empty(n)
-    tmp = ctx._scratch() if len(terms) > 1 else None
-    dst, level = out, 0
-    for a, b, s in terms:
-        if a.key_id != ctx.key_id or b.key_id != ctx.key_id:
-            raise KeyMismatch("operands were created under different keys")
-        level = max(level, a.level + 1, b.level + 1)
-        _check_level(cfg, level)
-        _mul_rotated(dst, a._slots, s % n, b._slots)
-        if dst is tmp:
-            out += tmp
-        dst = tmp
-        b._ctx.op_counts["rot"] += 1
-        a._ctx.op_counts["mul"] += 1
-    ctx.op_counts["add"] += len(terms) - 1
-    scale = dot_noise_scale(a for a, _, _ in terms) if cfg.noise_std > 0 else None
-    return _result(ctx, out, level, scale)
-
-
-# the largest T * n a ``DotTerms`` over T >= 2 terms gathers (module docstring)
+# a ``DotTerms`` over T >= 2 terms and n slots gathers at T * n <= GATHER_MAX
+# and n <= GATHER_WIDTH * (T - 1)^2 (module docstring)
 GATHER_MAX = 2048
+GATHER_WIDTH = 128
 
 
 class DotTerms:
-    """``hom_dot`` over fixed coefficient ciphertexts a_t and shifts s_t with
-    one b per call, sum_t a_t * rot_{s_t}(b): a matrix-vector product in
+    """The fused sum_t a_t * rot_{s_t}(b) over fixed coefficient ciphertexts
+    a_t and shifts s_t, with one b per call: a matrix-vector product in
     diagonal form. The a_t's keys and levels are checked, and their noise
-    scale computed, once, here; each call checks b alone and returns what
-    ``hom_dot`` over the terms (a_t, b, s_t) returns, with the same op
-    counts, level and errors (a call that raises counts no op). The product
-    plan (``gather``: one gather, multiply and sum; or one multiply per
-    slice) is chosen and built here, by T * n (module docstring). The a_t
-    must not change while this object is in use."""
+    scale computed, once, here. Each call checks b alone and returns what
+    ``rotate(b, s_t)``, then ``hom_mul(a_t, .)``, then a left-to-right
+    ``hom_add`` chain return: the same noiseless slots, level, op counts
+    (each rotation on b's context, each product on a_t's, the sums on the
+    first a_t's) and errors (a call that raises counts no op), with one
+    noise draw of the composed ops' law (module docstring). The product plan
+    (``gather``: one gather, multiply and sum; or one multiply per slice) is
+    chosen and built here, by T and n (module docstring). The a_t must not
+    change while this object is in use."""
 
     def __init__(self, coeffs, shifts):
         coeffs = list(coeffs)
         if not coeffs:
-            raise ValueError("hom_dot needs at least one term")
+            raise ValueError("DotTerms needs at least one term")
         self.ctx = ctx = coeffs[0]._ctx
         if {a.key_id for a in coeffs} != {ctx.key_id}:
             raise KeyMismatch("operands were created under different keys")
@@ -322,7 +289,7 @@ class DotTerms:
         self.level = max([a.level for a in coeffs]) + 1
         self.coeff_ctxs = [a._ctx for a in coeffs]  # each product counts on a_t's
         shifts = [s % n for s in shifts]
-        self.gather = T > 1 and T * n <= GATHER_MAX
+        self.gather = T > 1 and T * n <= GATHER_MAX and n <= GATHER_WIDTH * (T - 1) ** 2
         if self.gather:
             # row t of b[index] is rot_{s_t}(b)
             self.coeffs = np.stack([a._slots for a in coeffs])
@@ -382,7 +349,7 @@ def _mul_rotated(dst: np.ndarray, a: np.ndarray, i: int, b: np.ndarray):
 
 
 def dot_noise_scale(coeffs) -> np.ndarray:
-    """Per-slot standard deviation of ``hom_dot``'s one noise draw for the
+    """Per-slot standard deviation of ``DotTerms``'s one noise draw for the
     coefficient ciphertexts a_t, in term order: sigma * sqrt(sum_t a_t^2 +
     2T - 1), with sigma of the first a_t's context."""
     coeffs = list(coeffs)

@@ -7,10 +7,9 @@ slotwise multiplies against rotated copies of the vector:
     S v = sum_i  S_i * rot_i(v)
 
 and matrix-matrix products to the analogous recombination of diagonals.
-Every such sum is the backend's fused ``hom_dot``, with the op counts and
-level of the composed rotations, products and sums: one per output diagonal
-of a matmat, and one per matvec in the form ``DotTerms``, which a matrix
-builds on its first product and keeps as its only cache.
+A matvec is the backend's fused ``DotTerms``, which a matrix builds on its
+first product and keeps as its only cache; a matmat composes its rotations,
+products and sums op by op.
 Only the wrapped diagonals that hold a nonzero entry are stored; the missing
 ones are implicitly zero and are skipped, not materialized.
 
@@ -24,14 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import DotTerms, KeyContext, PackedCiphertext, hom_dot, hom_mul
+from .backend import DotTerms, KeyContext, PackedCiphertext, hom_add, hom_mul, rotate
 
 __all__ = [
     "DiagMatrixCipher",
-    "wrapping_diagonal",
     "next_pow2",
     "encrypt_matrix",
-    "decrypt_matrix",
     "enc_matvec",
     "enc_matmat",
     "enc_matrix_power",
@@ -61,23 +58,6 @@ def next_pow2(n: int) -> int:
     while p < n:
         p *= 2
     return p
-
-
-def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
-    """The i-th wrapping diagonal of S at logical dimension ``dim``, without
-    materializing the padded matrix (S may be rectangular). The per-diagonal
-    reference for ``encrypt_matrix``, which places entries directly."""
-    S = np.asarray(S, dtype=float)
-    rows, cols = S.shape
-    d = dim if dim is not None else rows
-    if rows > d or cols > d:
-        raise ValueError("matrix exceeds the requested dimension")
-    out = np.zeros(d)
-    j = np.arange(min(rows, d))
-    col = (i + j) % d
-    mask = col < cols
-    out[j[mask]] = S[j[mask], col[mask]]
-    return out
 
 
 def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
@@ -116,16 +96,6 @@ def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
         i: ctx.encrypt(diag) for i, diag in zip(indices, diags)})
 
 
-def decrypt_matrix(ctx: KeyContext, M: DiagMatrixCipher) -> np.ndarray:
-    """Reassemble the plaintext matrix from decrypted diagonals (test aid)."""
-    d = M.dim
-    S = np.zeros((d, d))
-    j = np.arange(d)
-    for i, c in M.diagonals.items():
-        S[j, (i + j) % d] = ctx.decrypt(c)
-    return S
-
-
 def enc_matvec(S: DiagMatrixCipher, v: PackedCiphertext) -> PackedCiphertext:
     """Encrypted matrix-vector product; consumes exactly one level and
     performs one slotwise multiply per stored diagonal."""
@@ -139,16 +109,20 @@ def enc_matvec(S: DiagMatrixCipher, v: PackedCiphertext) -> PackedCiphertext:
 
 
 def enc_matmat(S: DiagMatrixCipher, T: DiagMatrixCipher) -> DiagMatrixCipher:
-    """Encrypted matrix-matrix product in diagonal form; one level deep. Each
-    output diagonal's noise scale is computed afresh (its terms differ)."""
+    """Encrypted matrix-matrix product in diagonal form; one level deep.
+    Output diagonal (i + j) mod d sums S_i * rot_i(T_j) over the stored
+    diagonal pairs, each term a ``rotate`` and a ``hom_mul``, the terms
+    added left to right in (i, j) order."""
     if S.dim != T.dim:
         raise ValueError(f"dimension mismatch: {S.dim} vs {T.dim}")
     d = S.dim
-    terms: dict[int, list] = {}
+    out: dict[int, PackedCiphertext] = {}
     for i, Si in S.diagonals.items():
         for j, Tj in T.diagonals.items():
-            terms.setdefault((i + j) % d, []).append((Si, Tj, i))
-    return DiagMatrixCipher(dim=d, diagonals={k: hom_dot(t) for k, t in terms.items()})
+            k = (i + j) % d
+            term = hom_mul(Si, rotate(Tj, i))
+            out[k] = hom_add(out[k], term) if k in out else term
+    return DiagMatrixCipher(dim=d, diagonals=out)
 
 
 def enc_matrix_power(S: DiagMatrixCipher, n: int) -> DiagMatrixCipher:

@@ -201,7 +201,7 @@ class ScenarioConfig:
                 raise ConfigError("backend", f"scenario {scenario!r} needs slot_count "
                                   f">= {need}, got {backend.slot_count}")
         if scenario == "attack_encrypted":
-            depth = attack.encrypted_attack_depth(model, plan)
+            depth = attack.encrypted_attack_depth(plan)
             if depth > backend.max_depth:
                 raise ConfigError("backend", f"an encrypted-model attack of length "
                                   f"{plan.length} needs max_depth >= {depth}, "

@@ -1,0 +1,55 @@
+"""Plaintext references the tests compare the encrypted linear algebra with:
+wrapping diagonals, matrix reassembly and the fused product's slots."""
+
+import copy
+
+import numpy as np
+
+from encloop.backend import KeyContext, dot_noise_scale
+from encloop.linalg import DiagMatrixCipher
+
+
+def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
+    """The i-th wrapping diagonal S[j, (i + j) mod dim] of S at logical
+    dimension ``dim`` (default: S's row count), without materializing the
+    padded matrix (S may be rectangular)."""
+    S = np.asarray(S, dtype=float)
+    rows, cols = S.shape
+    d = dim if dim is not None else rows
+    if rows > d or cols > d:
+        raise ValueError("matrix exceeds the requested dimension")
+    out = np.zeros(d)
+    j = np.arange(min(rows, d))
+    col = (i + j) % d
+    mask = col < cols
+    out[j[mask]] = S[j[mask], col[mask]]
+    return out
+
+
+def decrypt_matrix(ctx: KeyContext, M: DiagMatrixCipher) -> np.ndarray:
+    """Reassemble the plaintext matrix from decrypted diagonals."""
+    d = M.dim
+    S = np.zeros((d, d))
+    j = np.arange(d)
+    for i, c in M.diagonals.items():
+        S[j, (i + j) % d] = ctx.decrypt(c)
+    return S
+
+
+def fused_reference(coeffs, shifts, b) -> np.ndarray:
+    """The slots that the fused product sum_t a_t * rot_{s_t}(b) over the
+    coefficient ciphertexts ``coeffs`` returns next: the noiseless composed
+    product (each rotated b times its a_t, summed left to right), plus, on a
+    noisy context, ``dot_noise_scale`` times the next standard-normal block
+    of a clone of the first a_t's context's generator. Reads the slots
+    directly, so it counts no op and draws nothing."""
+    coeffs = list(coeffs)
+    out = None
+    for a, s in zip(coeffs, shifts):
+        term = a._slots * np.roll(b._slots, -s)
+        out = term if out is None else out + term
+    ctx = coeffs[0]._ctx
+    if ctx.config.noise_std > 0:
+        z = copy.deepcopy(ctx.rng).standard_normal(ctx.config.slot_count)
+        out = out + dot_noise_scale(coeffs) * z
+    return out

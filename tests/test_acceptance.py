@@ -42,7 +42,6 @@ from encloop.control import (
     tank_controller,
 )
 from encloop.linalg import (
-    decrypt_matrix,
     enc_matmat,
     enc_matvec,
     encrypt_matrix,
@@ -57,6 +56,7 @@ from encloop.verify import (
     run_detection_experiment,
     setup,
 )
+from helpers import decrypt_matrix
 
 HOST = "127.0.0.1"
 

@@ -21,6 +21,7 @@ from encloop.control import (
     run_closed_loop,
     tank_controller,
 )
+from helpers import decrypt_matrix, wrapping_diagonal
 
 
 @pytest.fixture
@@ -158,6 +159,31 @@ class TestEncryptedModel:
         assert len(got) == 4
         for c, a in zip(got, ref):
             assert np.max(np.abs(ctx.decrypt(c)[:2] - a)) < 1e-8
+
+    def test_cooldown_matrix_is_the_clear_product(self, model):
+        """The cooldown matrix is pinv(C_n) A^n encrypted once: it decrypts to
+        the clear product, sits at level 0 and stores exactly that product's
+        nonzero wrapped diagonals (11 for the tank), so the cooldown's one
+        matvec costs one multiply and one rotation per diagonal, plus the
+        negation and the n block rotations."""
+        ctx = context_create(BackendConfig(slot_count=64, seed=3))
+        pub = ctx.public_context()
+        enc = build_enc_model(pub, model)
+        want = (np.linalg.pinv(controllability_matrix(model))
+                @ np.linalg.matrix_power(model.A, model.n))
+        M = enc.cooldown_matrix
+        assert list(M.diagonals) == [i for i in range(64)
+                                     if np.any(wrapping_diagonal(want, i, 64))]
+        assert len(M.diagonals) == 11
+        assert {c.level for c in M.diagonals.values()} == {0}
+        got = decrypt_matrix(ctx, M)
+        assert np.max(np.abs(got[:8, :4] - want)) <= 1e-12
+        got[:8, :4] = 0.0
+        assert not np.any(got)
+        before = op_totals(ctx, pub)
+        cooldown_inputs_encrypted(enc, ctx.encrypt(np.zeros(64)))
+        assert spent_ops((ctx, pub), before) == {"enc": 1, "mul": 11, "rot": 11 + model.n,
+                                                 "add": 11, "dec": 0}
 
 
 ATTACKERS = {
@@ -330,7 +356,8 @@ class TestCovertAttackClosedLoop:
 
     def test_encrypted_variant_depth_budget(self, model, ctrl):
         # the compensation recursion costs one level per step: a depth budget
-        # of 3 dies on the fourth recursion step (loop step k = 3)
+        # of 3 dies at loop step k = 2, where the controller's product with
+        # the spliced measurement would sit at level 4
         ctx = make_ctx(max_depth=3)
         pub = ctx.public_context()
         with pytest.raises(DepthExhausted):

@@ -7,12 +7,12 @@ from scipy import stats
 from encloop.backend import (
     BackendConfig,
     DepthExhausted,
+    DotTerms,
     KeyMismatch,
     context_create,
     deserialize_ciphertext,
     dot_noise_scale,
     hom_add,
-    hom_dot,
     hom_mul,
     hom_neg,
     hom_sub,
@@ -20,6 +20,7 @@ from encloop.backend import (
     rotate,
     serialize_ciphertext,
 )
+from helpers import fused_reference
 
 
 def make_ctx(slot_count=8, noise_std=0.0, max_depth=4, seed=1):
@@ -227,7 +228,7 @@ class TestNoiseAccounting:
         default_rng(seed) at its first draw."""
         quiet = make_ctx(seed=11)
         c = quiet.encrypt(np.ones(8))
-        hom_dot([(c, hom_mul(c, c), 1)])
+        DotTerms([c], [1])(hom_mul(c, c))
         assert quiet._rng is None
         ctx = make_ctx(noise_std=1e-3, seed=11)
         assert ctx._rng is None
@@ -268,10 +269,10 @@ class TestNoiseAccounting:
         results = []
         for _ in range(3):
             c = ctx.encrypt(rng.normal(size=64))
-            results += [c, hom_dot([(c, c, 1), (c, c, 5)]), hom_dot([(c, c, 2)]),
+            results += [c, DotTerms([c, c], [1, 5])(c), DotTerms([c], [2])(c),
                         hom_add(c, c), hom_mul(c, c)]
         snapshots = [ctx.decrypt(r) for r in results]
-        hom_dot([(results[0], results[1], 3), (results[2], results[3], 7)])
+        DotTerms([results[0], results[2]], [3, 7])(results[1])
         buffers = [r._slots for r in results] + [ctx._scratch()]
         for i, s in enumerate(buffers):
             for t in buffers[i + 1:]:
@@ -288,18 +289,23 @@ class TestNoiseAccounting:
         assert np.array_equal(run(), run())
 
 
-def composed_dot(terms):
-    """Reference for hom_dot: rotate, multiply, then a left-to-right sum."""
+def fused_dot(coeffs, shifts, b):
+    return DotTerms(coeffs, shifts)(b)
+
+
+def composed_dot(coeffs, shifts, b):
+    """Reference for ``DotTerms``: rotate, multiply, then a left-to-right sum."""
     acc = None
-    for a, b, s in terms:
+    for a, s in zip(coeffs, shifts):
         term = hom_mul(a, rotate(b, s))
         acc = term if acc is None else hom_add(acc, term)
     return acc
 
 
 def dot_operands(seed, noise_std, slot_count=16, max_depth=8):
-    """Random hom_dot terms over a context and its public view, at random
-    levels. Deterministic in its arguments."""
+    """Random ``DotTerms`` operands over a context and its public view, at
+    random levels: the coefficients a_t, their shifts s_t and one b.
+    Deterministic in its arguments."""
     rng = np.random.default_rng(seed)
     ctx = make_ctx(slot_count=slot_count, noise_std=noise_std, max_depth=max_depth, seed=5)
     contexts = (ctx, ctx.public_context())
@@ -310,33 +316,41 @@ def dot_operands(seed, noise_std, slot_count=16, max_depth=8):
             c = hom_mul(c, rng.normal(size=slot_count))
         return c
 
-    terms = [(cipher(), cipher(), int(rng.integers(-3 * slot_count, 3 * slot_count)))
-             for _ in range(rng.integers(1, 7))]
-    return contexts, terms
+    T = rng.integers(1, 7)
+    coeffs = [cipher() for _ in range(T)]
+    shifts = [int(rng.integers(-3 * slot_count, 3 * slot_count)) for _ in range(T)]
+    return contexts, (coeffs, shifts, cipher())
 
 
 class TestHomDot:
+    """The fused homomorphic dot product sum_t a_t * rot_{s_t}(b),
+    ``DotTerms``, against the composed rotate, multiply and add ops."""
+
     @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_composed_ops(self, seed, noise_std):
         """Same level and per-context op counts as the composed ops. Without
-        noise the slots are bit-identical; with noise both lie within six
+        noise the slots are bit-identical; with noise they are the fused
+        reference's (``helpers.fused_reference``), and both lie within six
         standard deviations of their common law, sigma * sqrt(sum_t a_t^2 +
         2T - 1) per slot, of the exact sum over the same operands."""
-        (ctx, pub), terms = dot_operands(seed, noise_std)
-        fused = hom_dot(terms)
-        (ctx_ref, pub_ref), terms_ref = dot_operands(seed, noise_std)
-        ref = composed_dot(terms_ref)
+        (ctx, pub), (coeffs, shifts, b) = dot_operands(seed, noise_std)
+        want_fused = fused_reference(coeffs, shifts, b)
+        fused = fused_dot(coeffs, shifts, b)
+        (ctx_ref, pub_ref), operands_ref = dot_operands(seed, noise_std)
+        ref = composed_dot(*operands_ref)
         assert (fused.level, fused.key_id) == (ref.level, ref.key_id)
-        assert fused._ctx is terms[0][0]._ctx
+        assert fused._ctx is coeffs[0]._ctx
         assert ctx.op_counts == ctx_ref.op_counts
         assert pub.op_counts == pub_ref.op_counts
         got, want = ctx.decrypt(fused), ctx_ref.decrypt(ref)
+        assert np.array_equal(got, want_fused)
         if noise_std == 0:
             assert np.array_equal(got, want)
         else:
-            exact = sum(ctx.decrypt(a) * np.roll(ctx.decrypt(b), -s) for a, b, s in terms)
-            scale = dot_noise_scale(a for a, _, _ in terms)
+            exact = sum(ctx.decrypt(a) * np.roll(ctx.decrypt(b), -s)
+                        for a, s in zip(coeffs, shifts))
+            scale = dot_noise_scale(coeffs)
             assert np.all(np.abs(got - exact) < 6 * scale)
             assert np.all(np.abs(want - exact) < 6 * scale)
 
@@ -345,27 +359,25 @@ class TestHomDot:
         fresh = ctx.encrypt(np.ones(8))
         once = hom_mul(fresh, np.ones(8))
         twice = hom_mul(once, np.ones(8))
-        assert hom_dot([(once, fresh, 1), (fresh, once, 2)]).level == 2
-        for terms in ([(twice, fresh, 1)], [(fresh, fresh, 0), (fresh, twice, 3)]):
-            with pytest.raises(DepthExhausted):
-                composed_dot(terms)
-            with pytest.raises(DepthExhausted):
-                hom_dot(terms)
+        assert fused_dot([once, fresh], [1, 2], once).level == 2
+        for coeffs, b in (([twice], fresh), ([fresh, fresh], twice)):
+            for op in (composed_dot, fused_dot):
+                with pytest.raises(DepthExhausted):
+                    op(coeffs, [1, 3][:len(coeffs)], b)
 
     def test_mixed_keys_rejected(self):
         ctx, other = make_ctx(seed=1), make_ctx(seed=2)
         a, b, x = ctx.encrypt(np.ones(8)), ctx.encrypt(np.ones(8)), other.encrypt(np.ones(8))
-        for terms in ([(a, x, 1)], [(a, b, 1), (x, b, 2)], [(a, b, 0), (b, x, 3)]):
-            with pytest.raises(KeyMismatch):
-                composed_dot(terms)
-            with pytest.raises(KeyMismatch):
-                hom_dot(terms)
+        for coeffs, v in (([a], x), ([a, x], b), ([b, a], x)):
+            for op in (composed_dot, fused_dot):
+                with pytest.raises(KeyMismatch):
+                    op(coeffs, [1, 2][:len(coeffs)], v)
 
     def test_no_terms_rejected(self):
         with pytest.raises(ValueError):
-            hom_dot([])
+            DotTerms([], [])
 
-    @pytest.mark.parametrize("op", [hom_dot, composed_dot], ids=["fused", "composed"])
+    @pytest.mark.parametrize("op", [fused_dot, composed_dot], ids=["fused", "composed"])
     def test_noise_distribution(self, op):
         """Given the input slots, the residual is N(0, sigma^2 (sum_t a_t^2 +
         2T - 1)) per slot: standardized, its mean is within 5 standard errors
@@ -373,12 +385,14 @@ class TestHomDot:
         sigma, n = 1e-3, 2 ** 16
         ctx = make_ctx(slot_count=n, noise_std=sigma, seed=17)
         rng = np.random.default_rng(4)
-        terms = [(ctx.encrypt(rng.uniform(-2, 2, n)), ctx.encrypt(rng.normal(size=n)), s)
-                 for s in (0, 1, 5, n - 1)]
-        a = [ctx.decrypt(t[0]) for t in terms]
-        exact = sum(ai * np.roll(ctx.decrypt(b), -s) for ai, (_, b, s) in zip(a, terms))
-        scale = sigma * np.sqrt(sum(ai ** 2 for ai in a) + 2 * len(terms) - 1)
-        z = (ctx.decrypt(op(terms)) - exact) / scale
+        shifts = (0, 1, 5, n - 1)
+        coeffs = [ctx.encrypt(rng.uniform(-2, 2, n)) for _ in shifts]
+        b = ctx.encrypt(rng.normal(size=n))
+        a = [ctx.decrypt(c) for c in coeffs]
+        bs = ctx.decrypt(b)
+        exact = sum(ai * np.roll(bs, -s) for ai, s in zip(a, shifts))
+        scale = sigma * np.sqrt(sum(ai ** 2 for ai in a) + 2 * len(a) - 1)
+        z = (ctx.decrypt(op(coeffs, shifts, b)) - exact) / scale
         assert abs(z.mean()) < 5 / np.sqrt(n)
         lo, hi = stats.chi2.ppf([1e-6, 1 - 1e-6], n) / n
         assert lo < np.mean(z ** 2) < hi

@@ -3,19 +3,18 @@ import re
 import numpy as np
 import pytest
 
-from encloop.backend import (GATHER_MAX, BackendConfig, DepthExhausted, DotTerms, KeyMismatch,
-                             context_create, hom_add, hom_dot, hom_mul, pad_slots, rotate)
+from encloop.backend import (GATHER_MAX, GATHER_WIDTH, BackendConfig, DepthExhausted, DotTerms,
+                             KeyMismatch, context_create, hom_add, hom_mul, pad_slots, rotate)
 from encloop.control import quadruple_tank
 from encloop.linalg import (
     DiagMatrixCipher,
-    decrypt_matrix,
     enc_matmat,
     enc_matrix_power,
     enc_matvec,
     encrypt_matrix,
     next_pow2,
-    wrapping_diagonal,
 )
+from helpers import decrypt_matrix, fused_reference, wrapping_diagonal
 
 
 def make_ctx(slot_count, max_depth=16, seed=1):
@@ -257,24 +256,21 @@ class TestMatVec:
     @pytest.mark.parametrize("n", [8, 2 ** 16])
     def test_cached_noise_scale_matches_hom_dot(self, n):
         """Repeated noisy products of one matrix, whose noise scale is cached
-        after the first, equal the uncached hom_dot over its diagonals on an
-        identically seeded context: slots, level and op counts."""
-        def build():
-            ctx = context_create(BackendConfig(slot_count=n, noise_std=1e-3, seed=21))
-            rng = np.random.default_rng(4)
-            M = DiagMatrixCipher(dim=n, diagonals={
-                i: ctx.encrypt(rng.uniform(-2, 2, n)) for i in (0, 1, 3, n - 1)})
-            return ctx, rng, M
-
-        ctx, rng, M = build()
-        ctx_ref, rng_ref, M_ref = build()
+        after the first, equal the fused reference over its diagonals
+        (``helpers.fused_reference``): slots, level and op counts."""
+        ctx = context_create(BackendConfig(slot_count=n, noise_std=1e-3, seed=21))
+        rng = np.random.default_rng(4)
+        M = DiagMatrixCipher(dim=n, diagonals={
+            i: ctx.encrypt(rng.uniform(-2, 2, n)) for i in (0, 1, 3, n - 1)})
         for _ in range(3):
-            got = enc_matvec(M, ctx.encrypt(rng.normal(size=n)))
-            v_ref = ctx_ref.encrypt(rng_ref.normal(size=n))
-            want = hom_dot([(d, v_ref, i) for i, d in M_ref.diagonals.items()])
-            assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
-            assert got.level == want.level
-            assert ctx.op_counts == ctx_ref.op_counts
+            v = ctx.encrypt(rng.normal(size=n))
+            want = fused_reference(M.diagonals.values(), M.diagonals, v)
+            before = dict(ctx.op_counts)
+            got = enc_matvec(M, v)
+            assert {op: ctx.op_counts[op] - before[op] for op in before} == {
+                "add": 3, "mul": 4, "rot": 4, "enc": 0, "dec": 0}
+            assert np.array_equal(ctx.decrypt(got), want)
+            assert got.level == 1
         assert M._terms.noise_scale is not None
 
     def test_noiseless_matvec_caches_no_scale(self):
@@ -292,8 +288,8 @@ class TestMatVec:
 
 class TestCachedMatVec:
     """The first product caches a matrix's terms; every later one reuses them.
-    Its T terms over n slots gather at T * n <= GATHER_MAX (T >= 2) and
-    multiply slice by slice otherwise."""
+    Its T >= 2 terms over n slots gather at T * n <= GATHER_MAX and
+    n <= GATHER_WIDTH * (T - 1)^2, and multiply slice by slice otherwise."""
 
     @staticmethod
     def banded(n, noise_std=0.0, seed=21):
@@ -307,7 +303,9 @@ class TestCachedMatVec:
     @pytest.mark.parametrize("n, T, gather", [
         (64, 4, True), (1024, 4, False), (2 ** 16, 4, False),
         (GATHER_MAX // 4, 4, True), (GATHER_MAX // 4, 5, False),
-        (GATHER_MAX // 2, 2, True), (GATHER_MAX, 1, False), (64, 1, False)])
+        (GATHER_MAX // 2, 2, False), (GATHER_WIDTH, 2, True), (2 * GATHER_WIDTH, 2, False),
+        (4 * GATHER_WIDTH, 3, True), (8 * GATHER_WIDTH, 3, False),
+        (GATHER_MAX, 1, False), (64, 1, False)])
     def test_plan_by_size(self, n, T, gather):
         """Only the chosen plan is built; one term keeps its one multiply."""
         ctx = context_create(BackendConfig(slot_count=n))
@@ -335,24 +333,22 @@ class TestCachedMatVec:
             assert got.level == acc.level == 1
 
     def test_noisy_equals_uncached_hom_dot(self):
-        """Two identically seeded sigma = 1e-3 contexts: the cached product
-        (gathered at 64 slots, sliced at 2^16) equals ``hom_dot`` over the
-        same terms, with the same level and the same op-count deltas on two
-        products in a row."""
+        """At sigma = 1e-3 the cached product (gathered at 64 slots, sliced at
+        2^16) equals the fused reference over the same terms
+        (``helpers.fused_reference``), at level 1 and with the composed ops'
+        op-count deltas, on two products in a row."""
         for n in (64, 2 ** 16):
-            (ctx, M), (ctx_ref, M_ref) = self.banded(n, 1e-3), self.banded(n, 1e-3)
-            rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+            ctx, M = self.banded(n, 1e-3)
+            rng = np.random.default_rng(3)
             for _ in range(2):
                 v = ctx.encrypt(rng.normal(size=n))
-                v_ref = ctx_ref.encrypt(rng_ref.normal(size=n))
-                before, before_ref = dict(ctx.op_counts), dict(ctx_ref.op_counts)
+                want = fused_reference(M.diagonals.values(), M.diagonals, v)
+                before = dict(ctx.op_counts)
                 got = enc_matvec(M, v)
                 assert M._terms.gather is (n == 64)
-                want = hom_dot([(d, v_ref, i) for i, d in M_ref.diagonals.items()])
-                assert np.array_equal(ctx.decrypt(got), ctx_ref.decrypt(want))
-                assert got.level == want.level
+                assert np.array_equal(ctx.decrypt(got), want)
+                assert got.level == 1
                 assert ({op: ctx.op_counts[op] - before[op] for op in before}
-                        == {op: ctx_ref.op_counts[op] - before_ref[op] for op in before_ref}
                         == {"add": 3, "mul": 4, "rot": 4, "enc": 0, "dec": 1})
 
     def test_foreign_key_and_depth_still_raise(self):

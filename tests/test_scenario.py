@@ -289,9 +289,10 @@ class TestMalformedValues:
         assert exc.value.name == "backend"
 
 
-# a controllable 3-state, single-input, single-output model
+# controllable 3-state and 1-state, single-input, single-output models
 MODEL3 = {"A": [[0.9, 0.1, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]],
           "B": [[0.0], [0.0], [1.0]], "C": [[1.0, 0.0, 0.0]]}
+MODEL1 = {"A": [[0.8]], "B": [[1.0]], "C": [[1.0]]}
 
 
 class TestDepthBudget:
@@ -305,17 +306,17 @@ class TestDepthBudget:
         raw = minimal("attack_encrypted", steps=length + 2, pre_roll=2,
                       backend={"slot_count": 64, "max_depth": max_depth},
                       attack={"a_u": bias, "length": length, "cooldown_len": n})
-        if n == 3:
-            raw.update(model=MODEL3, controller={"K": [[0.5]], "u0": [0.0]},
-                       x0=[1.0, 0.0, 0.0])
+        if n != 4:
+            raw.update(model=MODEL3 if n == 3 else MODEL1,
+                       controller={"K": [[0.5]], "u0": [0.0]}, x0=[1.0] + [0.0] * (n - 1))
         return raw
 
     @pytest.mark.parametrize("n, length, need", [
-        (4, 4, 9), (4, 7, 9), (4, 8, 10), (4, 10, 12), (4, 12, 14), (4, 16, 18),
-        (3, 3, 8), (3, 6, 8), (3, 9, 11)])
+        (4, 4, 6), (4, 5, 7), (4, 6, 8), (4, 7, 9), (4, 8, 10), (4, 10, 12), (4, 12, 14),
+        (4, 16, 18), (3, 3, 5), (3, 4, 6), (3, 6, 8), (3, 9, 11), (1, 1, 2), (1, 3, 4)])
     def test_derived_depth_is_tight(self, n, length, need):
         cfg = ScenarioConfig.from_dict(self.config(length, need, n))
-        assert encrypted_attack_depth(cfg.model, cfg.attack_plan) == need
+        assert encrypted_attack_depth(cfg.attack_plan) == need
         _, code = run_scenario(cfg)
         assert code == 0
         with pytest.raises(ConfigError, match=f"needs max_depth >= {need}, got {need - 1}"

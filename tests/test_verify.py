@@ -18,7 +18,7 @@ from encloop.control import (
     tank_controller,
 )
 from encloop.attack import AttackPlan, GuessingAttacker
-from encloop.linalg import decrypt_matrix, enc_matvec, encrypt_matrix
+from encloop.linalg import enc_matvec, encrypt_matrix
 from encloop.scenario import ScenarioConfig
 from encloop.verify import (
     PermutationTag,
@@ -33,6 +33,7 @@ from encloop.verify import (
     run_detection_experiment,
     setup,
 )
+from helpers import decrypt_matrix
 
 
 def doubler(x):
