@@ -15,7 +15,8 @@ guessed half of the blocks. The scenario kind alone picks the attacker
 
 The attack has finite length: an active phase with a chosen input bias
 schedule, then a cooldown of n steps whose inputs, computed from the
-controllability matrix, return dx to zero so the attack stops undetected.
+controllability matrix (``cooldown_gain``, for both attacker models),
+return dx to zero so the attack stops undetected.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import (KeyContext, PackedCiphertext, hom_add, hom_neg, hom_sub, pad_slots,
-                      rotate)
+from .backend import KeyContext, PackedCiphertext, hom_add, hom_sub, pad_slots, rotate
 from .control import LtiModel, plant_step
 from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix
 from . import verify
@@ -37,6 +37,7 @@ __all__ = [
     "GuessingAttacker",
     "check_cooldown",
     "controllability_matrix",
+    "cooldown_gain",
     "cooldown_inputs",
     "cooldown_inputs_encrypted",
     "delta_step_encrypted",
@@ -91,27 +92,29 @@ def controllability_matrix(model: LtiModel) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
-    """Inputs for the last n attack steps that drive the compensation state
-    to zero. The stacking order and sign are fixed by the terminal condition
-    dx(L) = 0 under the standard reachability expansion:
+def cooldown_gain(model: LtiModel) -> np.ndarray:
+    """The (n·m x n) map from dx(L-n) to the n cooldown inputs, stacked in
+    the order they are applied. The terminal condition dx(L) = 0 of
 
         dx(L) = A^n dx(L-n) + [A^{n-1}B ... B] [a(L-n); ...; a(L-1)]
 
-    so the solved stack reads newest-first and carries a minus sign.
-    """
+    gives -pinv([B ... A^{n-1}B]) A^n, whose block rows read newest-first."""
+    n, m, Cc = model.n, model.m, controllability_matrix(model)
+    newest_first = -np.linalg.pinv(Cc) @ np.linalg.matrix_power(model.A, n)
+    return newest_first.reshape(n, m, n)[::-1].reshape(n * m, n)
+
+
+def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
+    """Inputs for the last n attack steps that drive the compensation state
+    to zero, in application order: the block rows of ``cooldown_gain(model)
+    @ dx``, checked against the terminal condition to within ``tol``."""
     dx = np.asarray(dx, dtype=float).ravel()
-    n, m = model.n, model.m
-    Cc = controllability_matrix(model)
-    An = np.linalg.matrix_power(model.A, n)
-    stacked = -np.linalg.pinv(Cc) @ (An @ dx)
-    blocks = stacked.reshape(n, m)
-    inputs = [blocks[n - 1 - i] for i in range(n)]
+    inputs = list((cooldown_gain(model) @ dx).reshape(model.n, model.m))
     # verify the terminal condition before handing the inputs out
     probe = dx.copy()
     for a in inputs:
         probe, _ = plant_step(model, probe, a)
-    residual = float(np.max(np.abs(probe))) if n else 0.0
+    residual = float(np.max(np.abs(probe))) if model.n else 0.0
     if residual > tol:
         raise ValueError(
             f"cooldown residual {residual:.3e} exceeds {tol:.1e}; "
@@ -125,9 +128,8 @@ def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
 class EncModel:
     """Encrypted system knowledge of the encrypted-model attacker, padded to
     the backend slot count. ``cooldown_matrix`` is the encrypted
-    pinv(controllability matrix) times A^n, precomputed so that the online
-    cooldown costs one encrypted matrix-vector product. Every matrix is a
-    fresh encryption (level 0)."""
+    ``cooldown_gain``, so that the online cooldown costs one encrypted
+    matrix-vector product. Every matrix is a fresh encryption (level 0)."""
 
     A: DiagMatrixCipher
     B: DiagMatrixCipher
@@ -140,15 +142,14 @@ class EncModel:
 def build_enc_model(ctx: KeyContext, model: LtiModel) -> EncModel:
     """Encrypt the model matrices for the encrypted-model attacker.
 
-    The cooldown matrix pinv(controllability matrix) times A^n is computed
-    in the clear and encrypted once at setup, standing in for an attacker
-    that obtained it through an encrypted identification pipeline.
+    The cooldown gain is computed in the clear and encrypted once at setup,
+    standing in for an attacker that obtained it through an encrypted
+    identification pipeline.
     """
-    cooldown = (np.linalg.pinv(controllability_matrix(model))
-                @ np.linalg.matrix_power(model.A, model.n))
     return EncModel(A=encrypt_matrix(ctx, model.A), B=encrypt_matrix(ctx, model.B),
                     C=encrypt_matrix(ctx, model.C),
-                    cooldown_matrix=encrypt_matrix(ctx, cooldown), n=model.n, m=model.m)
+                    cooldown_matrix=encrypt_matrix(ctx, cooldown_gain(model)),
+                    n=model.n, m=model.m)
 
 
 def encrypted_attack_depth(plan: AttackPlan) -> int:
@@ -180,14 +181,12 @@ def delta_step_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,
 
 def cooldown_inputs_encrypted(enc_model: EncModel, dx_cipher: PackedCiphertext,
                               ) -> list[PackedCiphertext]:
-    """Encrypted cooldown inputs, newest-last. Each returned ciphertext is
-    valid in its leading m slots only (the block extraction is a rotation,
-    which is level-free; a masking multiply would cost depth the scenario
+    """Encrypted cooldown inputs in application order: the matvec output,
+    then its rotations by i·m. Each is valid in its leading m slots only (a
+    rotation is level-free; a masking multiply would cost depth the scenario
     budget does not have)."""
     stacked = enc_matvec(enc_model.cooldown_matrix, dx_cipher)
-    stacked = hom_neg(stacked)
-    n, m = enc_model.n, enc_model.m
-    return [rotate(stacked, (n - 1 - i) * m) for i in range(n)]
+    return [stacked] + [rotate(stacked, i * enc_model.m) for i in range(1, enc_model.n)]
 
 
 class CovertAttacker:
@@ -198,7 +197,8 @@ class CovertAttacker:
     the internal compensation state. Transparent outside [0, plan.length).
     A bias lands in the channel's leading slots (``_place``). Given an
     ``enc_model`` (which needs the public ``ctx``), the compensation state
-    runs under encryption; otherwise it runs in the clear.
+    ``_dx`` is a ciphertext and runs under encryption; otherwise it is a
+    plaintext vector and runs in the clear.
     """
 
     def __init__(self, model: LtiModel, plan: AttackPlan,
@@ -209,11 +209,10 @@ class CovertAttacker:
         self.plan = plan
         self.ctx = ctx  # public context; needed for encrypted channels
         self.enc_model = enc_model
-        if enc_model is not None:
-            if ctx is None:
-                raise ValueError("an encrypted-model attack needs a context")
-            self._dx_cipher = ctx.encrypt(np.zeros(ctx.config.slot_count))
-        self._dx = np.zeros(model.n)
+        if enc_model is not None and ctx is None:
+            raise ValueError("an encrypted-model attack needs a context")
+        self._dx = (np.zeros(model.n) if enc_model is None
+                    else ctx.encrypt(np.zeros(ctx.config.slot_count)))
         self._cooldown: list | None = None
 
     # -- schedule ------------------------------------------------------------
@@ -225,11 +224,8 @@ class CovertAttacker:
         if k < L - n:
             return self.plan.active_input(k, self.model.m)
         if self._cooldown is None:
-            if self.enc_model is not None:
-                self._cooldown = cooldown_inputs_encrypted(self.enc_model,
-                                                           self._dx_cipher)
-            else:
-                self._cooldown = cooldown_inputs(self.model, self._dx)
+            self._cooldown = (cooldown_inputs(self.model, self._dx) if self.enc_model is None
+                              else cooldown_inputs_encrypted(self.enc_model, self._dx))
         return self._cooldown[k - (L - n)]
 
     def active_at(self, k: int) -> bool:
@@ -256,7 +252,7 @@ class CovertAttacker:
         if not self.active_at(k):
             return y
         if self.enc_model is not None:
-            return hom_sub(y, enc_matvec(self.enc_model.C, self._dx_cipher))
+            return hom_sub(y, enc_matvec(self.enc_model.C, self._dx))
         return self._splice(y, -(self.model.C @ self._dx))
 
     def tamper_control(self, k: int, u_c):
@@ -267,7 +263,7 @@ class CovertAttacker:
             if not isinstance(a_u, PackedCiphertext):
                 a_u = self.ctx.encrypt(self._place(a_u))
             u = hom_add(u_c, a_u)
-            self._dx_cipher = delta_step_encrypted(self.enc_model, self._dx_cipher, a_u)
+            self._dx = delta_step_encrypted(self.enc_model, self._dx, a_u)
             return u
         u = self._splice(u_c, a_u)
         self._dx, _ = plant_step(self.model, self._dx, a_u)

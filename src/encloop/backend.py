@@ -72,6 +72,7 @@ __all__ = [
     "dot_noise_scale",
     "rotate",
     "pad_slots",
+    "ciphertext_blob_size",
     "serialize_ciphertext",
     "check_ciphertext_blob",
     "deserialize_ciphertext",
@@ -379,10 +380,15 @@ def pad_slots(values, slot_count: int) -> np.ndarray:
 # little-endian: u32 slot_count, u32 level, u64 key_id,
 # slot_count f64 slot values, a reserved f64 (written 0.0, ignored on read).
 
+def ciphertext_blob_size(slot_count: int) -> int:
+    """Bytes of the wire blob of a ciphertext with ``slot_count`` slots."""
+    return 24 + 8 * slot_count
+
+
 def serialize_ciphertext(c: PackedCiphertext) -> bytearray:
     """The wire blob, written into one buffer."""
     n = len(c._slots)
-    blob = bytearray(24 + 8 * n)
+    blob = bytearray(ciphertext_blob_size(n))
     struct.pack_into("<IIQ", blob, 0, n, c.level, c.key_id)
     np.frombuffer(blob, "<f8", count=n, offset=16)[:] = c._slots
     return blob
@@ -395,7 +401,7 @@ def check_ciphertext_blob(ctx: KeyContext, data: bytes) -> tuple[int, int]:
     if len(data) < 16:
         raise ValueError("ciphertext blob too short")
     n, level, key_id = struct.unpack_from("<IIQ", data, 0)
-    expected = 16 + 8 * n + 8
+    expected = ciphertext_blob_size(n)
     if len(data) != expected:
         raise ValueError(f"ciphertext blob has {len(data)} bytes, expected {expected}")
     if n != ctx.config.slot_count:

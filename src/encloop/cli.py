@@ -65,19 +65,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_summary(trace) -> int:
+    """Print a loop run's last line and return its exit code."""
+    if trace.tripped:
+        print(f"verification tripped at step {trace.k[-1]}")
+        return EXIT_VERIFICATION
+    print(f"completed {len(trace)} steps (k = {trace.k[0]}..{trace.k[-1]})")
+    return EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
-    trace, code = run_scenario(cfg)
+    trace, _ = run_scenario(cfg)
     if args.out_trace:
         trace.to_csv(args.out_trace)
     if args.out_plot:
         write_trace_svg(trace, args.out_plot)
-    last = trace.k[-1] if len(trace) else None
-    if code == EXIT_VERIFICATION:
-        print(f"verification tripped at step {last}")
-    else:
-        print(f"completed {len(trace)} steps (k = {trace.k[0]}..{last})")
-    return code
+    return _run_summary(trace)
 
 
 def cmd_montecarlo(args) -> int:
@@ -152,11 +156,7 @@ def cmd_net(args) -> int:
     trace = netloop.run_plant(args.connect, cfg)
     if args.out_trace:
         trace.to_csv(args.out_trace)
-    if trace.verdict and trace.verdict[-1] == "bottom":
-        print(f"verification tripped at step {trace.k[-1]}")
-        return EXIT_VERIFICATION
-    print(f"completed {len(trace)} steps")
-    return EXIT_OK
+    return _run_summary(trace)
 
 
 def main(argv=None) -> int:

@@ -166,6 +166,11 @@ class SimTrace:
     def __len__(self):
         return len(self.k)
 
+    @property
+    def tripped(self) -> bool:
+        """Whether the loop stopped at a rejected response."""
+        return bool(self.verdict) and self.verdict[-1] == "bottom"
+
     def to_csv(self, path):
         n = len(self.x[0]) if self.x else 0
         m = len(self.u[0]) if self.u else 0

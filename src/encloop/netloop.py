@@ -14,7 +14,8 @@ Frame layout (little-endian): u32 payload length, u8 message type, payload.
 A receiver checks the declared length against its limit before it allocates
 the payload: the controller and the proxy read the HELLO under
 ``HELLO_MAX_PAYLOAD`` and every later frame under the size of one serialized
-ciphertext of the configured slot count.
+ciphertext of the configured slot count (``backend.ciphertext_blob_size``;
+ABORT and BYE payloads are shorter).
 
 This is a simulator: all roles reconstruct the key context from the shared
 configuration, and the attacker proxy restricts itself to the public
@@ -29,8 +30,8 @@ import socket
 import struct
 
 from . import control
-from .backend import (check_ciphertext_blob, context_create, deserialize_ciphertext,
-                      serialize_ciphertext)
+from .backend import (check_ciphertext_blob, ciphertext_blob_size, context_create,
+                      deserialize_ciphertext, serialize_ciphertext)
 from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
@@ -107,12 +108,6 @@ def recv_frame(sock: socket.socket, max_payload: int = MAX_PAYLOAD) -> tuple[int
     return msg_type, _recv_exact(sock, length)
 
 
-def _payload_limit(cfg: ScenarioConfig) -> int:
-    """Largest payload after the HELLO: one serialized ciphertext (ABORT and
-    BYE payloads are shorter)."""
-    return 24 + 8 * cfg.backend.slot_count
-
-
 def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
     """Listen on ``addr``, signal ``ready`` and accept exactly one peer."""
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
@@ -162,7 +157,7 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
         trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                         ctx=ctx, pre_roll=cfg.pre_roll,
                                         verifier=verifier, link=exchange)
-        if trace.verdict[-1] == "bottom":
+        if trace.tripped:
             send_frame(sock, MSG_ABORT, json.dumps({"step": trace.k[-1]}).encode())
         send_frame(sock, MSG_BYE)
     return trace
@@ -186,7 +181,7 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
             verified = cfg.scenario == "verified_attack"
             expansion = cfg.expansion if verified else 1
             enc_ctrl = control.encrypt_controller(ctx, cfg.controller, expansion)
-            limit = _payload_limit(cfg)
+            limit = ciphertext_blob_size(cfg.backend.slot_count)
             while True:
                 msg_type, payload = recv_frame(conn, limit)
                 if msg_type == MSG_BYE:
@@ -240,7 +235,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
 
-            limit = _payload_limit(cfg)
+            limit = ciphertext_blob_size(cfg.backend.slot_count)
             k = -cfg.pre_roll
             while True:
                 msg_type, payload = recv_frame(plant_conn, limit)

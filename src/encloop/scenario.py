@@ -276,8 +276,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                     attacker=attacker, ctx=ctx,
                                     pre_roll=cfg.pre_roll, verifier=verifier)
-    code = 3 if trace.verdict and trace.verdict[-1] == "bottom" else 0
-    return trace, code
+    return trace, 3 if trace.tripped else 0
 
 
 # -- minimal SVG trajectory plot ------------------------------------------------

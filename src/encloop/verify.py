@@ -94,10 +94,6 @@ class PermutationTag:
     eps: float                     # acceptance threshold of the response, from ``_eps``
     payload_block: int             # the first encoded block carrying the payload
 
-    def payload_positions(self) -> set[int]:
-        half = len(self.perm) // 2
-        return {j for j, b in enumerate(self.perm) if b < half}
-
 
 @dataclass
 class DecodeOutcome:
@@ -203,7 +199,8 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
 
     The challenge indices (with replacement), then the permutation (uniform
     shuffle), are drawn fresh from the context RNG. The tag records the
-    first encoded block that carries the payload, ``min(payload_positions())``.
+    first encoded block that carries the payload: the least j whose
+    pre-shuffle block ``perm[j]`` is a payload replica (below lambda/2).
     """
     w = np.asarray(w, dtype=float).ravel()
     if len(w) != ctx.block_dim:

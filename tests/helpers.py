@@ -1,5 +1,6 @@
-"""Plaintext references the tests compare the encrypted linear algebra with:
-wrapping diagonals, matrix reassembly and the fused product's slots."""
+"""Plaintext references the tests compare the encrypted linear algebra and
+the verifier with: wrapping diagonals, matrix reassembly, the fused
+product's slots and a tag's payload blocks."""
 
 import copy
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from encloop.backend import KeyContext, dot_noise_scale
 from encloop.linalg import DiagMatrixCipher
+from encloop.verify import PermutationTag
 
 
 def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:
@@ -53,3 +55,10 @@ def fused_reference(coeffs, shifts, b) -> np.ndarray:
         z = copy.deepcopy(ctx.rng).standard_normal(ctx.config.slot_count)
         out = out + dot_noise_scale(coeffs) * z
     return out
+
+
+def payload_positions(tag: PermutationTag) -> set[int]:
+    """The encoded blocks that carry a payload replica: those whose
+    pre-shuffle block is one of the first lambda/2."""
+    half = len(tag.perm) // 2
+    return {j for j, b in enumerate(tag.perm) if b < half}

@@ -142,7 +142,7 @@ def test_criterion_03_covert_attack_stealthiness():
 
     # internal compensation state returns to zero after the cooldown
     assert np.max(np.abs(plain_att._dx)) < 1e-8
-    assert np.max(np.abs(ctx.decrypt(enc_att._dx_cipher)[:4])) < 1e-8
+    assert np.max(np.abs(ctx.decrypt(enc_att._dx)[:4])) < 1e-8
 
     # the two variants share nearly identical trajectories
     for fieldname in ("x", "u", "y", "u_c", "y_c"):
@@ -284,7 +284,7 @@ def test_criterion_08_depth_budget_fidelity():
     trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
                             ctx=ctx12, attacker=att12)
     assert len(trace) == 50
-    assert np.max(np.abs(ctx12.decrypt(att12._dx_cipher)[:4])) < 1e-8
+    assert np.max(np.abs(ctx12.decrypt(att12._dx)[:4])) < 1e-8
 
 
 def test_criterion_09_large_scale_capacity():

@@ -8,6 +8,7 @@ from encloop.attack import (
     GuessingAttacker,
     build_enc_model,
     controllability_matrix,
+    cooldown_gain,
     cooldown_inputs,
     cooldown_inputs_encrypted,
     delta_step_encrypted,
@@ -129,6 +130,22 @@ class TestCooldown:
                 probe, _ = plant_step(sys, probe, a)
             assert np.max(np.abs(probe)) < 1e-8
 
+    def test_inputs_are_the_gain_rows(self, model):
+        """Both attacker models take the cooldown from ``cooldown_gain``: the
+        plaintext inputs are its block rows times dx, in application order."""
+        rng = np.random.default_rng(5)
+        systems = [model] + [random_controllable(rng, int(rng.integers(2, 5)),
+                                                 int(rng.integers(1, 3)))
+                             for _ in range(10)]
+        for sys in systems:
+            dx = rng.uniform(-1, 1, sys.n)
+            G = cooldown_gain(sys)
+            assert G.shape == (sys.n * sys.m, sys.n)
+            got = cooldown_inputs(sys, dx)
+            assert len(got) == sys.n
+            for i, a in enumerate(got):
+                assert np.array_equal(a, (G @ dx)[i * sys.m:(i + 1) * sys.m])
+
     def test_uncontrollable_system_rejected(self):
         # second state unreachable
         sys = LtiModel(A=np.diag([0.5, 0.5]), B=np.array([[1.0], [0.0]]),
@@ -161,16 +178,15 @@ class TestEncryptedModel:
             assert np.max(np.abs(ctx.decrypt(c)[:2] - a)) < 1e-8
 
     def test_cooldown_matrix_is_the_clear_product(self, model):
-        """The cooldown matrix is pinv(C_n) A^n encrypted once: it decrypts to
-        the clear product, sits at level 0 and stores exactly that product's
-        nonzero wrapped diagonals (11 for the tank), so the cooldown's one
-        matvec costs one multiply and one rotation per diagonal, plus the
-        negation and the n block rotations."""
+        """The cooldown matrix is ``cooldown_gain`` encrypted once: it
+        decrypts to the clear gain, sits at level 0 and stores exactly the
+        gain's nonzero wrapped diagonals (11 for the tank), so the cooldown's
+        one matvec costs one multiply and one rotation per diagonal, plus
+        n - 1 block rotations. The first input is the matvec output itself."""
         ctx = context_create(BackendConfig(slot_count=64, seed=3))
         pub = ctx.public_context()
         enc = build_enc_model(pub, model)
-        want = (np.linalg.pinv(controllability_matrix(model))
-                @ np.linalg.matrix_power(model.A, model.n))
+        want = cooldown_gain(model)
         M = enc.cooldown_matrix
         assert list(M.diagonals) == [i for i in range(64)
                                      if np.any(wrapping_diagonal(want, i, 64))]
@@ -180,10 +196,18 @@ class TestEncryptedModel:
         assert np.max(np.abs(got[:8, :4] - want)) <= 1e-12
         got[:8, :4] = 0.0
         assert not np.any(got)
+        x = np.array([0.3, -0.2, 0.1, 0.4])
+        dx = ctx.encrypt(pad_slots(x, 64))
         before = op_totals(ctx, pub)
-        cooldown_inputs_encrypted(enc, ctx.encrypt(np.zeros(64)))
-        assert spent_ops((ctx, pub), before) == {"enc": 1, "mul": 11, "rot": 11 + model.n,
-                                                 "add": 11, "dec": 0}
+        inputs = cooldown_inputs_encrypted(enc, dx)
+        assert spent_ops((ctx, pub), before) == {"enc": 0, "mul": 11, "rot": 11 + model.n - 1,
+                                                 "add": 10, "dec": 0}
+        assert len(inputs) == model.n
+        assert inputs[0] is not dx and inputs[0].level == dx.level + 1
+        stacked = ctx.decrypt(inputs[0])
+        assert np.max(np.abs(stacked - pad_slots(want @ x, 64))) <= 1e-12
+        for i, c in enumerate(inputs):
+            assert np.array_equal(ctx.decrypt(c), np.roll(stacked, -i * model.m))
 
 
 ATTACKERS = {

@@ -9,6 +9,7 @@ from encloop.backend import (
     DepthExhausted,
     DotTerms,
     KeyMismatch,
+    ciphertext_blob_size,
     context_create,
     deserialize_ciphertext,
     dot_noise_scale,
@@ -428,7 +429,7 @@ class TestSerialization:
     def test_byte_length(self):
         ctx = make_ctx()
         blob = serialize_ciphertext(ctx.encrypt(np.zeros(8)))
-        assert len(blob) == 4 + 4 + 8 + 8 * 8 + 8
+        assert len(blob) == 4 + 4 + 8 + 8 * 8 + 8 == ciphertext_blob_size(8)
 
     def test_truncated_blob_rejected(self):
         ctx = make_ctx()

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from encloop.cli import main
-from encloop.netloop import run_controller
+from encloop.netloop import run_attacker, run_controller
 from encloop.verify import p_succ_cumulative, p_succ_instant
 
 
@@ -263,8 +263,39 @@ class TestNet:
                      "--config", cfg, "--out-trace", str(trace_path)])
         t.join(10)
         assert code == 0
-        assert "completed 40 steps" in capsys.readouterr().out
+        assert capsys.readouterr().out == "completed 40 steps (k = -10..29)\n"
         assert trace_path.exists()
+
+    def test_plant_caught_through_proxy_exit_three(self, tmp_path, capsys):
+        """The net plant ends with ``simulate``'s last line and exit code:
+        the guessing proxy is caught at step 0."""
+        import socket
+
+        ports = []
+        for _ in range(2):
+            with socket.socket() as s:
+                s.bind(("127.0.0.1", 0))
+                ports.append(s.getsockname()[1])
+        ctrl, atk = (("127.0.0.1", port) for port in ports)
+        roles = [(run_controller, (ctrl,)), (run_attacker, (atk, ctrl))]
+        threads = []
+        for role, args in roles:
+            ready = threading.Event()
+            threads.append(threading.Thread(target=role, args=args,
+                                            kwargs={"ready": ready}, daemon=True))
+            threads[-1].start()
+            assert ready.wait(5)
+        cfg = write_cfg(tmp_path, dict(VERIFIED, pre_roll=0, mode="encrypted"))
+        code = main(["net", "--role", "plant", "--connect", f"127.0.0.1:{atk[1]}",
+                     "--config", cfg])
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert code == 3
+        net_out = capsys.readouterr().out
+        assert net_out == "verification tripped at step 0\n"
+        assert main(["simulate", "--config", cfg]) == 3
+        assert capsys.readouterr().out == net_out
 
     def test_plain_mode_plant_exit_one(self, tmp_path, capsys):
         # refused before it connects: nothing listens on the port

@@ -33,7 +33,7 @@ from encloop.verify import (
     run_detection_experiment,
     setup,
 )
-from helpers import decrypt_matrix
+from helpers import decrypt_matrix, payload_positions
 
 
 def doubler(x):
@@ -135,7 +135,7 @@ class TestEncodeDecode:
                 want = w if b < 2 else vctx.challenges[tag.challenge_indices[b - 2]]
                 assert np.array_equal(blocks[j], want)
             carries_w = {j for j in range(4) if np.array_equal(blocks[j], w)}
-            assert tag.payload_positions() == carries_w
+            assert payload_positions(tag) == carries_w
 
     def test_challenges_drawn_with_replacement(self):
         vctx = make_vctx(expansion=16, block_dim=1, slot_count=16, seed=1)
@@ -156,7 +156,7 @@ class TestEncodeDecode:
         vctx = make_vctx()
         encoded, tag = ecd(vctx, np.array([1.0, 2.0]))
         z = doubler(encoded)
-        victim = next(j for j in range(4) if j not in tag.payload_positions())
+        victim = next(j for j in range(4) if j not in payload_positions(tag))
         z[victim * 2] += 1.0
         outcome = dcd(vctx, tag, z)
         assert outcome.bottom
@@ -168,7 +168,7 @@ class TestEncodeDecode:
         vctx = make_vctx()
         encoded, tag = ecd(vctx, np.array([1.0, 2.0]))
         z = doubler(encoded)
-        victim = next(j for j in range(4) if j not in tag.payload_positions())
+        victim = next(j for j in range(4) if j not in payload_positions(tag))
         z[victim * 2] = np.nan
         assert dcd(vctx, tag, z).bottom
 
@@ -178,7 +178,7 @@ class TestEncodeDecode:
         w = np.array([1.0, 2.0])
         encoded, tag = ecd(vctx, w)
         z = doubler(encoded)
-        for j in tag.payload_positions():
+        for j in payload_positions(tag):
             z[j * 2: j * 2 + 2] += 5.0
         outcome = dcd(vctx, tag, z)
         assert outcome.ok
@@ -191,7 +191,7 @@ class TestEncodeDecode:
         vctx = make_vctx()
         encoded, tag = ecd(vctx, np.array([1.0, 2.0]))
         z = doubler(encoded)
-        z[2 * max(tag.payload_positions())] += 1.0
+        z[2 * max(payload_positions(tag))] += 1.0
         outcome = dcd(vctx, tag, z)
         assert outcome.bottom and outcome.failed_challenges == []
         assert outcome.spread == 1.0 and np.all(outcome.deviation == 0)
@@ -315,7 +315,7 @@ class TestOneRowDecode:
         vctx = make_vctx(expansion=lam, slot_count=2 * lam, seed=lam)
         for _ in range(50):
             _, tag = ecd(vctx, np.array([0.5, -1.5]))
-            assert tag.payload_block == min(tag.payload_positions())
+            assert tag.payload_block == min(payload_positions(tag))
 
 
 class TestReplicaAgreement:
@@ -345,7 +345,7 @@ class TestReplicaAgreement:
             encoded = np.concatenate([blocks[b] for b in perm])
             tag = PermutationTag(perm=perm, challenge_indices=indices,
                                  eps=verify._eps(vctx, encoded), payload_block=min(R))
-            assert tag.payload_positions() == set(R)
+            assert payload_positions(tag) == set(R)
             passed = []
             for S in tamper_sets:
                 z = doubler(encoded)
