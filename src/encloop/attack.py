@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import KeyContext, PackedCiphertext, hom_add, hom_sub, pad_slots, rotate
+from .backend import KeyContext, PackedCiphertext, hom_add, hom_sub, rotate
 from .control import LtiModel, plant_step
 from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix
 from . import verify
@@ -142,12 +142,16 @@ class EncModel:
 def build_enc_model(ctx: KeyContext, model: LtiModel) -> EncModel:
     """Encrypt the model matrices for the encrypted-model attacker.
 
-    The cooldown gain is computed in the clear and encrypted once at setup,
-    standing in for an attacker that obtained it through an encrypted
-    identification pipeline.
+    C is encrypted with its rows moved down to where the measurement sits in
+    the lifted block (``verify.measurement_offset``), so that C dx lands on
+    y's slots. The cooldown gain is computed in the clear and encrypted once
+    at setup, standing in for an attacker that obtained it through an
+    encrypted identification pipeline.
     """
+    C_placed = np.zeros((verify.measurement_offset(model.m) + model.p, model.n))
+    C_placed[-model.p:] = model.C
     return EncModel(A=encrypt_matrix(ctx, model.A), B=encrypt_matrix(ctx, model.B),
-                    C=encrypt_matrix(ctx, model.C),
+                    C=encrypt_matrix(ctx, C_placed),
                     cooldown_matrix=encrypt_matrix(ctx, cooldown_gain(model)),
                     n=model.n, m=model.m)
 
@@ -195,10 +199,11 @@ class CovertAttacker:
     Call order per step k: ``tamper_measurement`` (plant -> controller link),
     then ``tamper_control`` (controller -> plant link), which also advances
     the internal compensation state. Transparent outside [0, plan.length).
-    A bias lands in the channel's leading slots (``_place``). Given an
-    ``enc_model`` (which needs the public ``ctx``), the compensation state
-    ``_dx`` is a ciphertext and runs under encryption; otherwise it is a
-    plaintext vector and runs in the clear.
+    A bias lands on its signal's slots of the lifted block (``_place``): a
+    measurement bias from ``verify.measurement_offset(m)``, an input bias
+    from slot 0. Given an ``enc_model`` (which needs the public ``ctx``),
+    the compensation state ``_dx`` is a ciphertext and runs under
+    encryption; otherwise it is a plaintext vector and runs in the clear.
     """
 
     def __init__(self, model: LtiModel, plan: AttackPlan,
@@ -233,17 +238,19 @@ class CovertAttacker:
 
     # -- splicing ------------------------------------------------------------
 
-    def _place(self, bias) -> np.ndarray:
-        """The slot vector that carries ``bias`` onto the payload."""
-        return pad_slots(bias, self.ctx.config.slot_count)
+    def _place(self, bias, start: int) -> np.ndarray:
+        """The slot vector that carries ``bias`` onto the payload from slot
+        ``start`` of its block, here the whole ciphertext."""
+        slot_count = self.ctx.config.slot_count
+        return verify.block_mask(slot_count, slot_count, 0, bias, start)
 
-    def _splice(self, signal, bias):
-        """Add a plaintext ``bias`` to a channel value; a zero bias leaves
-        the value as it is."""
+    def _splice(self, signal, bias, start: int):
+        """Add a plaintext ``bias`` to a channel value, on a ciphertext from
+        slot ``start`` of the payload; a zero bias leaves the value as it is."""
         if not np.any(bias):
             return signal
         if isinstance(signal, PackedCiphertext):
-            return hom_add(signal, self._place(bias))
+            return hom_add(signal, self._place(bias, start))
         return signal + bias
 
     # -- channel hooks ---------------------------------------------------------
@@ -253,7 +260,8 @@ class CovertAttacker:
             return y
         if self.enc_model is not None:
             return hom_sub(y, enc_matvec(self.enc_model.C, self._dx))
-        return self._splice(y, -(self.model.C @ self._dx))
+        return self._splice(y, -(self.model.C @ self._dx),
+                            verify.measurement_offset(self.model.m))
 
     def tamper_control(self, k: int, u_c):
         if not self.active_at(k):
@@ -261,11 +269,11 @@ class CovertAttacker:
         a_u = self._current_input(k)
         if self.enc_model is not None:
             if not isinstance(a_u, PackedCiphertext):
-                a_u = self.ctx.encrypt(self._place(a_u))
+                a_u = self.ctx.encrypt(self._place(a_u, 0))
             u = hom_add(u_c, a_u)
             self._dx = delta_step_encrypted(self.enc_model, self._dx, a_u)
             return u
-        u = self._splice(u_c, a_u)
+        u = self._splice(u_c, a_u, 0)
         self._dx, _ = plant_step(self.model, self._dx, a_u)
         return u
 
@@ -289,11 +297,11 @@ class GuessingAttacker(CovertAttacker):
         self.rng = rng
         self._guess: np.ndarray | None = None
 
-    def _place(self, bias) -> np.ndarray:
+    def _place(self, bias, start: int) -> np.ndarray:
         if self._guess is None:
             self._guess = verify.guess_blocks(self.rng, 1, self.expansion)
         return verify.block_mask(self.block_dim, self.ctx.config.slot_count,
-                                 self._guess, bias)
+                                 self._guess, bias, start)
 
     # Both hooks are defined here rather than inherited, so that a tool which
     # rebinds and later restores a method per class finds it on this class.

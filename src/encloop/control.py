@@ -4,8 +4,9 @@ verified) static output-feedback control loop.
 The loop is synchronous and lock-step: per time step the plant measures,
 sends one message to the controller, and receives one message back. In
 encrypted modes each message is a single packed ciphertext carrying the
-stacked [y; u0] input (respectively the control block) so that the controller
-evaluation reduces to one encrypted matrix-vector product.
+lifted block of y and u0 (``verify.lifted_input``; respectively the control
+block) so that the controller evaluation reduces to one encrypted
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def controller_eval_plain(ctrl: AffineController, y_c) -> np.ndarray:
 def encrypt_controller(ctx: KeyContext, ctrl: AffineController,
                        expansion: int = 1) -> DiagMatrixCipher:
     """Encrypt the controller in lifted linear form: the block-diagonal
-    replication kron(I_expansion, K_aug) over ``expansion`` stacked [y; u0]
-    blocks, encoded from the d x d block alone (no dense replication)."""
+    replication kron(I_expansion, K_aug) over ``expansion`` lifted blocks
+    (``verify.lifted_input``), encoded from the d x d block alone (no dense
+    replication)."""
     K_aug = verify.lift_affine(-ctrl.K)
     return encrypt_matrix(ctx, K_aug, copies=expansion)
 
@@ -196,10 +198,12 @@ class SimTrace:
 def _in_process_link(ctx: KeyContext, enc_ctrl: DiagMatrixCipher, attacker,
                      p: int, m: int):
     """The default link: attacker hooks around the controller, in-process."""
+    start = verify.measurement_offset(m)
+
     def link(k, y_cipher, lo):
         if attacker is not None:
             y_cipher = attacker.tamper_measurement(k, y_cipher)
-        y_c = ctx.decrypt(y_cipher)[lo: lo + p]
+        y_c = ctx.decrypt(y_cipher)[lo + start: lo + start + p]
         u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
         u_c = ctx.decrypt(u_cipher)[lo: lo + m]
         if attacker is not None:

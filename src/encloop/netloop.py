@@ -29,7 +29,7 @@ import logging
 import socket
 import struct
 
-from . import control
+from . import control, verify
 from .backend import (check_ciphertext_blob, ciphertext_blob_size, context_create,
                       deserialize_ciphertext, serialize_ciphertext)
 from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
@@ -181,6 +181,8 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
             verified = cfg.scenario == "verified_attack"
             expansion = cfg.expansion if verified else 1
             enc_ctrl = control.encrypt_controller(ctx, cfg.controller, expansion)
+            p, m = cfg.model.p, cfg.model.m
+            start = verify.measurement_offset(m)
             limit = ciphertext_blob_size(cfg.backend.slot_count)
             while True:
                 msg_type, payload = recv_frame(conn, limit)
@@ -194,8 +196,8 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
                 y_cipher = deserialize_ciphertext(ctx, payload)
                 u_cipher = control.controller_eval_encrypted(enc_ctrl, y_cipher)
                 if not verified:
-                    result["y_c"].append(ctx.decrypt(y_cipher)[: cfg.model.p])
-                    result["u_c"].append(ctx.decrypt(u_cipher)[: cfg.model.m])
+                    result["y_c"].append(ctx.decrypt(y_cipher)[start: start + p])
+                    result["u_c"].append(ctx.decrypt(u_cipher)[:m])
                 send_frame(conn, MSG_ENC_U, serialize_ciphertext(u_cipher))
         except (ValueError, ConnectionError) as exc:  # FrameError, JSONDecodeError too
             log.warning("controller: rejected input: %s", exc)

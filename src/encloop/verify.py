@@ -33,6 +33,7 @@ __all__ = [
     "lift_affine",
     "lifted_dim",
     "lifted_input",
+    "measurement_offset",
     "ecd",
     "dcd",
     "p_succ_instant",
@@ -163,19 +164,27 @@ def lift_affine(K):
     """Turn the affine map w -> K w + offset into the linear form evaluated
     on one block of an encoded input.
 
-    Returns K_aug, the d x d padded matrix [K I] acting on stacked
-    [w; offset] blocks. The server applies its block-diagonal replication
+    Returns K_aug, the d x d padded matrix that maps the block
+    [offset_0 .. offset_{m-2}, w, offset_{m-1}] of ``lifted_input`` to
+    [K w + offset; 0]. K's columns start at slot ``measurement_offset(m)``
+    = m - 1, so K fills the wrapped diagonals 0 .. p + m - 2, and every
+    identity entry lands on one of them (diagonal 0, and p for
+    offset_{m-1}): a dense K stores p + m - 1 diagonals for m >= 2, the
+    fewest its m rows and p columns allow (|A - B| >= |A| + |B| - 1), and
+    p + 1 for m = 1. The server applies its block-diagonal replication
     kron(I_lambda, K_aug) to every block at once;
     ``encrypt_matrix(ctx, K_aug, copies=lambda)`` encodes that replication
     from K_aug's nonzero entries, storing only the wrapped diagonals that
-    hold one (for the tank controller, d = 4: offsets {-1, 0, 1, 2}).
+    hold one (for the tank controller, d = 4: diagonals {0, 1, 2}).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     m, p = K.shape
+    start = measurement_offset(m)
     d = lifted_dim(p, m)
     K_aug = np.zeros((d, d))
-    K_aug[:m, :p] = K
-    K_aug[:m, p:p + m] = np.eye(m)
+    K_aug[:m, start:start + p] = K
+    K_aug[:start, :start] = np.eye(start)
+    K_aug[start, start + p] = 1.0
     return K_aug
 
 
@@ -184,13 +193,23 @@ def lifted_dim(p: int, m: int) -> int:
     return next_pow2(p + m)
 
 
+def measurement_offset(m: int) -> int:
+    """The slot of a lifted block where the controller input w starts, for
+    a controller of m >= 1 outputs: after all offset entries but the last
+    (``lift_affine``). The outputs stay in slots [0, m)."""
+    return m - 1
+
+
 def lifted_input(w, offset, block_dim: int) -> np.ndarray:
-    """Stack [w; offset] and zero-pad to one block."""
+    """The block [offset_0 .. offset_{m-2}, w, offset_{m-1}] that
+    ``lift_affine`` maps to K w + offset, zero-padded to ``block_dim``."""
     w = np.asarray(w, dtype=float).ravel()
     offset = np.asarray(offset, dtype=float).ravel()
+    start = measurement_offset(len(offset))
     block = np.zeros(block_dim)
-    block[: len(w)] = w
-    block[len(w): len(w) + len(offset)] = offset
+    block[:start] = offset[:start]
+    block[start:start + len(w)] = w
+    block[start + len(w)] = offset[start]
     return block
 
 
@@ -334,14 +353,17 @@ def p_succ_cumulative(expansion: int, steps: int) -> float:
 
 # -- the guessing attacker -----------------------------------------------------
 
-def block_mask(block_dim: int, slot_count: int, blocks, delta) -> np.ndarray:
-    """Plaintext mask carrying ``delta`` at the head of each block indexed by
-    the integer array ``blocks`` (any shape); ``block_dim`` divides ``slot_count``."""
+def block_mask(block_dim: int, slot_count: int, blocks, delta,
+               start: int = 0) -> np.ndarray:
+    """Plaintext mask carrying ``delta`` from slot ``start`` of each block
+    indexed by the integer array ``blocks`` (any shape); ``block_dim``
+    divides ``slot_count``."""
     delta = np.asarray(delta, dtype=float).ravel()
-    if len(delta) > block_dim:
-        raise ValueError(f"delta of length {len(delta)} exceeds block_dim {block_dim}")
+    if start + len(delta) > block_dim:
+        raise ValueError(f"delta of length {len(delta)} from slot {start} exceeds "
+                         f"block_dim {block_dim}")
     mask = np.zeros(slot_count)
-    mask.reshape(-1, block_dim)[blocks, :len(delta)] = delta
+    mask.reshape(-1, block_dim)[blocks, start:start + len(delta)] = delta
     return mask
 
 

@@ -1,12 +1,14 @@
 """Shared pytest wiring: print one pass/fail line per acceptance criterion,
-and the trailer-forging attacker that the in-process and networked verified
-loops are both tested against."""
+the trailer-forging attacker that the in-process and networked verified
+loops are both tested against, and a record of every key context a test
+creates."""
 
 import struct
 
 import numpy as np
 import pytest
 
+from encloop import backend
 from encloop.backend import deserialize_ciphertext, hom_add, serialize_ciphertext
 
 _acceptance_results: dict[str, str] = {}
@@ -39,6 +41,20 @@ class TrailerForger:
 @pytest.fixture
 def trailer_forger():
     return TrailerForger
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Every KeyContext created while the test runs, public ones included."""
+    created = []
+    init = backend.KeyContext.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(backend.KeyContext, "__init__", tracking_init)
+    return created
 
 
 def pytest_runtest_logreport(report):

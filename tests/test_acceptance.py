@@ -295,15 +295,15 @@ def test_criterion_09_large_scale_capacity():
     start = time.monotonic()
     ctx = context_create(BackendConfig(slot_count=slot_count, max_depth=4,
                                        seed=9))
+    # the tank's 4 x 4 lifted block, zero-padded to a block of dimension d
     K_aug = np.zeros((d, d))
-    K_aug[:2, :2] = -ctrl.K
-    K_aug[:2, 2:4] = np.eye(2)
+    K_aug[:4, :4] = lift_affine(-ctrl.K)
     vctx = setup(slot_count, K_aug, lam, num_challenges=8, seed=9)
     # the production encoder replicates the block lam times without
     # materializing the slot_count x slot_count lift; only the wrapped
-    # diagonals -1..2 of [-K I] hold an entry
+    # diagonals 0..2 of the lifted [-K I] hold an entry
     enc_K = encrypt_matrix(ctx, K_aug, lam)
-    assert list(enc_K.diagonals) == [0, 1, 2, slot_count - 1]
+    assert list(enc_K.diagonals) == [0, 1, 2]
 
     y = np.array([0.9, 1.1])
     block = lifted_input(y, ctrl.u0, d)

@@ -177,6 +177,18 @@ class TestEncryptedModel:
         for c, a in zip(got, ref):
             assert np.max(np.abs(ctx.decrypt(c)[:2] - a)) < 1e-8
 
+    def test_measurement_matrix_lands_on_y_slots(self, model):
+        """The encrypted C is C with its rows moved down to y's slots of the
+        lifted block (``verify.measurement_offset``), so that C dx lands on
+        the measurement; it stores C's one wrapped diagonal."""
+        ctx = make_ctx()
+        enc = build_enc_model(ctx.public_context(), model)
+        start = verify.measurement_offset(model.m)
+        want = np.zeros((8, 8))
+        want[start:start + model.p, :model.n] = model.C
+        assert np.array_equal(decrypt_matrix(ctx, enc.C), want)
+        assert len(enc.C.diagonals) == 1
+
     def test_cooldown_matrix_is_the_clear_product(self, model):
         """The cooldown matrix is ``cooldown_gain`` encrypted once: it
         decrypts to the clear gain, sits at level 0 and stores exactly the
@@ -263,15 +275,17 @@ class TestSplice:
         before = op_totals(ctx, pub)
         assert attacker.tamper_measurement(0, c) is c
         spliced = []
-        for k, hook, bias in ((0, attacker.tamper_control, [2.0, 2.0]),
-                              (1, attacker.tamper_measurement,
-                               -model.C @ model.B @ [2.0, 2.0]),
-                              (1, attacker.tamper_control, [2.0, 2.0])):
+        # an input bias lands on the outputs' slots 0..1 of a block, a
+        # measurement bias on y's slots 1..2 (verify.measurement_offset)
+        for k, hook, bias, start in ((0, attacker.tamper_control, [2.0, 2.0], 0),
+                                     (1, attacker.tamper_measurement,
+                                      -model.C @ model.B @ [2.0, 2.0], 1),
+                                     (1, attacker.tamper_control, [2.0, 2.0], 0)):
             # the covert attacker hits the leading block, the guessing
             # attacker the block it guessed for the step
             out = hook(k, c)
             blocks = [0] if kind == "covert" else attacker._guess
-            spliced.append((out, verify.block_mask(4, 8, blocks, bias)))
+            spliced.append((out, verify.block_mask(4, 8, blocks, bias, start)))
         # three plaintext additions; nothing is encrypted or decrypted
         assert spent_ops((ctx, pub), before) == {"add": 3, "mul": 0, "rot": 0,
                                                  "enc": 0, "dec": 0}

@@ -100,9 +100,9 @@ class TestControllerEncrypted:
             out = controller_eval_encrypted(enc_ctrl, ctx.encrypt(pad_slots(w, 64)))
             assert np.max(np.abs(ctx.decrypt(out)[:2]
                                  - controller_eval_plain(ctrl, y))) < 1e-9
-        # the 4x4 block [-K I] has nonzero wrapped diagonals {-1, 0, 1, 2}
-        # only: 4 multiplies per evaluation
-        assert ctx.op_counts["mul"] - before == 100 * 4
+        # the lifted 4x4 block of [-K I] has nonzero wrapped diagonals
+        # {0, 1, 2} only: 3 multiplies per evaluation
+        assert ctx.op_counts["mul"] - before == 100 * 3
 
     @pytest.mark.parametrize("expansion", [1, 4])
     def test_one_evaluation_op_cost(self, ctrl, expansion):
@@ -113,7 +113,7 @@ class TestControllerEncrypted:
         before = dict(ctx.op_counts)
         controller_eval_encrypted(enc_ctrl, c)
         spent = {op: ctx.op_counts[op] - before[op] for op in before}
-        assert spent == {"rot": 4, "mul": 4, "add": 3, "enc": 0, "dec": 0}
+        assert spent == {"rot": 3, "mul": 3, "add": 2, "enc": 0, "dec": 0}
 
     def test_tampering_shifts_by_gain(self, model, ctrl):
         ctx = make_ctx()
@@ -123,23 +123,25 @@ class TestControllerEncrypted:
         delta = np.array([0.3, 0.1])
         w = verify.lifted_input(y, ctrl.u0, D)
         c = ctx.encrypt(pad_slots(w, 64))
-        c = hom_add(c, pub.encrypt(pad_slots(delta, 64)))
+        # delta on the measurement's slots of the block, nothing on u0's
+        shift = verify.lifted_input(delta, np.zeros(2), D)
+        c = hom_add(c, pub.encrypt(pad_slots(shift, 64)))
         out = ctx.decrypt(controller_eval_encrypted(enc_ctrl, c))[:2]
         assert np.allclose(out - controller_eval_plain(ctrl, y),
                            -ctrl.K @ delta, atol=1e-10)
 
     def test_wide_lift_stores_nonzero_diagonals_only(self, ctrl):
         # lambda=16 lift of the 4x4 block at 2^16 slots: a 64x64 matrix
-        # padded to 65536, whose nonzero wrapped diagonals are
-        # {-1, 0, 1, 2}; no dense scan
+        # padded to 65536, whose nonzero wrapped diagonals are {0, 1, 2};
+        # no dense scan
         ctx = make_ctx(slot_count=2 ** 16, max_depth=4)
         enc_ctrl = encrypt_controller(ctx, ctrl, expansion=16)
-        assert list(enc_ctrl.diagonals) == [0, 1, 2, 2 ** 16 - 1]
+        assert list(enc_ctrl.diagonals) == [0, 1, 2]
 
     def test_full_slot_lift_allocates_only_its_diagonals(self, ctrl):
         """lambda=1024 blocks fill 4096 slots. The lift is encoded from the
-        4x4 block, so encryption allocates about its four diagonal
-        ciphertexts (4 x 32 KiB), never the dense 4096 x 4096 replication
+        4x4 block, so encryption allocates about its three diagonal
+        ciphertexts (3 x 32 KiB), never the dense 4096 x 4096 replication
         (128 MiB)."""
         ctx = make_ctx(slot_count=4096, max_depth=4)
         tracemalloc.start()
@@ -148,7 +150,7 @@ class TestControllerEncrypted:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(enc_ctrl.diagonals) == [0, 1, 2, 4095]
+        assert list(enc_ctrl.diagonals) == [0, 1, 2]
         assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from encloop import backend
 from encloop.scenario import ScenarioConfig, run_scenario
 from encloop.verify import run_detection_experiment
 
@@ -87,20 +86,6 @@ def fingerprint(run_id: str, contexts: list) -> dict:
     record = {col: digest(getattr(trace, col)) for col in COLUMNS}
     record.update(verdict=verdict_string(trace.verdict), exit=code, ops=summed_ops(contexts))
     return record
-
-
-@pytest.fixture
-def contexts(monkeypatch):
-    """Every KeyContext created while the test runs, public ones included."""
-    created = []
-    init = backend.KeyContext.__init__
-
-    def tracking_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        created.append(self)
-
-    monkeypatch.setattr(backend.KeyContext, "__init__", tracking_init)
-    return created
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from encloop import verify
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
-from encloop.backend import BackendConfig, DepthExhausted, KeyContext, context_create
+from encloop.backend import BackendConfig, DepthExhausted, context_create
 from encloop.control import SimTrace, run_closed_loop
 from encloop.scenario import (
     SCENARIOS,
@@ -395,17 +396,9 @@ class TestRunScenario:
         assert (ops0, pub0) == (ops1, pub1)
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_noiseless_run_builds_no_noise_generator(self, scenario, monkeypatch):
+    def test_noiseless_run_builds_no_noise_generator(self, scenario, contexts):
         """A noiseless run draws no noise, so none of its key contexts (the
         loop's, and the attacker's public one) builds a generator."""
-        contexts = []
-        init = KeyContext.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            contexts.append(self)
-
-        monkeypatch.setattr(KeyContext, "__init__", recording_init)
         _, code = run_scenario(ScenarioConfig.from_dict(minimal(scenario, mode="encrypted")))
         assert code == (3 if scenario == "verified_attack" else 0)
         assert len(contexts) == (1 if scenario == "baseline" else 2)
@@ -452,6 +445,56 @@ class TestRunScenario:
             assert "ok" in trace.verdict
             bottoms += trace.verdict.count("bottom")
         assert bottoms == 0
+
+    @pytest.mark.parametrize("noise_std", [1e-4, 1e-2])
+    def test_honest_verified_within_a_quarter_of_eps(self, monkeypatch, noise_std):
+        """Completeness with margin: over 20 seeds x 60 honest verified steps
+        no run ends bottom, and every challenge deviation and half every
+        replica spread stay below eps / 4. The threshold counts the three
+        diagonals the tank's lifted block stores (``noise_terms``), so a
+        threshold that shrank below the response noise would show here
+        before it rejected an honest step."""
+        outcomes = []
+        real_dcd = verify.dcd
+
+        def spy(vctx, tag, z):
+            outcomes.append(real_dcd(vctx, tag, z))
+            return outcomes[-1]
+
+        monkeypatch.setattr(verify, "dcd", spy)
+        for seed in range(20):
+            raw = minimal("verified_attack", steps=60, pre_roll=0, seed=seed,
+                          backend={"slot_count": 64, "noise_std": noise_std},
+                          attack={"a_u": {}, "length": 10},
+                          verify={"expansion": 4})
+            trace, code = run_scenario(ScenarioConfig.from_dict(raw))
+            assert code == 0 and trace.verdict == ["ok"] * 60
+        assert len(outcomes) == 20 * 60
+        ratio = max(max(o.deviation.max(), o.spread / 2) / o.eps for o in outcomes)
+        assert ratio < 0.25
+
+    @pytest.mark.parametrize("slot_count", [64, 1024])
+    def test_verification_costs_no_he_op(self, contexts, slot_count):
+        """Per step, an honest verified loop spends exactly the HE ops of the
+        encrypted baseline: one encryption, the lifted block's matvec over
+        its three stored diagonals (3 rotations, 3 multiplies, 2 additions)
+        and three decryptions (the controller's two views and the reply)."""
+        def ops(raw):
+            contexts.clear()
+            trace, code = run_scenario(ScenarioConfig.from_dict(raw))
+            assert code == 0
+            return {op: sum(c.op_counts[op] for c in contexts)
+                    for op in ("enc", "rot", "mul", "add", "dec")}
+
+        per_step = {}
+        for kind, extra in (("baseline", {}),
+                            ("verified_attack", {"attack": {"a_u": {}, "length": 10}})):
+            raw = minimal(kind, mode="encrypted", pre_roll=0,
+                          backend={"slot_count": slot_count}, **extra)
+            short, long = ops(dict(raw, steps=10)), ops(dict(raw, steps=30))
+            per_step[kind] = {op: (long[op] - short[op]) / 20 for op in short}
+        assert per_step["baseline"] == per_step["verified_attack"] == {
+            "enc": 1, "rot": 3, "mul": 3, "add": 2, "dec": 3}
 
     def test_honest_verified_fills_4096_slots(self):
         """expansion 1024 x block 4 fills every slot: the lifted controller

@@ -74,7 +74,8 @@ class TestSetup:
         """T is the number of wrapped diagonals ``encrypt_matrix`` stores for
         the server's kron(I, h), and sum_t max|K_t| sums their largest
         entries, at the narrowest and a wide slot count; the tank's lifted
-        controller has the four diagonals {-1, 0, 1, 2}."""
+        controller has the three diagonals {0, 1, 2}, whose largest entries
+        are 1.609, 11.545 and 1: 2 * 14.154 + 5 = 33.308."""
         rng = np.random.default_rng(d)
         for slot_count in (2 * d, 64):
             for _ in range(5):
@@ -88,7 +89,8 @@ class TestSetup:
                 assert T == len(stored)
                 assert rest == pytest.approx(2 * sum(K_max) + 2 * T - 1, rel=1e-15)
         ctrl = tank_controller()
-        assert setup(64, lift_affine(-ctrl.K), 4, 1).noise_terms[0] == 4
+        T, rest = setup(64, lift_affine(-ctrl.K), 4, 1).noise_terms
+        assert T == 3 and rest == pytest.approx(33.308, rel=1e-12)
 
     def test_challenges_precomputed(self):
         vctx = make_vctx()
@@ -361,6 +363,34 @@ class TestReplicaAgreement:
 
 
 class TestAffineLift:
+    # (m, p) grid and the wrapped diagonals a dense m x p controller stores
+    SHAPES = ((1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (2, 5), (3, 5), (4, 4))
+    STORED = (2, 4, 2, 3, 4, 6, 7, 7)
+
+    @pytest.mark.parametrize("shape, stored", zip(SHAPES, STORED), ids=str)
+    def test_lift_is_exact_and_minimal(self, shape, stored):
+        """For a dense K the lifted block maps [u0 .. w .. u0] to K w + u0 in
+        the output slots [0, m) and to 0 after, and its replication stores
+        p + m - 1 wrapped diagonals (p + 1 for m = 1): every identity entry
+        shares a diagonal with K, at one copy and at every copy the slots
+        hold."""
+        m, p = shape
+        assert stored == (p + m - 1 if m >= 2 else p + 1)
+        rng = np.random.default_rng(m * 10 + p)
+        K = rng.uniform(0.5, 2.0, (m, p)) * rng.choice([-1.0, 1.0], (m, p))
+        d = verify.lifted_dim(p, m)
+        K_aug = lift_affine(K)
+        assert K_aug.shape == (d, d)
+        for _ in range(5):
+            w, u0 = rng.uniform(-3, 3, p), rng.uniform(-3, 3, m)
+            z = K_aug @ lifted_input(w, u0, d)
+            assert np.max(np.abs(z[:m] - (K @ w + u0))) <= 1e-12
+            assert np.max(np.abs(z[m:]), initial=0.0) <= 1e-12
+        slot_count = 64
+        ctx = context_create(BackendConfig(slot_count=slot_count))
+        for copies in (1, slot_count // d):
+            assert len(encrypt_matrix(ctx, K_aug, copies).diagonals) == stored
+
     def test_tank_controller_lift(self):
         ctrl = tank_controller()
         K_aug = lift_affine(-ctrl.K)
@@ -469,6 +499,12 @@ class TestGuessing:
                               3.0 * np.isin(np.arange(8), [0, 2, 5, 6]))
         with pytest.raises(ValueError, match="exceeds block_dim"):
             block_mask(2, 16, np.array([1]), [1.0, 2.0, 3.0])
+        # from slot ``start`` of each block: y's slots 1..2 of a tank block
+        expected = np.zeros(16)
+        expected[[5, 6, 13, 14]] = [5, 6, 5, 6]
+        assert np.array_equal(block_mask(4, 16, np.array([1, 3]), [5.0, 6.0], 1), expected)
+        with pytest.raises(ValueError, match="from slot 3 exceeds block_dim 4"):
+            block_mask(4, 16, np.array([1]), [5.0, 6.0], 3)
 
 
 class TestDetectionExperiment:
