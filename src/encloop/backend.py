@@ -76,6 +76,7 @@ __all__ = [
     "serialize_ciphertext",
     "check_ciphertext_blob",
     "deserialize_ciphertext",
+    "hand_over",
 ]
 
 
@@ -412,7 +413,23 @@ def check_ciphertext_blob(ctx: KeyContext, data: bytes) -> tuple[int, int]:
 
 
 def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
+    """The ciphertext of a wire blob, held by ``ctx`` (``hand_over``)."""
     n, level = check_ciphertext_blob(ctx, data)
     # astype copies: the slots own native float64 memory, never the blob's
     slots = np.frombuffer(data, "<f8", count=n, offset=16).astype(np.float64)
     return PackedCiphertext(_slots=slots, level=level, key_id=ctx.key_id, _ctx=ctx)
+
+
+def hand_over(ctx: KeyContext, c: PackedCiphertext) -> PackedCiphertext:
+    """``c`` given to the party holding ``ctx``: the same slots (shared, as
+    ciphertext slots are never mutated) and level, with every later op on it
+    counted on ``ctx`` and drawing its noise from it. This is what
+    ``deserialize_ciphertext(ctx, serialize_ciphertext(c))`` returns, without
+    the bytes. Raises ``KeyMismatch`` for a ciphertext under another key and
+    ``ValueError`` for another slot count."""
+    if c.key_id != ctx.key_id:
+        raise KeyMismatch("ciphertext was created under a different key")
+    if len(c._slots) != ctx.config.slot_count:
+        raise ValueError(f"slot_count {len(c._slots)} does not match context "
+                         f"{ctx.config.slot_count}")
+    return PackedCiphertext(_slots=c._slots, level=c.level, key_id=ctx.key_id, _ctx=ctx)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify
-from .backend import KeyContext, pad_slots
+from .backend import BackendConfig, KeyContext, context_create, hand_over, pad_slots
 from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix
 
 __all__ = [
@@ -24,9 +24,12 @@ __all__ = [
     "AffineController",
     "SimTrace",
     "plant_step",
+    "check_controller",
     "controller_eval_plain",
     "controller_eval_encrypted",
     "encrypt_controller",
+    "CONTROLLER_STREAM",
+    "controller_role",
     "run_closed_loop",
     "quadruple_tank",
     "tank_controller",
@@ -52,6 +55,9 @@ class LtiModel:
             raise ValueError(f"B has {self.B.shape[0]} rows, expected {n}")
         if self.C.shape[1] != n:
             raise ValueError(f"C has {self.C.shape[1]} columns, expected {n}")
+        if self.B.shape[1] == 0 or self.C.shape[0] == 0:
+            raise ValueError(f"the model needs at least one input and one output, "
+                             f"got B of shape {self.B.shape} and C of shape {self.C.shape}")
 
     @property
     def n(self) -> int:
@@ -122,6 +128,14 @@ def plant_step(model: LtiModel, x, u) -> tuple[np.ndarray, np.ndarray]:
     y = model.C @ x
     x_next = model.A @ x + model.B @ u
     return x_next, y
+
+
+def check_controller(model: LtiModel, ctrl: AffineController):
+    """Raise ``ValueError`` unless the controller maps the model's p outputs
+    to its m inputs: K is m x p."""
+    if ctrl.K.shape != (model.m, model.p):
+        raise ValueError(f"K must be {model.m} x {model.p} (inputs x outputs of the "
+                         f"model), got {ctrl.K.shape[0]} x {ctrl.K.shape[1]}")
 
 
 def controller_eval_plain(ctrl: AffineController, y_c) -> np.ndarray:
@@ -195,19 +209,50 @@ class SimTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def _in_process_link(ctx: KeyContext, enc_ctrl: DiagMatrixCipher, attacker,
-                     p: int, m: int):
-    """The default link: attacker hooks around the controller, in-process."""
+# the controller's noise stream tag: seeded like the plant, it would otherwise
+# draw the plant's noise blocks again, offset by the blocks its own set-up drew
+CONTROLLER_STREAM = 0xC7
+
+
+def controller_role(config: BackendConfig, ctrl: AffineController, expansion: int = 1):
+    """The controller of the encrypted loop, as one party: its own key
+    context (stream ``CONTROLLER_STREAM``) holding the lifted controller
+    replicated over ``expansion`` blocks (``encrypt_controller``), and
+    ``serve(y_cipher) -> (u_cipher, y_c, u_c)``, which takes one measurement
+    ciphertext into that context (``backend.hand_over``) and answers it with
+    one ``controller_eval_encrypted``. ``y_c`` and ``u_c`` are the
+    controller's view of its input and output block, decrypted for the
+    trace; with more than one block the controller cannot tell the payload
+    from a challenge, so the view is ``None`` twice. Returns ``(ctx,
+    serve)``. Used in-process by ``run_closed_loop`` and over TCP by
+    ``netloop.run_controller``."""
+    ctx = context_create(config, stream=CONTROLLER_STREAM)
+    enc_ctrl = encrypt_controller(ctx, ctrl, expansion)
+    m, p = ctrl.K.shape
     start = verify.measurement_offset(m)
 
-    def link(k, y_cipher, lo):
-        if attacker is not None:
-            y_cipher = attacker.tamper_measurement(k, y_cipher)
-        y_c = ctx.decrypt(y_cipher)[lo + start: lo + start + p]
+    def serve(y_cipher):
+        y_cipher = hand_over(ctx, y_cipher)
         u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
-        u_c = ctx.decrypt(u_cipher)[lo: lo + m]
-        if attacker is not None:
-            u_cipher = attacker.tamper_control(k, u_cipher)
+        if expansion > 1:
+            return u_cipher, None, None
+        return (u_cipher, ctx.decrypt(y_cipher)[start: start + p],
+                ctx.decrypt(u_cipher)[:m])
+    return ctx, serve
+
+
+def _in_process_link(serve, attacker):
+    """The default link: the TCP exchange without the codec. On an active
+    step the attacker's hooks take each ciphertext into its own context
+    (``attacker.ctx``) around the controller's ``serve``, as the proxy
+    deserializes a frame on those steps only."""
+    def link(k, y_cipher):
+        active = attacker is not None and attacker.active_at(k)
+        if active:
+            y_cipher = attacker.tamper_measurement(k, hand_over(attacker.ctx, y_cipher))
+        u_cipher, y_c, u_c = serve(y_cipher)
+        if active:
+            u_cipher = attacker.tamper_control(k, hand_over(attacker.ctx, u_cipher))
         return u_cipher, y_c, u_c
     return link
 
@@ -218,20 +263,23 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
                     link=None) -> SimTrace:
     """Simulate the closed loop for ``pre_roll + steps`` steps.
 
-    Attack time runs from k = -pre_roll to steps - 1; an attached attacker is
-    consulted at every step and passes values through unchanged outside its
-    own active window (``active_at``). The channel is encrypted exactly when
-    a key context ``ctx`` is given: each step then encodes y, encrypts it
-    once, hands the ciphertext to ``link(k, y_cipher, lo)``, and decrypts and
+    Attack time runs from k = -pre_roll to steps - 1; an attached attacker
+    passes values through unchanged outside its own active window
+    (``active_at``). The channel is encrypted exactly when a key context
+    ``ctx`` (the plant's) is given: each step then encodes y, encrypts it
+    once, hands the ciphertext to ``link(k, y_cipher)``, and decrypts and
     decodes the reply; with a ``verifier`` the encoding is ``verify.ecd`` and
     the loop terminates at the first rejected response (verdict
     ``"bottom"``). The link returns ``(u_cipher, y_c, u_c)``: the reply and
-    the controller-side view of the payload block at slot offset ``lo``, or
-    ``None`` twice where it cannot see it (the trace then records the
-    plant's y and u). The default link encrypts the controller and runs
-    ``attacker`` in-process. A ``verifier`` or ``link`` without ``ctx``
-    raises ``ValueError``: both act on ciphertexts only.
+    the controller's view of its input and output, or ``None`` twice where
+    it has none (the trace then records the plant's y and u). The default
+    link is the networked exchange without the codec: the ``attacker``'s
+    hooks, in its own context, around a ``controller_role`` of its own. A
+    controller that is not ``model.m`` x ``model.p``, a ``verifier`` or
+    ``link`` without ``ctx``, and an attacker without a context (``ctx``
+    attribute) on an encrypted channel raise ``ValueError`` before step 0.
     """
+    check_controller(model, ctrl)
     if ctx is None:
         if verifier is not None or link is not None:
             raise ValueError("a verifier or link needs a key context")
@@ -240,9 +288,11 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
         if verifier is not None and verifier.block_dim != block_dim:
             raise ValueError("verifier block dimension does not match controller lift")
         if link is None:
+            if attacker is not None and attacker.ctx is None:
+                raise ValueError("an attacker on an encrypted channel needs a key context")
             expansion = verifier.expansion if verifier is not None else 1
-            enc_ctrl = encrypt_controller(ctx, ctrl, expansion)
-            link = _in_process_link(ctx, enc_ctrl, attacker, model.p, model.m)
+            link = _in_process_link(controller_role(ctx.config, ctrl, expansion)[1],
+                                    attacker)
         elif attacker is not None:
             raise ValueError("an attacker tampers on the in-process link only")
 
@@ -260,14 +310,12 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
             if verifier is None:
                 # the lifted block, zero-padded straight to the slot count
                 slots = verify.lifted_input(y, ctrl.u0, ctx.config.slot_count)
-                tag, lo = None, 0
+                tag = None
             else:
                 w, tag = verify.ecd(verifier, verify.lifted_input(y, ctrl.u0, block_dim))
                 slots = pad_slots(w, ctx.config.slot_count)
-                # trace the payload block the controller effectively processes
-                lo = tag.payload_block * block_dim
             y_cipher = ctx.encrypt(slots)
-            u_cipher, y_c, u_c = link(k, y_cipher, lo)
+            u_cipher, y_c, u_c = link(k, y_cipher)
             z = ctx.decrypt(u_cipher)
             if verifier is None:
                 u = z[: model.m]

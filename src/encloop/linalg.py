@@ -28,6 +28,7 @@ from .backend import DotTerms, KeyContext, PackedCiphertext, hom_add, hom_mul, r
 __all__ = [
     "DiagMatrixCipher",
     "next_pow2",
+    "wrapped_diagonals",
     "encrypt_matrix",
     "enc_matvec",
     "enc_matmat",
@@ -60,29 +61,27 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
-    """Encrypt the block-diagonal replication kron(I_copies, S) as its
-    wrapping diagonals, padded to the slot count, without materializing it.
+def wrapped_diagonals(S, dim: int, copies: int = 1) -> tuple[list[int], np.ndarray]:
+    """The wrapped diagonals of the block-diagonal replication
+    kron(I_copies, S) at logical dimension ``dim``, without materializing
+    it: the ascending indices of those that hold a nonzero entry, and those
+    diagonals as the rows of a (len(indices), dim) array.
 
-    The nonzero entry S[r, c] belongs to wrapped diagonal (c - r) mod
-    slot_count and fills its slot r. With more than one copy S must be
-    square: copy b of the entry sits at (b*rows + r, b*rows + c), on the
-    same diagonal in slot b*rows + r, so each entry's copies are one strided
-    slice of its diagonal. Only the wrapped diagonals holding a nonzero entry
-    are encrypted, in ascending index order. Which ones these are is public
-    structure: every party in this simulator builds its matrices from
-    plaintext.
+    The nonzero entry S[r, c] belongs to wrapped diagonal (c - r) mod dim
+    and fills its slot r. With more than one copy S must be square: copy b
+    of the entry sits at (b*rows + r, b*rows + c), on the same diagonal in
+    slot b*rows + r, so each entry's copies are one strided slice of its
+    diagonal.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
         raise ValueError("expected a matrix")
-    dim = ctx.config.slot_count
     rows, cols = S.shape
     if copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
     if copies * rows > dim or copies * cols > dim:
         raise ValueError(f"{copies} copies of a matrix of shape {S.shape} "
-                         f"exceed slot_count {dim}")
+                         f"exceed dimension {dim}")
     if copies > 1 and rows != cols:
         raise ValueError(f"{copies} copies need a square block, got shape {S.shape}")
     r, c = np.nonzero(S)
@@ -92,6 +91,19 @@ def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
     diags = np.zeros((len(indices), dim))
     for key, i, v in entries:
         diags[row[key], i: i + copies * rows: rows] = v
+    return indices, diags
+
+
+def encrypt_matrix(ctx: KeyContext, S, copies: int = 1) -> DiagMatrixCipher:
+    """Encrypt the block-diagonal replication kron(I_copies, S) as its
+    wrapping diagonals, padded to the slot count, without materializing it
+    (``wrapped_diagonals``). Only the wrapped diagonals holding a nonzero
+    entry are encrypted, in ascending index order. Which ones these are is
+    public structure: every party in this simulator builds its matrices from
+    plaintext.
+    """
+    dim = ctx.config.slot_count
+    indices, diags = wrapped_diagonals(S, dim, copies)
     return DiagMatrixCipher(dim=dim, diagonals={
         i: ctx.encrypt(diag) for i, diag in zip(indices, diags)})
 

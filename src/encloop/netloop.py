@@ -6,9 +6,12 @@ terminates both connections and relays frames, tampering with the ciphertext
 payloads in flight. The protocol is strictly lock-step: one measurement
 frame out, one control frame back, per time step.
 
-The plant runs the shared ``control.run_closed_loop`` step over a TCP link
-(a frame exchange in place of in-process calls); the proxy's attacker comes
-from ``scenario.build_attacker``, as in ``run_scenario``.
+Each role is the in-process one behind a codec: the plant runs the shared
+``control.run_closed_loop`` step over a TCP link (a frame exchange in place
+of the in-process link), the controller answers each frame with
+``control.controller_role``'s ``serve``, and the proxy's attacker comes from
+``scenario.build_attacker``, as in ``run_scenario``. So a run over TCP
+through the proxy is the in-process run, bit for bit, at any noise level.
 
 Frame layout (little-endian): u32 payload length, u8 message type, payload.
 A receiver checks the declared length against its limit before it allocates
@@ -29,7 +32,7 @@ import logging
 import socket
 import struct
 
-from . import control, verify
+from . import control
 from .backend import (check_ciphertext_blob, ciphertext_blob_size, context_create,
                       deserialize_ciphertext, serialize_ciphertext)
 from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
@@ -51,9 +54,6 @@ _VALID_TYPES = {MSG_ENC_Y, MSG_ENC_U, MSG_HELLO, MSG_BYE, MSG_ABORT}
 
 MAX_PAYLOAD = 2 ** 31
 HELLO_MAX_PAYLOAD = 2 ** 20  # a scenario configuration as JSON
-# the controller's noise stream tag: seeded like the plant, it would otherwise
-# draw the plant's noise blocks again, offset by the blocks its own set-up drew
-CONTROLLER_STREAM = 0xC7
 
 
 class FrameError(ValueError):
@@ -147,7 +147,7 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
     with socket.create_connection(connect) as sock:
         send_frame(sock, MSG_HELLO, json.dumps(cfg.document).encode())
 
-        def exchange(k, y_cipher, lo):
+        def exchange(k, y_cipher):
             send_frame(sock, MSG_ENC_Y, serialize_ciphertext(y_cipher))
             msg_type, payload = recv_frame(sock)
             if msg_type != MSG_ENC_U:
@@ -164,25 +164,18 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
 
 
 def run_controller(listen: tuple[str, int], ready=None) -> dict:
-    """Controller server: builds the encrypted lifted controller from the
-    HELLO configuration, then answers one control frame per measurement
-    frame. Returns its own view of the exchange: decrypted received inputs
-    and emitted outputs (simulation introspection).
-
-    In ``verified_attack`` the view stays empty. The input is then an
-    encoding whose blocks are permuted payload replicas and challenges, and
-    the controller cannot know which block carries the payload, so any block
-    it recorded could be a challenge rather than ``y``/``u``."""
+    """Controller server: builds ``control.controller_role`` from the HELLO
+    configuration, then answers one control frame per measurement frame
+    with its ``serve``. Returns the role's view of the exchange, the
+    decrypted inputs and outputs ``serve`` records (simulation
+    introspection): none in ``verified_attack``, where the controller cannot
+    tell the payload block from a challenge."""
     result = {"y_c": [], "u_c": [], "aborted": False}
     with _accept_one(listen, ready) as conn:
         try:
             cfg, _ = _recv_hello(conn)
-            ctx = context_create(cfg.backend, stream=CONTROLLER_STREAM)
-            verified = cfg.scenario == "verified_attack"
-            expansion = cfg.expansion if verified else 1
-            enc_ctrl = control.encrypt_controller(ctx, cfg.controller, expansion)
-            p, m = cfg.model.p, cfg.model.m
-            start = verify.measurement_offset(m)
+            expansion = cfg.expansion if cfg.scenario == "verified_attack" else 1
+            ctx, serve = control.controller_role(cfg.backend, cfg.controller, expansion)
             limit = ciphertext_blob_size(cfg.backend.slot_count)
             while True:
                 msg_type, payload = recv_frame(conn, limit)
@@ -193,11 +186,10 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
                     continue
                 if msg_type != MSG_ENC_Y:
                     raise FrameError(f"unexpected frame type {msg_type:#x}")
-                y_cipher = deserialize_ciphertext(ctx, payload)
-                u_cipher = control.controller_eval_encrypted(enc_ctrl, y_cipher)
-                if not verified:
-                    result["y_c"].append(ctx.decrypt(y_cipher)[start: start + p])
-                    result["u_c"].append(ctx.decrypt(u_cipher)[:m])
+                u_cipher, y_c, u_c = serve(deserialize_ciphertext(ctx, payload))
+                if y_c is not None:
+                    result["y_c"].append(y_c)
+                    result["u_c"].append(u_c)
                 send_frame(conn, MSG_ENC_U, serialize_ciphertext(u_cipher))
         except (ValueError, ConnectionError) as exc:  # FrameError, JSONDecodeError too
             log.warning("controller: rejected input: %s", exc)

@@ -144,6 +144,8 @@ class ScenarioConfig:
                 _finite("controller", ctrl.K, ctrl.u0)
         else:
             raise ConfigError("controller", f"unknown controller preset {ctrl_raw!r}")
+        with _section("controller"):
+            control.check_controller(model, ctrl)
 
         with _section("x0"):
             x0 = np.asarray(raw.get("x0", control.TANK_X0), dtype=float)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .backend import BackendConfig, context_create, hom_add, pad_slots
-from .linalg import enc_matvec, encrypt_matrix, next_pow2
+from .linalg import enc_matvec, encrypt_matrix, next_pow2, wrapped_diagonals
 
 __all__ = [
     "VerifierContext",
@@ -76,14 +76,12 @@ class VerifierContext:
     @cached_property
     def noise_terms(self) -> tuple[int, float]:
         """(T, 2 sum_t max|K_t| + 2T - 1) of ``_eps``: the K_t are the nonzero
-        diagonals of h, which ``encrypt_matrix`` stores for kron(I, h) as its
-        >= 2d slots (expansion >= 2) hold h's 2d - 1 diagonals apart."""
-        d = self.block_dim
-        r, c = np.nonzero(self.h)
-        diag_max = np.zeros(2 * d - 1)  # max|entry| on diagonal c - r, at c - r + d - 1
-        np.maximum.at(diag_max, c - r + d - 1, np.abs(self.h[r, c]))
-        T = int(np.count_nonzero(diag_max))
-        return T, 2.0 * float(diag_max.sum()) + 2 * T - 1
+        wrapped diagonals that ``encrypt_matrix`` stores for kron(I, h). Its
+        >= 2d slots (expansion >= 2) hold h's 2d - 1 diagonals apart, as
+        ``wrapped_diagonals(h, 2d)`` does."""
+        indices, diags = wrapped_diagonals(self.h, 2 * self.block_dim)
+        T = len(indices)
+        return T, 2.0 * float(np.abs(diags).max(axis=1).sum()) + 2 * T - 1
 
 
 @dataclass
@@ -93,7 +91,6 @@ class PermutationTag:
     perm: np.ndarray               # encoded block j carries pre-shuffle block perm[j]
     challenge_indices: np.ndarray  # challenge of pre-shuffle block half + i, per i
     eps: float                     # acceptance threshold of the response, from ``_eps``
-    payload_block: int             # the first encoded block carrying the payload
 
 
 @dataclass
@@ -217,18 +214,14 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
     """Encode one payload block: replicate, append fresh challenges, shuffle.
 
     The challenge indices (with replacement), then the permutation (uniform
-    shuffle), are drawn fresh from the context RNG. The tag records the
-    first encoded block that carries the payload: the least j whose
-    pre-shuffle block ``perm[j]`` is a payload replica (below lambda/2).
+    shuffle), are drawn fresh from the context RNG.
     """
     w = np.asarray(w, dtype=float).ravel()
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
     encoded, perm, indices = _encode(ctx, w, 1)
-    # the payload replicas are pre-shuffle blocks 0 .. lambda/2 - 1
-    first = min(map(perm[0].tolist().index, range(ctx.expansion // 2)))
     return encoded[0], PermutationTag(perm=perm[0], challenge_indices=indices[0],
-                                      eps=_eps(ctx, encoded), payload_block=first)
+                                      eps=_eps(ctx, encoded))
 
 
 def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:

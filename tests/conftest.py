@@ -21,8 +21,8 @@ class TrailerForger:
     receiver that took its tolerance from the trailer would accept the
     shifted response."""
 
-    def __init__(self, pub):
-        self.pub = pub
+    def __init__(self, ctx):
+        self.ctx = ctx
 
     def active_at(self, k):
         return k >= 0
@@ -33,9 +33,9 @@ class TrailerForger:
     def tamper_control(self, k, c):
         if not self.active_at(k):
             return c
-        blob = serialize_ciphertext(hom_add(c, np.ones(self.pub.config.slot_count)))
+        blob = serialize_ciphertext(hom_add(c, np.ones(self.ctx.config.slot_count)))
         struct.pack_into("<d", blob, len(blob) - 8, 1e6)
-        return deserialize_ciphertext(self.pub, blob)
+        return deserialize_ciphertext(self.ctx, blob)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from encloop.backend import (
     context_create,
     deserialize_ciphertext,
     dot_noise_scale,
+    hand_over,
     hom_add,
     hom_mul,
     hom_neg,
@@ -480,6 +481,44 @@ class TestSerialization:
         assert not np.shares_memory(slots, np.frombuffer(blob, np.uint8))
         blob[16:24] = struct.pack("<d", 99.0)
         assert np.array_equal(slots, np.arange(8.0))
+
+
+class TestHandOver:
+    def test_receiver_holds_the_same_ciphertext(self):
+        """The handed-over ciphertext shares the sender's slots and level,
+        and is what deserializing the sender's blob on the receiver gives."""
+        sender = make_ctx(noise_std=1e-3, seed=5)
+        receiver = context_create(sender.config, stream=7)
+        c = hom_mul(sender.encrypt(np.arange(8.0)), np.full(8, 0.5))
+        got = hand_over(receiver, c)
+        assert got._ctx is receiver and got.key_id == c.key_id
+        assert got.level == c.level == 1
+        assert np.shares_memory(got._slots, c._slots)
+        wire = deserialize_ciphertext(receiver, serialize_ciphertext(c))
+        assert serialize_ciphertext(got) == serialize_ciphertext(wire)
+
+    def test_later_ops_count_and_draw_on_the_receiver(self):
+        sender = make_ctx(noise_std=1e-3, seed=5)
+        receiver = context_create(sender.config, stream=7)
+        m = np.arange(8.0)
+        c = sender.encrypt(m)
+        sender_ops, sender_state = dict(sender.op_counts), sender.rng.bit_generator.state
+        ref = np.random.default_rng([5, 7])
+        out = rotate(hom_add(hand_over(receiver, c), np.ones(8)), 1)
+        expected = np.roll(sender.decrypt(c) + 1.0 + 1e-3 * ref.standard_normal(8), -1)
+        expected += 1e-3 * ref.standard_normal(8)
+        assert np.array_equal(receiver.decrypt(out), expected)
+        assert receiver.op_counts == {"add": 1, "mul": 0, "rot": 1, "enc": 0, "dec": 1}
+        sender_ops["dec"] += 1  # the reference decrypt above
+        assert sender.op_counts == sender_ops
+        assert sender.rng.bit_generator.state == sender_state
+
+    def test_foreign_key_rejected(self):
+        c = make_ctx(seed=5).encrypt(np.zeros(8))
+        with pytest.raises(KeyMismatch):
+            hand_over(make_ctx(seed=6), c)
+        with pytest.raises(ValueError, match="slot_count"):
+            hand_over(make_ctx(slot_count=16, seed=5), c)
 
 
 def test_pad_slots():

@@ -112,6 +112,23 @@ class TestSimulate:
                 f"got {slot_count}") in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mode", ["plain", "encrypted"])
+    @pytest.mark.parametrize("section, extra, message", [
+        pytest.param("controller", {"controller": {"K": [[0.2, 0.1]], "u0": [0.3]}},
+                     "K must be 1 x 1 (inputs x outputs of the model), got 1 x 2",
+                     id="1x2-K"),
+        pytest.param("model", {"model": {"A": [[0.5]], "B": [[]], "C": [[1.0]]}},
+                     "the model needs at least one input and one output", id="no-input")])
+    def test_controller_shape_mismatch_exit_one(self, tmp_path, capsys, section, extra,
+                                                message, mode):
+        """Both ran to exit 0 in encrypted mode before, with a wrong control
+        or none; plain mode died in numpy's matmul on the first."""
+        raw = {"model": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]]},
+               "controller": {"K": [[0.2]], "u0": [0.3]}, "x0": [1.0],
+               "steps": 5, "pre_roll": 0, "mode": mode, **extra}
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == 1
+        assert f"config error: {section}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, extra", [
         ("horizon", {"steps": "abc"}),
         ("horizon", {"pre_roll": "x"}),

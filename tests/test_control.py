@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from encloop import verify
+from encloop.attack import AttackPlan, CovertAttacker
 from encloop.backend import BackendConfig, context_create, hom_add, pad_slots
 from encloop.control import (
     TANK_X0,
@@ -191,7 +192,17 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="key context"):
             run_closed_loop(model, ctrl, TANK_X0, 5, verifier=vctx)
         with pytest.raises(ValueError, match="key context"):
-            run_closed_loop(model, ctrl, TANK_X0, 5, link=lambda k, y_cipher, lo: None)
+            run_closed_loop(model, ctrl, TANK_X0, 5, link=lambda k, y_cipher: None)
+
+    def test_encrypted_attacker_needs_context(self, model, ctrl):
+        """An attacker without a context cannot take a ciphertext into its
+        own context: the encrypted loop refuses it before step 0."""
+        plan = AttackPlan(schedule={0: np.array([1.0, 1.0])}, length=5, cooldown_len=4)
+        attacker = CovertAttacker(model, plan)
+        with pytest.raises(ValueError, match="attacker on an encrypted channel"):
+            run_closed_loop(model, ctrl, TANK_X0, 5, attacker=attacker, ctx=make_ctx())
+        assert attacker.ctx is None and len(run_closed_loop(
+            model, ctrl, TANK_X0, 5, attacker=attacker)) == 5
 
 
 class TestTrace:

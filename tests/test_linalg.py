@@ -13,6 +13,7 @@ from encloop.linalg import (
     enc_matvec,
     encrypt_matrix,
     next_pow2,
+    wrapped_diagonals,
 )
 from helpers import decrypt_matrix, fused_reference, wrapping_diagonal
 
@@ -100,7 +101,8 @@ class TestEncryptMatrix:
         assert list(encrypt_matrix(ctx, S).diagonals) == [0, 1]
 
     def test_band_scan_matches_per_diagonal_reference(self):
-        """The nonzero-entry scan stores exactly the wrapped diagonals that a
+        """The nonzero-entry scan (``wrapped_diagonals``), and so
+        ``encrypt_matrix``, keeps exactly the wrapped diagonals that a
         scan over every diagonal of the replication kron(I_copies, S) finds
         holding a nonzero entry, in ascending order, each equal to its
         plaintext diagonal. Only one copy may be of a non-square block."""
@@ -124,8 +126,12 @@ class TestEncryptMatrix:
             elif case % 5 == 1:  # the all-zero matrix stores nothing
                 S[:] = 0.0
             lifted = np.kron(np.eye(copies), S)
+            indices, diags = wrapped_diagonals(S, dim, copies)
+            assert indices == reference(lifted, dim)
+            for i, diag in zip(indices, diags):
+                assert np.array_equal(diag, wrapping_diagonal(lifted, i, dim))
             M = encrypt_matrix(ctx, S, copies)
-            assert list(M.diagonals) == reference(lifted, dim)
+            assert list(M.diagonals) == indices
             for i, c in M.diagonals.items():
                 assert np.array_equal(ctx.decrypt(c), wrapping_diagonal(lifted, i, dim))
 

@@ -8,13 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from encloop import netloop
+from encloop import control, netloop
 from encloop.backend import (
     BackendConfig,
     context_create,
     deserialize_ciphertext,
     serialize_ciphertext,
 )
+from encloop.control import CONTROLLER_STREAM
 from encloop.netloop import (
     HELLO_MAX_PAYLOAD,
     MSG_BYE,
@@ -242,19 +243,30 @@ def run_pipeline(cfg, with_attacker=False):
     return trace, ctrl_box.get("result"), (atk_box or {}).get("result")
 
 
+KINDS = ("baseline", "attack_plain", "attack_encrypted", "verified_attack")
+
+
+def matched_cfg(kind, noise_std):
+    """A 30 + 10 step run of ``kind`` at ``noise_std``, with the step attack."""
+    extra = {"backend": {"slot_count": 64, "max_depth": 16, "noise_std": noise_std}}
+    if kind != "baseline":
+        extra["attack"] = STEP_ATTACK
+    if kind == "verified_attack":
+        extra["verify"] = {"expansion": 4, "num_challenges": 8}
+    return baseline_cfg(steps=30, pre_roll=10, scenario=kind, **extra)
+
+
 class TestPlantControllerLoop:
-    @pytest.mark.parametrize("kind", ["baseline", "attack_plain", "attack_encrypted",
-                                      "verified_attack"])
-    def test_matches_in_process(self, kind):
+    # the noiseless cases keep the kind alone as their id
+    @pytest.mark.parametrize("kind, noise_std", [
+        pytest.param(kind, noise, id=kind if noise == 0 else f"{kind}-noise{noise:g}")
+        for noise in (0.0, 1e-6) for kind in KINDS])
+    def test_matches_in_process(self, kind, noise_std):
         """The plant's loop over TCP through the proxy is the in-process
-        loop, bit for bit, including the rejected step of a detected
-        attack."""
-        extra = {"backend": {"slot_count": 64, "max_depth": 16, "noise_std": 0.0}}
-        if kind != "baseline":
-            extra["attack"] = STEP_ATTACK
-        if kind == "verified_attack":
-            extra["verify"] = {"expansion": 4, "num_challenges": 8}
-        cfg = baseline_cfg(steps=30, pre_roll=10, scenario=kind, **extra)
+        loop, bit for bit at any noise level, including the rejected step of
+        a detected attack: every role draws its noise from its own context
+        on both transports."""
+        cfg = matched_cfg(kind, noise_std)
         trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
         ref, code = run_scenario(cfg)
         assert code == (3 if kind == "verified_attack" else 0)
@@ -264,6 +276,32 @@ class TestPlantControllerLoop:
         for fieldname in ("x", "u", "y"):
             assert np.array_equal(np.array(getattr(trace, fieldname)),
                                   np.array(getattr(ref, fieldname)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_role_counts_its_ops_on_both_transports(self, kind, contexts):
+        """Each role's key context counts the same ops in-process as over
+        TCP: the plant's (stream None), the controller's (CONTROLLER_STREAM)
+        and the attacker's public one (0x5EC0). Contexts that count no op
+        (the proxy's secret-key one it only derives its public context from,
+        a baseline proxy's public one) are left out."""
+        def by_role():
+            roles = {}
+            for c in contexts:
+                role = roles.setdefault(c.stream, dict.fromkeys(c.op_counts, 0))
+                for op, n in c.op_counts.items():
+                    role[op] += n
+            contexts.clear()
+            return {stream: ops for stream, ops in roles.items() if any(ops.values())}
+
+        cfg = matched_cfg(kind, 1e-6)
+        run_pipeline(cfg, with_attacker=True)
+        tcp = by_role()
+        trace, _ = run_scenario(cfg)
+        in_process = by_role()
+        assert in_process == tcp
+        attacker = {} if kind == "baseline" else {0x5EC0}
+        assert set(in_process) == {None, CONTROLLER_STREAM, *attacker}
+        assert in_process[None]["enc"] == in_process[None]["dec"] == len(trace)
 
     def test_controller_records_its_view(self):
         cfg = baseline_cfg(steps=10, pre_roll=0)
@@ -297,11 +335,12 @@ class TestPlantControllerLoop:
             return ctx
 
         monkeypatch.setattr(netloop, "context_create", recording)
+        monkeypatch.setattr(control, "context_create", recording)
         cfg = baseline_cfg(steps=5, pre_roll=0, seed=7,
                            backend={"slot_count": 64, "noise_std": 1e-6})
         trace, ctrl_result, _ = run_pipeline(cfg)
         assert "error" not in ctrl_result and len(trace) == 5
-        assert set(states) == {None, netloop.CONTROLLER_STREAM}
+        assert set(states) == {None, CONTROLLER_STREAM}
         draws = []
         for state in states.values():
             rng = np.random.default_rng()

@@ -8,7 +8,13 @@ import pytest
 from encloop import verify
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
 from encloop.backend import BackendConfig, DepthExhausted, context_create
-from encloop.control import SimTrace, run_closed_loop
+from encloop.control import (
+    CONTROLLER_STREAM,
+    AffineController,
+    LtiModel,
+    SimTrace,
+    run_closed_loop,
+)
 from encloop.scenario import (
     SCENARIOS,
     ConfigError,
@@ -60,6 +66,34 @@ class TestConfigParsing:
         assert cfg.model.n == 1
         trace, code = run_scenario(cfg)
         assert code == 0
+
+    @pytest.mark.parametrize("mode", ["plain", "encrypted"])
+    @pytest.mark.parametrize("section, extra", [
+        # a 1 x 2 K on a one-output model: encrypted, it read u0 as its
+        # second input and ran to exit 0; plain, numpy's matmul raised
+        ("controller", {"model": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]]},
+                        "controller": {"K": [[0.2, 0.1]], "u0": [0.3]}, "x0": [1.0]}),
+        # the tank preset controller (2 x 2) on a one-state model
+        ("controller", {"model": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}, "x0": [1.0]}),
+        # a 1 x 2 K on the tank (two inputs)
+        ("controller", {"controller": {"K": [[1.0, 0.5]], "u0": [0.0]}}),
+        # no input (m = 0): it ran to exit 0 and dropped the controller's output
+        ("model", {"model": {"A": [[0.5]], "B": [[]], "C": [[1.0]]},
+                   "controller": {"K": [[0.2]], "u0": [0.0]}, "x0": [1.0]})])
+    def test_controller_must_fit_the_model(self, section, extra, mode):
+        """K must be model.m x model.p, and the model needs an input and an
+        output, in both modes."""
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(minimal(mode=mode, **extra))
+        assert exc.value.name == section
+
+    @pytest.mark.parametrize("encrypted", [False, True])
+    def test_loop_refuses_a_controller_of_another_shape(self, encrypted):
+        model = LtiModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
+        ctrl = AffineController(K=[[0.2, 0.1]], u0=[0.3])
+        ctx = context_create(BackendConfig(slot_count=64)) if encrypted else None
+        with pytest.raises(ValueError, match="K must be 1 x 1"):
+            run_closed_loop(model, ctrl, [1.0], 5, ctx=ctx)
 
     def test_x0_shape_check(self):
         with pytest.raises(ConfigError) as exc:
@@ -398,10 +432,11 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_noiseless_run_builds_no_noise_generator(self, scenario, contexts):
         """A noiseless run draws no noise, so none of its key contexts (the
-        loop's, and the attacker's public one) builds a generator."""
+        plant's, the controller's and the attacker's public one) builds a
+        generator."""
         _, code = run_scenario(ScenarioConfig.from_dict(minimal(scenario, mode="encrypted")))
         assert code == (3 if scenario == "verified_attack" else 0)
-        assert len(contexts) == (1 if scenario == "baseline" else 2)
+        assert len(contexts) == (2 if scenario == "baseline" else 3)
         assert all(c._rng is None for c in contexts)
 
     def test_baseline_exit_zero(self):
@@ -475,16 +510,17 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("slot_count", [64, 1024])
     def test_verification_costs_no_he_op(self, contexts, slot_count):
-        """Per step, an honest verified loop spends exactly the HE ops of the
-        encrypted baseline: one encryption, the lifted block's matvec over
-        its three stored diagonals (3 rotations, 3 multiplies, 2 additions)
-        and three decryptions (the controller's two views and the reply)."""
+        """Per step and per role, an honest verified loop spends exactly the
+        HE ops of the encrypted baseline. The plant encrypts its input and
+        decrypts the reply; the controller runs the lifted block's matvec
+        over its three stored diagonals (3 rotations, 3 multiplies, 2
+        additions). Only the baseline controller also decrypts its view of
+        the input and output block (``controller_role``)."""
         def ops(raw):
             contexts.clear()
             trace, code = run_scenario(ScenarioConfig.from_dict(raw))
             assert code == 0
-            return {op: sum(c.op_counts[op] for c in contexts)
-                    for op in ("enc", "rot", "mul", "add", "dec")}
+            return {(c.stream, op): n for c in contexts for op, n in c.op_counts.items()}
 
         per_step = {}
         for kind, extra in (("baseline", {}),
@@ -492,9 +528,13 @@ class TestRunScenario:
             raw = minimal(kind, mode="encrypted", pre_roll=0,
                           backend={"slot_count": slot_count}, **extra)
             short, long = ops(dict(raw, steps=10)), ops(dict(raw, steps=30))
-            per_step[kind] = {op: (long[op] - short[op]) / 20 for op in short}
-        assert per_step["baseline"] == per_step["verified_attack"] == {
-            "enc": 1, "rot": 3, "mul": 3, "add": 2, "dec": 3}
+            per_step[kind] = {key: (long[key] - short[key]) / 20 for key in short
+                              if long[key] != short[key]}
+        plant = {(None, "enc"): 1, (None, "dec"): 1}
+        controller = {(CONTROLLER_STREAM, "rot"): 3, (CONTROLLER_STREAM, "mul"): 3,
+                      (CONTROLLER_STREAM, "add"): 2}
+        assert per_step["verified_attack"] == {**plant, **controller}
+        assert per_step["baseline"] == {**plant, **controller, (CONTROLLER_STREAM, "dec"): 2}
 
     def test_honest_verified_fills_4096_slots(self):
         """expansion 1024 x block 4 fills every slot: the lifted controller

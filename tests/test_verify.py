@@ -304,20 +304,12 @@ class TestOneRowDecode:
             assert accepted.tolist() == [r for r in range(rows) if r != victim]
             for r in range(rows):
                 local = perm[r] - r * lam
-                tag = PermutationTag(perm=local, challenge_indices=indices[r], eps=eps,
-                                     payload_block=int(np.flatnonzero(local < lam // 2)[0]))
+                tag = PermutationTag(perm=local, challenge_indices=indices[r], eps=eps)
                 outcome = dcd(vctx, tag, z[r])
                 assert outcome.ok == (r in accepted.tolist())
                 assert outcome.eps == eps
                 assert np.array_equal(outcome.deviation, deviation[r])
                 assert outcome.spread == spread[r]
-
-    @pytest.mark.parametrize("lam", [2, 4, 16])
-    def test_tag_records_the_first_payload_block(self, lam):
-        vctx = make_vctx(expansion=lam, slot_count=2 * lam, seed=lam)
-        for _ in range(50):
-            _, tag = ecd(vctx, np.array([0.5, -1.5]))
-            assert tag.payload_block == min(payload_positions(tag))
 
 
 class TestReplicaAgreement:
@@ -346,7 +338,7 @@ class TestReplicaAgreement:
             blocks = [w] * half + [vctx.challenges[i] for i in indices]
             encoded = np.concatenate([blocks[b] for b in perm])
             tag = PermutationTag(perm=perm, challenge_indices=indices,
-                                 eps=verify._eps(vctx, encoded), payload_block=min(R))
+                                 eps=verify._eps(vctx, encoded))
             assert payload_positions(tag) == set(R)
             passed = []
             for S in tamper_sets:
@@ -682,16 +674,21 @@ class TestDetectionExperiment:
 
 class OneBlockAttacker:
     """Adds 1.0 to the first slot of block ``j`` of the control ciphertext
-    from step 0 on; the measurement passes untouched."""
+    from step 0 on, holding the public context ``ctx``; the measurement
+    passes untouched."""
 
-    def __init__(self, block_dim, slot_count, j):
-        self.mask = block_mask(block_dim, slot_count, np.array([j]), [1.0])
+    def __init__(self, ctx, block_dim, j):
+        self.ctx = ctx
+        self.mask = block_mask(block_dim, ctx.config.slot_count, np.array([j]), [1.0])
+
+    def active_at(self, k):
+        return k >= 0
 
     def tamper_measurement(self, k, c):
         return c
 
     def tamper_control(self, k, c):
-        return hom_add(c, self.mask) if k >= 0 else c
+        return hom_add(c, self.mask) if self.active_at(k) else c
 
 
 class TestVerifiedClosedLoop:
@@ -717,7 +714,8 @@ class TestVerifiedClosedLoop:
             ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=lam))
             vctx = setup(64, lift_affine(-ctrl.K), lam, num_challenges=8, seed=lam)
             trace = run_closed_loop(model, ctrl, TANK_X0, 10, pre_roll=3, ctx=ctx,
-                                    verifier=vctx, attacker=OneBlockAttacker(d, 64, j))
+                                    verifier=vctx,
+                                    attacker=OneBlockAttacker(ctx.public_context(), d, j))
             assert trace.verdict == ["ok"] * 3 + ["bottom"] and trace.k[-1] == 0
             tag, outcome = decodes[-1]
             block = int(tag.perm[j])  # the pre-shuffle block at position j
