@@ -64,6 +64,7 @@ __all__ = [
     "DepthExhausted",
     "KeyMismatch",
     "context_create",
+    "public_context",
     "hom_add",
     "hom_sub",
     "hom_neg",
@@ -112,8 +113,13 @@ class PackedCiphertext:
 
     _slots: np.ndarray
     level: int
-    key_id: int
     _ctx: "KeyContext" = field(repr=False)
+
+    @property
+    def key_id(self) -> int:
+        """The key tag, its holder's: holders of one key share it. (The
+        backend's own key checks read ``_ctx.key_id``, without the call.)"""
+        return self._ctx.key_id
 
 
 class KeyContext:
@@ -121,7 +127,7 @@ class KeyContext:
 
     ``public_context()`` returns a view that can encrypt and operate on
     ciphertexts but not decrypt them, modeling a party holding only the
-    public key.
+    public key (the module's ``public_context(config)``).
     """
 
     def __init__(self, config: BackendConfig, key_id: int, has_secret_key: bool = True,
@@ -146,7 +152,7 @@ class KeyContext:
         return self._rng
 
     def public_context(self) -> "KeyContext":
-        return KeyContext(self.config, self.key_id, has_secret_key=False, stream=0x5EC0)
+        return public_context(self.config)
 
     # -- core API ---------------------------------------------------------
 
@@ -159,14 +165,13 @@ class KeyContext:
         return PackedCiphertext(
             _slots=self._noisy(m),
             level=0,
-            key_id=self.key_id,
             _ctx=self,
         )
 
     def decrypt(self, c: PackedCiphertext) -> np.ndarray:
         if not self.has_secret_key:
             raise KeyMismatch("this context holds no secret key")
-        if c.key_id != self.key_id:
+        if c._ctx.key_id != self.key_id:
             raise KeyMismatch("ciphertext was created under a different key")
         self.op_counts["dec"] += 1
         return c._slots.copy()
@@ -196,8 +201,19 @@ def context_create(config: BackendConfig, stream: int | None = None) -> KeyConte
     holding the same key passes its own ``stream`` tag and draws from
     ``default_rng([seed, stream])``, since two parties drawing one stream
     would add the same noise."""
-    key_id = (config.seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF
-    return KeyContext(config, key_id, stream=stream)
+    return KeyContext(config, _key_id(config), stream=stream)
+
+
+def public_context(config: BackendConfig) -> KeyContext:
+    """The public key of ``context_create(config)``'s key, built without its
+    secret key: it encrypts and operates but cannot decrypt, and draws its
+    noise from its own stream, 0x5EC0."""
+    return KeyContext(config, _key_id(config), has_secret_key=False, stream=0x5EC0)
+
+
+def _key_id(config: BackendConfig) -> int:
+    """The key tag of ``config``'s key, from its seed alone."""
+    return (config.seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF
 
 
 # -- homomorphic operations -------------------------------------------------
@@ -206,7 +222,7 @@ def _as_operands(a: PackedCiphertext, b):
     """Return (ctx, a_slots, b_slots, b_level) handling plaintext b."""
     ctx = a._ctx
     if isinstance(b, PackedCiphertext):
-        if b.key_id != a.key_id:
+        if b._ctx.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
         return ctx, a._slots, b._slots, b.level
     m = np.asarray(b, dtype=float)
@@ -219,8 +235,7 @@ def _result(ctx: KeyContext, slots: np.ndarray, level: int, scale=None) -> Packe
     """An op's ciphertext from its fresh result buffer: a depth check, then
     one noise draw (``KeyContext._noisy``)."""
     _check_level(ctx.config, level)
-    return PackedCiphertext(_slots=ctx._noisy(slots, scale), level=level,
-                            key_id=ctx.key_id, _ctx=ctx)
+    return PackedCiphertext(_slots=ctx._noisy(slots, scale), level=level, _ctx=ctx)
 
 
 def hom_add(a: PackedCiphertext, b) -> PackedCiphertext:
@@ -284,7 +299,7 @@ class DotTerms:
         if not coeffs:
             raise ValueError("DotTerms needs at least one term")
         self.ctx = ctx = coeffs[0]._ctx
-        if {a.key_id for a in coeffs} != {ctx.key_id}:
+        if {a._ctx.key_id for a in coeffs} != {ctx.key_id}:
             raise KeyMismatch("operands were created under different keys")
         n = ctx.config.slot_count
         T = len(coeffs)
@@ -310,7 +325,7 @@ class DotTerms:
     def __call__(self, b: PackedCiphertext) -> PackedCiphertext:
         """The product with ``b``."""
         ctx = self.ctx
-        if b.key_id != ctx.key_id:
+        if b._ctx.key_id != ctx.key_id:
             raise KeyMismatch("operands were created under different keys")
         bs = b._slots
         if self.gather:
@@ -417,7 +432,7 @@ def deserialize_ciphertext(ctx: KeyContext, data: bytes) -> PackedCiphertext:
     n, level = check_ciphertext_blob(ctx, data)
     # astype copies: the slots own native float64 memory, never the blob's
     slots = np.frombuffer(data, "<f8", count=n, offset=16).astype(np.float64)
-    return PackedCiphertext(_slots=slots, level=level, key_id=ctx.key_id, _ctx=ctx)
+    return PackedCiphertext(_slots=slots, level=level, _ctx=ctx)
 
 
 def hand_over(ctx: KeyContext, c: PackedCiphertext) -> PackedCiphertext:
@@ -427,9 +442,9 @@ def hand_over(ctx: KeyContext, c: PackedCiphertext) -> PackedCiphertext:
     ``deserialize_ciphertext(ctx, serialize_ciphertext(c))`` returns, without
     the bytes. Raises ``KeyMismatch`` for a ciphertext under another key and
     ``ValueError`` for another slot count."""
-    if c.key_id != ctx.key_id:
+    if c._ctx.key_id != ctx.key_id:
         raise KeyMismatch("ciphertext was created under a different key")
     if len(c._slots) != ctx.config.slot_count:
         raise ValueError(f"slot_count {len(c._slots)} does not match context "
                          f"{ctx.config.slot_count}")
-    return PackedCiphertext(_slots=c._slots, level=c.level, key_id=ctx.key_id, _ctx=ctx)
+    return PackedCiphertext(_slots=c._slots, level=c.level, _ctx=ctx)

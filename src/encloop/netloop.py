@@ -34,7 +34,7 @@ import struct
 
 from . import control
 from .backend import (check_ciphertext_blob, ciphertext_blob_size, context_create,
-                      deserialize_ciphertext, serialize_ciphertext)
+                      deserialize_ciphertext, public_context, serialize_ciphertext)
 from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
@@ -225,7 +225,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
           socket.create_connection(upstream) as up):
         try:
             cfg, payload = _recv_hello(plant_conn)
-            pub = context_create(cfg.backend).public_context()
+            pub = public_context(cfg.backend)
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
 

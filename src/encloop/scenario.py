@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attack, control, verify
-from .backend import BackendConfig, context_create
+from .backend import BackendConfig, context_create, public_context
 
 __all__ = ["ConfigError", "ScenarioConfig", "build_attacker", "run_scenario",
            "write_trace_svg"]
@@ -272,7 +272,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     (0 completed, 3 verification tripped)."""
     ctx = context_create(cfg.backend) if cfg.mode == "encrypted" else None
     verifier = build_verifier(cfg) if cfg.scenario == "verified_attack" else None
-    pub = ctx.public_context() if ctx is not None and cfg.attack_plan is not None else None
+    pub = (public_context(cfg.backend) if ctx is not None and cfg.attack_plan is not None
+           else None)
     attacker = build_attacker(cfg, pub)
 
     trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,

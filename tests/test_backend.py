@@ -19,6 +19,7 @@ from encloop.backend import (
     hom_neg,
     hom_sub,
     pad_slots,
+    public_context,
     rotate,
     serialize_ciphertext,
 )
@@ -241,13 +242,25 @@ class TestNoiseAccounting:
         """A public context, and a context created with a ``stream`` tag,
         build default_rng([seed, tag]) at their first draw, not before."""
         ctx = make_ctx(noise_std=1e-3, seed=11)
-        for other, tag in ((ctx.public_context(), 0x5EC0),
+        for other, tag in ((ctx.public_context(), 0x5EC0), (public_context(ctx.config), 0x5EC0),
                            (context_create(ctx.config, stream=7), 7)):
             assert other.key_id == ctx.key_id and other._rng is None
             other.encrypt(np.zeros(8))
             ref = np.random.default_rng([11, tag])
             ref.standard_normal(8)  # the encryption's one draw
             assert other.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_public_context_from_the_config(self):
+        """``public_context(config)`` is the public key of
+        ``context_create(config)``, built without its secret key: it cannot
+        decrypt, and what it encrypts decrypts under the secret key."""
+        ctx = make_ctx(seed=11)
+        pub = public_context(ctx.config)
+        assert (pub.key_id, pub.stream, pub.has_secret_key) == (ctx.key_id, 0x5EC0, False)
+        c = pub.encrypt(np.ones(8))
+        with pytest.raises(KeyMismatch, match="no secret key"):
+            pub.decrypt(c)
+        assert np.array_equal(ctx.decrypt(c), np.ones(8))
 
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its

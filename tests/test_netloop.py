@@ -281,10 +281,12 @@ class TestPlantControllerLoop:
     def test_each_role_counts_its_ops_on_both_transports(self, kind, contexts):
         """Each role's key context counts the same ops in-process as over
         TCP: the plant's (stream None), the controller's (CONTROLLER_STREAM)
-        and the attacker's public one (0x5EC0). Contexts that count no op
-        (the proxy's secret-key one it only derives its public context from,
-        a baseline proxy's public one) are left out."""
+        and the attacker's public one (0x5EC0). A context that counts no op
+        (a baseline proxy's public one) is left out. On both transports the
+        plant and the controller are the only holders of the secret key."""
         def by_role():
+            secret = [c.stream for c in contexts if c.has_secret_key]
+            assert len(secret) == 2 and set(secret) == {None, CONTROLLER_STREAM}
             roles = {}
             for c in contexts:
                 role = roles.setdefault(c.stream, dict.fromkeys(c.op_counts, 0))

@@ -280,36 +280,97 @@ class TestEncodeDecode:
 
 
 class TestOneRowDecode:
-    @pytest.mark.parametrize("lam", [2, 4, 16])
-    @pytest.mark.parametrize("d", [1, 4])
+    """``ecd`` and ``dcd`` run one step on Python scalars up to
+    ``verify.SCALAR_MAX`` encoded slots and through the batch core above it;
+    the (lambda, d) grid hits both plans."""
+
+    LAMBDAS, DIMS = [2, 4, 6, 8, 16], [1, 4]
+    # what row r of a response batch carries, in order: +1, NaN, +inf or -inf
+    # in one slot of a replica or of a challenge block
+    KINDS = ["honest", "noisy"] + [f"{value} {where}" for value in ("+1", "nan", "+inf", "-inf")
+                                   for where in ("replica", "challenge")]
+
+    def test_the_grid_spans_the_width_bound(self):
+        widths = [lam * d for lam in self.LAMBDAS for d in self.DIMS]
+        assert min(widths) <= verify.SCALAR_MAX < max(widths)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_ecd_is_the_batch_core_on_one_row(self, lam, d):
+        """From one generator state, ``ecd`` encodes what ``_encode(ctx, w,
+        1)`` encodes, under the same permutation, challenge indices and eps,
+        and leaves the generator where ``_encode`` leaves it."""
+        rng = np.random.default_rng(100 * lam + d)
+        vctx = setup(64 * lam, rng.uniform(-1, 1, (d, d)), lam, num_challenges=6,
+                     noise_std=1e-2, seed=lam)
+        for _ in range(10):
+            w = rng.uniform(-2, 2, d)
+            state = vctx.rng.bit_generator.state
+            encoded, perm, indices = verify._encode(vctx, w, 1)
+            after = vctx.rng.bit_generator.state
+            vctx.rng.bit_generator.state = state
+            got, tag = ecd(vctx, w)
+            assert vctx.rng.bit_generator.state == after
+            assert got.shape == (lam * d,) and np.array_equal(got, encoded[0])
+            assert np.array_equal(tag.perm, perm[0])
+            assert np.array_equal(tag.challenge_indices, indices[0])
+            assert tag.eps == verify._eps(vctx, encoded)
+
+    # the batch core computes inf - inf, of which numpy warns
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("d", DIMS)
     def test_dcd_is_the_batch_core_on_one_row(self, lam, d):
         """``dcd`` on row r of a batch, under row r's own tag, gives the
         verdict, deviation, spread and eps that ``_decode`` gives row r of the
-        whole batch, with one row tampered and the others honest or noisy."""
+        whole batch; and from one generator state it returns every
+        ``DecodeOutcome`` field that ``_decode`` on row r alone gives, the
+        payload drawn included, and leaves the generator in the same state.
+        Each row is honest, noisy, or carries +1, NaN or an infinity in a
+        replica or a challenge block (``KINDS``)."""
         rng = np.random.default_rng(100 * lam + d)
         h = rng.uniform(-1, 1, (d, d))
-        rows = 7
+        rows, half = len(self.KINDS), lam // 2
         for trial in range(10):
             vctx = setup(64 * lam, h, lam, num_challenges=6, threshold=1e-3,
                          seed=trial)
             w = rng.uniform(-2, 2, d)
             encoded, perm, indices = verify._encode(vctx, w, rows)
             z = (encoded.reshape(-1, d) @ h.T).reshape(rows, lam * d)
-            z += rng.uniform(-4e-4, 4e-4, z.shape)
-            victim = int(rng.integers(rows))  # one of its challenge blocks is off by 1
-            block = rng.choice(np.flatnonzero(perm[victim] - victim * lam >= lam // 2))
-            z[victim, block * d + int(rng.integers(d))] += 1.0
+            z[1:] += rng.uniform(-4e-4, 4e-4, z[1:].shape)
+            for r, kind in enumerate(self.KINDS[2:], start=2):
+                value, where = kind.split()
+                local = perm[r] - r * lam
+                blocks = np.flatnonzero(local < half if where == "replica" else local >= half)
+                slot = int(rng.choice(blocks)) * d + int(rng.integers(d))
+                z[r, slot] = z[r, slot] + 1.0 if value == "+1" else float(value)
             eps = verify._eps(vctx, encoded)
             deviation, spread, accepted, _ = verify._decode(vctx, perm, indices, z, eps)
-            assert accepted.tolist() == [r for r in range(rows) if r != victim]
+            # a +1 on the one replica of lambda = 2 is all the replicas agree on
+            assert accepted.tolist() == [0, 1] + ([2] if lam == 2 else [])
             for r in range(rows):
                 local = perm[r] - r * lam
+                state = vctx.rng.bit_generator.state
+                row = verify._decode(vctx, local[None], indices[r:r + 1], z[r:r + 1], eps)
+                after = vctx.rng.bit_generator.state
+                vctx.rng.bit_generator.state = state
                 tag = PermutationTag(perm=local, challenge_indices=indices[r], eps=eps)
                 outcome = dcd(vctx, tag, z[r])
-                assert outcome.ok == (r in accepted.tolist())
+                assert vctx.rng.bit_generator.state == after
+                assert outcome.ok == (r in accepted.tolist()) == (len(row[2]) == 1)
                 assert outcome.eps == eps
-                assert np.array_equal(outcome.deviation, deviation[r])
-                assert outcome.spread == spread[r]
+                for want in (deviation[r], row[0][0]):
+                    assert np.array_equal(outcome.deviation, want, equal_nan=True)
+                for want in (spread[r], row[1][0]):
+                    assert np.array_equal(outcome.spread, want, equal_nan=True)
+                assert type(outcome.spread) is float
+                if outcome.ok:
+                    assert np.array_equal(outcome.payload, row[3][0])
+                    assert outcome.failed_challenges == []
+                else:
+                    assert outcome.payload is None
+                    assert outcome.failed_challenges == np.flatnonzero(
+                        ~(row[0][0] <= eps)).tolist()
 
 
 class TestReplicaAgreement:
