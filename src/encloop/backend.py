@@ -152,7 +152,8 @@ class KeyContext:
         return self._rng
 
     def public_context(self) -> "KeyContext":
-        return public_context(self.config)
+        return KeyContext(self.config, self.key_id, has_secret_key=False,
+                          stream=PUBLIC_STREAM)
 
     # -- core API ---------------------------------------------------------
 
@@ -207,8 +208,12 @@ def context_create(config: BackendConfig, stream: int | None = None) -> KeyConte
 def public_context(config: BackendConfig) -> KeyContext:
     """The public key of ``context_create(config)``'s key, built without its
     secret key: it encrypts and operates but cannot decrypt, and draws its
-    noise from its own stream, 0x5EC0."""
-    return KeyContext(config, _key_id(config), has_secret_key=False, stream=0x5EC0)
+    noise from its own stream, ``PUBLIC_STREAM``."""
+    return KeyContext(config, _key_id(config), has_secret_key=False, stream=PUBLIC_STREAM)
+
+
+# the noise stream tag of every public context
+PUBLIC_STREAM = 0x5EC0
 
 
 def _key_id(config: BackendConfig) -> int:

@@ -218,17 +218,12 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
 
     The challenge indices (with replacement), then the permutation (uniform
     shuffle), are drawn fresh from the context RNG, as ``_encode(ctx, w, 1)``
-    draws them; up to ``SCALAR_MAX`` encoded slots the step runs on Python
-    scalars, and through ``_encode`` above.
+    draws them, and the step runs on Python scalars at every width.
     """
     w = np.asarray(w, dtype=float).ravel()
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
-    if ctx.encoded_dim <= SCALAR_MAX:
-        encoded, perm, indices = _encode_one(ctx, w)
-    else:
-        encoded, perm, indices = _encode(ctx, w, 1)
-        encoded, perm, indices = encoded[0], perm[0], indices[0]
+    encoded, perm, indices = _encode_one(ctx, w)
     return encoded, PermutationTag(perm=perm, challenge_indices=indices,
                                    eps=_eps(ctx, encoded))
 
@@ -264,19 +259,23 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
 
 # -- one step on Python scalars ---------------------------------------------------
 # A loop step encodes and decodes a few dozen numbers, for which a numpy
-# call's fixed cost outweighs its arithmetic. Up to SCALAR_MAX encoded slots
-# (lambda*d), ecd and dcd run the batch core's one-row case on Python
+# call's fixed cost outweighs its arithmetic. ecd, and dcd up to SCALAR_MAX
+# encoded slots (lambda*d), run the batch core's one-row case on Python
 # scalars, with the same draws in the same order and the same outcome, bit
-# for bit; wider steps and every batch go through _encode and _decode.
+# for bit; wider decodes and every batch go through _encode and _decode.
 # Measured on a 2-vCPU x86-64 VM (numpy 2.4, one pinned vCPU), scalar
-# against array plan per call: dcd 7.8 against 15.8 us at lambda = 4, d = 4
-# (16 slots), 10.4 against 16.1 at lambda = 8, d = 4 (32), parity at
-# lambda = 16, d = 4 (64) and 28.9 against 17.8 at lambda = 32, d = 4 (128).
-# Its Python loop costs about half a microsecond per block, so at 32 slots
-# one-slot blocks (lambda = 32, d = 1; no lifted block is that narrow) are
-# slower, 20.0 against 15.9. ecd: 8.2 against 11.2 at 16 slots, 10.5 against
-# 14.4 at 64.
-SCALAR_MAX = 32
+# against array plan per call, the array dcd including the np.errstate with
+# which _decode takes a forged infinity silently (about 1 us): dcd 7.8
+# against 15.8 us at lambda = 4, d = 4 (16 slots), 10.1 against 16.6 at
+# lambda = 8, d = 4 (32), 15.8 against 16.9 at lambda = 16, d = 4 (64, the
+# widest workload's) and 26.3 against 17.5 at lambda = 32, d = 4 (128). Its
+# Python loop costs about half a microsecond per block, so narrow blocks are
+# slower: at 64 slots 21.8 against 17.5 with d = 2, and at 32 slots 20.0
+# against 15.9 with d = 1; no workload's lifted block is that narrow. ecd:
+# 7.5 against 9.6 at 16 slots and 10.5 against 13.0 at 64; above that the
+# batch core is up to 2 us faster (17.6 against 16.9 at 128, 19.0 against
+# 17.0 at 256), and no workload encodes that wide.
+SCALAR_MAX = 64
 
 
 def _encode_one(ctx: VerifierContext, w: np.ndarray):
@@ -332,7 +331,7 @@ def _decode_one(ctx: VerifierContext, tag: PermutationTag, z: list, eps: float):
 
 
 # -- the batch core: encoding and decoding for B steps at once -------------------
-# ecd and dcd above SCALAR_MAX slots are its one-row case; full-mode Monte
+# dcd above SCALAR_MAX slots is its one-row case; full-mode Monte
 # Carlo packs B trials into one ciphertext through it. A batch draws each kind
 # of value for all rows at once, in the one-step order (challenge indices,
 # permutations, then replica picks), so one row draws the one-step stream
@@ -394,8 +393,10 @@ def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
     # reduction along a short last axis costs many rows several times more
     err = np.empty((lam, d, rows))
     by_row = err.transpose(2, 0, 1)
-    np.subtract(blocks[:, :half], blocks[:, :1], out=by_row[:, :half])
-    np.subtract(blocks[:, half:], ctx.challenge_outputs[indices], out=by_row[:, half:])
+    # a forged infinity makes inf - inf, a NaN that fails below, not a warning
+    with np.errstate(invalid="ignore"):
+        np.subtract(blocks[:, :half], blocks[:, :1], out=by_row[:, :half])
+        np.subtract(blocks[:, half:], ctx.challenge_outputs[indices], out=by_row[:, half:])
     np.abs(err, out=err)
     # one reduction for every check: the spread, then each challenge's deviation
     starts, bound = ctx.checks

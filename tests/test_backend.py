@@ -8,6 +8,7 @@ from encloop.backend import (
     BackendConfig,
     DepthExhausted,
     DotTerms,
+    KeyContext,
     KeyMismatch,
     ciphertext_blob_size,
     context_create,
@@ -261,6 +262,14 @@ class TestNoiseAccounting:
         with pytest.raises(KeyMismatch, match="no secret key"):
             pub.decrypt(c)
         assert np.array_equal(ctx.decrypt(c), np.ones(8))
+
+    def test_public_context_keeps_its_key(self):
+        """A context's public view carries the context's own key tag, not
+        the one its config's seed derives."""
+        ctx = KeyContext(make_ctx(seed=11).config, key_id=12345)
+        pub = ctx.public_context()
+        assert (pub.key_id, pub.stream, pub.has_secret_key) == (12345, 0x5EC0, False)
+        assert np.array_equal(ctx.decrypt(pub.encrypt(np.ones(8))), np.ones(8))
 
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its

@@ -280,11 +280,12 @@ class TestEncodeDecode:
 
 
 class TestOneRowDecode:
-    """``ecd`` and ``dcd`` run one step on Python scalars up to
-    ``verify.SCALAR_MAX`` encoded slots and through the batch core above it;
-    the (lambda, d) grid hits both plans."""
+    """``ecd`` runs one step on Python scalars at every width, and ``dcd``
+    up to ``verify.SCALAR_MAX`` encoded slots and through the batch core
+    above it; the (lambda, d) grid hits both of ``dcd``'s plans, and neither
+    warns, not even of a forged infinity."""
 
-    LAMBDAS, DIMS = [2, 4, 6, 8, 16], [1, 4]
+    LAMBDAS, DIMS = [2, 4, 6, 8, 16, 32], [1, 4]
     # what row r of a response batch carries, in order: +1, NaN, +inf or -inf
     # in one slot of a replica or of a challenge block
     KINDS = ["honest", "noisy"] + [f"{value} {where}" for value in ("+1", "nan", "+inf", "-inf")
@@ -316,8 +317,6 @@ class TestOneRowDecode:
             assert np.array_equal(tag.challenge_indices, indices[0])
             assert tag.eps == verify._eps(vctx, encoded)
 
-    # the batch core computes inf - inf, of which numpy warns
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("d", DIMS)
     def test_dcd_is_the_batch_core_on_one_row(self, lam, d):
