@@ -20,23 +20,17 @@ per-slot scale (``dot_noise_scale``) depends on the a_t alone, so
 ciphertext one way (``_result``): a depth check, then one noise draw.
 
 ``DotTerms`` picks one of two plans for its product when it is built, by its
-T terms and n slots. With T >= 2, T * n <= ``GATHER_MAX`` and
-n <= ``GATHER_WIDTH`` * (T - 1)^2 it gathers: one T x n index of slots
-(j + s_t) mod n, built once, takes every rotated b at once, and one multiply
-and one sum over the term axis finish the product, so a call costs about
-four numpy calls whatever T is. Other products keep one multiply per
-contiguous run of each a_t (two where the rotation wraps) and one add per
-term, which streams n-long slices instead of gathering T * n indexed
-elements. The gather saves numpy calls per term and costs more per element,
-so the widest product it pays at grows with T. Measured on a 2-vCPU x86-64
-VM (numpy 2.4, one pinned vCPU), gather against slices per call: at T = 4,
-2.3 against 5.2 us at n = 64, 8.5 against 11 us at n = 512, parity at
-n = 1024 and 0.9 against 0.3 ms at 2^16; at T = 3, parity at n = 512 and
-7.5 against 6.4 us at 1024; at T = 2, 3.5 against 3.7 us at n = 128 and
-4.3 against 3.9 us at 256. For power-of-two slot counts the two bounds let
-T = 2 gather up to 128 slots, T = 3 up to 512 and T >= 4 up to 2048 / T.
-Either plan adds the terms in order, so the slots are bit-identical to the
-composed ops'.
+T terms and n slots. With T >= 2 and T * n <= ``GATHER_MAX`` it gathers: one
+T x n index of slots (j + s_t) mod n, built once, takes every rotated b at
+once, and one multiply and one sum over the term axis finish the product, so
+a call costs about four numpy calls whatever T is. Other products keep one
+multiply per contiguous run of each a_t (two where the rotation wraps) and
+one add per term, which streams n-long slices instead of gathering T * n
+indexed elements. Measured on a 2-vCPU x86-64 VM (numpy 2.4, one pinned
+vCPU), gather against slices per call at T = 4: 2.3 against 5.2 us at
+n = 64, 8.5 against 11 us at n = 512, parity at n = 1024 and 0.9 against
+0.3 ms at 2^16. Either plan adds the terms in order, so the slots are
+bit-identical to the composed ops'.
 
 A ciphertext carries no noise estimate: as in a real scheme, a receiver
 cannot trust one, so whoever checks a decryption derives its own tolerance
@@ -58,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MAX_SLOTS",
     "BackendConfig",
     "KeyContext",
     "PackedCiphertext",
@@ -89,6 +84,13 @@ class KeyMismatch(ValueError):
     """Raised when ciphertexts from different key contexts are mixed."""
 
 
+# the most slots a config accepts, the benchmark's widest loop: CKKS packs
+# N/2 slots, and N = 2^17 is the largest ring dimension of the HE Security
+# Standard's parameter sets (Albrecht et al., 2018). It bounds every
+# ciphertext, and with it every wire frame.
+MAX_SLOTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     slot_count: int
@@ -99,6 +101,8 @@ class BackendConfig:
     def __post_init__(self):
         if self.slot_count < 1 or (self.slot_count & (self.slot_count - 1)) != 0:
             raise ValueError(f"slot_count must be a power of two, got {self.slot_count}")
+        if self.slot_count > MAX_SLOTS:
+            raise ValueError(f"slot_count must be at most {MAX_SLOTS}, got {self.slot_count}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if self.max_depth < 1:
@@ -124,11 +128,8 @@ class PackedCiphertext:
 
 class KeyContext:
     """Holds the backend config, a deterministic PRNG stream, and op counters.
-
-    ``public_context()`` returns a view that can encrypt and operate on
-    ciphertexts but not decrypt them, modeling a party holding only the
-    public key (the module's ``public_context(config)``).
-    """
+    A context without the secret key (``public_context``) encrypts and
+    operates on ciphertexts but cannot decrypt them."""
 
     def __init__(self, config: BackendConfig, key_id: int, has_secret_key: bool = True,
                  stream: int | None = None):
@@ -150,10 +151,6 @@ class KeyContext:
             self._rng = np.random.default_rng(
                 seed if self.stream is None else [seed, self.stream])
         return self._rng
-
-    def public_context(self) -> "KeyContext":
-        return KeyContext(self.config, self.key_id, has_secret_key=False,
-                          stream=PUBLIC_STREAM)
 
     # -- core API ---------------------------------------------------------
 
@@ -280,9 +277,8 @@ def rotate(a: PackedCiphertext, i: int) -> PackedCiphertext:
 
 
 # a ``DotTerms`` over T >= 2 terms and n slots gathers at T * n <= GATHER_MAX
-# and n <= GATHER_WIDTH * (T - 1)^2 (module docstring)
+# (module docstring)
 GATHER_MAX = 2048
-GATHER_WIDTH = 128
 
 
 class DotTerms:
@@ -311,7 +307,7 @@ class DotTerms:
         self.level = max([a.level for a in coeffs]) + 1
         self.coeff_ctxs = [a._ctx for a in coeffs]  # each product counts on a_t's
         shifts = [s % n for s in shifts]
-        self.gather = T > 1 and T * n <= GATHER_MAX and n <= GATHER_WIDTH * (T - 1) ** 2
+        self.gather = T > 1 and T * n <= GATHER_MAX
         if self.gather:
             # row t of b[index] is rot_{s_t}(b)
             self.coeffs = np.stack([a._slots for a in coeffs])

@@ -18,7 +18,8 @@ A receiver checks the declared length against its limit before it allocates
 the payload: the controller and the proxy read the HELLO under
 ``HELLO_MAX_PAYLOAD`` and every later frame under the size of one serialized
 ciphertext of the configured slot count (``backend.ciphertext_blob_size``;
-ABORT and BYE payloads are shorter).
+ABORT and BYE payloads are shorter); the plant reads under ``MAX_PAYLOAD``,
+the largest legitimate frame.
 
 This is a simulator: all roles reconstruct the key context from the shared
 configuration, and the attacker proxy restricts itself to the public
@@ -33,7 +34,7 @@ import socket
 import struct
 
 from . import control
-from .backend import (check_ciphertext_blob, ciphertext_blob_size, context_create,
+from .backend import (MAX_SLOTS, check_ciphertext_blob, ciphertext_blob_size, context_create,
                       deserialize_ciphertext, public_context, serialize_ciphertext)
 from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
 
@@ -52,8 +53,9 @@ MSG_BYE = 0x04
 MSG_ABORT = 0x05
 _VALID_TYPES = {MSG_ENC_Y, MSG_ENC_U, MSG_HELLO, MSG_BYE, MSG_ABORT}
 
-MAX_PAYLOAD = 2 ** 31
 HELLO_MAX_PAYLOAD = 2 ** 20  # a scenario configuration as JSON
+# the largest legitimate frame: a HELLO, or one ciphertext of the most slots
+MAX_PAYLOAD = max(HELLO_MAX_PAYLOAD, ciphertext_blob_size(MAX_SLOTS))
 
 
 class FrameError(ValueError):
@@ -143,7 +145,7 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
     rejected response with ABORT before it says BYE. Refuses a plain ``cfg``."""
     _check_encrypted(cfg)
     ctx = context_create(cfg.backend)
-    verifier = build_verifier(cfg) if cfg.scenario == "verified_attack" else None
+    verifier = build_verifier(cfg)
     with socket.create_connection(connect) as sock:
         send_frame(sock, MSG_HELLO, json.dumps(cfg.document).encode())
 

@@ -238,8 +238,11 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
 
-def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext":
-    """Verifier over the lifted controller block: h(w) = K_aug w."""
+def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext | None":
+    """Verifier over the lifted controller block, h(w) = K_aug w, in a
+    ``verified_attack`` scenario; ``None`` in any other."""
+    if cfg.scenario != "verified_attack":
+        return None
     K_aug = verify.lift_affine(-cfg.controller.K)
     return verify.setup(cfg.backend.slot_count, K_aug, cfg.expansion, cfg.num_challenges,
                         threshold=cfg.threshold, noise_std=cfg.backend.noise_std,
@@ -271,7 +274,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     """Execute one scenario in-process. Returns the trace and the exit code
     (0 completed, 3 verification tripped)."""
     ctx = context_create(cfg.backend) if cfg.mode == "encrypted" else None
-    verifier = build_verifier(cfg) if cfg.scenario == "verified_attack" else None
+    verifier = build_verifier(cfg)
     pub = (public_context(cfg.backend) if ctx is not None and cfg.attack_plan is not None
            else None)
     attacker = build_attacker(cfg, pub)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .backend import BackendConfig, context_create, hom_add, pad_slots
+from .backend import MAX_SLOTS, BackendConfig, context_create, hom_add, pad_slots
 from .linalg import enc_matvec, encrypt_matrix, next_pow2, wrapped_diagonals
 
 __all__ = [
@@ -111,7 +111,7 @@ class DecodeOutcome:
 
 
 CHALLENGE_RANGE = 10.0  # challenge inputs are drawn uniformly from [-10, 10)
-FULL_MODE_SLOTS = 1 << 16  # most slots full mode packs into a ciphertext: bounds its memory
+FULL_MODE_SLOTS = MAX_SLOTS  # most slots full mode packs into a ciphertext: bounds its memory
 
 
 def check_params(expansion: int, num_challenges: int = 1, threshold: float = 1e-9):
@@ -236,21 +236,14 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
     (``_eps``): a challenge passes within it in the infinity norm, and each
     replica within twice it of the first, as honest replicas lie within it
     of h(w). The outcome records the threshold, each challenge block's
-    deviation and the replicas' spread, accepted or not. Up to
-    ``SCALAR_MAX`` slots the checks run on Python scalars, and through
-    ``_decode`` above, with the same outcome and draws."""
+    deviation and the replicas' spread, accepted or not. The checks run on
+    Python scalars (``_decode_one``), with ``_decode``'s outcome and draws."""
     z_tilde = np.asarray(z_tilde, dtype=float).ravel()
     lam, d = ctx.expansion, ctx.block_dim
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
     eps = tag.eps
-    if lam * d <= SCALAR_MAX:
-        deviation, spread, payload = _decode_one(ctx, tag, z_tilde.tolist(), eps)
-    else:
-        deviation, spread, accepted, payload = _decode(
-            ctx, tag.perm, tag.challenge_indices, z_tilde, eps)
-        deviation, spread = deviation[0], float(spread[0])
-        payload = payload[0] if len(accepted) else None
+    deviation, spread, payload = _decode_one(ctx, tag, z_tilde.tolist(), eps)
     if payload is not None:
         return DecodeOutcome(eps, deviation, spread, payload=payload)
     return DecodeOutcome(eps, deviation, spread, bottom=True,
@@ -259,23 +252,9 @@ def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
 
 # -- one step on Python scalars ---------------------------------------------------
 # A loop step encodes and decodes a few dozen numbers, for which a numpy
-# call's fixed cost outweighs its arithmetic. ecd, and dcd up to SCALAR_MAX
-# encoded slots (lambda*d), run the batch core's one-row case on Python
-# scalars, with the same draws in the same order and the same outcome, bit
-# for bit; wider decodes and every batch go through _encode and _decode.
-# Measured on a 2-vCPU x86-64 VM (numpy 2.4, one pinned vCPU), scalar
-# against array plan per call, the array dcd including the np.errstate with
-# which _decode takes a forged infinity silently (about 1 us): dcd 7.8
-# against 15.8 us at lambda = 4, d = 4 (16 slots), 10.1 against 16.6 at
-# lambda = 8, d = 4 (32), 15.8 against 16.9 at lambda = 16, d = 4 (64, the
-# widest workload's) and 26.3 against 17.5 at lambda = 32, d = 4 (128). Its
-# Python loop costs about half a microsecond per block, so narrow blocks are
-# slower: at 64 slots 21.8 against 17.5 with d = 2, and at 32 slots 20.0
-# against 15.9 with d = 1; no workload's lifted block is that narrow. ecd:
-# 7.5 against 9.6 at 16 slots and 10.5 against 13.0 at 64; above that the
-# batch core is up to 2 us faster (17.6 against 16.9 at 128, 19.0 against
-# 17.0 at 256), and no workload encodes that wide.
-SCALAR_MAX = 64
+# call's fixed cost outweighs its arithmetic. ecd and dcd run the batch core's
+# one-row case on Python scalars, with the same draws in the same order and
+# the same outcome, bit for bit; every batch goes through _encode and _decode.
 
 
 def _encode_one(ctx: VerifierContext, w: np.ndarray):
@@ -331,13 +310,12 @@ def _decode_one(ctx: VerifierContext, tag: PermutationTag, z: list, eps: float):
 
 
 # -- the batch core: encoding and decoding for B steps at once -------------------
-# dcd above SCALAR_MAX slots is its one-row case; full-mode Monte
-# Carlo packs B trials into one ciphertext through it. A batch draws each kind
-# of value for all rows at once, in the one-step order (challenge indices,
-# permutations, then replica picks), so one row draws the one-step stream
-# exactly: integers(0, M, size=k) is the stream of k scalar integers(0, M).
-# Where an array call's fixed cost would dominate (a draw or two, one row),
-# the scalar calls are made instead.
+# Full-mode Monte Carlo packs B trials into one ciphertext through it. A batch
+# draws each kind of value for all rows at once, in the one-step order
+# (challenge indices, permutations, then replica picks), so one row draws the
+# one-step stream exactly: integers(0, M, size=k) is the stream of k scalar
+# integers(0, M). Where an array call's fixed cost would dominate (a draw or
+# two, one row), the scalar calls are made instead.
 
 def _permutations(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """A (rows, n) array whose row r is a uniform permutation of r*n ..
@@ -378,11 +356,10 @@ def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
     """Check ``rows`` responses ``z`` (rows, lambda*d) encoded with the flat
     permutations ``perm`` and challenge ``indices`` against threshold
     ``eps``: a row passes when every challenge block is within ``eps`` of its
-    reference and every payload replica within 2 ``eps`` of the first. One
-    row may come as ``ecd``'s tag and ``dcd``'s response, without the row
-    axis. Returns each challenge block's deviation (rows, lambda/2), each
-    row's replica spread (rows,), the rows that passed, and one payload
-    replica of each of them, drawn uniformly at random (accepted rows, d)."""
+    reference and every payload replica within 2 ``eps`` of the first.
+    Returns each challenge block's deviation (rows, lambda/2), each row's
+    replica spread (rows,), the rows that passed, and one payload replica of
+    each of them, drawn uniformly at random (accepted rows, d)."""
     lam, d = ctx.expansion, ctx.block_dim
     half, rows = lam // 2, perm.size // lam
     blocks = np.empty((rows * lam, d))

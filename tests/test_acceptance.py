@@ -30,6 +30,7 @@ from encloop.backend import (
     DepthExhausted,
     context_create,
     pad_slots,
+    public_context,
     serialize_ciphertext,
 )
 from encloop.control import (
@@ -117,7 +118,7 @@ def test_criterion_03_covert_attack_stealthiness():
                               attacker=plain_att)
 
     ctx = context_create(BackendConfig(slot_count=8, max_depth=16, seed=5))
-    pub = ctx.public_context()
+    pub = public_context(ctx.config)
     enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                              enc_model=build_enc_model(pub, model))
     t_enc = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
@@ -260,7 +261,7 @@ def test_criterion_08_depth_budget_fidelity():
 
     # the recursion costs one multiplicative level per step
     ctx3 = context_create(BackendConfig(slot_count=8, max_depth=3, seed=8))
-    pub3 = ctx3.public_context()
+    pub3 = public_context(ctx3.config)
     enc3 = build_enc_model(pub3, model)
     dx = pub3.encrypt(np.zeros(8))
     a_u = pub3.encrypt(pad_slots([2.0, 2.0], 8))
@@ -278,7 +279,7 @@ def test_criterion_08_depth_budget_fidelity():
 
     # ... while a budget of 12 fits the whole attack, cooldown included
     ctx12 = context_create(BackendConfig(slot_count=8, max_depth=12, seed=8))
-    pub12 = ctx12.public_context()
+    pub12 = public_context(ctx12.config)
     att12 = CovertAttacker(model, step_plan(), ctx=pub12,
                            enc_model=build_enc_model(pub12, model))
     trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,

@@ -13,7 +13,8 @@ from encloop.attack import (
     cooldown_inputs_encrypted,
     delta_step_encrypted,
 )
-from encloop.backend import BackendConfig, DepthExhausted, context_create, pad_slots
+from encloop.backend import (BackendConfig, DepthExhausted, context_create, pad_slots,
+                             public_context)
 from encloop.control import (
     TANK_X0,
     LtiModel,
@@ -157,7 +158,7 @@ class TestCooldown:
 class TestEncryptedModel:
     def test_delta_step_matches_plain(self, model):
         ctx = make_ctx()
-        enc = build_enc_model(ctx.public_context(), model)
+        enc = build_enc_model(public_context(ctx.config), model)
         rng = np.random.default_rng(3)
         dx = rng.uniform(-1, 1, 4)
         a_u = rng.uniform(-1, 1, 2)
@@ -168,7 +169,7 @@ class TestEncryptedModel:
 
     def test_cooldown_matches_plain(self, model):
         ctx = make_ctx()
-        enc = build_enc_model(ctx.public_context(), model)
+        enc = build_enc_model(public_context(ctx.config), model)
         rng = np.random.default_rng(4)
         dx = rng.uniform(-1, 1, 4)
         ref = cooldown_inputs(model, dx)
@@ -182,7 +183,7 @@ class TestEncryptedModel:
         lifted block (``verify.measurement_offset``), so that C dx lands on
         the measurement; it stores C's one wrapped diagonal."""
         ctx = make_ctx()
-        enc = build_enc_model(ctx.public_context(), model)
+        enc = build_enc_model(public_context(ctx.config), model)
         start = verify.measurement_offset(model.m)
         want = np.zeros((8, 8))
         want[start:start + model.p, :model.n] = model.C
@@ -196,7 +197,7 @@ class TestEncryptedModel:
         one matvec costs one multiply and one rotation per diagonal, plus
         n - 1 block rotations. The first input is the matvec output itself."""
         ctx = context_create(BackendConfig(slot_count=64, seed=3))
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         enc = build_enc_model(pub, model)
         want = cooldown_gain(model)
         M = enc.cooldown_matrix
@@ -249,7 +250,7 @@ class TestCooldownLength:
                           cooldown_len=cooldown_len)
         with pytest.raises(ValueError, match="cooldown_len must equal the state "
                                              f"dimension 4, got {cooldown_len}"):
-            ATTACKERS[kind](model, plan, make_ctx().public_context())
+            ATTACKERS[kind](model, plan, public_context(make_ctx().config))
 
 
 class TestSplice:
@@ -267,7 +268,7 @@ class TestSplice:
     @pytest.mark.parametrize("kind", sorted(ATTACKERS))
     def test_encrypted_channel_public_context_only(self, model, kind):
         ctx = make_ctx()
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         assert not pub.has_secret_key
         attacker = ATTACKERS[kind](model, step_plan(), pub)
         base = np.arange(8.0)
@@ -294,7 +295,7 @@ class TestSplice:
 
     def test_plain_model_never_encrypts(self, model, ctrl):
         ctx = make_ctx()
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         start = op_totals(ctx)
         run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, ctx=ctx)
         clean = spent_ops((ctx,), start)
@@ -308,7 +309,7 @@ class TestSplice:
 
     def test_encrypted_model_one_enc_per_active_step(self, model):
         ctx = make_ctx()
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         enc = build_enc_model(pub, model)
         attacker = CovertAttacker(model, step_plan(), ctx=pub, enc_model=enc)
         # C dx for the measurement, A dx and B a_u for the next state: each
@@ -329,7 +330,7 @@ class TestSplice:
         # an empty schedule keeps dx at zero: every splice is skipped, so
         # no op runs and no guess is drawn
         ctx = make_ctx()
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         rng = np.random.default_rng(5)
         attacker = GuessingAttacker(model, AttackPlan(schedule={}, length=10, cooldown_len=4),
                                     pub, expansion=2, rng=rng)
@@ -382,7 +383,7 @@ class TestCovertAttackClosedLoop:
         t_plain = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                   attacker=plain_att)
         ctx = make_ctx(max_depth=32)
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         t_enc = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
@@ -397,7 +398,7 @@ class TestCovertAttackClosedLoop:
         # of 3 dies at loop step k = 2, where the controller's product with
         # the spliced measurement would sit at level 4
         ctx = make_ctx(max_depth=3)
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         with pytest.raises(DepthExhausted):
             enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                      enc_model=build_enc_model(pub, model))
@@ -406,7 +407,7 @@ class TestCovertAttackClosedLoop:
 
     def test_encrypted_variant_fits_depth_twelve(self, model, ctrl):
         ctx = make_ctx(max_depth=12)
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,

@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 
 from encloop.backend import (
+    MAX_SLOTS,
     BackendConfig,
     DepthExhausted,
     DotTerms,
-    KeyContext,
     KeyMismatch,
     ciphertext_blob_size,
     context_create,
@@ -43,7 +43,11 @@ class TestConfig:
 
     def test_case_study_scale(self):
         ctx = context_create(BackendConfig(slot_count=65536, max_depth=16, seed=42))
-        assert ctx.config.slot_count == 2 ** 16
+        assert ctx.config.slot_count == 2 ** 16 == MAX_SLOTS
+
+    def test_slot_count_over_the_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS}, got {2 ** 17}"):
+            BackendConfig(slot_count=2 ** 17)
 
     def test_bad_depth_and_noise(self):
         with pytest.raises(ValueError):
@@ -243,7 +247,7 @@ class TestNoiseAccounting:
         """A public context, and a context created with a ``stream`` tag,
         build default_rng([seed, tag]) at their first draw, not before."""
         ctx = make_ctx(noise_std=1e-3, seed=11)
-        for other, tag in ((ctx.public_context(), 0x5EC0), (public_context(ctx.config), 0x5EC0),
+        for other, tag in ((public_context(ctx.config), 0x5EC0),
                            (context_create(ctx.config, stream=7), 7)):
             assert other.key_id == ctx.key_id and other._rng is None
             other.encrypt(np.zeros(8))
@@ -262,14 +266,6 @@ class TestNoiseAccounting:
         with pytest.raises(KeyMismatch, match="no secret key"):
             pub.decrypt(c)
         assert np.array_equal(ctx.decrypt(c), np.ones(8))
-
-    def test_public_context_keeps_its_key(self):
-        """A context's public view carries the context's own key tag, not
-        the one its config's seed derives."""
-        ctx = KeyContext(make_ctx(seed=11).config, key_id=12345)
-        pub = ctx.public_context()
-        assert (pub.key_id, pub.stream, pub.has_secret_key) == (12345, 0x5EC0, False)
-        assert np.array_equal(ctx.decrypt(pub.encrypt(np.ones(8))), np.ones(8))
 
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its
@@ -332,7 +328,7 @@ def dot_operands(seed, noise_std, slot_count=16, max_depth=8):
     Deterministic in its arguments."""
     rng = np.random.default_rng(seed)
     ctx = make_ctx(slot_count=slot_count, noise_std=noise_std, max_depth=max_depth, seed=5)
-    contexts = (ctx, ctx.public_context())
+    contexts = (ctx, public_context(ctx.config))
 
     def cipher():
         c = contexts[rng.integers(2)].encrypt(rng.normal(size=slot_count))
@@ -426,7 +422,7 @@ class TestMalleability:
     def test_public_party_shifts_plaintext(self):
         # holder of the public context alone turns [[m]] into [[m + a]]
         ctx = make_ctx()
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         m = np.arange(8.0)
         a = np.full(8, 2.5)
         c = ctx.encrypt(m)

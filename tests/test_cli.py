@@ -233,7 +233,9 @@ class TestMontecarlo:
         (["--lambda", "4", "--trials", "0"], "need at least one trial"),
         (["--lambda", "4", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["--lambda", "4", "--seed", "-1", "--mode", "full"],
-         "seed must be non-negative, got -1")])
+         "seed must be non-negative, got -1"),
+        (["--lambda", "131072", "--mode", "full"],
+         "slot_count must be at most 65536, got 131072")])
     def test_bad_inputs_exit_one(self, args, message, capsys):
         assert main(["montecarlo", "--trials", "10", *args]) == 1
         captured = capsys.readouterr()

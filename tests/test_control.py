@@ -5,7 +5,7 @@ import pytest
 
 from encloop import verify
 from encloop.attack import AttackPlan, CovertAttacker
-from encloop.backend import BackendConfig, context_create, hom_add, pad_slots
+from encloop.backend import BackendConfig, context_create, hom_add, pad_slots, public_context
 from encloop.control import (
     TANK_X0,
     TANK_XREF,
@@ -118,7 +118,7 @@ class TestControllerEncrypted:
 
     def test_tampering_shifts_by_gain(self, model, ctrl):
         ctx = make_ctx()
-        pub = ctx.public_context()
+        pub = public_context(ctx.config)
         enc_ctrl = encrypt_controller(ctx, ctrl)
         y = np.array([0.4, -0.2])
         delta = np.array([0.3, 0.1])

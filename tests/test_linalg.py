@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from encloop.backend import (GATHER_MAX, GATHER_WIDTH, BackendConfig, DepthExhausted, DotTerms,
+from encloop.backend import (GATHER_MAX, BackendConfig, DepthExhausted, DotTerms,
                              KeyMismatch, context_create, hom_add, hom_mul, pad_slots, rotate)
 from encloop.control import quadruple_tank
 from encloop.linalg import (
@@ -294,8 +294,8 @@ class TestMatVec:
 
 class TestCachedMatVec:
     """The first product caches a matrix's terms; every later one reuses them.
-    Its T >= 2 terms over n slots gather at T * n <= GATHER_MAX and
-    n <= GATHER_WIDTH * (T - 1)^2, and multiply slice by slice otherwise."""
+    Its T >= 2 terms over n slots gather at T * n <= GATHER_MAX, and
+    multiply slice by slice otherwise."""
 
     @staticmethod
     def banded(n, noise_std=0.0, seed=21):
@@ -309,8 +309,8 @@ class TestCachedMatVec:
     @pytest.mark.parametrize("n, T, gather", [
         (64, 4, True), (1024, 4, False), (2 ** 16, 4, False),
         (GATHER_MAX // 4, 4, True), (GATHER_MAX // 4, 5, False),
-        (GATHER_MAX // 2, 2, False), (GATHER_WIDTH, 2, True), (2 * GATHER_WIDTH, 2, False),
-        (4 * GATHER_WIDTH, 3, True), (8 * GATHER_WIDTH, 3, False),
+        (GATHER_MAX // 2, 2, True), (GATHER_MAX // 16, 2, True), (GATHER_MAX // 8, 2, True),
+        (GATHER_MAX // 4, 3, True), (GATHER_MAX // 2, 3, False),
         (GATHER_MAX, 1, False), (64, 1, False)])
     def test_plan_by_size(self, n, T, gather):
         """Only the chosen plan is built; one term keeps its one multiply."""

@@ -10,7 +10,9 @@ import pytest
 
 from encloop import control, netloop
 from encloop.backend import (
+    MAX_SLOTS,
     BackendConfig,
+    ciphertext_blob_size,
     context_create,
     deserialize_ciphertext,
     serialize_ciphertext,
@@ -18,6 +20,7 @@ from encloop.backend import (
 from encloop.control import CONTROLLER_STREAM
 from encloop.netloop import (
     HELLO_MAX_PAYLOAD,
+    MAX_PAYLOAD,
     MSG_BYE,
     MSG_ENC_U,
     MSG_ENC_Y,
@@ -188,9 +191,11 @@ class TestFraming:
                 recv_frame(b)
 
     def test_huge_declared_length_rejected(self, monkeypatch):
-        """A 2^32 - 1 length is refused from the header alone, before a
-        payload buffer is allocated (the guard keeps a regression from
-        allocating 4 GiB)."""
+        """Under the default limit, the largest legitimate frame (a HELLO, or
+        one ciphertext of ``MAX_SLOTS`` slots: 1 MiB), a 2^31 or 2^32 - 1
+        length is refused from the header alone, before a payload buffer is
+        allocated (the guard keeps a regression from allocating 2 or 4 GiB)."""
+        assert MAX_PAYLOAD == max(HELLO_MAX_PAYLOAD, ciphertext_blob_size(MAX_SLOTS)) == 2 ** 20
         read = netloop._recv_exact
 
         def header_only(sock, n):
@@ -201,9 +206,10 @@ class TestFraming:
         a, b = socket.socketpair()
         with a, b:
             b.settimeout(5)
-            a.sendall(struct.pack("<IB", 2 ** 32 - 1, MSG_ENC_Y))
-            with pytest.raises(FrameError, match="exceeds the limit"):
-                recv_frame(b)
+            for length in (2 ** 31, 2 ** 32 - 1):
+                a.sendall(struct.pack("<IB", length, MSG_ENC_Y))
+                with pytest.raises(FrameError, match="exceeds the limit"):
+                    recv_frame(b)
 
     def test_enc_frame_over_one_ciphertext_rejected(self):
         n = 64
@@ -403,6 +409,36 @@ class TestRoleFrameLimits:
         assert "exceeds the limit" in box["result"]["error"]
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
+
+    def test_plant_refuses_oversized_control_frame(self, monkeypatch):
+        """The plant reads its control frames under the default limit: a
+        controller that answers with a 2^31-byte ENC_U header ends the run
+        with a ``FrameError``, and no 2^31-byte buffer is requested."""
+        requested = []
+        read = netloop._recv_exact
+
+        def spy(sock, n):
+            requested.append(n)
+            return read(sock, n)
+
+        monkeypatch.setattr(netloop, "_recv_exact", spy)
+        with socket.create_server((HOST, 0)) as srv:
+            def controller():
+                conn, _ = srv.accept()
+                with conn:
+                    conn.settimeout(10)
+                    kinds = [recv_frame(conn)[0] for _ in range(2)]
+                    conn.sendall(struct.pack("<IB", 2 ** 31, MSG_ENC_U))
+                    conn.recv(1)  # until the plant hangs up
+                return kinds
+
+            t, box = start_thread(controller)
+            with pytest.raises(FrameError, match="exceeds the limit"):
+                run_plant(srv.getsockname(), baseline_cfg())
+            t.join(10)
+        assert not t.is_alive()
+        assert box["result"] == [MSG_HELLO, MSG_ENC_Y]
+        assert 2 ** 31 not in requested and max(requested) <= MAX_PAYLOAD
 
 
 class TestPlainModeRefused:

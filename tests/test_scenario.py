@@ -7,7 +7,7 @@ import pytest
 
 from encloop import verify
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
-from encloop.backend import BackendConfig, DepthExhausted, context_create
+from encloop.backend import BackendConfig, DepthExhausted, context_create, public_context
 from encloop.control import (
     CONTROLLER_STREAM,
     AffineController,
@@ -250,7 +250,8 @@ class TestMalformedValues:
         ("attack", {"attack": {"a_u": [1], "length": 10}}),
         ("attack", {"attack": {"a_u": {"x": [1.0, 1.0]}, "length": 10}}),
         ("attack", {"attack": [1]}),
-        ("model", {"model": {"A": None, "B": [[1.0]], "C": [[1.0]]}})])
+        ("model", {"model": {"A": None, "B": [[1.0]], "C": [[1.0]]}}),
+        ("backend", {"backend": {"slot_count": 2 ** 17}})])
     def test_named_config_error(self, section, extra):
         raw = minimal("attack_plain", **extra)
         with pytest.raises(ConfigError) as exc:
@@ -363,7 +364,7 @@ class TestDepthBudget:
         ctx = context_create(dataclasses.replace(cfg.backend, max_depth=need - 1))
         with pytest.raises(DepthExhausted):
             run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
-                            attacker=build_attacker(cfg, ctx.public_context()),
+                            attacker=build_attacker(cfg, public_context(ctx.config)),
                             ctx=ctx, pre_roll=cfg.pre_roll)
 
 
@@ -389,7 +390,7 @@ class TestRunScenario:
         ("verified_attack", GuessingAttacker, False)])
     def test_kind_alone_picks_the_attacker(self, scenario, kind, encrypted_model):
         cfg = ScenarioConfig.from_dict(minimal(scenario, mode="encrypted"))
-        pub = context_create(BackendConfig(slot_count=64)).public_context()
+        pub = public_context(BackendConfig(slot_count=64))
         attacker = build_attacker(cfg, pub)
         assert type(attacker) is kind
         assert (attacker.enc_model is not None) == encrypted_model
@@ -413,12 +414,12 @@ class TestRunScenario:
         runs = []
         for attached in (False, True):
             ctx = context_create(cfg.backend) if mode == "encrypted" else None
-            pub = ctx.public_context() if ctx is not None else None
+            pub = public_context(ctx.config) if ctx is not None else None
             attacker = build_attacker(cfg, pub)
             assert attacker is None
             if attached:
                 attacker = attackers[scenario](pub)
-            verifier = build_verifier(cfg) if scenario == "verified_attack" else None
+            verifier = build_verifier(cfg)
             trace = run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                     attacker=attacker, ctx=ctx, pre_roll=cfg.pre_roll,
                                     verifier=verifier)
@@ -428,6 +429,18 @@ class TestRunScenario:
         for name in ("k", "x", "u", "y", "u_c", "y_c"):
             assert np.array_equal(getattr(t0, name), getattr(t1, name))
         assert (ops0, pub0) == (ops1, pub1)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_verifier_only_when_verified(self, scenario):
+        """``build_verifier`` builds the lifted controller's verifier for a
+        ``verified_attack`` config and nothing for any other kind."""
+        cfg = ScenarioConfig.from_dict(minimal(scenario, mode="encrypted"))
+        verifier = build_verifier(cfg)
+        if scenario == "verified_attack":
+            assert verifier.expansion == cfg.expansion
+            assert np.array_equal(verifier.h, verify.lift_affine(-cfg.controller.K))
+        else:
+            assert verifier is None
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_noiseless_run_builds_no_noise_generator(self, scenario, contexts):

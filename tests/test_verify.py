@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from encloop import verify
-from encloop.backend import BackendConfig, context_create, hom_add, pad_slots
+from encloop.backend import BackendConfig, context_create, hom_add, pad_slots, public_context
 from encloop.control import (
     TANK_X0,
     AffineController,
@@ -280,20 +280,15 @@ class TestEncodeDecode:
 
 
 class TestOneRowDecode:
-    """``ecd`` runs one step on Python scalars at every width, and ``dcd``
-    up to ``verify.SCALAR_MAX`` encoded slots and through the batch core
-    above it; the (lambda, d) grid hits both of ``dcd``'s plans, and neither
-    warns, not even of a forged infinity."""
+    """``ecd`` and ``dcd`` run one step on Python scalars at every width, as
+    the batch core's one-row case, over a (lambda, d) grid up to 128 encoded
+    slots; neither warns, not even of a forged infinity."""
 
     LAMBDAS, DIMS = [2, 4, 6, 8, 16, 32], [1, 4]
     # what row r of a response batch carries, in order: +1, NaN, +inf or -inf
     # in one slot of a replica or of a challenge block
     KINDS = ["honest", "noisy"] + [f"{value} {where}" for value in ("+1", "nan", "+inf", "-inf")
                                    for where in ("replica", "challenge")]
-
-    def test_the_grid_spans_the_width_bound(self):
-        widths = [lam * d for lam in self.LAMBDAS for d in self.DIMS]
-        assert min(widths) <= verify.SCALAR_MAX < max(widths)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("d", DIMS)
@@ -775,7 +770,7 @@ class TestVerifiedClosedLoop:
             vctx = setup(64, lift_affine(-ctrl.K), lam, num_challenges=8, seed=lam)
             trace = run_closed_loop(model, ctrl, TANK_X0, 10, pre_roll=3, ctx=ctx,
                                     verifier=vctx,
-                                    attacker=OneBlockAttacker(ctx.public_context(), d, j))
+                                    attacker=OneBlockAttacker(public_context(ctx.config), d, j))
             assert trace.verdict == ["ok"] * 3 + ["bottom"] and trace.k[-1] == 0
             tag, outcome = decodes[-1]
             block = int(tag.perm[j])  # the pre-shuffle block at position j
@@ -806,7 +801,7 @@ class TestVerifiedClosedLoop:
         vctx = setup(64, K_aug, 8, num_challenges=8, seed=12)
         plan = AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
                           length=10, cooldown_len=4)
-        attacker = GuessingAttacker(model, plan, ctx.public_context(), 8,
+        attacker = GuessingAttacker(model, plan, public_context(ctx.config), 8,
                                     np.random.default_rng(12))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                 ctx=ctx, verifier=vctx,
@@ -824,6 +819,6 @@ class TestVerifiedClosedLoop:
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=13))
         vctx = setup(64, lift_affine(-ctrl.K), 4, num_challenges=8, seed=13)
         trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=5, ctx=ctx,
-                                verifier=vctx, attacker=trailer_forger(ctx.public_context()))
+                                verifier=vctx, attacker=trailer_forger(public_context(ctx.config)))
         assert trace.verdict == ["ok"] * 5 + ["bottom"]
         assert trace.k[-1] == 0
