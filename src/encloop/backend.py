@@ -305,7 +305,10 @@ class DotTerms:
         n = ctx.config.slot_count
         T = len(coeffs)
         self.level = max([a.level for a in coeffs]) + 1
-        self.coeff_ctxs = [a._ctx for a in coeffs]  # each product counts on a_t's
+        self.terms = T
+        # each product counts on a_t's context; None when every a_t is ctx's
+        ctxs = [a._ctx for a in coeffs]
+        self.coeff_ctxs = None if ctxs.count(ctx) == T else ctxs
         shifts = [s % n for s in shifts]
         self.gather = T > 1 and T * n <= GATHER_MAX
         if self.gather:
@@ -342,10 +345,13 @@ class DotTerms:
                     np.multiply(a_tail, bs[:s], out=tmp_tail)
                 out += self.tmp
         result = _result(ctx, out, max(self.level, b.level + 1), self.noise_scale)
-        T = len(self.coeff_ctxs)
+        T = self.terms
         b._ctx.op_counts["rot"] += T
-        for c in self.coeff_ctxs:
-            c.op_counts["mul"] += 1
+        if self.coeff_ctxs is None:
+            ctx.op_counts["mul"] += T
+        else:
+            for c in self.coeff_ctxs:
+                c.op_counts["mul"] += 1
         ctx.op_counts["add"] += T - 1
         return result
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify
-from .backend import BackendConfig, KeyContext, context_create, hand_over, pad_slots
+from .backend import BackendConfig, KeyContext, context_create, hand_over
 from .linalg import DiagMatrixCipher, enc_matvec, encrypt_matrix
 
 __all__ = [
@@ -160,7 +160,10 @@ def controller_eval_encrypted(enc_ctrl: DiagMatrixCipher, y_cipher):
 @dataclass
 class SimTrace:
     """Per-step record of the loop; channel values on both sides of the
-    (possibly attacked) links."""
+    (possibly attacked) links. ``append`` stores float arrays as given, without
+    a copy: the trace owns them, so a caller hands over arrays it no longer
+    writes, and copies a small slice of a wide array rather than keep the
+    whole array alive. Other values (lists) are converted."""
 
     k: list[int] = field(default_factory=list)
     x: list[np.ndarray] = field(default_factory=list)
@@ -172,11 +175,12 @@ class SimTrace:
 
     def append(self, k, x, u, y, u_c, y_c, verdict="n/a"):
         self.k.append(int(k))
-        self.x.append(np.array(x, dtype=float))
-        self.u.append(np.array(u, dtype=float))
-        self.y.append(np.array(y, dtype=float))
-        self.u_c.append(np.array(u_c, dtype=float))
-        self.y_c.append(np.array(y_c, dtype=float))
+        # the dtype by position: numpy takes it faster than the keyword
+        self.x.append(np.asarray(x, float))
+        self.u.append(np.asarray(u, float))
+        self.y.append(np.asarray(y, float))
+        self.u_c.append(np.asarray(u_c, float))
+        self.y_c.append(np.asarray(y_c, float))
         self.verdict.append(verdict)
 
     def __len__(self):
@@ -236,8 +240,9 @@ def controller_role(config: BackendConfig, ctrl: AffineController, expansion: in
         u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
         if expansion > 1:
             return u_cipher, None, None
-        return (u_cipher, ctx.decrypt(y_cipher)[start: start + p],
-                ctx.decrypt(u_cipher)[:m])
+        # copies, not views that keep the slot-width decrypts alive
+        return (u_cipher, ctx.decrypt(y_cipher)[start: start + p].copy(),
+                ctx.decrypt(u_cipher)[:m].copy())
     return ctx, serve
 
 
@@ -278,6 +283,8 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
     controller that is not ``model.m`` x ``model.p``, a ``verifier`` or
     ``link`` without ``ctx``, and an attacker without a context (``ctx``
     attribute) on an encrypted channel raise ``ValueError`` before step 0.
+    A step allocates only the arrays it hands on, and the trace keeps them
+    (``SimTrace``).
     """
     check_controller(model, ctrl)
     if ctx is None:
@@ -295,6 +302,18 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
                                     attacker)
         elif attacker is not None:
             raise ValueError("an attacker tampers on the in-process link only")
+        # One plaintext buffer serves the run, as ``ctx.encrypt`` copies it.
+        # The lifted block (the buffer's head, or the verifier's input) holds
+        # u0 from here on, and a step writes only y into it; with a verifier,
+        # ``ecd``'s encoding of the block goes to the buffer's head.
+        slots = np.zeros(ctx.config.slot_count)
+        if verifier is None:
+            block = slots[:block_dim]
+        else:
+            block, head = np.empty(block_dim), slots[: verifier.encoded_dim]
+        block[:] = verify.lifted_input(np.zeros(model.p), ctrl.u0, block_dim)
+        start = verify.measurement_offset(model.m)
+        measured = block[start: start + model.p]
 
     x = np.asarray(x0, dtype=float).ravel().copy()
     trace = SimTrace()
@@ -307,18 +326,16 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
             u_c = controller_eval_plain(ctrl, y_c)
             u = attacker.tamper_control(k, u_c) if attacker is not None else u_c
         else:
+            measured[:] = y
             if verifier is None:
-                # the lifted block, zero-padded straight to the slot count
-                slots = verify.lifted_input(y, ctrl.u0, ctx.config.slot_count)
                 tag = None
             else:
-                w, tag = verify.ecd(verifier, verify.lifted_input(y, ctrl.u0, block_dim))
-                slots = pad_slots(w, ctx.config.slot_count)
-            y_cipher = ctx.encrypt(slots)
-            u_cipher, y_c, u_c = link(k, y_cipher)
+                w, tag = verify.ecd(verifier, block)
+                head[:] = w
+            u_cipher, y_c, u_c = link(k, ctx.encrypt(slots))
             z = ctx.decrypt(u_cipher)
             if verifier is None:
-                u = z[: model.m]
+                u = z[: model.m].copy()  # not a view that keeps z alive
             else:
                 outcome = verify.dcd(verifier, tag, z[: verifier.encoded_dim])
                 if outcome.bottom:
@@ -331,5 +348,6 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
         trace.append(k, x, u, y, u_c, y_c, verdict)
         if verdict == "bottom":
             break
-        x = model.A @ x + model.B @ u
+        x = model.A @ x
+        x += model.B @ u
     return trace

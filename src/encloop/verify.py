@@ -267,11 +267,13 @@ def _encode_one(ctx: VerifierContext, w: np.ndarray):
         indices = np.array([int(rng.integers(0, m)) for _ in range(half)])
     else:
         indices = rng.integers(0, m, size=half)
-    perm = rng.permutation(lam)
+    # a list shuffled in place draws the stream of rng.permutation(lam), cheaper
+    perm = list(range(lam))
+    rng.shuffle(perm)
     source = [m] * half + indices.tolist()
     table = ctx.table
     table[m] = w
-    return table.take([source[p] for p in perm.tolist()], axis=0).ravel(), perm, indices
+    return table.take([source[p] for p in perm], axis=0).ravel(), np.array(perm), indices
 
 
 def _decode_one(ctx: VerifierContext, tag: PermutationTag, z: list, eps: float):

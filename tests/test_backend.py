@@ -75,6 +75,20 @@ class TestEncryptDecrypt:
         m = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(ctx.decrypt(ctx.encrypt(m)), m)
 
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+    def test_encrypt_takes_its_own_copy(self, noise_std):
+        """The caller keeps its plaintext: encrypting neither writes to it
+        (the noise goes to the copy) nor shares it, so a later write to it
+        leaves the ciphertext as it was."""
+        ctx = make_ctx(noise_std=noise_std, seed=3)
+        m = np.arange(8.0)
+        c = ctx.encrypt(m)
+        assert np.array_equal(m, np.arange(8.0))
+        before = ctx.decrypt(c)
+        assert np.array_equal(before, m) == (noise_std == 0)
+        m[:] = -1.0
+        assert np.array_equal(ctx.decrypt(c), before)
+
     def test_length_mismatch(self):
         ctx = make_ctx()
         with pytest.raises(ValueError):

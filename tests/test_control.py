@@ -206,6 +206,29 @@ class TestClosedLoop:
 
 
 class TestTrace:
+    def test_append_keeps_float_arrays_and_converts_lists(self):
+        trace = SimTrace()
+        x, u, y = np.ones(4), np.zeros(2), np.arange(2.0)
+        trace.append(0, x, u, y, [1, 2], [3.0, 4.0])
+        assert trace.x[0] is x and trace.u[0] is u and trace.y[0] is y
+        for got, want in ((trace.u_c[0], [1.0, 2.0]), (trace.y_c[0], [3.0, 4.0])):
+            assert got.dtype == float and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("verified", [False, True], ids=["baseline", "verified"])
+    def test_trace_holds_no_slot_width_buffer(self, model, ctrl, verified):
+        """Every array a 4096-slot run records owns its data or views at most
+        one lifted block, so the trace keeps no decrypt alive: neither the
+        plant's u nor the controller's view is a slice of one."""
+        slot_count = 4096
+        verifier = (verify.setup(slot_count, verify.lift_affine(-ctrl.K), 4, 4)
+                    if verified else None)
+        trace = run_closed_loop(model, ctrl, TANK_X0, 3, pre_roll=1,
+                                ctx=make_ctx(slot_count=slot_count), verifier=verifier)
+        assert len(trace) == 4 and trace.verdict[-1] == ("ok" if verified else "n/a")
+        for fieldname in ("x", "u", "y", "u_c", "y_c"):
+            for a in getattr(trace, fieldname):
+                assert a.base is None or a.base.size <= D, fieldname
+
     def test_csv_format(self, model, ctrl, tmp_path):
         trace = run_closed_loop(model, ctrl, TANK_X0, 5, pre_roll=2)
         path = tmp_path / "trace.csv"

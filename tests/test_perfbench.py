@@ -82,5 +82,5 @@ def test_encode_draw_split_has_a_workload_each_side():
         verify.ecd(vctx, np.ones(4))
         calls[name] = vctx.rng.calls
     assert calls == {
-        "loop64": [("integers", False)] * 2 + [("permutation", False)],
-        "net_wide": [("integers", True), ("permutation", False)]}
+        "loop64": [("integers", False)] * 2 + [("shuffle", False)],
+        "net_wide": [("integers", True), ("shuffle", False)]}
