@@ -14,12 +14,19 @@ of the in-process link), the controller answers each frame with
 through the proxy is the in-process run, bit for bit, at any noise level.
 
 Frame layout (little-endian): u32 payload length, u8 message type, payload.
-A receiver checks the declared length against its limit before it allocates
-the payload: the controller and the proxy read the HELLO under
-``HELLO_MAX_PAYLOAD`` and every later frame under the size of one serialized
-ciphertext of the configured slot count (``backend.ciphertext_blob_size``;
-ABORT and BYE payloads are shorter); the plant reads under ``MAX_PAYLOAD``,
-the largest legitimate frame.
+A frame leaves in one ``sendmsg`` of header and payload (the rest is resent
+only after a partial write). Each connection is read through one
+``FrameReader``: a fixed ``READ_BUFFER``-byte buffer that a small frame (a
+64-slot ciphertext, a short HELLO) fills with one ``recv_into``, and that
+keeps the bytes of a frame read ahead (HELLO then ENC_Y, ABORT then BYE) for
+the next ``recv_frame``. A small payload is copied out of the buffer; a
+longer one goes into a fresh buffer of its length, and the reader's buffer
+never grows. A receiver checks the declared length against
+its limit before it allocates the payload: the controller and the proxy read
+the HELLO under ``HELLO_MAX_PAYLOAD`` and every later frame under the size of
+one serialized ciphertext of the configured slot count
+(``backend.ciphertext_blob_size``; ABORT and BYE payloads are shorter); the
+plant reads under ``MAX_PAYLOAD``, the largest legitimate frame.
 
 This is a simulator: all roles reconstruct the key context from the shared
 configuration, and the attacker proxy restricts itself to the public
@@ -40,7 +47,7 @@ from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifie
 
 __all__ = [
     "MSG_ENC_Y", "MSG_ENC_U", "MSG_HELLO", "MSG_BYE", "MSG_ABORT",
-    "FrameError", "send_frame", "recv_frame",
+    "FrameError", "FrameReader", "send_frame", "recv_frame",
     "run_plant", "run_controller", "run_attacker",
 ]
 
@@ -62,52 +69,109 @@ class FrameError(ValueError):
     pass
 
 
-def _frame_header(msg_type: int, length: int) -> bytes:
-    if msg_type not in _VALID_TYPES:
-        raise FrameError(f"unknown message type {msg_type:#x}")
-    if length > MAX_PAYLOAD:
-        raise FrameError("payload too large")
-    return struct.pack("<IB", length, msg_type)
+_HEADER = struct.Struct("<IB")
+# a connection's receive buffer: a 64-slot ciphertext frame (541 bytes) fits
+# it, a 2^16-slot one (512 KiB) goes into a fresh payload
+READ_BUFFER = 8192
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    """Read exactly ``n`` bytes into a fresh buffer."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        read = sock.recv_into(view[got:])
-        if not read:
-            raise ConnectionError("peer closed the connection mid-frame")
-        got += read
-    return buf
+class FrameReader:
+    """The receive side of one connection. A fixed ``READ_BUFFER``-byte
+    buffer takes whatever one ``recv_into`` returns, so a small frame costs
+    one call, and bytes read past a frame's end stay buffered for the next
+    ``recv_frame``. A payload longer than the buffer goes into a fresh
+    ``bytearray``. Every read of the connection goes through its reader."""
+
+    __slots__ = ("sock", "buf", "_view", "start", "end")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buf = bytearray(READ_BUFFER)
+        self._view = memoryview(self.buf)
+        self.start = self.end = 0  # the unread bytes are buf[start:end]
+
+    def fill(self, need: int):
+        """Read until ``buf[start:end]`` holds at least ``need`` bytes
+        (``need <= READ_BUFFER``)."""
+        start, end = self.start, self.end
+        if start == end:
+            start = end = 0
+        elif start + need > READ_BUFFER:  # move the unread bytes to the front
+            end -= start
+            self._view[:end] = self._view[start:start + end]
+            start = 0
+        while end - start < need:
+            read = self.sock.recv_into(self._view[end:] if end else self.buf)
+            if not read:
+                raise ConnectionError("peer closed the connection mid-frame")
+            end += read
+        self.start, self.end = start, end
+
+    def fresh_payload(self, length: int) -> bytearray:
+        """A payload that does not fit the buffer, starting at ``start``: the
+        buffered part is copied over and the rest read straight into it."""
+        payload = bytearray(length)
+        view = memoryview(payload)
+        got = self.end - self.start
+        view[:got] = self._view[self.start:self.end]
+        self.start = self.end = 0
+        while got < length:
+            read = self.sock.recv_into(view[got:])
+            if not read:
+                raise ConnectionError("peer closed the connection mid-frame")
+            got += read
+        return payload
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b""):
     # one write per frame: a separate header write would stall small frames
     # behind Nagle's algorithm and the peer's delayed ACK. sendmsg gathers
-    # header and payload without joining them into a copy; the loop resends
-    # whatever a partial send left over.
-    parts = [memoryview(_frame_header(msg_type, len(payload))), memoryview(payload)]
-    while parts:
-        sent = sock.sendmsg(parts)
+    # header and payload without joining them into a copy.
+    if msg_type not in _VALID_TYPES:
+        raise FrameError(f"unknown message type {msg_type:#x}")
+    size = len(payload)
+    if size > MAX_PAYLOAD:
+        raise FrameError("payload too large")
+    header = _HEADER.pack(size, msg_type)
+    sent = sock.sendmsg((header, payload))
+    if sent < 5 + size:
+        _send_rest(sock, [memoryview(header), memoryview(payload)], sent)
+
+
+def _send_rest(sock: socket.socket, parts: list[memoryview], sent: int):
+    """Resend what a partial ``sendmsg`` of ``parts`` left over."""
+    while True:
         while parts and sent >= len(parts[0]):
             sent -= len(parts.pop(0))
-        if parts:
-            parts[0] = parts[0][sent:]
+        if not parts:
+            return
+        parts[0] = parts[0][sent:]
+        sent = sock.sendmsg(parts)
 
 
-def recv_frame(sock: socket.socket, max_payload: int = MAX_PAYLOAD) -> tuple[int, bytearray]:
-    """Read one frame. Raises FrameError on an unknown type or a declared
-    length over ``max_payload``, before the payload buffer is allocated."""
-    header = _recv_exact(sock, 5)
-    length, msg_type = struct.unpack("<IB", header)
+def recv_frame(reader: FrameReader, max_payload: int = MAX_PAYLOAD) -> tuple[int, bytearray]:
+    """Read one frame through the connection's reader. Raises FrameError on
+    an unknown type or a declared length over ``max_payload``, before the
+    payload is allocated. The payload is the caller's own: a later read
+    does not change it."""
+    if reader.end - reader.start < 5:
+        reader.fill(5)
+    start = reader.start
+    length, msg_type = _HEADER.unpack_from(reader.buf, start)
     if msg_type not in _VALID_TYPES:
         raise FrameError(f"unknown message type {msg_type:#x}")
     if length > max_payload:
         raise FrameError(f"declared payload of {length} bytes exceeds the limit "
                          f"of {max_payload}")
-    return msg_type, _recv_exact(sock, length)
+    start += 5
+    reader.start = start
+    if length > READ_BUFFER:
+        return msg_type, reader.fresh_payload(length)
+    if reader.end - start < length:
+        reader.fill(length)
+        start = reader.start
+    reader.start = start + length
+    return msg_type, reader.buf[start:start + length]
 
 
 def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
@@ -126,9 +190,9 @@ def _check_encrypted(cfg: ScenarioConfig):
         raise ConfigError("mode", f"the networked loop is encrypted, got {cfg.mode!r}")
 
 
-def _recv_hello(sock: socket.socket) -> tuple[ScenarioConfig, bytes]:
+def _recv_hello(reader: FrameReader) -> tuple[ScenarioConfig, bytes]:
     """The peer's first frame: HELLO carrying the plant's config document."""
-    msg_type, payload = recv_frame(sock, HELLO_MAX_PAYLOAD)
+    msg_type, payload = recv_frame(reader, HELLO_MAX_PAYLOAD)
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO as the first frame")
     cfg = ScenarioConfig.from_dict(json.loads(payload.decode()))
@@ -147,11 +211,12 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
     ctx = context_create(cfg.backend)
     verifier = build_verifier(cfg)
     with socket.create_connection(connect) as sock:
+        reader = FrameReader(sock)
         send_frame(sock, MSG_HELLO, json.dumps(cfg.document).encode())
 
         def exchange(k, y_cipher):
             send_frame(sock, MSG_ENC_Y, serialize_ciphertext(y_cipher))
-            msg_type, payload = recv_frame(sock)
+            msg_type, payload = recv_frame(reader)
             if msg_type != MSG_ENC_U:
                 raise FrameError(f"expected control frame, got type {msg_type:#x}")
             return deserialize_ciphertext(ctx, payload), None, None
@@ -174,13 +239,14 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
     tell the payload block from a challenge."""
     result = {"y_c": [], "u_c": [], "aborted": False}
     with _accept_one(listen, ready) as conn:
+        reader = FrameReader(conn)
         try:
-            cfg, _ = _recv_hello(conn)
+            cfg, _ = _recv_hello(reader)
             expansion = cfg.expansion if cfg.scenario == "verified_attack" else 1
             ctx, serve = control.controller_role(cfg.backend, cfg.controller, expansion)
             limit = ciphertext_blob_size(cfg.backend.slot_count)
             while True:
-                msg_type, payload = recv_frame(conn, limit)
+                msg_type, payload = recv_frame(reader, limit)
                 if msg_type == MSG_BYE:
                     break
                 if msg_type == MSG_ABORT:
@@ -225,8 +291,9 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
     stats = {"relayed": 0, "tampered": 0}
     with (_accept_one(listen, ready) as plant_conn,
           socket.create_connection(upstream) as up):
+        plant_reader, up_reader = FrameReader(plant_conn), FrameReader(up)
         try:
-            cfg, payload = _recv_hello(plant_conn)
+            cfg, payload = _recv_hello(plant_reader)
             pub = public_context(cfg.backend)
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
@@ -234,7 +301,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
             limit = ciphertext_blob_size(cfg.backend.slot_count)
             k = -cfg.pre_roll
             while True:
-                msg_type, payload = recv_frame(plant_conn, limit)
+                msg_type, payload = recv_frame(plant_reader, limit)
                 if msg_type in (MSG_BYE, MSG_ABORT):
                     send_frame(up, msg_type, payload)
                     if msg_type == MSG_BYE:
@@ -248,7 +315,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
                 tamper_u = attacker.tamper_control if active else None
                 payload, modified_y = _relay_payload(pub, payload, tamper_y, k)
                 send_frame(up, MSG_ENC_Y, payload)
-                msg_type, payload = recv_frame(up, limit)
+                msg_type, payload = recv_frame(up_reader, limit)
                 if msg_type != MSG_ENC_U:
                     raise FrameError(f"unexpected upstream frame {msg_type:#x}")
                 payload, modified_u = _relay_payload(pub, payload, tamper_u, k)

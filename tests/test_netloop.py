@@ -21,11 +21,14 @@ from encloop.control import CONTROLLER_STREAM
 from encloop.netloop import (
     HELLO_MAX_PAYLOAD,
     MAX_PAYLOAD,
+    MSG_ABORT,
     MSG_BYE,
     MSG_ENC_U,
     MSG_ENC_Y,
     MSG_HELLO,
+    READ_BUFFER,
     FrameError,
+    FrameReader,
     recv_frame,
     run_attacker,
     run_controller,
@@ -33,6 +36,7 @@ from encloop.netloop import (
     send_frame,
 )
 from encloop.scenario import ConfigError, ScenarioConfig, run_scenario
+from helpers import QueuedSocket
 
 HOST = "127.0.0.1"
 
@@ -77,14 +81,30 @@ class CappedSendSocket:
 
 
 def start_thread(fn, *args, **kwargs):
+    """Run ``fn`` in a daemon thread; its return value lands in
+    ``box["result"]``, an exception it raises in ``box["raised"]``."""
     box = {}
 
     def runner():
-        box["result"] = fn(*args, **kwargs)
+        try:
+            box["result"] = fn(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            box["raised"] = exc
 
     t = threading.Thread(target=runner, daemon=True)
     t.start()
     return t, box
+
+
+def enc_frame(config):
+    """One ENC_Y frame carrying a ciphertext under the key of ``config``, a
+    ``BackendConfig``."""
+    n = config.slot_count
+    c = context_create(config).encrypt(np.random.default_rng(1).uniform(-1, 1, n))
+    return raw_frame(MSG_ENC_Y, bytes(serialize_ciphertext(c)))
+
+
+BACKEND_64 = BackendConfig(slot_count=64)
 
 
 class TestFraming:
@@ -94,14 +114,16 @@ class TestFraming:
         assert sock.data == raw_frame(MSG_ENC_Y, b"payload")
         a, b = socket.socketpair()
         with a, b:
+            b.settimeout(5)
             a.sendall(raw_frame(MSG_ENC_Y, b"payload"))
-            assert recv_frame(b) == (MSG_ENC_Y, b"payload")
+            assert recv_frame(FrameReader(b)) == (MSG_ENC_Y, b"payload")
 
     def test_empty_payload(self):
         a, b = socket.socketpair()
         with a, b:
+            b.settimeout(5)
             send_frame(a, MSG_BYE)
-            assert recv_frame(b) == (MSG_BYE, b"")
+            assert recv_frame(FrameReader(b)) == (MSG_BYE, b"")
 
     def test_layout_is_little_endian(self):
         sock = CappedSendSocket(1 << 20)
@@ -119,7 +141,7 @@ class TestFraming:
             b.settimeout(5)
             a.sendall(bytes([0, 0, 0, 0, 0x7F]))
             with pytest.raises(FrameError, match="unknown message type"):
-                recv_frame(b)
+                recv_frame(FrameReader(b))
 
     def test_truncation_rejected(self):
         # one byte short of the header, one byte short of the payload
@@ -129,30 +151,66 @@ class TestFraming:
                 with a:
                     a.sendall(raw_frame(MSG_ENC_U, b"xyz")[:cut])
                 with pytest.raises(ConnectionError):
-                    recv_frame(b)
+                    recv_frame(FrameReader(b))
 
     def test_socket_round_trip(self):
         a, b = socket.socketpair()
         with a, b:
+            b.settimeout(5)
             send_frame(a, MSG_ENC_Y, b"\x00" * 100)
-            assert recv_frame(b) == (MSG_ENC_Y, b"\x00" * 100)
+            assert recv_frame(FrameReader(b)) == (MSG_ENC_Y, b"\x00" * 100)
 
     def test_back_to_back_frames(self):
         a, b = socket.socketpair()
         with a, b:
+            b.settimeout(5)
             send_frame(a, MSG_HELLO, b"one")
             send_frame(a, MSG_ENC_Y, b"two")
-            assert recv_frame(b) == (MSG_HELLO, b"one")
-            assert recv_frame(b) == (MSG_ENC_Y, b"two")
+            reader = FrameReader(b)
+            assert recv_frame(reader) == (MSG_HELLO, b"one")
+            assert recv_frame(reader) == (MSG_ENC_Y, b"two")
+
+    @pytest.mark.parametrize("first, second", [
+        ((MSG_HELLO, b'{"scenario": "baseline"}'), (MSG_ENC_Y, bytes(range(200)))),
+        ((MSG_ABORT, b'{"step": 3}'), (MSG_BYE, b""))])
+    def test_coalesced_frames_come_back_as_two(self, first, second):
+        """Two frames that arrive in one read (the proxy's HELLO then ENC_Y,
+        the plant's ABORT then BYE) come back one per ``recv_frame``."""
+        sock = QueuedSocket(raw_frame(*first) + raw_frame(*second))
+        reader = FrameReader(sock)
+        assert recv_frame(reader) == first
+        assert recv_frame(reader) == second
+        assert sock.calls == 1
+
+    def test_small_frame_costs_one_read(self):
+        """A queued 64-slot ciphertext frame (541 bytes) is read whole with
+        one ``recv_into``."""
+        frame = enc_frame(BACKEND_64)
+        assert len(frame) == 541
+        sock = QueuedSocket(frame)
+        assert recv_frame(FrameReader(sock)) == (MSG_ENC_Y, frame[5:])
+        assert sock.calls == 1
+
+    @pytest.mark.parametrize("chunk", [None, 1, 541, 4099])
+    def test_frames_across_the_buffer_end(self, chunk):
+        """Frames of every size class, back to back, with headers and
+        payloads that straddle the end of the reader's buffer: each comes
+        back whole and in order."""
+        lengths = [536] * 20 + [0, READ_BUFFER, 3, READ_BUFFER + 1, 536, 2 * READ_BUFFER, 7]
+        payloads = [bytes([i % 251]) * n for i, n in enumerate(lengths)]
+        reader = FrameReader(QueuedSocket(b"".join(raw_frame(MSG_ENC_Y, p) for p in payloads),
+                                          chunk))
+        for payload in payloads:
+            assert recv_frame(reader) == (MSG_ENC_Y, payload)
+        assert len(reader.buf) == READ_BUFFER
 
     @pytest.mark.parametrize("slot_count, chunk", [(8, 1), (2 ** 16, 7919)])
     def test_reassembles_chunked_frame(self, slot_count, chunk):
-        ctx = context_create(BackendConfig(slot_count=slot_count))
-        payload = serialize_ciphertext(
-            ctx.encrypt(np.random.default_rng(1).uniform(-1, 1, slot_count)))
-        blob = raw_frame(MSG_ENC_Y, payload)
+        blob = enc_frame(BackendConfig(slot_count=slot_count))
         a, b = socket.socketpair()
         with a, b:
+            b.settimeout(5)
+
             def trickle():
                 for i in range(0, len(blob), chunk):
                     a.sendall(blob[i:i + chunk])
@@ -160,11 +218,40 @@ class TestFraming:
 
             t = threading.Thread(target=trickle, daemon=True)
             t.start()
-            msg_type, got = recv_frame(b)
+            msg_type, got = recv_frame(FrameReader(b))
             t.join(10)
             assert not t.is_alive()
         assert msg_type == MSG_ENC_Y
-        assert got == payload
+        assert got == blob[5:]
+
+    def test_buffer_does_not_grow_after_a_wide_frame(self, monkeypatch):
+        """A 2^16-slot frame goes into one fresh payload of its length; the
+        reader's buffer keeps its size and serves the next small frame."""
+        wide, small = enc_frame(BackendConfig(slot_count=2 ** 16)), raw_frame(MSG_BYE)
+        fresh = []
+        allocate = FrameReader.fresh_payload
+
+        def spy(reader, length):
+            fresh.append(length)
+            return allocate(reader, length)
+
+        monkeypatch.setattr(FrameReader, "fresh_payload", spy)
+        reader = FrameReader(QueuedSocket(wide + small))
+        buf = reader.buf
+        assert recv_frame(reader) == (MSG_ENC_Y, wide[5:])
+        assert recv_frame(reader) == (MSG_BYE, b"")
+        assert fresh == [len(wide) - 5]
+        assert reader.buf is buf and len(buf) == READ_BUFFER
+
+    def test_payload_is_unchanged_by_the_next_read(self):
+        """The next frame, read into the same buffer bytes, leaves the
+        payload returned before it as it was."""
+        first, second = bytes(range(100)), bytes(100)
+        reader = FrameReader(QueuedSocket(raw_frame(MSG_ENC_Y, first)
+                                          + raw_frame(MSG_ENC_U, second), chunk=105))
+        _, payload = recv_frame(reader)
+        recv_frame(reader)
+        assert payload == first
 
     @pytest.mark.parametrize("cap", [1, 3, 5, 6, 100])
     def test_send_resumes_after_partial_writes(self, cap):
@@ -188,7 +275,7 @@ class TestFraming:
             with a:
                 a.sendall(raw_frame(MSG_ENC_Y, b"\x00" * 100)[:cut])
             with pytest.raises(ConnectionError):
-                recv_frame(b)
+                recv_frame(FrameReader(b))
 
     def test_huge_declared_length_rejected(self, monkeypatch):
         """Under the default limit, the largest legitimate frame (a HELLO, or
@@ -196,20 +283,20 @@ class TestFraming:
         length is refused from the header alone, before a payload buffer is
         allocated (the guard keeps a regression from allocating 2 or 4 GiB)."""
         assert MAX_PAYLOAD == max(HELLO_MAX_PAYLOAD, ciphertext_blob_size(MAX_SLOTS)) == 2 ** 20
-        read = netloop._recv_exact
 
-        def header_only(sock, n):
-            assert n == 5, f"asked to allocate a {n}-byte payload"
-            return read(sock, n)
+        def refuse(reader, length):
+            raise AssertionError(f"asked to allocate a {length}-byte payload")
 
-        monkeypatch.setattr(netloop, "_recv_exact", header_only)
+        monkeypatch.setattr(FrameReader, "fresh_payload", refuse)
         a, b = socket.socketpair()
         with a, b:
             b.settimeout(5)
+            reader = FrameReader(b)
             for length in (2 ** 31, 2 ** 32 - 1):
                 a.sendall(struct.pack("<IB", length, MSG_ENC_Y))
                 with pytest.raises(FrameError, match="exceeds the limit"):
-                    recv_frame(b)
+                    recv_frame(reader)
+            assert len(reader.buf) == READ_BUFFER
 
     def test_enc_frame_over_one_ciphertext_rejected(self):
         n = 64
@@ -217,11 +304,12 @@ class TestFraming:
         a, b = socket.socketpair()
         with a, b:
             b.settimeout(5)
+            reader = FrameReader(b)
             a.sendall(raw_frame(MSG_ENC_Y, b"\x00" * limit))
-            assert len(recv_frame(b, limit)[1]) == limit
+            assert len(recv_frame(reader, limit)[1]) == limit
             a.sendall(struct.pack("<IB", limit + 8, MSG_ENC_Y))
             with pytest.raises(FrameError, match="exceeds the limit"):
-                recv_frame(b, limit)
+                recv_frame(reader, limit)
 
 
 def run_pipeline(cfg, with_attacker=False):
@@ -413,21 +501,23 @@ class TestRoleFrameLimits:
     def test_plant_refuses_oversized_control_frame(self, monkeypatch):
         """The plant reads its control frames under the default limit: a
         controller that answers with a 2^31-byte ENC_U header ends the run
-        with a ``FrameError``, and no 2^31-byte buffer is requested."""
+        with a ``FrameError``, and no payload buffer is requested: every
+        frame of the exchange fits the readers' buffers."""
         requested = []
-        read = netloop._recv_exact
+        allocate = FrameReader.fresh_payload
 
-        def spy(sock, n):
-            requested.append(n)
-            return read(sock, n)
+        def spy(reader, length):
+            requested.append(length)
+            return allocate(reader, length)
 
-        monkeypatch.setattr(netloop, "_recv_exact", spy)
+        monkeypatch.setattr(FrameReader, "fresh_payload", spy)
         with socket.create_server((HOST, 0)) as srv:
             def controller():
                 conn, _ = srv.accept()
                 with conn:
                     conn.settimeout(10)
-                    kinds = [recv_frame(conn)[0] for _ in range(2)]
+                    reader = FrameReader(conn)
+                    kinds = [recv_frame(reader)[0] for _ in range(2)]
                     conn.sendall(struct.pack("<IB", 2 ** 31, MSG_ENC_U))
                     conn.recv(1)  # until the plant hangs up
                 return kinds
@@ -438,7 +528,7 @@ class TestRoleFrameLimits:
             t.join(10)
         assert not t.is_alive()
         assert box["result"] == [MSG_HELLO, MSG_ENC_Y]
-        assert 2 ** 31 not in requested and max(requested) <= MAX_PAYLOAD
+        assert requested == []
 
 
 class TestPlainModeRefused:
@@ -490,8 +580,8 @@ NOISY_BACKEND = {"slot_count": 64, "max_depth": 16, "noise_std": 1e-6}
 def proxy_between(cfg):
     """``run_attacker`` between a plant socket and a controller socket that
     the test drives by hand, once the HELLO has gone through. Yields
-    ``(plant, ctrl, join)``; ``join()`` waits for the proxy and returns its
-    stats."""
+    ``(plant, ctrl, join)``, the two sockets' frame readers (the socket is
+    ``.sock``); ``join()`` waits for the proxy and returns its stats."""
     with socket.create_server((HOST, 0)) as srv:
         port, t, box = start_role(run_attacker, (HOST, srv.getsockname()[1]))
 
@@ -504,8 +594,9 @@ def proxy_between(cfg):
             ctrl, _ = srv.accept()
             with ctrl:
                 ctrl.settimeout(10)
+                plant, ctrl = FrameReader(plant), FrameReader(ctrl)
                 hello = json.dumps(cfg.document).encode()
-                send_frame(plant, MSG_HELLO, hello)
+                send_frame(plant.sock, MSG_HELLO, hello)
                 assert recv_frame(ctrl) == (MSG_HELLO, hello)
                 yield plant, ctrl, join
         join()
@@ -513,23 +604,23 @@ def proxy_between(cfg):
 
 def relay_steps(plant, ctrl, ctx, steps, seed=0):
     """Send ``steps`` ENC_Y frames as the plant and answer each with an ENC_U
-    frame as the controller. Returns the blobs sent and the payloads the
+    frame as the controller (both frame readers). Returns the blobs sent and the payloads the
     proxy forwarded, as (sent_y, sent_u, fwd_y, fwd_u)."""
     rng = np.random.default_rng(seed)
     n = ctx.config.slot_count
     sent_y, sent_u, fwd_y, fwd_u = [], [], [], []
     for _ in range(steps):
         sent_y.append(bytes(serialize_ciphertext(ctx.encrypt(rng.normal(size=n)))))
-        send_frame(plant, MSG_ENC_Y, sent_y[-1])
+        send_frame(plant.sock, MSG_ENC_Y, sent_y[-1])
         msg_type, payload = recv_frame(ctrl)
         assert msg_type == MSG_ENC_Y
         fwd_y.append(bytes(payload))
         sent_u.append(bytes(serialize_ciphertext(ctx.encrypt(rng.normal(size=n)))))
-        send_frame(ctrl, MSG_ENC_U, sent_u[-1])
+        send_frame(ctrl.sock, MSG_ENC_U, sent_u[-1])
         msg_type, payload = recv_frame(plant)
         assert msg_type == MSG_ENC_U
         fwd_u.append(bytes(payload))
-    send_frame(plant, MSG_BYE)
+    send_frame(plant.sock, MSG_BYE)
     assert recv_frame(ctrl)[0] == MSG_BYE
     return sent_y, sent_u, fwd_y, fwd_u
 
@@ -686,8 +777,69 @@ class TestAttackerProxy:
         cfg = baseline_cfg(steps=4, pre_roll=0, backend=NOISY_BACKEND)
         foreign = context_create(BackendConfig(slot_count=64, seed=cfg.backend.seed + 1))
         with proxy_between(cfg) as (plant, ctrl, join):
-            send_frame(plant, MSG_ENC_Y, serialize_ciphertext(foreign.encrypt(np.ones(64))))
+            send_frame(plant.sock, MSG_ENC_Y,
+                       serialize_ciphertext(foreign.encrypt(np.ones(64))))
             stats = join()
-            assert ctrl.recv(1) == b""  # the proxy closed upstream, sending nothing
+            assert ctrl.sock.recv(1) == b""  # the proxy closed upstream, sending nothing
         assert "foreign key tag" in stats["error"]
+        assert stats["relayed"] == 0
+
+
+# bytes of a 64-slot frame (541 on the wire) that arrive before the peer hangs up
+CUTS = {"mid-header": 3, "mid-payload": 50}
+
+
+@pytest.mark.parametrize("cut", CUTS)
+class TestMidFrameDisconnect:
+    """A peer that hangs up inside a frame ends each role with a named
+    error, within a bounded join: the plant raises ``ConnectionError``, the
+    controller and the proxy return an ``"error"``."""
+
+    def test_plant(self, cut):
+        cfg = baseline_cfg(steps=5, pre_roll=0)
+        with socket.create_server((HOST, 0)) as srv:
+            def controller():
+                conn, _ = srv.accept()
+                with conn:
+                    conn.settimeout(10)
+                    reader = FrameReader(conn)
+                    kinds = [recv_frame(reader)[0] for _ in range(2)]
+                    conn.sendall(enc_frame(BACKEND_64)[:CUTS[cut]])
+                return kinds
+
+            ctrl_t, ctrl_box = start_thread(controller)
+            t, box = start_thread(run_plant, srv.getsockname(), cfg)
+            t.join(10)
+            ctrl_t.join(10)
+        assert not t.is_alive() and not ctrl_t.is_alive()
+        assert ctrl_box["result"] == [MSG_HELLO, MSG_ENC_Y]
+        assert isinstance(box["raised"], ConnectionError)
+        assert "mid-frame" in str(box["raised"])
+
+    def test_controller(self, cut):
+        port, t, box = start_role(run_controller)
+        hello = json.dumps(baseline_cfg().document).encode()
+        with socket.create_connection((HOST, port)) as sock:
+            sock.sendall(raw_frame(MSG_HELLO, hello) + enc_frame(BACKEND_64)[:CUTS[cut]])
+        t.join(10)
+        assert not t.is_alive()
+        assert "mid-frame" in box["result"]["error"]
+
+    @pytest.mark.parametrize("side", ["plant", "controller"])
+    def test_proxy(self, cut, side):
+        """The proxy's plant hangs up inside an ENC_Y frame, or its
+        controller inside the ENC_U answer to a whole one."""
+        cfg = baseline_cfg(steps=5, pre_roll=0)
+        with proxy_between(cfg) as (plant, ctrl, join):
+            if side == "plant":
+                plant.sock.sendall(enc_frame(BACKEND_64)[:CUTS[cut]])
+                plant.sock.close()
+            else:
+                frame = enc_frame(cfg.backend)
+                plant.sock.sendall(frame)
+                assert recv_frame(ctrl) == (MSG_ENC_Y, frame[5:])
+                ctrl.sock.sendall(frame[:CUTS[cut]])
+                ctrl.sock.close()
+            stats = join()
+        assert "mid-frame" in stats["error"]
         assert stats["relayed"] == 0

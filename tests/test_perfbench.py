@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from encloop import control, verify
-from encloop.backend import BackendConfig, context_create
+from encloop import control, netloop, verify
+from encloop.backend import BackendConfig, context_create, serialize_ciphertext
 from encloop.linalg import enc_matvec
+from helpers import QueuedSocket
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -84,3 +85,25 @@ def test_encode_draw_split_has_a_workload_each_side():
     assert calls == {
         "loop64": [("integers", False)] * 2 + [("shuffle", False)],
         "net_wide": [("integers", True), ("shuffle", False)]}
+
+
+def test_frame_reader_split_has_a_workload_each_side(monkeypatch):
+    """A net64 ciphertext frame comes out of the reader's buffer with one
+    read; a net_wide one does not fit and goes into a fresh payload."""
+    fresh = []
+    allocate = netloop.FrameReader.fresh_payload
+
+    def spy(reader, length):
+        fresh.append(length)
+        return allocate(reader, length)
+
+    monkeypatch.setattr(netloop.FrameReader, "fresh_payload", spy)
+    fits = {}
+    for name in ("net64", "net_wide"):
+        n = SIZES[name]["slot_count"]
+        blob = serialize_ciphertext(context_create(BackendConfig(slot_count=n)).encrypt(np.ones(n)))
+        sock = QueuedSocket(len(blob).to_bytes(4, "little") + bytes([netloop.MSG_ENC_Y]) + blob)
+        assert netloop.recv_frame(netloop.FrameReader(sock)) == (netloop.MSG_ENC_Y, blob)
+        fits[name] = sock.calls == 1 and not fresh
+        fresh.clear()
+    assert fits == {"net64": True, "net_wide": False}
