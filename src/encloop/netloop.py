@@ -14,19 +14,20 @@ of the in-process link), the controller answers each frame with
 through the proxy is the in-process run, bit for bit, at any noise level.
 
 Frame layout (little-endian): u32 payload length, u8 message type, payload.
-A frame leaves in one ``sendmsg`` of header and payload (the rest is resent
-only after a partial write). Each connection is read through one
-``FrameReader``: a fixed ``READ_BUFFER``-byte buffer that a small frame (a
-64-slot ciphertext, a short HELLO) fills with one ``recv_into``, and that
-keeps the bytes of a frame read ahead (HELLO then ENC_Y, ABORT then BYE) for
-the next ``recv_frame``. A small payload is copied out of the buffer; a
-longer one goes into a fresh buffer of its length, and the reader's buffer
-never grows. A receiver checks the declared length against
-its limit before it allocates the payload: the controller and the proxy read
-the HELLO under ``HELLO_MAX_PAYLOAD`` and every later frame under the size of
-one serialized ciphertext of the configured slot count
-(``backend.ciphertext_blob_size``; ABORT and BYE payloads are shorter); the
-plant reads under ``MAX_PAYLOAD``, the largest legitimate frame.
+A frame leaves in one ``sendmsg`` of header and payload (the rest goes by
+``sendall`` only after a partial write). Each connection is read through
+one ``FrameReader``, an ``io.BufferedReader`` with a ``READ_BUFFER``-byte
+buffer over the socket's ``recv_into``: a small frame (a 64-slot
+ciphertext, a short HELLO) costs one ``recv_into``, the bytes of a frame
+read ahead (HELLO then ENC_Y, ABORT then BYE) wait for the next
+``recv_frame``, and a long payload (a 2^16-slot ciphertext) is read
+straight into its own bytes, so the buffer never grows. A receiver checks
+the declared length against its limit before it reads the payload: the
+controller and the proxy read the HELLO under ``HELLO_MAX_PAYLOAD`` and
+every later frame under the size of one serialized ciphertext of the
+configured slot count (``backend.ciphertext_blob_size``; ABORT and BYE
+payloads are shorter); the plant reads under ``MAX_PAYLOAD``, the largest
+legitimate frame.
 
 This is a simulator: all roles reconstruct the key context from the shared
 configuration, and the attacker proxy restricts itself to the public
@@ -35,6 +36,7 @@ configuration, and the attacker proxy restricts itself to the public
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import socket
@@ -70,57 +72,32 @@ class FrameError(ValueError):
 
 
 _HEADER = struct.Struct("<IB")
-# a connection's receive buffer: a 64-slot ciphertext frame (541 bytes) fits
-# it, a 2^16-slot one (512 KiB) goes into a fresh payload
+# a connection's read buffer: a 64-slot ciphertext frame (541 bytes) fits it,
+# a 2^16-slot payload (512 KiB) is read straight into its own bytes
 READ_BUFFER = 8192
 
 
-class FrameReader:
-    """The receive side of one connection. A fixed ``READ_BUFFER``-byte
-    buffer takes whatever one ``recv_into`` returns, so a small frame costs
-    one call, and bytes read past a frame's end stay buffered for the next
-    ``recv_frame``. A payload longer than the buffer goes into a fresh
-    ``bytearray``. Every read of the connection goes through its reader."""
-
-    __slots__ = ("sock", "buf", "_view", "start", "end")
+class _SocketRaw(io.RawIOBase):
+    """The unbuffered stream under a ``FrameReader``: its ``readinto`` is the
+    socket's own ``recv_into``, so the buffered reader calls it in C."""
 
     def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buf = bytearray(READ_BUFFER)
-        self._view = memoryview(self.buf)
-        self.start = self.end = 0  # the unread bytes are buf[start:end]
+        self.readinto = sock.recv_into
 
-    def fill(self, need: int):
-        """Read until ``buf[start:end]`` holds at least ``need`` bytes
-        (``need <= READ_BUFFER``)."""
-        start, end = self.start, self.end
-        if start == end:
-            start = end = 0
-        elif start + need > READ_BUFFER:  # move the unread bytes to the front
-            end -= start
-            self._view[:end] = self._view[start:start + end]
-            start = 0
-        while end - start < need:
-            read = self.sock.recv_into(self._view[end:] if end else self.buf)
-            if not read:
-                raise ConnectionError("peer closed the connection mid-frame")
-            end += read
-        self.start, self.end = start, end
+    def readable(self) -> bool:
+        return True
 
-    def fresh_payload(self, length: int) -> bytearray:
-        """A payload that does not fit the buffer, starting at ``start``: the
-        buffered part is copied over and the rest read straight into it."""
-        payload = bytearray(length)
-        view = memoryview(payload)
-        got = self.end - self.start
-        view[:got] = self._view[self.start:self.end]
-        self.start = self.end = 0
-        while got < length:
-            read = self.sock.recv_into(view[got:])
-            if not read:
-                raise ConnectionError("peer closed the connection mid-frame")
-            got += read
-        return payload
+
+class FrameReader(io.BufferedReader):
+    """The receive side of one connection: a ``READ_BUFFER``-byte buffered
+    reader over the socket. A small frame costs one ``recv_into``, bytes read
+    past a frame's end wait for the next ``recv_frame``, and a longer read
+    goes straight into its own bytes, so the buffer never grows. Every read
+    of the connection goes through its reader; closing it leaves the socket
+    open."""
+
+    def __init__(self, sock: socket.socket):
+        super().__init__(_SocketRaw(sock), READ_BUFFER)
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b""):
@@ -134,44 +111,31 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b""):
         raise FrameError("payload too large")
     header = _HEADER.pack(size, msg_type)
     sent = sock.sendmsg((header, payload))
+    if sent < 5:  # a partial write: send the rest, the payload uncopied
+        sock.sendall(header[sent:])
+        sent = 5
     if sent < 5 + size:
-        _send_rest(sock, [memoryview(header), memoryview(payload)], sent)
+        sock.sendall(memoryview(payload)[sent - 5:])
 
 
-def _send_rest(sock: socket.socket, parts: list[memoryview], sent: int):
-    """Resend what a partial ``sendmsg`` of ``parts`` left over."""
-    while True:
-        while parts and sent >= len(parts[0]):
-            sent -= len(parts.pop(0))
-        if not parts:
-            return
-        parts[0] = parts[0][sent:]
-        sent = sock.sendmsg(parts)
-
-
-def recv_frame(reader: FrameReader, max_payload: int = MAX_PAYLOAD) -> tuple[int, bytearray]:
-    """Read one frame through the connection's reader. Raises FrameError on
-    an unknown type or a declared length over ``max_payload``, before the
-    payload is allocated. The payload is the caller's own: a later read
-    does not change it."""
-    if reader.end - reader.start < 5:
-        reader.fill(5)
-    start = reader.start
-    length, msg_type = _HEADER.unpack_from(reader.buf, start)
+def recv_frame(reader: FrameReader, max_payload: int = MAX_PAYLOAD) -> tuple[int, bytes]:
+    """Read one frame through the connection's reader: its type and its
+    payload, an immutable ``bytes``. Raises FrameError on an unknown type or
+    a declared length over ``max_payload``, before the payload is read, and
+    ConnectionError if the peer hangs up mid-frame."""
+    header = reader.read(5)
+    if len(header) < 5:
+        raise ConnectionError("peer closed the connection mid-frame")
+    length, msg_type = _HEADER.unpack(header)
     if msg_type not in _VALID_TYPES:
         raise FrameError(f"unknown message type {msg_type:#x}")
     if length > max_payload:
         raise FrameError(f"declared payload of {length} bytes exceeds the limit "
                          f"of {max_payload}")
-    start += 5
-    reader.start = start
-    if length > READ_BUFFER:
-        return msg_type, reader.fresh_payload(length)
-    if reader.end - start < length:
-        reader.fill(length)
-        start = reader.start
-    reader.start = start + length
-    return msg_type, reader.buf[start:start + length]
+    payload = reader.read(length)
+    if len(payload) < length:
+        raise ConnectionError("peer closed the connection mid-frame")
+    return msg_type, payload
 
 
 def _accept_one(addr: tuple[str, int], ready) -> socket.socket:
@@ -242,8 +206,8 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
         reader = FrameReader(conn)
         try:
             cfg, _ = _recv_hello(reader)
-            expansion = cfg.expansion if cfg.scenario == "verified_attack" else 1
-            ctx, serve = control.controller_role(cfg.backend, cfg.controller, expansion)
+            ctx, serve = control.controller_role(cfg.backend, cfg.controller,
+                                                 cfg.lifted_blocks)
             limit = ciphertext_blob_size(cfg.backend.slot_count)
             while True:
                 msg_type, payload = recv_frame(reader, limit)

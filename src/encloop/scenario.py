@@ -97,6 +97,7 @@ class ScenarioConfig:
     mode: str = _parsed()            # channel: plain | encrypted
     attack_plan: attack.AttackPlan | None = _parsed()
     expansion: int = _parsed()       # verification blocks per ciphertext
+    lifted_blocks: int = _parsed()   # controller blocks: expansion when verified, else 1
     num_challenges: int = _parsed()
     threshold: float = _parsed()
 
@@ -192,11 +193,10 @@ class ScenarioConfig:
             raise ConfigError("mode", f"expected plain or encrypted, got {mode!r}")
         if scenario in ("attack_encrypted", "verified_attack") and mode != "encrypted":
             raise ConfigError("mode", f"scenario {scenario!r} requires encrypted mode")
+        lifted_blocks = expansion if scenario == "verified_attack" else 1
         if mode == "encrypted":
-            # one lifted block per ciphertext, expansion blocks when verified;
             # the encrypted-model attacker's widest matrix is (n*m x n)
-            blocks = expansion if scenario == "verified_attack" else 1
-            need = verify.lifted_dim(model.p, model.m) * blocks
+            need = verify.lifted_dim(model.p, model.m) * lifted_blocks
             if scenario == "attack_encrypted":
                 need = max(need, model.n * model.m)
             if need > backend.slot_count:
@@ -218,7 +218,7 @@ class ScenarioConfig:
         for name, value in dict(
                 document=raw, scenario=scenario, backend=backend, model=model,
                 controller=ctrl, x0=x0, pre_roll=pre_roll, steps=steps, seed=seed,
-                mode=mode, attack_plan=plan, expansion=expansion,
+                mode=mode, attack_plan=plan, expansion=expansion, lifted_blocks=lifted_blocks,
                 num_challenges=num_challenges, threshold=threshold).items():
             object.__setattr__(self, name, value)
 

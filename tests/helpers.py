@@ -1,7 +1,7 @@
 """Plaintext references the tests compare the encrypted linear algebra and
 the verifier with: wrapping diagonals, matrix reassembly, the fused
 product's slots and a tag's payload blocks. Also a stand-in socket that
-counts the reads a frame reader makes."""
+records the reads a frame reader makes."""
 
 import copy
 
@@ -67,16 +67,21 @@ def payload_positions(tag: PermutationTag) -> set[int]:
 
 class QueuedSocket:
     """Stand-in socket whose ``recv_into`` hands out the queued bytes, at
-    most ``chunk`` per call (default: as many as fit), and counts its calls.
-    Once the queue is empty it returns 0, as a closed peer does."""
+    most ``chunk`` per call (default: as many as fit), and records the
+    length of the buffer each call was given. Once the queue is empty it
+    returns 0, as a closed peer does."""
 
     def __init__(self, data: bytes, chunk: int | None = None):
         self.data = memoryview(bytes(data))
         self.chunk = chunk
-        self.calls = 0
+        self.reads = []  # the buffer length of each recv_into call
+
+    @property
+    def calls(self) -> int:
+        return len(self.reads)
 
     def recv_into(self, buf) -> int:
-        self.calls += 1
+        self.reads.append(len(buf))
         n = min(len(buf), len(self.data), self.chunk or len(buf))
         buf[:n] = self.data[:n]
         self.data = self.data[n:]

@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
 
 class CappedSendSocket:
     """Stand-in socket whose sendmsg accepts at most ``cap`` bytes per call,
-    as a send interrupted after a partial write would."""
+    as a send interrupted after a partial write would; ``sendall`` loops
+    over it, as the socket's own does over its capped sends."""
 
     def __init__(self, cap):
         self.cap = cap
@@ -78,6 +80,11 @@ class CappedSendSocket:
         sent = b"".join(bytes(b) for b in buffers)[: self.cap]
         self.data += sent
         return len(sent)
+
+    def sendall(self, data):
+        view = memoryview(data)
+        while view:
+            view = view[self.sendmsg((view,)):]
 
 
 def start_thread(fn, *args, **kwargs):
@@ -105,6 +112,20 @@ def enc_frame(config):
 
 
 BACKEND_64 = BackendConfig(slot_count=64)
+
+
+@pytest.fixture
+def read_spy(monkeypatch):
+    """Records ``(reader, size)`` for every ``FrameReader.read``."""
+    calls = []
+    read = FrameReader.read
+
+    def spy(reader, size=-1):
+        calls.append((reader, size))
+        return read(reader, size)
+
+    monkeypatch.setattr(FrameReader, "read", spy)
+    return calls
 
 
 class TestFraming:
@@ -195,14 +216,17 @@ class TestFraming:
     def test_frames_across_the_buffer_end(self, chunk):
         """Frames of every size class, back to back, with headers and
         payloads that straddle the end of the reader's buffer: each comes
-        back whole and in order."""
+        back whole and in order. A read asks for more than ``READ_BUFFER``
+        bytes only while a longer payload is read, and never for more than
+        that payload, so the buffer never grows."""
         lengths = [536] * 20 + [0, READ_BUFFER, 3, READ_BUFFER + 1, 536, 2 * READ_BUFFER, 7]
         payloads = [bytes([i % 251]) * n for i, n in enumerate(lengths)]
-        reader = FrameReader(QueuedSocket(b"".join(raw_frame(MSG_ENC_Y, p) for p in payloads),
-                                          chunk))
+        sock = QueuedSocket(b"".join(raw_frame(MSG_ENC_Y, p) for p in payloads), chunk)
+        reader = FrameReader(sock)
         for payload in payloads:
+            before = sock.calls
             assert recv_frame(reader) == (MSG_ENC_Y, payload)
-        assert len(reader.buf) == READ_BUFFER
+            assert max(sock.reads[before:], default=0) <= max(len(payload), READ_BUFFER)
 
     @pytest.mark.parametrize("slot_count, chunk", [(8, 1), (2 ** 16, 7919)])
     def test_reassembles_chunked_frame(self, slot_count, chunk):
@@ -224,24 +248,19 @@ class TestFraming:
         assert msg_type == MSG_ENC_Y
         assert got == blob[5:]
 
-    def test_buffer_does_not_grow_after_a_wide_frame(self, monkeypatch):
-        """A 2^16-slot frame goes into one fresh payload of its length; the
-        reader's buffer keeps its size and serves the next small frame."""
-        wide, small = enc_frame(BackendConfig(slot_count=2 ** 16)), raw_frame(MSG_BYE)
-        fresh = []
-        allocate = FrameReader.fresh_payload
-
-        def spy(reader, length):
-            fresh.append(length)
-            return allocate(reader, length)
-
-        monkeypatch.setattr(FrameReader, "fresh_payload", spy)
-        reader = FrameReader(QueuedSocket(wide + small))
-        buf = reader.buf
+    def test_buffer_does_not_grow_after_a_wide_frame(self):
+        """A 2^16-slot payload (512 KiB) is read straight into its own bytes,
+        between two reads of the reader's buffer; the buffer keeps its size,
+        so the next 64-slot frame costs one read of ``READ_BUFFER`` bytes."""
+        wide, small = enc_frame(BackendConfig(slot_count=2 ** 16)), enc_frame(BACKEND_64)
+        sock = QueuedSocket(wide)
+        reader = FrameReader(sock)
         assert recv_frame(reader) == (MSG_ENC_Y, wide[5:])
-        assert recv_frame(reader) == (MSG_BYE, b"")
-        assert fresh == [len(wide) - 5]
-        assert reader.buf is buf and len(buf) == READ_BUFFER
+        # the payload less the buffered part, in whole buffers, goes straight in
+        assert sock.reads == [READ_BUFFER, 516096, READ_BUFFER]
+        sock.data = memoryview(small)  # the next frame arrives
+        assert recv_frame(reader) == (MSG_ENC_Y, small[5:])
+        assert sock.reads[3:] == [READ_BUFFER]
 
     def test_payload_is_unchanged_by_the_next_read(self):
         """The next frame, read into the same buffer bytes, leaves the
@@ -255,11 +274,14 @@ class TestFraming:
 
     @pytest.mark.parametrize("cap", [1, 3, 5, 6, 100])
     def test_send_resumes_after_partial_writes(self, cap):
+        """After the first write, the header's tail and then the payload's
+        go in writes of at most ``cap`` bytes each."""
         payload = bytes(range(256))
         sock = CappedSendSocket(cap)
         send_frame(sock, MSG_ENC_Y, payload)
         assert sock.data == raw_frame(MSG_ENC_Y, payload)
-        assert sock.calls == -(-(5 + len(payload)) // cap)
+        header_rest, payload_rest = max(0, 5 - cap), len(payload) - max(0, cap - 5)
+        assert sock.calls == 1 + -(-header_rest // cap) + -(-payload_rest // cap)
 
     @pytest.mark.parametrize("payload", [b"", b"abc", bytes(2 ** 16)])
     def test_frame_leaves_in_one_write(self, payload):
@@ -277,17 +299,12 @@ class TestFraming:
             with pytest.raises(ConnectionError):
                 recv_frame(FrameReader(b))
 
-    def test_huge_declared_length_rejected(self, monkeypatch):
+    def test_huge_declared_length_rejected(self, read_spy):
         """Under the default limit, the largest legitimate frame (a HELLO, or
         one ciphertext of ``MAX_SLOTS`` slots: 1 MiB), a 2^31 or 2^32 - 1
-        length is refused from the header alone, before a payload buffer is
-        allocated (the guard keeps a regression from allocating 2 or 4 GiB)."""
+        length is refused from the header alone, before the payload is read
+        (the guard keeps a regression from allocating 2 or 4 GiB)."""
         assert MAX_PAYLOAD == max(HELLO_MAX_PAYLOAD, ciphertext_blob_size(MAX_SLOTS)) == 2 ** 20
-
-        def refuse(reader, length):
-            raise AssertionError(f"asked to allocate a {length}-byte payload")
-
-        monkeypatch.setattr(FrameReader, "fresh_payload", refuse)
         a, b = socket.socketpair()
         with a, b:
             b.settimeout(5)
@@ -296,7 +313,7 @@ class TestFraming:
                 a.sendall(struct.pack("<IB", length, MSG_ENC_Y))
                 with pytest.raises(FrameError, match="exceeds the limit"):
                     recv_frame(reader)
-            assert len(reader.buf) == READ_BUFFER
+        assert read_spy == [(reader, 5)] * 2
 
     def test_enc_frame_over_one_ciphertext_rejected(self):
         n = 64
@@ -313,7 +330,9 @@ class TestFraming:
 
 
 def run_pipeline(cfg, with_attacker=False):
-    """Spin up controller (and optionally attacker proxy), run the plant."""
+    """Spin up controller (and optionally attacker proxy), run the plant in
+    a thread of its own with a bounded join, so that a lost frame fails the
+    test instead of hanging it; what the plant raises is raised here."""
     ctrl_port = free_port()
     ctrl_ready = threading.Event()
     ctrl_t, ctrl_box = start_thread(run_controller, (HOST, ctrl_port),
@@ -328,7 +347,12 @@ def run_pipeline(cfg, with_attacker=False):
                                       (HOST, ctrl_port), ready=atk_ready)
         assert atk_ready.wait(5)
         target = (HOST, atk_port)
-    trace = run_plant(target, cfg)
+    plant_t, plant_box = start_thread(run_plant, target, cfg)
+    plant_t.join(10)
+    assert not plant_t.is_alive(), "the plant did not finish within 10 s"
+    if "raised" in plant_box:
+        raise plant_box["raised"]
+    trace = plant_box["result"]
     ctrl_t.join(10)
     assert not ctrl_t.is_alive()
     if atk_t is not None:
@@ -498,25 +522,19 @@ class TestRoleFrameLimits:
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
 
-    def test_plant_refuses_oversized_control_frame(self, monkeypatch):
+    def test_plant_refuses_oversized_control_frame(self, read_spy):
         """The plant reads its control frames under the default limit: a
         controller that answers with a 2^31-byte ENC_U header ends the run
-        with a ``FrameError``, and no payload buffer is requested: every
-        frame of the exchange fits the readers' buffers."""
-        requested = []
-        allocate = FrameReader.fresh_payload
-
-        def spy(reader, length):
-            requested.append(length)
-            return allocate(reader, length)
-
-        monkeypatch.setattr(FrameReader, "fresh_payload", spy)
+        with a ``FrameError``, and the plant requests no payload read: its
+        one read is the header's."""
+        readers = []
         with socket.create_server((HOST, 0)) as srv:
             def controller():
                 conn, _ = srv.accept()
                 with conn:
                     conn.settimeout(10)
                     reader = FrameReader(conn)
+                    readers.append(reader)
                     kinds = [recv_frame(reader)[0] for _ in range(2)]
                     conn.sendall(struct.pack("<IB", 2 ** 31, MSG_ENC_U))
                     conn.recv(1)  # until the plant hangs up
@@ -528,7 +546,7 @@ class TestRoleFrameLimits:
             t.join(10)
         assert not t.is_alive()
         assert box["result"] == [MSG_HELLO, MSG_ENC_Y]
-        assert requested == []
+        assert [size for reader, size in read_spy if reader not in readers] == [5]
 
 
 class TestPlainModeRefused:
@@ -576,12 +594,18 @@ class TestPlainModeRefused:
 NOISY_BACKEND = {"slot_count": 64, "max_depth": 16, "noise_std": 1e-6}
 
 
+class Peer(NamedTuple):
+    """A connection the test drives by hand: the socket and its reader."""
+    sock: socket.socket
+    reader: FrameReader
+
+
 @contextlib.contextmanager
 def proxy_between(cfg):
     """``run_attacker`` between a plant socket and a controller socket that
     the test drives by hand, once the HELLO has gone through. Yields
-    ``(plant, ctrl, join)``, the two sockets' frame readers (the socket is
-    ``.sock``); ``join()`` waits for the proxy and returns its stats."""
+    ``(plant, ctrl, join)``: the two ``Peer``s, each socket with its reader,
+    and ``join()``, which waits for the proxy and returns its stats."""
     with socket.create_server((HOST, 0)) as srv:
         port, t, box = start_role(run_attacker, (HOST, srv.getsockname()[1]))
 
@@ -594,34 +618,34 @@ def proxy_between(cfg):
             ctrl, _ = srv.accept()
             with ctrl:
                 ctrl.settimeout(10)
-                plant, ctrl = FrameReader(plant), FrameReader(ctrl)
+                plant, ctrl = Peer(plant, FrameReader(plant)), Peer(ctrl, FrameReader(ctrl))
                 hello = json.dumps(cfg.document).encode()
                 send_frame(plant.sock, MSG_HELLO, hello)
-                assert recv_frame(ctrl) == (MSG_HELLO, hello)
+                assert recv_frame(ctrl.reader) == (MSG_HELLO, hello)
                 yield plant, ctrl, join
         join()
 
 
 def relay_steps(plant, ctrl, ctx, steps, seed=0):
     """Send ``steps`` ENC_Y frames as the plant and answer each with an ENC_U
-    frame as the controller (both frame readers). Returns the blobs sent and the payloads the
-    proxy forwarded, as (sent_y, sent_u, fwd_y, fwd_u)."""
+    frame as the controller (both ``Peer``s). Returns the blobs sent and the
+    payloads the proxy forwarded, as (sent_y, sent_u, fwd_y, fwd_u)."""
     rng = np.random.default_rng(seed)
     n = ctx.config.slot_count
     sent_y, sent_u, fwd_y, fwd_u = [], [], [], []
     for _ in range(steps):
         sent_y.append(bytes(serialize_ciphertext(ctx.encrypt(rng.normal(size=n)))))
         send_frame(plant.sock, MSG_ENC_Y, sent_y[-1])
-        msg_type, payload = recv_frame(ctrl)
+        msg_type, payload = recv_frame(ctrl.reader)
         assert msg_type == MSG_ENC_Y
         fwd_y.append(bytes(payload))
         sent_u.append(bytes(serialize_ciphertext(ctx.encrypt(rng.normal(size=n)))))
         send_frame(ctrl.sock, MSG_ENC_U, sent_u[-1])
-        msg_type, payload = recv_frame(plant)
+        msg_type, payload = recv_frame(plant.reader)
         assert msg_type == MSG_ENC_U
         fwd_u.append(bytes(payload))
     send_frame(plant.sock, MSG_BYE)
-    assert recv_frame(ctrl)[0] == MSG_BYE
+    assert recv_frame(ctrl.reader)[0] == MSG_BYE
     return sent_y, sent_u, fwd_y, fwd_u
 
 
@@ -837,7 +861,7 @@ class TestMidFrameDisconnect:
             else:
                 frame = enc_frame(cfg.backend)
                 plant.sock.sendall(frame)
-                assert recv_frame(ctrl) == (MSG_ENC_Y, frame[5:])
+                assert recv_frame(ctrl.reader) == (MSG_ENC_Y, frame[5:])
                 ctrl.sock.sendall(frame[:CUTS[cut]])
                 ctrl.sock.close()
             stats = join()

@@ -87,23 +87,16 @@ def test_encode_draw_split_has_a_workload_each_side():
         "net_wide": [("integers", True), ("shuffle", False)]}
 
 
-def test_frame_reader_split_has_a_workload_each_side(monkeypatch):
-    """A net64 ciphertext frame comes out of the reader's buffer with one
-    read; a net_wide one does not fit and goes into a fresh payload."""
-    fresh = []
-    allocate = netloop.FrameReader.fresh_payload
-
-    def spy(reader, length):
-        fresh.append(length)
-        return allocate(reader, length)
-
-    monkeypatch.setattr(netloop.FrameReader, "fresh_payload", spy)
-    fits = {}
+def test_frame_reader_split_has_a_workload_each_side():
+    """A net64 ciphertext frame costs one read of the reader's buffer; a
+    net_wide payload does not fit it and is read straight into its own
+    bytes, with one call longer than the buffer."""
+    reads = {}
     for name in ("net64", "net_wide"):
         n = SIZES[name]["slot_count"]
         blob = serialize_ciphertext(context_create(BackendConfig(slot_count=n)).encrypt(np.ones(n)))
         sock = QueuedSocket(len(blob).to_bytes(4, "little") + bytes([netloop.MSG_ENC_Y]) + blob)
         assert netloop.recv_frame(netloop.FrameReader(sock)) == (netloop.MSG_ENC_Y, blob)
-        fits[name] = sock.calls == 1 and not fresh
-        fresh.clear()
-    assert fits == {"net64": True, "net_wide": False}
+        reads[name] = sock.reads
+    assert reads["net64"] == [netloop.READ_BUFFER]
+    assert sum(size > netloop.READ_BUFFER for size in reads["net_wide"]) == 1

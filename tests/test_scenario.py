@@ -123,6 +123,18 @@ class TestConfigParsing:
             ScenarioConfig.from_dict(raw)
         assert exc.value.name == "backend"
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_lifted_blocks_derived_not_read(self, scenario):
+        """The controller holds ``expansion`` lifted blocks in the verified
+        loop and one in every other, whatever the verify section says; the
+        count is derived, not a document key."""
+        raw = minimal(scenario, mode="encrypted", verify={"expansion": 8},
+                      backend={"slot_count": 64})
+        assert ScenarioConfig.from_dict(raw).lifted_blocks == (
+            8 if scenario == "verified_attack" else 1)
+        with pytest.raises(ConfigError, match="unknown key"):
+            ScenarioConfig.from_dict(dict(raw, lifted_blocks=8))
+
     def test_plain_channel_ignores_slot_count(self):
         raw = minimal("attack_plain", backend={"slot_count": 1})
         assert ScenarioConfig.from_dict(raw).mode == "plain"
