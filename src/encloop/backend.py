@@ -10,8 +10,8 @@ approximate arithmetic.
 
 ``DotTerms`` is the fused linear transform sum_t a_t * rot_{s_t}(b) that real
 HE libraries evaluate in one pass (Halevi & Shoup, CRYPTO 2018), for fixed
-coefficient ciphertexts a_t (the diagonals of an encrypted matrix) and one b
-per call. It returns the slots, level and op counts of the composed rotate,
+coefficient ciphertexts a_t (the diagonals of an encrypted matrix, all on
+one context) and one b per call. It returns the slots, level and op counts of the composed rotate,
 multiply and add chain, but fills one buffer and draws its noise once: per
 slot, sigma * sqrt(sum_t a_t^2 + 2T - 1) * N(0, 1) for T terms, which given
 the a_t slots is the exact law of the composed ops' 3T - 1 noise terms. That
@@ -284,13 +284,14 @@ GATHER_MAX = 2048
 class DotTerms:
     """The fused sum_t a_t * rot_{s_t}(b) over fixed coefficient ciphertexts
     a_t and shifts s_t, with one b per call: a matrix-vector product in
-    diagonal form. The a_t's keys and levels are checked, and their noise
-    scale computed, once, here. Each call checks b alone and returns what
-    ``rotate(b, s_t)``, then ``hom_mul(a_t, .)``, then a left-to-right
-    ``hom_add`` chain return: the same noiseless slots, level, op counts
-    (each rotation on b's context, each product on a_t's, the sums on the
-    first a_t's) and errors (a call that raises counts no op), with one
-    noise draw of the composed ops' law (module docstring). The product plan
+    diagonal form. The a_t share one context, as a matrix's diagonals from
+    ``linalg.encrypt_matrix`` do; their context and levels are checked, and
+    their noise scale computed, once, here. Each call checks b alone and
+    returns what ``rotate(b, s_t)``, then ``hom_mul(a_t, .)``, then a
+    left-to-right ``hom_add`` chain return: the same noiseless slots, level,
+    op counts (each rotation on b's context, the products and sums on the
+    a_t's) and errors (a call that raises counts no op), with one noise draw
+    of the composed ops' law (module docstring). The product plan
     (``gather``: one gather, multiply and sum; or one multiply per slice) is
     chosen and built here, by T and n (module docstring). The a_t must not
     change while this object is in use."""
@@ -302,13 +303,12 @@ class DotTerms:
         self.ctx = ctx = coeffs[0]._ctx
         if {a._ctx.key_id for a in coeffs} != {ctx.key_id}:
             raise KeyMismatch("operands were created under different keys")
+        if any(a._ctx is not ctx for a in coeffs):
+            raise ValueError("DotTerms coefficients must share one context")
         n = ctx.config.slot_count
         T = len(coeffs)
         self.level = max([a.level for a in coeffs]) + 1
         self.terms = T
-        # each product counts on a_t's context; None when every a_t is ctx's
-        ctxs = [a._ctx for a in coeffs]
-        self.coeff_ctxs = None if ctxs.count(ctx) == T else ctxs
         shifts = [s % n for s in shifts]
         self.gather = T > 1 and T * n <= GATHER_MAX
         if self.gather:
@@ -347,11 +347,7 @@ class DotTerms:
         result = _result(ctx, out, max(self.level, b.level + 1), self.noise_scale)
         T = self.terms
         b._ctx.op_counts["rot"] += T
-        if self.coeff_ctxs is None:
-            ctx.op_counts["mul"] += T
-        else:
-            for c in self.coeff_ctxs:
-                c.op_counts["mul"] += 1
+        ctx.op_counts["mul"] += T
         ctx.op_counts["add"] += T - 1
         return result
 
@@ -375,7 +371,7 @@ def _mul_rotated(dst: np.ndarray, a: np.ndarray, i: int, b: np.ndarray):
 def dot_noise_scale(coeffs) -> np.ndarray:
     """Per-slot standard deviation of ``DotTerms``'s one noise draw for the
     coefficient ciphertexts a_t, in term order: sigma * sqrt(sum_t a_t^2 +
-    2T - 1), with sigma of the first a_t's context."""
+    2T - 1), with sigma of the a_t's context."""
     coeffs = list(coeffs)
     ctx = coeffs[0]._ctx
     scale = np.full(ctx.config.slot_count, 2.0 * len(coeffs) - 1)

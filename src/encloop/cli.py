@@ -27,8 +27,9 @@ EXIT_VERIFICATION = 3
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected host:port with a port in 1-65535, got {text!r}")
     return host, int(port)
 
 
@@ -138,17 +139,32 @@ def _role_exit(role: str, result: dict) -> int:
     return EXIT_OK
 
 
+class _Listening:
+    """The ``ready`` of a listening role. The role sets it right after
+    ``listen``, and it prints one ``listening on HOST:PORT`` line and
+    flushes stdout, so that whoever starts the roles can start the next one
+    then. A role whose bind fails prints no such line."""
+
+    def __init__(self, addr: tuple[str, int]):
+        self.line = "listening on {}:{}".format(*addr)
+
+    def set(self):
+        print(self.line, flush=True)
+
+
 def cmd_net(args) -> int:
     from . import netloop
 
     if args.role == "controller":
         if args.listen is None:
             raise ConfigError("net", "controller needs --listen")
-        return _role_exit("controller", netloop.run_controller(args.listen))
+        return _role_exit("controller", netloop.run_controller(
+            args.listen, ready=_Listening(args.listen)))
     if args.role == "attacker":
         if args.listen is None or args.upstream is None:
             raise ConfigError("net", "attacker needs --listen and --upstream")
-        return _role_exit("attacker", netloop.run_attacker(args.listen, args.upstream))
+        return _role_exit("attacker", netloop.run_attacker(
+            args.listen, args.upstream, ready=_Listening(args.listen)))
     # plant
     if args.connect is None or args.config is None:
         raise ConfigError("net", "plant needs --connect and --config")

@@ -1,9 +1,15 @@
 """Plaintext references the tests compare the encrypted linear algebra and
 the verifier with: wrapping diagonals, matrix reassembly, the fused
 product's slots and a tag's payload blocks. Also a stand-in socket that
-records the reads a frame reader makes."""
+records the reads a frame reader makes, and the harness that runs
+``encloop`` role processes."""
 
+import contextlib
 import copy
+import select
+import socket
+import subprocess
+import sys
 
 import numpy as np
 
@@ -44,8 +50,8 @@ def fused_reference(coeffs, shifts, b) -> np.ndarray:
     coefficient ciphertexts ``coeffs`` returns next: the noiseless composed
     product (each rotated b times its a_t, summed left to right), plus, on a
     noisy context, ``dot_noise_scale`` times the next standard-normal block
-    of a clone of the first a_t's context's generator. Reads the slots
-    directly, so it counts no op and draws nothing."""
+    of a clone of the a_t's context's generator. Reads the slots directly,
+    so it counts no op and draws nothing."""
     coeffs = list(coeffs)
     out = None
     for a, s in zip(coeffs, shifts):
@@ -86,3 +92,55 @@ class QueuedSocket:
         buf[:n] = self.data[:n]
         self.data = self.data[n:]
         return n
+
+
+HOST = "127.0.0.1"
+# seconds a role process may take to print its readiness line, and to end
+# once ``finish`` awaits it
+ROLE_TIMEOUT = 30
+
+
+def free_port() -> int:
+    """A port on HOST that was free when asked: the kernel's pick for port 0."""
+    with socket.socket() as s:
+        s.bind((HOST, 0))
+        return s.getsockname()[1]
+
+
+@contextlib.contextmanager
+def role_process(*args):
+    """``encloop ARGS`` as a child process for the with block, its stdout and
+    stderr piped as text. A process that the block has not ``finish``-ed is
+    killed when the block is left, so none outlives it, pass or fail."""
+    with subprocess.Popen([sys.executable, "-m", "encloop.cli", *args], text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            yield proc
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+
+@contextlib.contextmanager
+def listening_role(role: str, *args):
+    """``encloop net --role ROLE --listen HOST:PORT ARGS`` on a free port, as
+    ``role_process``. The block starts once the role has printed its
+    readiness line, and it gets the process and the port. A role that ends,
+    or stays silent for ROLE_TIMEOUT, before that line fails the test."""
+    port = free_port()
+    with role_process("net", "--role", role, "--listen", f"{HOST}:{port}", *args) as proc:
+        ready, _, _ = select.select([proc.stdout], [], [], ROLE_TIMEOUT)
+        line = proc.stdout.readline() if ready else ""
+        if line != f"listening on {HOST}:{port}\n":
+            proc.kill()
+            raise AssertionError(f"{role} did not listen on port {port}: "
+                                 f"{line!r}, stderr {proc.communicate()[1]!r}")
+        yield proc, port
+
+
+def finish(proc: subprocess.Popen, code: int = 0) -> subprocess.CompletedProcess:
+    """Await a ``role_process`` for at most ROLE_TIMEOUT and check its exit
+    code. Returns its remaining output."""
+    out, err = proc.communicate(timeout=ROLE_TIMEOUT)
+    assert proc.returncode == code, f"{proc.args[3:]} exited {proc.returncode}: {err}"
+    return subprocess.CompletedProcess(proc.args, code, out, err)

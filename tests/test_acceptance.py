@@ -6,9 +6,6 @@ one PASS/FAIL line per criterion (see conftest.py).
 
 import json
 import math
-import socket
-import subprocess
-import sys
 import threading
 import time
 from fractions import Fraction
@@ -57,9 +54,7 @@ from encloop.verify import (
     run_detection_experiment,
     setup,
 )
-from helpers import decrypt_matrix
-
-HOST = "127.0.0.1"
+from helpers import HOST, decrypt_matrix, finish, free_port, listening_role
 
 STEP_PLAN_RAW = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
                  "length": 10, "cooldown_len": 4}
@@ -319,37 +314,6 @@ def test_criterion_09_large_scale_capacity():
     assert elapsed < 10.0, f"verified step took {elapsed:.1f}s"
 
 
-def _free_port():
-    with socket.socket() as s:
-        s.bind((HOST, 0))
-        return s.getsockname()[1]
-
-
-def _spawn(args):
-    return subprocess.Popen([sys.executable, "-m", "encloop.cli", *args],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-
-
-def _finish(proc):
-    """Drain and close the role's pipes; assert it exited cleanly."""
-    try:
-        _, err = proc.communicate(timeout=15)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise
-    assert proc.returncode == 0, f"role exited {proc.returncode}: {err.decode()}"
-
-
-def _plant_with_retry(addr, cfg, attempts=50):
-    for _ in range(attempts):
-        try:
-            return netloop.run_plant(addr, cfg)
-        except ConnectionRefusedError:
-            time.sleep(0.1)
-    raise TimeoutError(f"could not reach {addr}")
-
-
 def test_criterion_10_networked_equivalence():
     """Wire deployment reproduces the in-process trace and attack stealth."""
     raw = {"scenario": "baseline", "mode": "encrypted", "steps": 50,
@@ -357,18 +321,11 @@ def test_criterion_10_networked_equivalence():
     cfg = ScenarioConfig.from_dict(raw)
 
     # run 1: plant -> attacker proxy (transparent) -> controller, 3 processes
-    ctrl_port, atk_port = _free_port(), _free_port()
-    procs = [_spawn(["net", "--role", "controller",
-                     "--listen", f"{HOST}:{ctrl_port}"])]
-    time.sleep(0.3)
-    procs.append(_spawn(["net", "--role", "attacker",
-                         "--listen", f"{HOST}:{atk_port}",
-                         "--upstream", f"{HOST}:{ctrl_port}"]))
-    try:
-        trace = _plant_with_retry((HOST, atk_port), cfg)
-    finally:
-        for p in procs:
-            _finish(p)
+    with (listening_role("controller") as (controller, ctrl_port),
+          listening_role("attacker", "--upstream", f"{HOST}:{ctrl_port}") as (proxy, port)):
+        trace = netloop.run_plant((HOST, port), cfg)
+        finish(proxy)
+        finish(controller)
     ref, code = run_scenario(cfg)
     assert code == 0
     assert len(trace) == len(ref) == 50
@@ -382,7 +339,7 @@ def test_criterion_10_networked_equivalence():
     atk_cfg = ScenarioConfig.from_dict(atk_raw)
     results = {}
     for label, plant_cfg in (("attacked", atk_cfg), ("clean", cfg)):
-        ctrl_port, atk_port = _free_port(), _free_port()
+        ctrl_port = free_port()
         ctrl_ready = threading.Event()
         box = {}
 
@@ -392,14 +349,11 @@ def test_criterion_10_networked_equivalence():
         t = threading.Thread(target=run_ctrl, daemon=True)
         t.start()
         assert ctrl_ready.wait(5)
-        proxy = _spawn(["net", "--role", "attacker",
-                        "--listen", f"{HOST}:{atk_port}",
-                        "--upstream", f"{HOST}:{ctrl_port}"])
-        try:
-            _plant_with_retry((HOST, atk_port), plant_cfg)
-        finally:
-            _finish(proxy)
-            t.join(10)
+        with listening_role("attacker", "--upstream", f"{HOST}:{ctrl_port}") as (proxy, port):
+            netloop.run_plant((HOST, port), plant_cfg)
+            finish(proxy)
+        t.join(10)
+        assert not t.is_alive()
         results[label] = box["result"]
     for fieldname in ("y_c", "u_c"):
         a = np.array(results["attacked"][fieldname])

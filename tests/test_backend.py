@@ -338,22 +338,23 @@ def composed_dot(coeffs, shifts, b):
 
 def dot_operands(seed, noise_std, slot_count=16, max_depth=8):
     """Random ``DotTerms`` operands over a context and its public view, at
-    random levels: the coefficients a_t, their shifts s_t and one b.
-    Deterministic in its arguments."""
+    random levels: the coefficients a_t, all on one of the two contexts,
+    their shifts s_t and one b, on either. Deterministic in its arguments."""
     rng = np.random.default_rng(seed)
     ctx = make_ctx(slot_count=slot_count, noise_std=noise_std, max_depth=max_depth, seed=5)
     contexts = (ctx, public_context(ctx.config))
 
-    def cipher():
-        c = contexts[rng.integers(2)].encrypt(rng.normal(size=slot_count))
+    def cipher(context):
+        c = context.encrypt(rng.normal(size=slot_count))
         for _ in range(rng.integers(3)):
             c = hom_mul(c, rng.normal(size=slot_count))
         return c
 
     T = rng.integers(1, 7)
-    coeffs = [cipher() for _ in range(T)]
+    coeff_ctx = contexts[rng.integers(2)]
+    coeffs = [cipher(coeff_ctx) for _ in range(T)]
     shifts = [int(rng.integers(-3 * slot_count, 3 * slot_count)) for _ in range(T)]
-    return contexts, (coeffs, shifts, cipher())
+    return contexts, (coeffs, shifts, cipher(contexts[rng.integers(2)]))
 
 
 class TestHomDot:
@@ -400,12 +401,17 @@ class TestHomDot:
                     op(coeffs, [1, 3][:len(coeffs)], b)
 
     def test_mixed_keys_rejected(self):
+        """A foreign key is a ``KeyMismatch``. ``DotTerms`` also refuses, when
+        it is built, a coefficient on another context of the same key."""
         ctx, other = make_ctx(seed=1), make_ctx(seed=2)
         a, b, x = ctx.encrypt(np.ones(8)), ctx.encrypt(np.ones(8)), other.encrypt(np.ones(8))
         for coeffs, v in (([a], x), ([a, x], b), ([b, a], x)):
             for op in (composed_dot, fused_dot):
                 with pytest.raises(KeyMismatch):
                     op(coeffs, [1, 2][:len(coeffs)], v)
+        same_key = public_context(ctx.config).encrypt(np.ones(8))
+        with pytest.raises(ValueError, match="share one context"):
+            DotTerms([a, same_key], [1, 2])
 
     def test_no_terms_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 import json
+import socket
+import struct
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
 from encloop.cli import main
-from encloop.netloop import run_attacker, run_controller
+from encloop.netloop import MSG_HELLO, run_attacker, run_controller
 from encloop.verify import p_succ_cumulative, p_succ_instant
+from helpers import HOST, finish, free_port, listening_role
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
@@ -265,20 +267,16 @@ class TestNet:
         assert main(["net", "--role", "attacker", "--listen", "x:1"]) == 1
 
     def test_plant_against_controller(self, tmp_path, capsys):
-        import socket
-
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
+        port = free_port()
         ready = threading.Event()
-        t = threading.Thread(target=run_controller, args=(("127.0.0.1", port),),
+        t = threading.Thread(target=run_controller, args=((HOST, port),),
                              kwargs={"ready": ready}, daemon=True)
         t.start()
         assert ready.wait(5)
         cfg = write_cfg(tmp_path, dict(BASELINE, mode="encrypted",
                                        backend={"slot_count": 64}))
         trace_path = tmp_path / "net_trace.csv"
-        code = main(["net", "--role", "plant", "--connect", f"127.0.0.1:{port}",
+        code = main(["net", "--role", "plant", "--connect", f"{HOST}:{port}",
                      "--config", cfg, "--out-trace", str(trace_path)])
         t.join(10)
         assert code == 0
@@ -288,14 +286,7 @@ class TestNet:
     def test_plant_caught_through_proxy_exit_three(self, tmp_path, capsys):
         """The net plant ends with ``simulate``'s last line and exit code:
         the guessing proxy is caught at step 0."""
-        import socket
-
-        ports = []
-        for _ in range(2):
-            with socket.socket() as s:
-                s.bind(("127.0.0.1", 0))
-                ports.append(s.getsockname()[1])
-        ctrl, atk = (("127.0.0.1", port) for port in ports)
+        ctrl, atk = (HOST, free_port()), (HOST, free_port())
         roles = [(run_controller, (ctrl,)), (run_attacker, (atk, ctrl))]
         threads = []
         for role, args in roles:
@@ -305,7 +296,7 @@ class TestNet:
             threads[-1].start()
             assert ready.wait(5)
         cfg = write_cfg(tmp_path, dict(VERIFIED, pre_roll=0, mode="encrypted"))
-        code = main(["net", "--role", "plant", "--connect", f"127.0.0.1:{atk[1]}",
+        code = main(["net", "--role", "plant", "--connect", f"{HOST}:{atk[1]}",
                      "--config", cfg])
         for t in threads:
             t.join(10)
@@ -318,48 +309,31 @@ class TestNet:
 
     def test_plain_mode_plant_exit_one(self, tmp_path, capsys):
         # refused before it connects: nothing listens on the port
-        import socket
-
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
         cfg = write_cfg(tmp_path, dict(BASELINE, mode="plain"))
-        code = main(["net", "--role", "plant", "--connect", f"127.0.0.1:{port}",
+        code = main(["net", "--role", "plant", "--connect", f"{HOST}:{free_port()}",
                      "--config", cfg])
         assert code == 1
         assert "config error: mode: the networked loop is encrypted" in (
             capsys.readouterr().err)
 
-    def test_controller_error_exit_two(self, capsys):
-        import socket
-        import struct
+    def test_controller_error_exit_two(self):
+        payload = b"this is not json"
+        with listening_role("controller") as (controller, port):
+            with socket.create_connection((HOST, port)) as sock:
+                sock.sendall(struct.pack("<IB", len(payload), MSG_HELLO) + payload)
+            assert "error: controller:" in finish(controller, 2).stderr
 
-        from encloop.netloop import MSG_HELLO
-
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-        box = {}
-        t = threading.Thread(
-            target=lambda: box.update(code=main(["net", "--role", "controller",
-                                                 "--listen", f"127.0.0.1:{port}"])),
-            daemon=True)
-        t.start()
-        deadline = time.monotonic() + 5
-        while True:
-            try:
-                sock = socket.create_connection(("127.0.0.1", port))
-                break
-            except ConnectionRefusedError:
-                assert time.monotonic() < deadline, "controller never listened"
-                time.sleep(0.02)
-        with sock:
-            payload = b"this is not json"
-            sock.sendall(struct.pack("<IB", len(payload), MSG_HELLO) + payload)
-        t.join(10)
-        assert not t.is_alive()
-        assert box["code"] == 2
-        assert "error: controller:" in capsys.readouterr().err
+    @pytest.mark.parametrize("role", ["controller", "attacker"])
+    def test_bind_failure_exit_two(self, capsys, role):
+        """A listening role that cannot bind prints no readiness line."""
+        with socket.socket() as taken:
+            taken.bind((HOST, 0))
+            taken.listen()
+            addr = f"{HOST}:{taken.getsockname()[1]}"
+            assert main(["net", "--role", role, "--listen", addr, "--upstream", addr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestEntrypoint:
@@ -369,6 +343,11 @@ class TestEntrypoint:
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
 
-    def test_bad_address(self):
-        with pytest.raises(SystemExit):
-            main(["net", "--role", "plant", "--connect", "nonsense"])
+    def test_bad_address(self, capsys):
+        """A malformed address, or a port outside 1-65535, is a usage error."""
+        for flag, addr in (("--connect", "nonsense"), ("--listen", "127.0.0.1:0"),
+                           ("--listen", "127.0.0.1:70000")):
+            with pytest.raises(SystemExit) as exc:
+                main(["net", "--role", "plant", flag, addr])
+            assert exc.value.code == 2
+            assert "expected host:port with a port in 1-65535" in capsys.readouterr().err

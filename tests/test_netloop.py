@@ -37,15 +37,7 @@ from encloop.netloop import (
     send_frame,
 )
 from encloop.scenario import ConfigError, ScenarioConfig, run_scenario
-from helpers import QueuedSocket
-
-HOST = "127.0.0.1"
-
-
-def free_port():
-    with socket.socket() as s:
-        s.bind((HOST, 0))
-        return s.getsockname()[1]
+from helpers import HOST, QueuedSocket, free_port
 
 
 def raw_frame(msg_type, payload=b""):
