@@ -58,8 +58,9 @@ __all__ = [
     "PackedCiphertext",
     "DepthExhausted",
     "KeyMismatch",
+    "PARTIES",
     "context_create",
-    "public_context",
+    "party_rng",
     "hom_add",
     "hom_sub",
     "hom_neg",
@@ -126,30 +127,48 @@ class PackedCiphertext:
         return self._ctx.key_id
 
 
-class KeyContext:
-    """Holds the backend config, a deterministic PRNG stream, and op counters.
-    A context without the secret key (``public_context``) encrypts and
-    operates on ciphertexts but cannot decrypt them."""
+# Every party of a deployment: whether it holds the secret key, and the
+# non-zero tag of its random stream, default_rng([seed, *tag]) (``party_rng``;
+# default_rng([s, 0]) starts where default_rng(s) does). The plant's tag is
+# empty: it draws default_rng(seed). The observer decrypts the controller's
+# view for the trace, a simulation privilege. The verifier (the plant's check)
+# and the guesser (the attacker's guess of the payload) hold no key context.
+PARTIES = {
+    "plant": (True, ()),
+    "controller": (False, (0xC7,)),
+    "attacker": (False, (0x5EC0,)),
+    "observer": (True, (0x0B5E,)),
+    "verifier": (True, (0x7E21,)),
+    "guesser": (False, (0x6E55,)),
+}
 
-    def __init__(self, config: BackendConfig, key_id: int, has_secret_key: bool = True,
-                 stream: int | None = None):
+
+def party_rng(party: str, seed: int) -> np.random.Generator:
+    """The random stream of ``party`` in a deployment seeded ``seed``."""
+    return np.random.default_rng([seed, *PARTIES[party][1]])
+
+
+class KeyContext:
+    """One party's key context (``context_create``): the backend config, the
+    party's random stream and op counters. A party without the secret key
+    encrypts and operates on ciphertexts but cannot decrypt them."""
+
+    def __init__(self, config: BackendConfig, party: str):
         self.config = config
-        self.key_id = key_id
-        self.has_secret_key = has_secret_key
-        self.stream = stream
+        # the key tag, from the seed alone: holders of one key share it
+        self.key_id = (config.seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & (2 ** 64 - 1)
+        self.party = party
+        self.has_secret_key = PARTIES[party][0]
         self._rng: np.random.Generator | None = None
         self.op_counts = {"add": 0, "mul": 0, "rot": 0, "enc": 0, "dec": 0}
         self._buf: np.ndarray | None = None
 
     @property
     def rng(self) -> np.random.Generator:
-        """The noise stream, ``default_rng(seed)``, or ``default_rng([seed,
-        stream])`` for a context with a ``stream`` tag, built on first use:
-        a context that draws no noise builds none."""
+        """The party's noise stream (``party_rng``), built on first use: a
+        context that draws no noise builds none."""
         if self._rng is None:
-            seed = self.config.seed
-            self._rng = np.random.default_rng(
-                seed if self.stream is None else [seed, self.stream])
+            self._rng = party_rng(self.party, self.config.seed)
         return self._rng
 
     # -- core API ---------------------------------------------------------
@@ -160,15 +179,11 @@ class KeyContext:
             raise ValueError(
                 f"plaintext length {m.shape} does not match slot_count {self.config.slot_count}")
         self.op_counts["enc"] += 1
-        return PackedCiphertext(
-            _slots=self._noisy(m),
-            level=0,
-            _ctx=self,
-        )
+        return PackedCiphertext(_slots=self._noisy(m), level=0, _ctx=self)
 
     def decrypt(self, c: PackedCiphertext) -> np.ndarray:
         if not self.has_secret_key:
-            raise KeyMismatch("this context holds no secret key")
+            raise KeyMismatch(f"the {self.party}'s context holds no secret key")
         if c._ctx.key_id != self.key_id:
             raise KeyMismatch("ciphertext was created under a different key")
         self.op_counts["dec"] += 1
@@ -192,30 +207,12 @@ class KeyContext:
         return slots
 
 
-def context_create(config: BackendConfig, stream: int | None = None) -> KeyContext:
-    """Create a key context. The key tag is derived from the seed so that two
-    processes configured identically interoperate (needed by the networked
-    deployment). Noise is drawn from ``default_rng(seed)``; a second party
-    holding the same key passes its own ``stream`` tag and draws from
-    ``default_rng([seed, stream])``, since two parties drawing one stream
-    would add the same noise."""
-    return KeyContext(config, _key_id(config), stream=stream)
-
-
-def public_context(config: BackendConfig) -> KeyContext:
-    """The public key of ``context_create(config)``'s key, built without its
-    secret key: it encrypts and operates but cannot decrypt, and draws its
-    noise from its own stream, ``PUBLIC_STREAM``."""
-    return KeyContext(config, _key_id(config), has_secret_key=False, stream=PUBLIC_STREAM)
-
-
-# the noise stream tag of every public context
-PUBLIC_STREAM = 0x5EC0
-
-
-def _key_id(config: BackendConfig) -> int:
-    """The key tag of ``config``'s key, from its seed alone."""
-    return (config.seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF
+def context_create(config: BackendConfig, party: str = "plant") -> KeyContext:
+    """The key context of ``party``, a key of ``PARTIES``. The key tag is
+    derived from the seed, so that every party of a deployment, in one
+    process or in several configured alike, holds one key; each draws its
+    own stream, since two parties drawing one would add the same noise."""
+    return KeyContext(config, party)
 
 
 # -- homomorphic operations -------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "controller_eval_plain",
     "controller_eval_encrypted",
     "encrypt_controller",
-    "CONTROLLER_STREAM",
     "controller_role",
     "run_closed_loop",
     "quadruple_tank",
@@ -213,36 +212,33 @@ class SimTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-# the controller's noise stream tag: seeded like the plant, it would otherwise
-# draw the plant's noise blocks again, offset by the blocks its own set-up drew
-CONTROLLER_STREAM = 0xC7
-
-
 def controller_role(config: BackendConfig, ctrl: AffineController, expansion: int = 1):
     """The controller of the encrypted loop, as one party: its own key
-    context (stream ``CONTROLLER_STREAM``) holding the lifted controller
+    context, without the secret key, holding the lifted controller
     replicated over ``expansion`` blocks (``encrypt_controller``), and
     ``serve(y_cipher) -> (u_cipher, y_c, u_c)``, which takes one measurement
     ciphertext into that context (``backend.hand_over``) and answers it with
     one ``controller_eval_encrypted``. ``y_c`` and ``u_c`` are the
-    controller's view of its input and output block, decrypted for the
-    trace; with more than one block the controller cannot tell the payload
-    from a challenge, so the view is ``None`` twice. Returns ``(ctx,
+    controller's view of its input and output block, which an observer
+    context decrypts for the trace, a simulation privilege; with more than
+    one block the controller cannot tell the payload from a challenge, so
+    there is no observer and the view is ``None`` twice. Returns ``(ctx,
     serve)``. Used in-process by ``run_closed_loop`` and over TCP by
     ``netloop.run_controller``."""
-    ctx = context_create(config, stream=CONTROLLER_STREAM)
+    ctx = context_create(config, "controller")
     enc_ctrl = encrypt_controller(ctx, ctrl, expansion)
+    observer = context_create(config, "observer") if expansion == 1 else None
     m, p = ctrl.K.shape
     start = verify.measurement_offset(m)
 
     def serve(y_cipher):
         y_cipher = hand_over(ctx, y_cipher)
         u_cipher = controller_eval_encrypted(enc_ctrl, y_cipher)
-        if expansion > 1:
+        if observer is None:
             return u_cipher, None, None
         # copies, not views that keep the slot-width decrypts alive
-        return (u_cipher, ctx.decrypt(y_cipher)[start: start + p].copy(),
-                ctx.decrypt(u_cipher)[:m].copy())
+        return (u_cipher, observer.decrypt(y_cipher)[start: start + p].copy(),
+                observer.decrypt(u_cipher)[:m].copy())
     return ctx, serve
 
 

@@ -29,9 +29,10 @@ configured slot count (``backend.ciphertext_blob_size``; ABORT and BYE
 payloads are shorter); the plant reads under ``MAX_PAYLOAD``, the largest
 legitimate frame.
 
-This is a simulator: all roles reconstruct the key context from the shared
-configuration, and the attacker proxy restricts itself to the public
-(encrypt/add) capability when modifying payloads.
+This is a simulator: each role builds its party's key context
+(``backend.PARTIES``) from the shared configuration. Only the plant's holds
+the secret key; the controller and the attacker proxy encrypt and operate
+on ciphertexts only.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import struct
 
 from . import control
 from .backend import (MAX_SLOTS, check_ciphertext_blob, ciphertext_blob_size, context_create,
-                      deserialize_ciphertext, public_context, serialize_ciphertext)
+                      deserialize_ciphertext, serialize_ciphertext)
 from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
 
 __all__ = [
@@ -197,10 +198,10 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
 def run_controller(listen: tuple[str, int], ready=None) -> dict:
     """Controller server: builds ``control.controller_role`` from the HELLO
     configuration, then answers one control frame per measurement frame
-    with its ``serve``. Returns the role's view of the exchange, the
-    decrypted inputs and outputs ``serve`` records (simulation
-    introspection): none in ``verified_attack``, where the controller cannot
-    tell the payload block from a challenge."""
+    with its ``serve``. Returns the role's view of the exchange, the inputs
+    and outputs that ``serve``'s observer decrypts (a simulation privilege):
+    none in ``verified_attack``, where the controller cannot tell the
+    payload block from a challenge."""
     result = {"y_c": [], "u_c": [], "aborted": False}
     with _accept_one(listen, ready) as conn:
         reader = FrameReader(conn)
@@ -258,7 +259,7 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
         plant_reader, up_reader = FrameReader(plant_conn), FrameReader(up)
         try:
             cfg, payload = _recv_hello(plant_reader)
-            pub = public_context(cfg.backend)
+            pub = context_create(cfg.backend, "attacker")
             attacker = build_attacker(cfg, pub)
             send_frame(up, MSG_HELLO, payload)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attack, control, verify
-from .backend import BackendConfig, context_create, public_context
+from .backend import BackendConfig, context_create, party_rng
 
 __all__ = ["ConfigError", "ScenarioConfig", "build_attacker", "run_scenario",
            "write_trace_svg"]
@@ -246,15 +246,16 @@ def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext | None":
     K_aug = verify.lift_affine(-cfg.controller.K)
     return verify.setup(cfg.backend.slot_count, K_aug, cfg.expansion, cfg.num_challenges,
                         threshold=cfg.threshold, noise_std=cfg.backend.noise_std,
-                        seed=cfg.seed)
+                        seed=party_rng("verifier", cfg.seed))
 
 
 def build_attacker(cfg: ScenarioConfig, pub_ctx):
-    """The scenario's man-in-the-middle attacker, holding only the public
-    context ``pub_ctx`` (``None`` on a plain channel); ``None`` when the
-    scenario has no attack plan, or a plaintext-model plan whose biases are
-    all zero (each splice would be skipped). The scenario kind alone picks
-    it. Used in-process and by the TCP proxy."""
+    """The scenario's man-in-the-middle attacker, holding only the
+    attacker's key context ``pub_ctx``, without the secret key (``None`` on
+    a plain channel); ``None`` when the scenario has no attack plan, or a
+    plaintext-model plan whose biases are all zero (each splice would be
+    skipped). The scenario kind alone picks it. Used in-process and by the
+    TCP proxy."""
     plan = cfg.attack_plan
     if plan is None or (cfg.scenario != "attack_encrypted"
                         and not any(np.any(a) for a in plan.schedule.values())):
@@ -262,7 +263,7 @@ def build_attacker(cfg: ScenarioConfig, pub_ctx):
     if cfg.scenario == "verified_attack":
         return attack.GuessingAttacker(cfg.model, cfg.attack_plan, pub_ctx,
                                        expansion=cfg.expansion,
-                                       rng=np.random.default_rng(cfg.seed + 1))
+                                       rng=party_rng("guesser", cfg.seed))
     enc_model = None
     if cfg.scenario == "attack_encrypted":
         enc_model = attack.build_enc_model(pub_ctx, cfg.model)
@@ -275,8 +276,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     (0 completed, 3 verification tripped)."""
     ctx = context_create(cfg.backend) if cfg.mode == "encrypted" else None
     verifier = build_verifier(cfg)
-    pub = (public_context(cfg.backend) if ctx is not None and cfg.attack_plan is not None
-           else None)
+    pub = (context_create(cfg.backend, "attacker")
+           if ctx is not None and cfg.attack_plan is not None else None)
     attacker = build_attacker(cfg, pub)
 
     trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,

@@ -126,11 +126,13 @@ def check_params(expansion: int, num_challenges: int = 1, threshold: float = 1e-
 
 
 def setup(slot_count: int, h, expansion: int, num_challenges: int,
-          threshold: float = 1e-9, noise_std: float = 0.0, seed: int = 0) -> VerifierContext:
+          threshold: float = 1e-9, noise_std: float = 0.0,
+          seed: int | np.random.Generator = 0) -> VerifierContext:
     """Instantiate the verifier for a server that evaluates the d x d matrix
     ``h`` on every block, as ``encrypt_matrix(ctx, h, copies)`` on a backend
     of ``slot_count`` slots and noise ``noise_std``: draw challenge inputs,
-    precompute their reference outputs h c, and fix the expansion factor."""
+    precompute their reference outputs h c, and fix the expansion factor.
+    It draws from ``default_rng(seed)``: a generator ``seed`` itself."""
     check_params(expansion, num_challenges, threshold)
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -451,12 +453,13 @@ def run_detection_experiment(expansion: int, attack_len: int, trials: int,
     slots, so the trials run in chunks of ``FULL_MODE_SLOTS // lambda``.
     Every live trial of a chunk takes its step k in one encrypt, splice (that
     of ``GuessingAttacker``), matvec and decrypt; detected trials drop out.
-    One RNG stream, the verifier's, draws every step's permutations,
+    One RNG stream, ``default_rng(seed)``, draws every step's permutations,
     challenges and guesses; each step draws afresh, so trials stay
-    independent. Both modes follow the same detection law. Raises
-    ``ValueError`` unless the expansion is even and at least 2, the attack
-    length and the number of trials are at least 1 and the seed is
-    non-negative.
+    independent. Full mode's key context has noise 0 and draws nothing, so
+    that stream is the experiment's only one. Both modes follow the same
+    detection law. Raises ``ValueError`` unless the expansion is even and at
+    least 2, the attack length and the number of trials are at least 1 and
+    the seed is non-negative.
     """
     p_succ_cumulative(expansion, attack_len)  # validates both
     if trials < 1:

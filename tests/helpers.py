@@ -1,7 +1,8 @@
 """Plaintext references the tests compare the encrypted linear algebra and
 the verifier with: wrapping diagonals, matrix reassembly, the fused
 product's slots and a tag's payload blocks. Also a stand-in socket that
-records the reads a frame reader makes, and the harness that runs
+records the reads a frame reader makes, a stand-in controller that answers
+one measurement with the bytes it is given, and the harness that runs
 ``encloop`` role processes."""
 
 import contextlib
@@ -15,6 +16,7 @@ import numpy as np
 
 from encloop.backend import KeyContext, dot_noise_scale
 from encloop.linalg import DiagMatrixCipher
+from encloop.netloop import FrameReader, recv_frame
 from encloop.verify import PermutationTag
 
 
@@ -144,3 +146,18 @@ def finish(proc: subprocess.Popen, code: int = 0) -> subprocess.CompletedProcess
     out, err = proc.communicate(timeout=ROLE_TIMEOUT)
     assert proc.returncode == code, f"{proc.args[3:]} exited {proc.returncode}: {err}"
     return subprocess.CompletedProcess(proc.args, code, out, err)
+
+
+def reply_once(srv: socket.socket, reply: bytes) -> list[int]:
+    """A stand-in controller on the listening socket ``srv``: it accepts one
+    plant, reads its HELLO and its first measurement frame, sends the raw
+    bytes ``reply`` and waits for the plant to hang up. Returns the types of
+    the two frames it read."""
+    conn, _ = srv.accept()
+    with conn:
+        conn.settimeout(ROLE_TIMEOUT)
+        reader = FrameReader(conn)
+        kinds = [recv_frame(reader)[0] for _ in range(2)]
+        conn.sendall(reply)
+        conn.recv(1)
+    return kinds

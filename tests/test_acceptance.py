@@ -4,7 +4,6 @@ Each test is numbered; a summary section at the end of the pytest run prints
 one PASS/FAIL line per criterion (see conftest.py).
 """
 
-import json
 import math
 import threading
 import time
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from encloop import netloop, verify
+from encloop import netloop
 from encloop.attack import (
     AttackPlan,
     CovertAttacker,
@@ -27,7 +26,6 @@ from encloop.backend import (
     DepthExhausted,
     context_create,
     pad_slots,
-    public_context,
     serialize_ciphertext,
 )
 from encloop.control import (
@@ -113,7 +111,7 @@ def test_criterion_03_covert_attack_stealthiness():
                               attacker=plain_att)
 
     ctx = context_create(BackendConfig(slot_count=8, max_depth=16, seed=5))
-    pub = public_context(ctx.config)
+    pub = context_create(ctx.config, "attacker")
     enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                              enc_model=build_enc_model(pub, model))
     t_enc = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,
@@ -256,7 +254,7 @@ def test_criterion_08_depth_budget_fidelity():
 
     # the recursion costs one multiplicative level per step
     ctx3 = context_create(BackendConfig(slot_count=8, max_depth=3, seed=8))
-    pub3 = public_context(ctx3.config)
+    pub3 = context_create(ctx3.config, "attacker")
     enc3 = build_enc_model(pub3, model)
     dx = pub3.encrypt(np.zeros(8))
     a_u = pub3.encrypt(pad_slots([2.0, 2.0], 8))
@@ -274,7 +272,7 @@ def test_criterion_08_depth_budget_fidelity():
 
     # ... while a budget of 12 fits the whole attack, cooldown included
     ctx12 = context_create(BackendConfig(slot_count=8, max_depth=12, seed=8))
-    pub12 = public_context(ctx12.config)
+    pub12 = context_create(ctx12.config, "attacker")
     att12 = CovertAttacker(model, step_plan(), ctx=pub12,
                            enc_model=build_enc_model(pub12, model))
     trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=20,

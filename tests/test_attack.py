@@ -13,8 +13,7 @@ from encloop.attack import (
     cooldown_inputs_encrypted,
     delta_step_encrypted,
 )
-from encloop.backend import (BackendConfig, DepthExhausted, context_create, pad_slots,
-                             public_context)
+from encloop.backend import BackendConfig, DepthExhausted, context_create, pad_slots
 from encloop.control import (
     TANK_X0,
     LtiModel,
@@ -158,7 +157,7 @@ class TestCooldown:
 class TestEncryptedModel:
     def test_delta_step_matches_plain(self, model):
         ctx = make_ctx()
-        enc = build_enc_model(public_context(ctx.config), model)
+        enc = build_enc_model(context_create(ctx.config, "attacker"), model)
         rng = np.random.default_rng(3)
         dx = rng.uniform(-1, 1, 4)
         a_u = rng.uniform(-1, 1, 2)
@@ -169,7 +168,7 @@ class TestEncryptedModel:
 
     def test_cooldown_matches_plain(self, model):
         ctx = make_ctx()
-        enc = build_enc_model(public_context(ctx.config), model)
+        enc = build_enc_model(context_create(ctx.config, "attacker"), model)
         rng = np.random.default_rng(4)
         dx = rng.uniform(-1, 1, 4)
         ref = cooldown_inputs(model, dx)
@@ -183,7 +182,7 @@ class TestEncryptedModel:
         lifted block (``verify.measurement_offset``), so that C dx lands on
         the measurement; it stores C's one wrapped diagonal."""
         ctx = make_ctx()
-        enc = build_enc_model(public_context(ctx.config), model)
+        enc = build_enc_model(context_create(ctx.config, "attacker"), model)
         start = verify.measurement_offset(model.m)
         want = np.zeros((8, 8))
         want[start:start + model.p, :model.n] = model.C
@@ -197,7 +196,7 @@ class TestEncryptedModel:
         one matvec costs one multiply and one rotation per diagonal, plus
         n - 1 block rotations. The first input is the matvec output itself."""
         ctx = context_create(BackendConfig(slot_count=64, seed=3))
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         enc = build_enc_model(pub, model)
         want = cooldown_gain(model)
         M = enc.cooldown_matrix
@@ -250,7 +249,7 @@ class TestCooldownLength:
                           cooldown_len=cooldown_len)
         with pytest.raises(ValueError, match="cooldown_len must equal the state "
                                              f"dimension 4, got {cooldown_len}"):
-            ATTACKERS[kind](model, plan, public_context(make_ctx().config))
+            ATTACKERS[kind](model, plan, context_create(make_ctx().config, "attacker"))
 
 
 class TestSplice:
@@ -268,7 +267,7 @@ class TestSplice:
     @pytest.mark.parametrize("kind", sorted(ATTACKERS))
     def test_encrypted_channel_public_context_only(self, model, kind):
         ctx = make_ctx()
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         assert not pub.has_secret_key
         attacker = ATTACKERS[kind](model, step_plan(), pub)
         base = np.arange(8.0)
@@ -295,7 +294,7 @@ class TestSplice:
 
     def test_plain_model_never_encrypts(self, model, ctrl):
         ctx = make_ctx()
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         start = op_totals(ctx)
         run_closed_loop(model, ctrl, TANK_X0, 20, pre_roll=5, ctx=ctx)
         clean = spent_ops((ctx,), start)
@@ -309,7 +308,7 @@ class TestSplice:
 
     def test_encrypted_model_one_enc_per_active_step(self, model):
         ctx = make_ctx()
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         enc = build_enc_model(pub, model)
         attacker = CovertAttacker(model, step_plan(), ctx=pub, enc_model=enc)
         # C dx for the measurement, A dx and B a_u for the next state: each
@@ -330,7 +329,7 @@ class TestSplice:
         # an empty schedule keeps dx at zero: every splice is skipped, so
         # no op runs and no guess is drawn
         ctx = make_ctx()
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         rng = np.random.default_rng(5)
         attacker = GuessingAttacker(model, AttackPlan(schedule={}, length=10, cooldown_len=4),
                                     pub, expansion=2, rng=rng)
@@ -383,7 +382,7 @@ class TestCovertAttackClosedLoop:
         t_plain = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                   attacker=plain_att)
         ctx = make_ctx(max_depth=32)
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         t_enc = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
@@ -398,7 +397,7 @@ class TestCovertAttackClosedLoop:
         # of 3 dies at loop step k = 2, where the controller's product with
         # the spliced measurement would sit at level 4
         ctx = make_ctx(max_depth=3)
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         with pytest.raises(DepthExhausted):
             enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                      enc_model=build_enc_model(pub, model))
@@ -407,7 +406,7 @@ class TestCovertAttackClosedLoop:
 
     def test_encrypted_variant_fits_depth_twelve(self, model, ctrl):
         ctx = make_ctx(max_depth=12)
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         enc_att = CovertAttacker(model, step_plan(), ctx=pub,
                                  enc_model=build_enc_model(pub, model))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,

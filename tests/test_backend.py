@@ -6,6 +6,7 @@ from scipy import stats
 
 from encloop.backend import (
     MAX_SLOTS,
+    PARTIES,
     BackendConfig,
     DepthExhausted,
     DotTerms,
@@ -20,7 +21,7 @@ from encloop.backend import (
     hom_neg,
     hom_sub,
     pad_slots,
-    public_context,
+    party_rng,
     rotate,
     serialize_ciphertext,
 )
@@ -258,28 +259,43 @@ class TestNoiseAccounting:
         assert np.array_equal(noisy, np.random.default_rng(11).normal(0.0, 1e-3, 8))
 
     def test_stream_tag_picks_the_generator(self):
-        """A public context, and a context created with a ``stream`` tag,
-        build default_rng([seed, tag]) at their first draw, not before."""
+        """Every party's context builds its stream, default_rng([seed,
+        *tag]) with the party's tag, at its first draw, not before; the
+        plant's is default_rng(seed)."""
         ctx = make_ctx(noise_std=1e-3, seed=11)
-        for other, tag in ((public_context(ctx.config), 0x5EC0),
-                           (context_create(ctx.config, stream=7), 7)):
+        for party, (_, tag) in PARTIES.items():
+            other = context_create(ctx.config, party)
             assert other.key_id == ctx.key_id and other._rng is None
             other.encrypt(np.zeros(8))
-            ref = np.random.default_rng([11, tag])
+            ref = np.random.default_rng([11, *tag])
             ref.standard_normal(8)  # the encryption's one draw
             assert other.rng.bit_generator.state == ref.bit_generator.state
+        assert party_rng("plant", 11).bit_generator.state == (
+            np.random.default_rng(11).bit_generator.state)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_party_streams_start_apart(self, seed):
+        """No two parties' streams start from one state, at this seed or at
+        the next: a party's stream is never another's at a neighbouring
+        seed, as a tag of 0 or an offset seed would make it."""
+        starts = [party_rng(party, s).bit_generator.state["state"]["state"]
+                  for party in PARTIES for s in (seed, seed + 1)]
+        assert len(set(starts)) == len(starts) == 2 * len(PARTIES)
 
     def test_public_context_from_the_config(self):
-        """``public_context(config)`` is the public key of
+        """``context_create(config, "attacker")`` is the public key of
         ``context_create(config)``, built without its secret key: it cannot
-        decrypt, and what it encrypts decrypts under the secret key."""
+        decrypt, and what it encrypts decrypts under the secret key. Only
+        the plant and the observer hold the secret key."""
         ctx = make_ctx(seed=11)
-        pub = public_context(ctx.config)
-        assert (pub.key_id, pub.stream, pub.has_secret_key) == (ctx.key_id, 0x5EC0, False)
+        pub = context_create(ctx.config, "attacker")
+        assert (pub.key_id, pub.party, pub.has_secret_key) == (ctx.key_id, "attacker", False)
         c = pub.encrypt(np.ones(8))
-        with pytest.raises(KeyMismatch, match="no secret key"):
+        with pytest.raises(KeyMismatch, match="the attacker's context holds no secret key"):
             pub.decrypt(c)
         assert np.array_equal(ctx.decrypt(c), np.ones(8))
+        holders = {p for p in PARTIES if context_create(ctx.config, p).has_secret_key}
+        assert holders == {"plant", "observer", "verifier"}
 
     def test_noise_added_to_explicit_draws(self):
         """Each noisy op adds the context's next N(0, sigma) draw to its
@@ -342,7 +358,7 @@ def dot_operands(seed, noise_std, slot_count=16, max_depth=8):
     their shifts s_t and one b, on either. Deterministic in its arguments."""
     rng = np.random.default_rng(seed)
     ctx = make_ctx(slot_count=slot_count, noise_std=noise_std, max_depth=max_depth, seed=5)
-    contexts = (ctx, public_context(ctx.config))
+    contexts = (ctx, context_create(ctx.config, "attacker"))
 
     def cipher(context):
         c = context.encrypt(rng.normal(size=slot_count))
@@ -409,7 +425,7 @@ class TestHomDot:
             for op in (composed_dot, fused_dot):
                 with pytest.raises(KeyMismatch):
                     op(coeffs, [1, 2][:len(coeffs)], v)
-        same_key = public_context(ctx.config).encrypt(np.ones(8))
+        same_key = context_create(ctx.config, "attacker").encrypt(np.ones(8))
         with pytest.raises(ValueError, match="share one context"):
             DotTerms([a, same_key], [1, 2])
 
@@ -442,7 +458,7 @@ class TestMalleability:
     def test_public_party_shifts_plaintext(self):
         # holder of the public context alone turns [[m]] into [[m + a]]
         ctx = make_ctx()
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         m = np.arange(8.0)
         a = np.full(8, 2.5)
         c = ctx.encrypt(m)
@@ -526,7 +542,7 @@ class TestHandOver:
         """The handed-over ciphertext shares the sender's slots and level,
         and is what deserializing the sender's blob on the receiver gives."""
         sender = make_ctx(noise_std=1e-3, seed=5)
-        receiver = context_create(sender.config, stream=7)
+        receiver = context_create(sender.config, "observer")
         c = hom_mul(sender.encrypt(np.arange(8.0)), np.full(8, 0.5))
         got = hand_over(receiver, c)
         assert got._ctx is receiver and got.key_id == c.key_id
@@ -537,11 +553,11 @@ class TestHandOver:
 
     def test_later_ops_count_and_draw_on_the_receiver(self):
         sender = make_ctx(noise_std=1e-3, seed=5)
-        receiver = context_create(sender.config, stream=7)
+        receiver = context_create(sender.config, "observer")
         m = np.arange(8.0)
         c = sender.encrypt(m)
         sender_ops, sender_state = dict(sender.op_counts), sender.rng.bit_generator.state
-        ref = np.random.default_rng([5, 7])
+        ref = party_rng("observer", 5)
         out = rotate(hom_add(hand_over(receiver, c), np.ones(8)), 1)
         expected = np.roll(sender.decrypt(c) + 1.0 + 1e-3 * ref.standard_normal(8), -1)
         expected += 1e-3 * ref.standard_normal(8)

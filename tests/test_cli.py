@@ -8,9 +8,9 @@ import threading
 import pytest
 
 from encloop.cli import main
-from encloop.netloop import MSG_HELLO, run_attacker, run_controller
+from encloop.netloop import MSG_BYE, MSG_ENC_Y, MSG_HELLO, run_attacker, run_controller
 from encloop.verify import p_succ_cumulative, p_succ_instant
-from helpers import HOST, finish, free_port, listening_role
+from helpers import HOST, finish, free_port, listening_role, reply_once, role_process
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
@@ -322,6 +322,33 @@ class TestNet:
             with socket.create_connection((HOST, port)) as sock:
                 sock.sendall(struct.pack("<IB", len(payload), MSG_HELLO) + payload)
             assert "error: controller:" in finish(controller, 2).stderr
+
+    def test_plant_wrong_reply_exit_two(self, tmp_path):
+        """A reply frame other than ENC_U ends the net plant with exit 2."""
+        cfg = write_cfg(tmp_path, dict(BASELINE, mode="encrypted"))
+        with socket.create_server((HOST, 0)) as srv:
+            t = threading.Thread(target=reply_once, daemon=True,
+                                 args=(srv, struct.pack("<IB", 0, MSG_BYE)))
+            t.start()
+            with role_process("net", "--role", "plant", "--connect",
+                              f"{HOST}:{srv.getsockname()[1]}", "--config", cfg) as plant:
+                assert "error: expected control frame" in finish(plant, 2).stderr
+            t.join(10)
+            assert not t.is_alive()
+
+    def test_proxy_wrong_first_frame_exit_two(self):
+        """A plant that opens with ENC_Y instead of HELLO ends the proxy with
+        exit 2, and the proxy forwards nothing upstream."""
+        with socket.create_server((HOST, 0)) as upstream:
+            with listening_role("attacker", "--upstream",
+                                f"{HOST}:{upstream.getsockname()[1]}") as (proxy, port):
+                with socket.create_connection((HOST, port)) as sock:
+                    sock.sendall(struct.pack("<IB", 8, MSG_ENC_Y) + bytes(8))
+                    assert "error: attacker: expected HELLO" in finish(proxy, 2).stderr
+            conn, _ = upstream.accept()
+            with conn:
+                conn.settimeout(10)
+                assert conn.recv(1) == b""
 
     @pytest.mark.parametrize("role", ["controller", "attacker"])
     def test_bind_failure_exit_two(self, capsys, role):

@@ -5,11 +5,10 @@ import pytest
 
 from encloop import verify
 from encloop.attack import AttackPlan, CovertAttacker
-from encloop.backend import BackendConfig, context_create, hom_add, pad_slots, public_context
+from encloop.backend import BackendConfig, context_create, hom_add, pad_slots
 from encloop.control import (
     TANK_X0,
     TANK_XREF,
-    AffineController,
     LtiModel,
     SimTrace,
     controller_eval_encrypted,
@@ -118,7 +117,7 @@ class TestControllerEncrypted:
 
     def test_tampering_shifts_by_gain(self, model, ctrl):
         ctx = make_ctx()
-        pub = public_context(ctx.config)
+        pub = context_create(ctx.config, "attacker")
         enc_ctrl = encrypt_controller(ctx, ctrl)
         y = np.array([0.4, -0.2])
         delta = np.array([0.3, 0.1])

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import socket
 import struct
@@ -13,12 +14,12 @@ from encloop import control, netloop
 from encloop.backend import (
     MAX_SLOTS,
     BackendConfig,
+    KeyMismatch,
     ciphertext_blob_size,
     context_create,
     deserialize_ciphertext,
     serialize_ciphertext,
 )
-from encloop.control import CONTROLLER_STREAM
 from encloop.netloop import (
     HELLO_MAX_PAYLOAD,
     MAX_PAYLOAD,
@@ -37,7 +38,7 @@ from encloop.netloop import (
     send_frame,
 )
 from encloop.scenario import ConfigError, ScenarioConfig, run_scenario
-from helpers import HOST, QueuedSocket, free_port
+from helpers import HOST, QueuedSocket, free_port, reply_once
 
 
 def raw_frame(msg_type, payload=b""):
@@ -389,31 +390,37 @@ class TestPlantControllerLoop:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_role_counts_its_ops_on_both_transports(self, kind, contexts):
-        """Each role's key context counts the same ops in-process as over
-        TCP: the plant's (stream None), the controller's (CONTROLLER_STREAM)
-        and the attacker's public one (0x5EC0). A context that counts no op
-        (a baseline proxy's public one) is left out. On both transports the
-        plant and the controller are the only holders of the secret key."""
-        def by_role():
-            secret = [c.stream for c in contexts if c.has_secret_key]
-            assert len(secret) == 2 and set(secret) == {None, CONTROLLER_STREAM}
-            roles = {}
+        """Each party's key context counts the same ops in-process as over
+        TCP: the plant's, the controller's, the attacker's and, next to an
+        unverified controller, the observer's, which decrypts the
+        controller's view twice a step and does nothing else. A context that
+        counts no op (a baseline proxy's) is left out. On both transports the
+        plant and the observer are the only holders of the secret key."""
+        observer = set() if kind == "verified_attack" else {"observer"}
+
+        def by_party():
+            assert sorted(c.party for c in contexts if c.has_secret_key) == sorted(
+                {"plant", *observer})
+            parties = {}
             for c in contexts:
-                role = roles.setdefault(c.stream, dict.fromkeys(c.op_counts, 0))
+                party = parties.setdefault(c.party, dict.fromkeys(c.op_counts, 0))
                 for op, n in c.op_counts.items():
-                    role[op] += n
+                    party[op] += n
             contexts.clear()
-            return {stream: ops for stream, ops in roles.items() if any(ops.values())}
+            return {party: ops for party, ops in parties.items() if any(ops.values())}
 
         cfg = matched_cfg(kind, 1e-6)
         run_pipeline(cfg, with_attacker=True)
-        tcp = by_role()
+        tcp = by_party()
         trace, _ = run_scenario(cfg)
-        in_process = by_role()
+        in_process = by_party()
         assert in_process == tcp
-        attacker = {} if kind == "baseline" else {0x5EC0}
-        assert set(in_process) == {None, CONTROLLER_STREAM, *attacker}
-        assert in_process[None]["enc"] == in_process[None]["dec"] == len(trace)
+        attacker = set() if kind == "baseline" else {"attacker"}
+        assert set(in_process) == {"plant", "controller", *observer, *attacker}
+        assert in_process["plant"]["enc"] == in_process["plant"]["dec"] == len(trace)
+        if observer:
+            assert in_process["observer"] == {"add": 0, "mul": 0, "rot": 0, "enc": 0,
+                                              "dec": 2 * len(trace)}
 
     def test_controller_records_its_view(self):
         cfg = baseline_cfg(steps=10, pre_roll=0)
@@ -435,15 +442,15 @@ class TestPlantControllerLoop:
         assert ctrl_result["y_c"] == [] and ctrl_result["u_c"] == []
 
     def test_roles_draw_their_own_noise(self, monkeypatch):
-        """The plant and the controller hold one key and one seed but draw
-        noise from different streams: no draw of one appears among the
-        other's, at any lag."""
+        """The plant, the controller and its observer hold one key and one
+        seed but draw from different streams: no draw of one appears among
+        another's, at any lag."""
         states = {}
         real = netloop.context_create
 
-        def recording(config, stream=None):
-            ctx = real(config, stream)
-            states[stream] = ctx.rng.bit_generator.state
+        def recording(config, party="plant"):
+            ctx = real(config, party)
+            states[party] = ctx.rng.bit_generator.state
             return ctx
 
         monkeypatch.setattr(netloop, "context_create", recording)
@@ -452,13 +459,52 @@ class TestPlantControllerLoop:
                            backend={"slot_count": 64, "noise_std": 1e-6})
         trace, ctrl_result, _ = run_pipeline(cfg)
         assert "error" not in ctrl_result and len(trace) == 5
-        assert set(states) == {None, CONTROLLER_STREAM}
+        assert set(states) == {"plant", "controller", "observer"}
         draws = []
         for state in states.values():
             rng = np.random.default_rng()
             rng.bit_generator.state = state
             draws.append(rng.standard_normal(64 * 20))
-        assert np.intersect1d(*draws).size == 0
+        for a, b in itertools.combinations(draws, 2):
+            assert np.intersect1d(a, b).size == 0
+
+    def test_every_party_draws_its_own_stream(self, monkeypatch):
+        """A noisy verified run under attack builds five generators, in
+        process as over TCP through the proxy: the plant's, the
+        controller's and the attacker's noise, the verifier's draws and the
+        attacker's guesses. They start from five different states, the same
+        five on both transports."""
+        real = np.random.default_rng
+        starts = []
+
+        def recording(seed=None):
+            rng = real(seed)
+            if rng is not seed:  # a generator given to default_rng is returned as it is
+                state = rng.bit_generator.state["state"]
+                starts.append((state["state"], state["inc"]))
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        cfg = matched_cfg("verified_attack", 1e-6)
+        trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
+        assert trace.tripped and stats["tampered"] > 0 and "error" not in ctrl_result
+        tcp = sorted(starts)
+        starts.clear()
+        assert run_scenario(cfg)[1] == 3
+        assert len(set(starts)) == len(starts) == 5
+        assert sorted(starts) == tcp
+
+    @pytest.mark.parametrize("tcp", [False, True], ids=["in_process", "tcp"])
+    def test_controller_context_cannot_decrypt(self, tcp, contexts):
+        """The controller computes on ciphertexts alone: a run that records
+        its view completes, and a decrypt on its context names the holder
+        that lacks the secret key."""
+        cfg = baseline_cfg(steps=5, pre_roll=0)
+        trace = run_pipeline(cfg)[0] if tcp else run_scenario(cfg)[0]
+        assert len(trace) == 5
+        [ctrl] = [c for c in contexts if c.party == "controller"]
+        with pytest.raises(KeyMismatch, match="the controller's context holds no secret key"):
+            ctrl.decrypt(ctrl.encrypt(np.zeros(64)))
 
     def test_controller_survives_garbage(self):
         port = free_port()
@@ -513,6 +559,32 @@ class TestRoleFrameLimits:
         assert "exceeds the limit" in box["result"]["error"]
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
+
+    def test_plant_rejects_wrong_reply_frame(self):
+        """A controller that answers a measurement with a frame other than
+        ENC_U ends the plant's run with a ``FrameError``."""
+        with socket.create_server((HOST, 0)) as srv:
+            t, box = start_thread(reply_once, srv, raw_frame(MSG_BYE))
+            with pytest.raises(FrameError, match="expected control frame"):
+                run_plant(srv.getsockname(), baseline_cfg())
+            t.join(10)
+        assert not t.is_alive()
+        assert box["result"] == [MSG_HELLO, MSG_ENC_Y]
+
+    def test_proxy_rejects_wrong_first_frame(self):
+        """A plant that opens with ENC_Y instead of HELLO ends the proxy with
+        an error, and the proxy forwards nothing upstream."""
+        with socket.create_server((HOST, 0)) as upstream:
+            port, t, box = start_role(run_attacker, upstream.getsockname())
+            with socket.create_connection((HOST, port)) as sock:
+                sock.sendall(enc_frame(BACKEND_64))
+                t.join(10)
+            assert not t.is_alive()
+            assert "expected HELLO" in box["result"]["error"]
+            conn, _ = upstream.accept()
+            with conn:
+                conn.settimeout(10)
+                assert conn.recv(1) == b""  # closed, having sent nothing
 
     def test_plant_refuses_oversized_control_frame(self, read_spy):
         """The plant reads its control frames under the default limit: a

@@ -7,9 +7,8 @@ import pytest
 
 from encloop import verify
 from encloop.attack import CovertAttacker, GuessingAttacker, encrypted_attack_depth
-from encloop.backend import BackendConfig, DepthExhausted, context_create, public_context
+from encloop.backend import BackendConfig, DepthExhausted, context_create
 from encloop.control import (
-    CONTROLLER_STREAM,
     AffineController,
     LtiModel,
     SimTrace,
@@ -376,7 +375,7 @@ class TestDepthBudget:
         ctx = context_create(dataclasses.replace(cfg.backend, max_depth=need - 1))
         with pytest.raises(DepthExhausted):
             run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
-                            attacker=build_attacker(cfg, public_context(ctx.config)),
+                            attacker=build_attacker(cfg, context_create(ctx.config, "attacker")),
                             ctx=ctx, pre_roll=cfg.pre_roll)
 
 
@@ -402,7 +401,7 @@ class TestRunScenario:
         ("verified_attack", GuessingAttacker, False)])
     def test_kind_alone_picks_the_attacker(self, scenario, kind, encrypted_model):
         cfg = ScenarioConfig.from_dict(minimal(scenario, mode="encrypted"))
-        pub = public_context(BackendConfig(slot_count=64))
+        pub = context_create(BackendConfig(slot_count=64), "attacker")
         attacker = build_attacker(cfg, pub)
         assert type(attacker) is kind
         assert (attacker.enc_model is not None) == encrypted_model
@@ -426,7 +425,7 @@ class TestRunScenario:
         runs = []
         for attached in (False, True):
             ctx = context_create(cfg.backend) if mode == "encrypted" else None
-            pub = public_context(ctx.config) if ctx is not None else None
+            pub = context_create(ctx.config, "attacker") if ctx is not None else None
             attacker = build_attacker(cfg, pub)
             assert attacker is None
             if attached:
@@ -457,11 +456,14 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_noiseless_run_builds_no_noise_generator(self, scenario, contexts):
         """A noiseless run draws no noise, so none of its key contexts (the
-        plant's, the controller's and the attacker's public one) builds a
-        generator."""
+        plant's, the controller's, the attacker's and the observer's of an
+        unverified controller) builds a generator."""
         _, code = run_scenario(ScenarioConfig.from_dict(minimal(scenario, mode="encrypted")))
         assert code == (3 if scenario == "verified_attack" else 0)
-        assert len(contexts) == (2 if scenario == "baseline" else 3)
+        parties = ["plant", "controller"]
+        parties += [] if scenario == "baseline" else ["attacker"]
+        parties += [] if scenario == "verified_attack" else ["observer"]
+        assert sorted(c.party for c in contexts) == sorted(parties)
         assert all(c._rng is None for c in contexts)
 
     def test_baseline_exit_zero(self):
@@ -539,13 +541,14 @@ class TestRunScenario:
         HE ops of the encrypted baseline. The plant encrypts its input and
         decrypts the reply; the controller runs the lifted block's matvec
         over its three stored diagonals (3 rotations, 3 multiplies, 2
-        additions). Only the baseline controller also decrypts its view of
-        the input and output block (``controller_role``)."""
+        additions). Only next to the baseline controller does an observer
+        decrypt the controller's view of its input and output block
+        (``controller_role``)."""
         def ops(raw):
             contexts.clear()
             trace, code = run_scenario(ScenarioConfig.from_dict(raw))
             assert code == 0
-            return {(c.stream, op): n for c in contexts for op, n in c.op_counts.items()}
+            return {(c.party, op): n for c in contexts for op, n in c.op_counts.items()}
 
         per_step = {}
         for kind, extra in (("baseline", {}),
@@ -555,11 +558,11 @@ class TestRunScenario:
             short, long = ops(dict(raw, steps=10)), ops(dict(raw, steps=30))
             per_step[kind] = {key: (long[key] - short[key]) / 20 for key in short
                               if long[key] != short[key]}
-        plant = {(None, "enc"): 1, (None, "dec"): 1}
-        controller = {(CONTROLLER_STREAM, "rot"): 3, (CONTROLLER_STREAM, "mul"): 3,
-                      (CONTROLLER_STREAM, "add"): 2}
+        plant = {("plant", "enc"): 1, ("plant", "dec"): 1}
+        controller = {("controller", "rot"): 3, ("controller", "mul"): 3,
+                      ("controller", "add"): 2}
         assert per_step["verified_attack"] == {**plant, **controller}
-        assert per_step["baseline"] == {**plant, **controller, (CONTROLLER_STREAM, "dec"): 2}
+        assert per_step["baseline"] == {**plant, **controller, ("observer", "dec"): 2}
 
     def test_honest_verified_fills_4096_slots(self):
         """expansion 1024 x block 4 fills every slot: the lifted controller

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from encloop import verify
-from encloop.backend import BackendConfig, context_create, hom_add, pad_slots, public_context
+from encloop.backend import BackendConfig, context_create, hom_add
 from encloop.control import (
     TANK_X0,
     AffineController,
@@ -609,6 +609,15 @@ class TestDetectionExperiment:
         assert sum(res["counts"].values()) + res["undetected"] == 200
         assert calls == {"context_create": 1, "setup": 1, "encrypt_matrix": 1}
 
+    def test_full_mode_draws_one_stream(self, contexts):
+        """Full mode draws every permutation, challenge and guess from one
+        generator, ``default_rng(seed)``: its one key context has noise 0
+        and never builds a noise generator of its own."""
+        res = run_detection_experiment(4, 3, 200, mode="full", seed=5)
+        assert res["ops"]["enc"] > 0
+        assert len(contexts) == 1 and contexts[0].config.noise_std == 0
+        assert contexts[0]._rng is None
+
     def test_full_mode_spans_chunks(self, monkeypatch):
         """A slot budget of 64 makes chunks of 16 trials at lambda = 4: the
         batches never exceed a chunk, the trials are conserved and the
@@ -769,8 +778,8 @@ class TestVerifiedClosedLoop:
             ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=lam))
             vctx = setup(64, lift_affine(-ctrl.K), lam, num_challenges=8, seed=lam)
             trace = run_closed_loop(model, ctrl, TANK_X0, 10, pre_roll=3, ctx=ctx,
-                                    verifier=vctx,
-                                    attacker=OneBlockAttacker(public_context(ctx.config), d, j))
+                                    verifier=vctx, attacker=OneBlockAttacker(
+                                        context_create(ctx.config, "attacker"), d, j))
             assert trace.verdict == ["ok"] * 3 + ["bottom"] and trace.k[-1] == 0
             tag, outcome = decodes[-1]
             block = int(tag.perm[j])  # the pre-shuffle block at position j
@@ -801,7 +810,7 @@ class TestVerifiedClosedLoop:
         vctx = setup(64, K_aug, 8, num_challenges=8, seed=12)
         plan = AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
                           length=10, cooldown_len=4)
-        attacker = GuessingAttacker(model, plan, public_context(ctx.config), 8,
+        attacker = GuessingAttacker(model, plan, context_create(ctx.config, "attacker"), 8,
                                     np.random.default_rng(12))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                 ctx=ctx, verifier=vctx,
@@ -819,6 +828,7 @@ class TestVerifiedClosedLoop:
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=13))
         vctx = setup(64, lift_affine(-ctrl.K), 4, num_challenges=8, seed=13)
         trace = run_closed_loop(model, ctrl, TANK_X0, 30, pre_roll=5, ctx=ctx,
-                                verifier=vctx, attacker=trailer_forger(public_context(ctx.config)))
+                                verifier=vctx,
+                                attacker=trailer_forger(context_create(ctx.config, "attacker")))
         assert trace.verdict == ["ok"] * 5 + ["bottom"]
         assert trace.k[-1] == 0
