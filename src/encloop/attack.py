@@ -45,6 +45,8 @@ __all__ = [
     "encrypted_attack_depth",
 ]
 
+COOLDOWN_TOL = 1e-8  # the largest terminal residual that cooldown_inputs accepts
+
 
 @dataclass
 class AttackPlan:
@@ -104,10 +106,10 @@ def cooldown_gain(model: LtiModel) -> np.ndarray:
     return newest_first.reshape(n, m, n)[::-1].reshape(n * m, n)
 
 
-def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
+def cooldown_inputs(model: LtiModel, dx) -> list[np.ndarray]:
     """Inputs for the last n attack steps that drive the compensation state
     to zero, in application order: the block rows of ``cooldown_gain(model)
-    @ dx``, checked against the terminal condition to within ``tol``."""
+    @ dx``, checked against the terminal condition to within ``COOLDOWN_TOL``."""
     dx = np.asarray(dx, dtype=float).ravel()
     inputs = list((cooldown_gain(model) @ dx).reshape(model.n, model.m))
     # verify the terminal condition before handing the inputs out
@@ -115,9 +117,9 @@ def cooldown_inputs(model: LtiModel, dx, tol: float = 1e-8) -> list[np.ndarray]:
     for a in inputs:
         probe, _ = plant_step(model, probe, a)
     residual = float(np.max(np.abs(probe))) if model.n else 0.0
-    if residual > tol:
+    if residual > COOLDOWN_TOL:
         raise ValueError(
-            f"cooldown residual {residual:.3e} exceeds {tol:.1e}; "
+            f"cooldown residual {residual:.3e} exceeds {COOLDOWN_TOL:.1e}; "
             "system may be uncontrollable or badly conditioned")
     return inputs
 

@@ -131,14 +131,6 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _role_exit(role: str, result: dict) -> int:
-    """Exit code of a server role; an ``"error"`` in its result is a runtime error."""
-    if "error" in result:
-        print(f"error: {role}: {result['error']}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
-
-
 class _Listening:
     """The ``ready`` of a listening role. The role sets it right after
     ``listen``, and it prints one ``listening on HOST:PORT`` line and
@@ -158,13 +150,13 @@ def cmd_net(args) -> int:
     if args.role == "controller":
         if args.listen is None:
             raise ConfigError("net", "controller needs --listen")
-        return _role_exit("controller", netloop.run_controller(
-            args.listen, ready=_Listening(args.listen)))
+        netloop.run_controller(args.listen, ready=_Listening(args.listen))
+        return EXIT_OK
     if args.role == "attacker":
         if args.listen is None or args.upstream is None:
             raise ConfigError("net", "attacker needs --listen and --upstream")
-        return _role_exit("attacker", netloop.run_attacker(
-            args.listen, args.upstream, ready=_Listening(args.listen)))
+        netloop.run_attacker(args.listen, args.upstream, ready=_Listening(args.listen))
+        return EXIT_OK
     # plant
     if args.connect is None or args.config is None:
         raise ConfigError("net", "plant needs --connect and --config")

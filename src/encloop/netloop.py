@@ -27,7 +27,7 @@ controller and the proxy read the HELLO under ``HELLO_MAX_PAYLOAD`` and
 every later frame under the size of one serialized ciphertext of the
 configured slot count (``backend.ciphertext_blob_size``; ABORT and BYE
 payloads are shorter); the plant reads under ``MAX_PAYLOAD``, the largest
-legitimate frame.
+legitimate frame. A bad peer ends every role the same way: the role raises.
 
 This is a simulator: each role builds its party's key context
 (``backend.PARTIES``) from the shared configuration. Only the plant's holds
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import socket
 import struct
 
@@ -53,8 +52,6 @@ __all__ = [
     "FrameError", "FrameReader", "send_frame", "recv_frame",
     "run_plant", "run_controller", "run_attacker",
 ]
-
-log = logging.getLogger(__name__)
 
 MSG_ENC_Y = 0x01
 MSG_ENC_U = 0x02
@@ -156,12 +153,17 @@ def _check_encrypted(cfg: ScenarioConfig):
 
 
 def _recv_hello(reader: FrameReader) -> tuple[ScenarioConfig, bytes]:
-    """The peer's first frame: HELLO carrying the plant's config document."""
+    """The peer's first frame: HELLO carrying the plant's config document.
+    A payload that is not JSON, or a document that the plant's own parse
+    refuses (``ConfigError``), is the peer's fault: ``FrameError``."""
     msg_type, payload = recv_frame(reader, HELLO_MAX_PAYLOAD)
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO as the first frame")
-    cfg = ScenarioConfig.from_dict(json.loads(payload.decode()))
-    _check_encrypted(cfg)
+    try:
+        cfg = ScenarioConfig.from_dict(json.loads(payload.decode()))
+        _check_encrypted(cfg)
+    except ValueError as exc:
+        raise FrameError(f"refused HELLO: {exc}") from exc
     return cfg, payload
 
 
@@ -205,28 +207,24 @@ def run_controller(listen: tuple[str, int], ready=None) -> dict:
     result = {"y_c": [], "u_c": [], "aborted": False}
     with _accept_one(listen, ready) as conn:
         reader = FrameReader(conn)
-        try:
-            cfg, _ = _recv_hello(reader)
-            ctx, serve = control.controller_role(cfg.backend, cfg.controller,
-                                                 cfg.lifted_blocks)
-            limit = ciphertext_blob_size(cfg.backend.slot_count)
-            while True:
-                msg_type, payload = recv_frame(reader, limit)
-                if msg_type == MSG_BYE:
-                    break
-                if msg_type == MSG_ABORT:
-                    result["aborted"] = True
-                    continue
-                if msg_type != MSG_ENC_Y:
-                    raise FrameError(f"unexpected frame type {msg_type:#x}")
-                u_cipher, y_c, u_c = serve(deserialize_ciphertext(ctx, payload))
-                if y_c is not None:
-                    result["y_c"].append(y_c)
-                    result["u_c"].append(u_c)
-                send_frame(conn, MSG_ENC_U, serialize_ciphertext(u_cipher))
-        except (ValueError, ConnectionError) as exc:  # FrameError, JSONDecodeError too
-            log.warning("controller: rejected input: %s", exc)
-            result["error"] = str(exc)
+        cfg, _ = _recv_hello(reader)
+        ctx, serve = control.controller_role(cfg.backend, cfg.controller,
+                                             cfg.lifted_blocks)
+        limit = ciphertext_blob_size(cfg.backend.slot_count)
+        while True:
+            msg_type, payload = recv_frame(reader, limit)
+            if msg_type == MSG_BYE:
+                break
+            if msg_type == MSG_ABORT:
+                result["aborted"] = True
+                continue
+            if msg_type != MSG_ENC_Y:
+                raise FrameError(f"unexpected frame type {msg_type:#x}")
+            u_cipher, y_c, u_c = serve(deserialize_ciphertext(ctx, payload))
+            if y_c is not None:
+                result["y_c"].append(y_c)
+                result["u_c"].append(u_c)
+            send_frame(conn, MSG_ENC_U, serialize_ciphertext(u_cipher))
     return result
 
 
@@ -257,39 +255,35 @@ def run_attacker(listen: tuple[str, int], upstream: tuple[str, int],
     with (_accept_one(listen, ready) as plant_conn,
           socket.create_connection(upstream) as up):
         plant_reader, up_reader = FrameReader(plant_conn), FrameReader(up)
-        try:
-            cfg, payload = _recv_hello(plant_reader)
-            pub = context_create(cfg.backend, "attacker")
-            attacker = build_attacker(cfg, pub)
-            send_frame(up, MSG_HELLO, payload)
+        cfg, payload = _recv_hello(plant_reader)
+        pub = context_create(cfg.backend, "attacker")
+        attacker = build_attacker(cfg, pub)
+        send_frame(up, MSG_HELLO, payload)
 
-            limit = ciphertext_blob_size(cfg.backend.slot_count)
-            k = -cfg.pre_roll
-            while True:
-                msg_type, payload = recv_frame(plant_reader, limit)
-                if msg_type in (MSG_BYE, MSG_ABORT):
-                    send_frame(up, msg_type, payload)
-                    if msg_type == MSG_BYE:
-                        break
-                    continue
-                if msg_type != MSG_ENC_Y:
-                    raise FrameError(f"unexpected frame type {msg_type:#x}")
-                # outside the attack window the hooks are the identity
-                active = attacker is not None and attacker.active_at(k)
-                tamper_y = attacker.tamper_measurement if active else None
-                tamper_u = attacker.tamper_control if active else None
-                payload, modified_y = _relay_payload(pub, payload, tamper_y, k)
-                send_frame(up, MSG_ENC_Y, payload)
-                msg_type, payload = recv_frame(up_reader, limit)
-                if msg_type != MSG_ENC_U:
-                    raise FrameError(f"unexpected upstream frame {msg_type:#x}")
-                payload, modified_u = _relay_payload(pub, payload, tamper_u, k)
-                send_frame(plant_conn, MSG_ENC_U, payload)
-                stats["relayed"] += 1
-                # a step counts once, whichever direction was modified
-                stats["tampered"] += modified_y or modified_u
-                k += 1
-        except (ValueError, ConnectionError) as exc:  # FrameError, JSONDecodeError too
-            log.warning("attacker: relay stopped: %s", exc)
-            stats["error"] = str(exc)
+        limit = ciphertext_blob_size(cfg.backend.slot_count)
+        k = -cfg.pre_roll
+        while True:
+            msg_type, payload = recv_frame(plant_reader, limit)
+            if msg_type in (MSG_BYE, MSG_ABORT):
+                send_frame(up, msg_type, payload)
+                if msg_type == MSG_BYE:
+                    break
+                continue
+            if msg_type != MSG_ENC_Y:
+                raise FrameError(f"unexpected frame type {msg_type:#x}")
+            # outside the attack window the hooks are the identity
+            active = attacker is not None and attacker.active_at(k)
+            tamper_y = attacker.tamper_measurement if active else None
+            tamper_u = attacker.tamper_control if active else None
+            payload, modified_y = _relay_payload(pub, payload, tamper_y, k)
+            send_frame(up, MSG_ENC_Y, payload)
+            msg_type, payload = recv_frame(up_reader, limit)
+            if msg_type != MSG_ENC_U:
+                raise FrameError(f"unexpected upstream frame {msg_type:#x}")
+            payload, modified_u = _relay_payload(pub, payload, tamper_u, k)
+            send_frame(plant_conn, MSG_ENC_U, payload)
+            stats["relayed"] += 1
+            # a step counts once, whichever direction was modified
+            stats["tampered"] += modified_y or modified_u
+            k += 1
     return stats

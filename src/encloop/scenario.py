@@ -288,11 +288,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
 
 # -- minimal SVG trajectory plot ------------------------------------------------
 
+SVG_WIDTH, SVG_HEIGHT = 720, 420  # pixels
 _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f"]
 
 
-def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
+def write_trace_svg(trace: control.SimTrace, path):
     """One polyline per signal channel (u, y, u_c, y_c components) over k;
     a one-step trace also gets a marker per channel."""
     series = []
@@ -312,7 +313,7 @@ def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
     if hi - lo < 1e-12:
         hi = lo + 1.0
     mx, my = 60, 30
-    pw, ph = width - 2 * mx, height - 2 * my
+    pw, ph = SVG_WIDTH - 2 * mx, SVG_HEIGHT - 2 * my
 
     def sx(k):
         return mx + pw * (k - ks[0]) / k_span
@@ -320,11 +321,11 @@ def write_trace_svg(trace: control.SimTrace, path, width=720, height=420):
     def sy(v):
         return my + ph * (1 - (v - lo) / (hi - lo))
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">',
+             f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
              f'<line x1="{mx}" y1="{my + ph}" x2="{mx + pw}" y2="{my + ph}" stroke="black"/>',
              f'<line x1="{mx}" y1="{my}" x2="{mx}" y2="{my + ph}" stroke="black"/>',
-             f'<text x="{mx + pw / 2}" y="{height - 6}" font-size="12">k</text>',
+             f'<text x="{mx + pw / 2}" y="{SVG_HEIGHT - 6}" font-size="12">k</text>',
              f'<text x="{mx - 50}" y="{my - 8}" font-size="12">{lo:.3g} .. {hi:.3g}</text>']
     for idx, (name, vals) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]

@@ -1,6 +1,7 @@
 """Plaintext references the tests compare the encrypted linear algebra and
 the verifier with: wrapping diagonals, matrix reassembly, the fused
-product's slots and a tag's payload blocks. Also a stand-in socket that
+product's slots and a tag's payload blocks. Also the step attack the tests
+share, as a config section and as a plan, a stand-in socket that
 records the reads a frame reader makes, a stand-in controller that answers
 one measurement with the bytes it is given, and the harness that runs
 ``encloop`` role processes."""
@@ -14,10 +15,22 @@ import sys
 
 import numpy as np
 
+from encloop.attack import AttackPlan
 from encloop.backend import KeyContext, dot_noise_scale
 from encloop.linalg import DiagMatrixCipher
 from encloop.netloop import FrameReader, recv_frame
 from encloop.verify import PermutationTag
+
+
+# the step attack as a config section; ``step_plan()`` is its plan
+STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
+               "length": 10, "cooldown_len": 4}
+
+
+def step_plan() -> AttackPlan:
+    """Input bias of [2, 2] on steps 0..4, zero at 5, cooldown 6..9."""
+    return AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
+                      length=10, cooldown_len=4)
 
 
 def wrapping_diagonal(S, i: int, dim: int | None = None) -> np.ndarray:

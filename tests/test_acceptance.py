@@ -15,7 +15,6 @@ from scipy import stats
 
 from encloop import netloop
 from encloop.attack import (
-    AttackPlan,
     CovertAttacker,
     build_enc_model,
     cooldown_inputs,
@@ -52,15 +51,15 @@ from encloop.verify import (
     run_detection_experiment,
     setup,
 )
-from helpers import HOST, decrypt_matrix, finish, free_port, listening_role
-
-STEP_PLAN_RAW = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-                 "length": 10, "cooldown_len": 4}
-
-
-def step_plan():
-    return AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
-                      length=10, cooldown_len=4)
+from helpers import (
+    HOST,
+    STEP_ATTACK,
+    decrypt_matrix,
+    finish,
+    free_port,
+    listening_role,
+    step_plan,
+)
 
 
 def test_criterion_01_detection_rate_table():
@@ -333,7 +332,7 @@ def test_criterion_10_networked_equivalence():
         assert np.max(np.abs(a - b)) < 1e-8
 
     # run 2: active covert attack through the proxy stays controller-invisible
-    atk_raw = dict(raw, scenario="attack_plain", attack=STEP_PLAN_RAW)
+    atk_raw = dict(raw, scenario="attack_plain", attack=STEP_ATTACK)
     atk_cfg = ScenarioConfig.from_dict(atk_raw)
     results = {}
     for label, plant_cfg in (("attacked", atk_cfg), ("clean", cfg)):

@@ -22,7 +22,7 @@ from encloop.control import (
     run_closed_loop,
     tank_controller,
 )
-from helpers import decrypt_matrix, wrapping_diagonal
+from helpers import decrypt_matrix, step_plan, wrapping_diagonal
 
 
 @pytest.fixture
@@ -33,12 +33,6 @@ def model():
 @pytest.fixture
 def ctrl():
     return tank_controller()
-
-
-def step_plan():
-    """Input bias of [2, 2] on steps 0..4, zero at 5, cooldown 6..9."""
-    return AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
-                      length=10, cooldown_len=4)
 
 
 def make_ctx(max_depth=16, seed=3):

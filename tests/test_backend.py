@@ -11,6 +11,7 @@ from encloop.backend import (
     DepthExhausted,
     DotTerms,
     KeyMismatch,
+    check_ciphertext_blob,
     ciphertext_blob_size,
     context_create,
     deserialize_ciphertext,
@@ -491,6 +492,15 @@ class TestSerialization:
         blob = serialize_ciphertext(ctx.encrypt(np.zeros(8)))
         with pytest.raises(ValueError):
             deserialize_ciphertext(ctx, blob[:-1])
+
+    @pytest.mark.parametrize("cut, slot_count, message", [
+        (15, 8, "too short"), (None, 16, "slot_count 16 does not match context 8")])
+    def test_header_checked_before_the_slots(self, cut, slot_count, message):
+        """A blob shorter than its 16-byte header, or one of another slot
+        count, is refused from the header alone."""
+        blob = serialize_ciphertext(make_ctx(slot_count=slot_count).encrypt(np.zeros(slot_count)))
+        with pytest.raises(ValueError, match=message):
+            check_ciphertext_blob(make_ctx(), blob[:cut])
 
     def test_foreign_key_blob_rejected(self):
         blob = serialize_ciphertext(make_ctx(seed=5).encrypt(np.zeros(8)))

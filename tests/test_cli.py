@@ -10,7 +10,15 @@ import pytest
 from encloop.cli import main
 from encloop.netloop import MSG_BYE, MSG_ENC_Y, MSG_HELLO, run_attacker, run_controller
 from encloop.verify import p_succ_cumulative, p_succ_instant
-from helpers import HOST, finish, free_port, listening_role, reply_once, role_process
+from helpers import (
+    HOST,
+    STEP_ATTACK,
+    finish,
+    free_port,
+    listening_role,
+    reply_once,
+    role_process,
+)
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
@@ -23,8 +31,7 @@ BASELINE = {"scenario": "baseline", "steps": 30, "pre_roll": 10, "seed": 1}
 VERIFIED = {
     "scenario": "verified_attack", "steps": 30, "pre_roll": 5, "seed": 1,
     "backend": {"slot_count": 64},
-    "attack": {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4},
+    "attack": STEP_ATTACK,
     "verify": {"expansion": 8, "num_challenges": 8},
 }
 
@@ -321,7 +328,8 @@ class TestNet:
         with listening_role("controller") as (controller, port):
             with socket.create_connection((HOST, port)) as sock:
                 sock.sendall(struct.pack("<IB", len(payload), MSG_HELLO) + payload)
-            assert "error: controller:" in finish(controller, 2).stderr
+            assert finish(controller, 2).stderr == (
+                "error: refused HELLO: Expecting value: line 1 column 1 (char 0)\n")
 
     def test_plant_wrong_reply_exit_two(self, tmp_path):
         """A reply frame other than ENC_U ends the net plant with exit 2."""
@@ -344,7 +352,7 @@ class TestNet:
                                 f"{HOST}:{upstream.getsockname()[1]}") as (proxy, port):
                 with socket.create_connection((HOST, port)) as sock:
                     sock.sendall(struct.pack("<IB", 8, MSG_ENC_Y) + bytes(8))
-                    assert "error: attacker: expected HELLO" in finish(proxy, 2).stderr
+                    assert finish(proxy, 2).stderr == "error: expected HELLO as the first frame\n"
             conn, _ = upstream.accept()
             with conn:
                 conn.settimeout(10)

@@ -1,8 +1,11 @@
 """Every module of the package and of the tests uses each name that it
 imports at its top level. A package's ``__init__`` re-exports what it
-imports, so it is exempt. The sources are read with ``ast`` alone."""
+imports, so it is exempt. The sources are read with ``ast`` alone. And the
+package runs on numpy alone: scipy is a test dependency."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,3 +33,22 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used():
     assert len(MODULES) > 20
     assert [entry for path in MODULES for entry in unused_imports(path)] == []
+
+
+# imports every encloop module with scipy blocked, then runs ``encloop --help``
+SCIPY_BLOCKED = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any "import scipy" now raises ImportError
+import encloop
+for mod in pkgutil.iter_modules(encloop.__path__):
+    importlib.import_module(f"encloop.{mod.name}")
+from encloop.cli import main
+main(["--help"])
+"""
+
+
+def test_runtime_needs_only_numpy():
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: encloop" in proc.stdout

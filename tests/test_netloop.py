@@ -14,6 +14,7 @@ from encloop import control, netloop
 from encloop.backend import (
     MAX_SLOTS,
     BackendConfig,
+    DepthExhausted,
     KeyMismatch,
     ciphertext_blob_size,
     context_create,
@@ -38,7 +39,7 @@ from encloop.netloop import (
     send_frame,
 )
 from encloop.scenario import ConfigError, ScenarioConfig, run_scenario
-from helpers import HOST, QueuedSocket, free_port, reply_once
+from helpers import HOST, STEP_ATTACK, QueuedSocket, free_port, reply_once
 
 
 def raw_frame(msg_type, payload=b""):
@@ -52,10 +53,6 @@ def baseline_cfg(steps=20, pre_roll=5, **extra):
            "seed": 42}
     raw.update(extra)
     return ScenarioConfig.from_dict(raw)
-
-
-STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4}
 
 
 class CappedSendSocket:
@@ -94,6 +91,16 @@ def start_thread(fn, *args, **kwargs):
     t = threading.Thread(target=runner, daemon=True)
     t.start()
     return t, box
+
+
+def joined(t, box):
+    """What the thread of ``start_thread`` returned, once it has ended
+    within 10 s; what it raised is raised here."""
+    t.join(10)
+    assert not t.is_alive(), "the role did not finish within 10 s"
+    if "raised" in box:
+        raise box["raised"]
+    return box["result"]
 
 
 def enc_frame(config):
@@ -156,6 +163,12 @@ class TestFraming:
             a.sendall(bytes([0, 0, 0, 0, 0x7F]))
             with pytest.raises(FrameError, match="unknown message type"):
                 recv_frame(FrameReader(b))
+
+    def test_oversized_payload_not_sent(self):
+        sock = CappedSendSocket(1 << 21)
+        with pytest.raises(FrameError, match="payload too large"):
+            send_frame(sock, MSG_ENC_Y, bytes(MAX_PAYLOAD + 1))
+        assert sock.calls == 0
 
     def test_truncation_rejected(self):
         # one byte short of the header, one byte short of the payload
@@ -325,14 +338,14 @@ class TestFraming:
 def run_pipeline(cfg, with_attacker=False):
     """Spin up controller (and optionally attacker proxy), run the plant in
     a thread of its own with a bounded join, so that a lost frame fails the
-    test instead of hanging it; what the plant raises is raised here."""
+    test instead of hanging it; what a role raises is raised here."""
     ctrl_port = free_port()
     ctrl_ready = threading.Event()
     ctrl_t, ctrl_box = start_thread(run_controller, (HOST, ctrl_port),
                                     ready=ctrl_ready)
     assert ctrl_ready.wait(5)
     target = (HOST, ctrl_port)
-    atk_t = atk_box = None
+    atk_t = None
     if with_attacker:
         atk_port = free_port()
         atk_ready = threading.Event()
@@ -340,18 +353,9 @@ def run_pipeline(cfg, with_attacker=False):
                                       (HOST, ctrl_port), ready=atk_ready)
         assert atk_ready.wait(5)
         target = (HOST, atk_port)
-    plant_t, plant_box = start_thread(run_plant, target, cfg)
-    plant_t.join(10)
-    assert not plant_t.is_alive(), "the plant did not finish within 10 s"
-    if "raised" in plant_box:
-        raise plant_box["raised"]
-    trace = plant_box["result"]
-    ctrl_t.join(10)
-    assert not ctrl_t.is_alive()
-    if atk_t is not None:
-        atk_t.join(10)
-        assert not atk_t.is_alive()
-    return trace, ctrl_box.get("result"), (atk_box or {}).get("result")
+    trace = joined(*start_thread(run_plant, target, cfg))
+    ctrl_result = joined(ctrl_t, ctrl_box)
+    return trace, ctrl_result, None if atk_t is None else joined(atk_t, atk_box)
 
 
 KINDS = ("baseline", "attack_plain", "attack_encrypted", "verified_attack")
@@ -513,9 +517,8 @@ class TestPlantControllerLoop:
         assert ready.wait(5)
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(raw_frame(MSG_HELLO, b"this is not json"))
-        t.join(10)
-        assert not t.is_alive()
-        assert "error" in box["result"]
+        with pytest.raises(FrameError, match="refused HELLO"):
+            joined(t, box)
 
     def test_controller_rejects_wrong_first_frame(self):
         port = free_port()
@@ -524,8 +527,8 @@ class TestPlantControllerLoop:
         assert ready.wait(5)
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(raw_frame(MSG_ENC_Y, b"\x00" * 8))
-        t.join(10)
-        assert "error" in box["result"]
+        with pytest.raises(FrameError, match="expected HELLO"):
+            joined(t, box)
 
 
 def start_role(fn, *args):
@@ -554,9 +557,8 @@ class TestRoleFrameLimits:
                     + struct.pack("<IB", 24 + 8 * 64 + 1, MSG_ENC_Y))
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(data)
-            t.join(10)
-        assert not t.is_alive()
-        assert "exceeds the limit" in box["result"]["error"]
+            with pytest.raises(FrameError, match="exceeds the limit"):
+                joined(t, box)
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
 
@@ -573,14 +575,13 @@ class TestRoleFrameLimits:
 
     def test_proxy_rejects_wrong_first_frame(self):
         """A plant that opens with ENC_Y instead of HELLO ends the proxy with
-        an error, and the proxy forwards nothing upstream."""
+        a ``FrameError``, and the proxy forwards nothing upstream."""
         with socket.create_server((HOST, 0)) as upstream:
             port, t, box = start_role(run_attacker, upstream.getsockname())
             with socket.create_connection((HOST, port)) as sock:
                 sock.sendall(enc_frame(BACKEND_64))
-                t.join(10)
-            assert not t.is_alive()
-            assert "expected HELLO" in box["result"]["error"]
+                with pytest.raises(FrameError, match="expected HELLO"):
+                    joined(t, box)
             conn, _ = upstream.accept()
             with conn:
                 conn.settimeout(10)
@@ -631,12 +632,12 @@ class TestPlainModeRefused:
         hello = json.dumps(baseline_cfg(mode="plain").document).encode()
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(raw_frame(MSG_HELLO, hello) + raw_frame(MSG_BYE))
-            t.join(10)
-        assert not t.is_alive()
-        assert "mode: the networked loop is encrypted" in box["result"]["error"]
+            with pytest.raises(FrameError, match="mode: the networked loop is encrypted"):
+                joined(t, box)
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
-        assert role == "controller" or ctrl_box["result"]["y_c"] == []
+        # the proxy forwards nothing: its controller sees the connection close
+        assert role == "controller" or isinstance(ctrl_box["raised"], ConnectionError)
 
     @pytest.mark.parametrize("role", ["controller", "attacker"])
     def test_peer_refuses_negative_seed_hello(self, role):
@@ -648,9 +649,8 @@ class TestPlainModeRefused:
         hello = json.dumps(dict(baseline_cfg().document, seed=-1)).encode()
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(raw_frame(MSG_HELLO, hello) + raw_frame(MSG_BYE))
-            t.join(10)
-        assert not t.is_alive()
-        assert "seed: seed must be non-negative, got -1" in box["result"]["error"]
+            with pytest.raises(FrameError, match="seed: seed must be non-negative, got -1"):
+                joined(t, box)
         ctrl_t.join(10)
         assert not ctrl_t.is_alive()
 
@@ -669,14 +669,13 @@ def proxy_between(cfg):
     """``run_attacker`` between a plant socket and a controller socket that
     the test drives by hand, once the HELLO has gone through. Yields
     ``(plant, ctrl, join)``: the two ``Peer``s, each socket with its reader,
-    and ``join()``, which waits for the proxy and returns its stats."""
+    and ``join()``, which waits for the proxy and returns its stats, or
+    raises what it raised."""
     with socket.create_server((HOST, 0)) as srv:
         port, t, box = start_role(run_attacker, (HOST, srv.getsockname()[1]))
 
         def join():
-            t.join(10)
-            assert not t.is_alive()
-            return box["result"]
+            return joined(t, box)
 
         with socket.create_connection((HOST, port), timeout=10) as plant:
             ctrl, _ = srv.accept()
@@ -687,7 +686,8 @@ def proxy_between(cfg):
                 send_frame(plant.sock, MSG_HELLO, hello)
                 assert recv_frame(ctrl.reader) == (MSG_HELLO, hello)
                 yield plant, ctrl, join
-        join()
+        t.join(10)
+        assert not t.is_alive()
 
 
 def relay_steps(plant, ctrl, ctx, steps, seed=0):
@@ -737,10 +737,8 @@ class TestAttackerProxy:
         assert np.max(np.abs(np.array(trace.x) - np.array(ref.x))) < 1e-8
 
     def test_covert_attack_over_the_wire(self):
-        atk = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4}
         cfg = baseline_cfg(steps=30, pre_roll=10, scenario="attack_plain",
-                           attack=atk)
+                           attack=STEP_ATTACK)
         baseline = baseline_cfg(steps=30, pre_roll=10)
         trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
         ref_trace, ctrl_ref, _ = run_pipeline(baseline)
@@ -754,10 +752,8 @@ class TestAttackerProxy:
         assert np.max(np.abs(np.array(trace.x) - np.array(ref_trace.x))) > 0.1
 
     def test_encrypted_model_attack_over_the_wire(self):
-        atk = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4}
         cfg = baseline_cfg(steps=15, pre_roll=5, scenario="attack_encrypted",
-                           attack=atk)
+                           attack=STEP_ATTACK)
         trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
         ref, _ = run_scenario(cfg)
         assert stats["tampered"] > 0
@@ -867,10 +863,9 @@ class TestAttackerProxy:
         with proxy_between(cfg) as (plant, ctrl, join):
             send_frame(plant.sock, MSG_ENC_Y,
                        serialize_ciphertext(foreign.encrypt(np.ones(64))))
-            stats = join()
+            with pytest.raises(KeyMismatch, match="foreign key tag"):
+                join()
             assert ctrl.sock.recv(1) == b""  # the proxy closed upstream, sending nothing
-        assert "foreign key tag" in stats["error"]
-        assert stats["relayed"] == 0
 
 
 # bytes of a 64-slot frame (541 on the wire) that arrive before the peer hangs up
@@ -879,9 +874,8 @@ CUTS = {"mid-header": 3, "mid-payload": 50}
 
 @pytest.mark.parametrize("cut", CUTS)
 class TestMidFrameDisconnect:
-    """A peer that hangs up inside a frame ends each role with a named
-    error, within a bounded join: the plant raises ``ConnectionError``, the
-    controller and the proxy return an ``"error"``."""
+    """A peer that hangs up inside a frame ends each role, within a bounded
+    join, with a ``ConnectionError``."""
 
     def test_plant(self, cut):
         cfg = baseline_cfg(steps=5, pre_roll=0)
@@ -909,14 +903,14 @@ class TestMidFrameDisconnect:
         hello = json.dumps(baseline_cfg().document).encode()
         with socket.create_connection((HOST, port)) as sock:
             sock.sendall(raw_frame(MSG_HELLO, hello) + enc_frame(BACKEND_64)[:CUTS[cut]])
-        t.join(10)
-        assert not t.is_alive()
-        assert "mid-frame" in box["result"]["error"]
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            joined(t, box)
 
     @pytest.mark.parametrize("side", ["plant", "controller"])
     def test_proxy(self, cut, side):
         """The proxy's plant hangs up inside an ENC_Y frame, or its
-        controller inside the ENC_U answer to a whole one."""
+        controller inside the ENC_U answer to a whole one. The proxy relays
+        nothing to the other side."""
         cfg = baseline_cfg(steps=5, pre_roll=0)
         with proxy_between(cfg) as (plant, ctrl, join):
             if side == "plant":
@@ -928,6 +922,57 @@ class TestMidFrameDisconnect:
                 assert recv_frame(ctrl.reader) == (MSG_ENC_Y, frame[5:])
                 ctrl.sock.sendall(frame[:CUTS[cut]])
                 ctrl.sock.close()
-            stats = join()
-        assert "mid-frame" in stats["error"]
-        assert stats["relayed"] == 0
+            with pytest.raises(ConnectionError, match="mid-frame"):
+                join()
+            other = ctrl if side == "plant" else plant
+            assert other.sock.recv(1) == b""
+
+
+class TestUnexpectedFrame:
+    """A peer's frame of a known type that the protocol has no place for,
+    or a ciphertext that leaves the controller no level, ends the role
+    within a bounded join with a named error, and nothing reaches the other
+    side."""
+
+    def test_controller_after_hello(self):
+        """After the HELLO the controller takes ENC_Y, ABORT or BYE only."""
+        port, t, box = start_role(run_controller)
+        hello = json.dumps(baseline_cfg().document).encode()
+        with socket.create_connection((HOST, port), timeout=10) as sock:
+            sock.sendall(raw_frame(MSG_HELLO, hello) + raw_frame(MSG_ENC_U))
+            with pytest.raises(FrameError, match="unexpected frame type 0x2"):
+                joined(t, box)
+            assert sock.recv(1) == b""  # closed, having answered nothing
+
+    def test_proxy_from_the_plant(self):
+        with proxy_between(baseline_cfg()) as (plant, ctrl, join):
+            send_frame(plant.sock, MSG_ENC_U)
+            with pytest.raises(FrameError, match="unexpected frame type 0x2"):
+                join()
+            assert ctrl.sock.recv(1) == b""
+
+    def test_proxy_from_the_controller(self):
+        """The controller answers a measurement with a frame other than
+        ENC_U."""
+        cfg = baseline_cfg()
+        with proxy_between(cfg) as (plant, ctrl, join):
+            frame = enc_frame(cfg.backend)
+            plant.sock.sendall(frame)
+            assert recv_frame(ctrl.reader) == (MSG_ENC_Y, frame[5:])
+            ctrl.sock.sendall(frame)
+            with pytest.raises(FrameError, match="unexpected upstream frame 0x1"):
+                join()
+            assert plant.sock.recv(1) == b""
+
+    def test_controller_ciphertext_at_max_depth(self):
+        """A measurement whose level field is already ``max_depth`` leaves
+        the controller's product no level."""
+        cfg = baseline_cfg()
+        frame = bytearray(enc_frame(cfg.backend))
+        struct.pack_into("<I", frame, 5 + 4, cfg.backend.max_depth)  # the level field
+        port, t, box = start_role(run_controller)
+        with socket.create_connection((HOST, port), timeout=10) as sock:
+            sock.sendall(raw_frame(MSG_HELLO, json.dumps(cfg.document).encode()) + frame)
+            with pytest.raises(DepthExhausted, match="max_depth is 16"):
+                joined(t, box)
+            assert sock.recv(1) == b""

@@ -7,10 +7,8 @@ import json
 import pytest
 
 from encloop.cli import main
-from helpers import HOST, finish, listening_role, role_process
+from helpers import HOST, STEP_ATTACK, finish, listening_role, role_process
 
-STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4}
 CONFIGS = {
     # the shortest encrypted-model attack of the tank (length = cooldown_len
     # = 4) runs within its derived depth, length + 2

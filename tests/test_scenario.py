@@ -23,10 +23,9 @@ from encloop.scenario import (
     run_scenario,
     write_trace_svg,
 )
+from helpers import STEP_ATTACK
 
 NAN, INF = float("nan"), float("inf")
-STEP_ATTACK = {"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-               "length": 10, "cooldown_len": 4}
 
 
 def minimal(scenario="baseline", **extra):
@@ -262,7 +261,13 @@ class TestMalformedValues:
         ("attack", {"attack": {"a_u": {"x": [1.0, 1.0]}, "length": 10}}),
         ("attack", {"attack": [1]}),
         ("model", {"model": {"A": None, "B": [[1.0]], "C": [[1.0]]}}),
-        ("backend", {"backend": {"slot_count": 2 ** 17}})])
+        ("backend", {"backend": {"slot_count": 2 ** 17}}),
+        ("model", {"model": "pendulum"}),
+        ("controller", {"controller": "pid"}),
+        ("mode", {"mode": "hybrid"}),
+        ("model", {"model": {"A": [[1.0, 0.0]], "B": [[1.0]], "C": [[1.0]]}}),
+        ("model", {"model": {"A": np.eye(2).tolist(), "B": [[1.0]], "C": [[1.0, 0.0]]}}),
+        ("model", {"model": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0, 0.0]]}})])
     def test_named_config_error(self, section, extra):
         raw = minimal("attack_plain", **extra)
         with pytest.raises(ConfigError) as exc:
@@ -472,9 +477,7 @@ class TestRunScenario:
         assert len(trace) == 35
 
     def test_attack_plain(self):
-        raw = minimal("attack_plain", steps=30, pre_roll=10,
-                      attack={"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-                              "length": 10, "cooldown_len": 4})
+        raw = minimal("attack_plain", steps=30, pre_roll=10)
         baseline = ScenarioConfig.from_dict(minimal(steps=30, pre_roll=10))
         t_base, _ = run_scenario(baseline)
         t_atk, code = run_scenario(ScenarioConfig.from_dict(raw))
@@ -484,8 +487,6 @@ class TestRunScenario:
 
     def test_verified_attack_exit_three(self):
         raw = minimal("verified_attack", steps=30,
-                      attack={"a_u": {str(k): [2.0, 2.0] for k in range(5)},
-                              "length": 10, "cooldown_len": 4},
                       verify={"expansion": 8, "num_challenges": 8})
         trace, code = run_scenario(ScenarioConfig.from_dict(raw))
         assert code == 3

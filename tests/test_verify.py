@@ -17,7 +17,7 @@ from encloop.control import (
     run_closed_loop,
     tank_controller,
 )
-from encloop.attack import AttackPlan, GuessingAttacker
+from encloop.attack import GuessingAttacker
 from encloop.linalg import enc_matvec, encrypt_matrix
 from encloop.scenario import ScenarioConfig
 from encloop.verify import (
@@ -33,7 +33,7 @@ from encloop.verify import (
     run_detection_experiment,
     setup,
 )
-from helpers import decrypt_matrix, payload_positions
+from helpers import decrypt_matrix, payload_positions, step_plan
 
 
 def doubler(x):
@@ -49,6 +49,10 @@ class TestSetup:
     def test_odd_expansion_rejected(self):
         with pytest.raises(ValueError):
             make_vctx(expansion=3)
+
+    def test_no_challenge_value_rejected(self):
+        with pytest.raises(ValueError, match="need at least one challenge value"):
+            verify.check_params(4, num_challenges=0)
 
     @pytest.mark.parametrize("threshold", [float("inf"), float("nan"), 0.0, -1.0])
     def test_threshold_finite_and_positive(self, threshold):
@@ -808,10 +812,8 @@ class TestVerifiedClosedLoop:
         ctx = context_create(BackendConfig(slot_count=64, max_depth=4, seed=12))
         K_aug = lift_affine(-ctrl.K)
         vctx = setup(64, K_aug, 8, num_challenges=8, seed=12)
-        plan = AttackPlan(schedule={k: np.array([2.0, 2.0]) for k in range(5)},
-                          length=10, cooldown_len=4)
-        attacker = GuessingAttacker(model, plan, context_create(ctx.config, "attacker"), 8,
-                                    np.random.default_rng(12))
+        attacker = GuessingAttacker(model, step_plan(), context_create(ctx.config, "attacker"),
+                                    8, np.random.default_rng(12))
         trace = run_closed_loop(model, ctrl, TANK_X0, 40, pre_roll=20,
                                 ctx=ctx, verifier=vctx,
                                 attacker=attacker)
