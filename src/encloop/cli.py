@@ -17,12 +17,11 @@ import sys
 import time
 
 from . import verify
-from .scenario import ConfigError, ScenarioConfig, run_scenario, write_trace_svg
+from .scenario import (EXIT_OK, EXIT_VERIFICATION, ConfigError, ScenarioConfig, run_scenario,
+                       write_trace_svg)
 
-EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-EXIT_VERIFICATION = 3
 
 
 def _parse_addr(text: str) -> tuple[str, int]:

@@ -17,10 +17,12 @@ import numpy as np
 from . import attack, control, verify
 from .backend import BackendConfig, context_create, party_rng
 
-__all__ = ["ConfigError", "ScenarioConfig", "build_attacker", "run_scenario",
-           "write_trace_svg"]
+__all__ = ["EXIT_OK", "EXIT_VERIFICATION", "ConfigError", "ScenarioConfig",
+           "build_attacker", "run_scenario", "write_trace_svg"]
 
 SCENARIOS = ("baseline", "attack_plain", "attack_encrypted", "verified_attack")
+EXIT_OK = 0            # a run's exit code: it completed
+EXIT_VERIFICATION = 3  # a run's exit code: the verifier rejected a step
 # the keys each section of a config accepts
 KEYS = {
     "config": ("scenario", "backend", "model", "controller", "x0", "attack", "verify",
@@ -29,7 +31,7 @@ KEYS = {
     "model": ("A", "B", "C"),
     "controller": ("K", "u0"),
     "attack": ("a_u", "length", "cooldown_len"),
-    "verify": ("expansion", "num_challenges", "threshold"),
+    "verify": ("expansion", "num_challenges"),
 }
 
 
@@ -99,7 +101,6 @@ class ScenarioConfig:
     expansion: int = _parsed()       # verification blocks per ciphertext
     lifted_blocks: int = _parsed()   # controller blocks: expansion when verified, else 1
     num_challenges: int = _parsed()
-    threshold: float = _parsed()
 
     def __post_init__(self):
         with _section("config"):
@@ -182,9 +183,8 @@ class ScenarioConfig:
         with _section("verify"):
             expansion = _count(ver.get("expansion", 4), "expansion")
             num_challenges = _count(ver.get("num_challenges", 16), "num_challenges")
-            threshold = float(ver.get("threshold", 1e-9))
             if scenario == "verified_attack":
-                verify.check_params(expansion, num_challenges, threshold)
+                verify.check_params(expansion, num_challenges)
 
         mode = raw.get("mode")
         if mode is None:
@@ -219,7 +219,7 @@ class ScenarioConfig:
                 document=raw, scenario=scenario, backend=backend, model=model,
                 controller=ctrl, x0=x0, pre_roll=pre_roll, steps=steps, seed=seed,
                 mode=mode, attack_plan=plan, expansion=expansion, lifted_blocks=lifted_blocks,
-                num_challenges=num_challenges, threshold=threshold).items():
+                num_challenges=num_challenges).items():
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -245,8 +245,7 @@ def build_verifier(cfg: ScenarioConfig) -> "verify.VerifierContext | None":
         return None
     K_aug = verify.lift_affine(-cfg.controller.K)
     return verify.setup(cfg.backend.slot_count, K_aug, cfg.expansion, cfg.num_challenges,
-                        threshold=cfg.threshold, noise_std=cfg.backend.noise_std,
-                        seed=party_rng("verifier", cfg.seed))
+                        noise_std=cfg.backend.noise_std, seed=party_rng("verifier", cfg.seed))
 
 
 def build_attacker(cfg: ScenarioConfig, pub_ctx):
@@ -273,7 +272,7 @@ def build_attacker(cfg: ScenarioConfig, pub_ctx):
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     """Execute one scenario in-process. Returns the trace and the exit code
-    (0 completed, 3 verification tripped)."""
+    (``EXIT_OK`` completed, ``EXIT_VERIFICATION`` verification tripped)."""
     ctx = context_create(cfg.backend) if cfg.mode == "encrypted" else None
     verifier = build_verifier(cfg)
     pub = (context_create(cfg.backend, "attacker")
@@ -283,7 +282,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                     attacker=attacker, ctx=ctx,
                                     pre_roll=cfg.pre_roll, verifier=verifier)
-    return trace, 3 if trace.tripped else 0
+    return trace, EXIT_VERIFICATION if trace.tripped else EXIT_OK
 
 
 # -- minimal SVG trajectory plot ------------------------------------------------

@@ -151,8 +151,9 @@ class TestSimulate:
         assert f"config error: {section}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, extra", [
-        ("verify", {"verify": {"threshold": float("inf")}}),
-        ("verify", {"verify": {"threshold": float("nan")}}),
+        ("model", {"model": {"A": [[float("nan")]], "B": [[1.0]], "C": [[1.0]]}}),
+        ("controller", {"controller": {"K": [[1.0, 0.0], [0.0, 1.0]],
+                                       "u0": [0.0, float("inf")]}}),
         ("backend", {"backend": {"slot_count": 64, "noise_std": float("nan")}}),
         ("backend", {"backend": {"slot_count": 64, "noise_std": float("inf")}})])
     def test_non_finite_value_exit_one(self, tmp_path, capsys, section, extra):

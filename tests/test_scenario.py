@@ -174,9 +174,12 @@ class TestConfigParsing:
         ("verify", {"verify": {"epsilon": 1e-6}}),
         ("attack", {"scenario": "attack_plain",
                     "attack": dict(STEP_ATTACK, cooldown=4)}),
-        ("verify", {"verify": 4})])
+        ("verify", {"verify": 4}),
+        ("verify", {"scenario": "verified_attack", "attack": STEP_ATTACK,
+                    "verify": {"threshold": 100}})])
     def test_unknown_key_named_error(self, section, raw):
-        # an old alias or a misspelt key is refused, never silently defaulted
+        # an old alias, a removed key (the eps floor is ``verify.EPS_FLOOR``)
+        # or a misspelt key is refused, never silently defaulted
         with pytest.raises(ConfigError, match="unknown key|expected a JSON object") as exc:
             ScenarioConfig.from_dict(raw)
         assert exc.value.name == section
@@ -191,8 +194,7 @@ class TestConfigParsing:
         assert (peer.scenario, peer.mode, peer.steps, peer.pre_roll, peer.seed) == (
             cfg.scenario, cfg.mode, cfg.steps, cfg.pre_roll, cfg.seed)
         assert peer.backend == cfg.backend
-        assert (peer.expansion, peer.num_challenges, peer.threshold) == (
-            cfg.expansion, cfg.num_challenges, cfg.threshold)
+        assert (peer.expansion, peer.num_challenges) == (cfg.expansion, cfg.num_challenges)
         assert peer.attack_plan.length == 10
         assert np.array_equal(peer.attack_plan.schedule[0], [2.0, 2.0])
         for a, b in ((peer.model.A, cfg.model.A), (peer.controller.K, cfg.controller.K),
@@ -213,7 +215,7 @@ class TestFrozenDocument:
 
     @pytest.mark.parametrize("name, value", [
         ("backend", BackendConfig(slot_count=64, max_depth=1)), ("steps", 3),
-        ("threshold", float("inf"))])
+        ("num_challenges", 32)])
     def test_replace_of_a_parsed_field_raises(self, name, value):
         cfg = ScenarioConfig.from_dict(minimal())
         with pytest.raises(ValueError, match="init=False"):
@@ -267,7 +269,8 @@ class TestMalformedValues:
         ("mode", {"mode": "hybrid"}),
         ("model", {"model": {"A": [[1.0, 0.0]], "B": [[1.0]], "C": [[1.0]]}}),
         ("model", {"model": {"A": np.eye(2).tolist(), "B": [[1.0]], "C": [[1.0, 0.0]]}}),
-        ("model", {"model": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0, 0.0]]}})])
+        ("model", {"model": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0, 0.0]]}}),
+        ("controller", {"controller": {"K": np.eye(2).tolist(), "u0": [0.0, 0.0, 0.0]}})])
     def test_named_config_error(self, section, extra):
         raw = minimal("attack_plain", **extra)
         with pytest.raises(ConfigError) as exc:
@@ -322,16 +325,6 @@ class TestMalformedValues:
         cfg = ScenarioConfig.from_dict(minimal(steps=3.0, backend={"slot_count": 64.0}))
         assert (cfg.steps, cfg.backend.slot_count) == (3, 64)
         assert type(cfg.steps) is int
-
-    @pytest.mark.parametrize("key, value", [
-        ("threshold", float("inf")), ("threshold", float("nan")), ("threshold", 0.0),
-        ("threshold", -1e-9)])
-    def test_threshold_finite_and_positive(self, key, value):
-        raw = minimal("verified_attack", verify={key: value})
-        with pytest.raises(ConfigError, match="threshold must be finite and positive"
-                           ) as exc:
-            ScenarioConfig.from_dict(raw)
-        assert exc.value.name == "verify"
 
     @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -1.0])
     def test_noise_std_finite_and_nonnegative(self, noise_std):

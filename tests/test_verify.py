@@ -54,20 +54,15 @@ class TestSetup:
         with pytest.raises(ValueError, match="need at least one challenge value"):
             verify.check_params(4, num_challenges=0)
 
-    @pytest.mark.parametrize("threshold", [float("inf"), float("nan"), 0.0, -1.0])
-    def test_threshold_finite_and_positive(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be finite and positive"):
-            make_vctx(threshold=threshold)
-
     def test_setup_and_parse_share_one_rule(self, monkeypatch):
         """``setup`` checks its parameters with ``check_params``, the rule the
         scenario parse applies to a verified config."""
         seen = []
         monkeypatch.setattr(verify, "check_params", lambda *a: seen.append(a))
-        make_vctx(threshold=1e-6)
+        make_vctx()
         ScenarioConfig.from_dict({"scenario": "verified_attack", "verify": {"expansion": 6},
                                   "attack": {"a_u": {}, "length": 10}})
-        assert seen == [(4, 5, 1e-6), (6, 16, 1e-9)]
+        assert seen == [(4, 5), (6, 16)]
 
     def test_capacity_check(self):
         with pytest.raises(ValueError):
@@ -203,9 +198,11 @@ class TestEncodeDecode:
         assert outcome.spread == 1.0 and np.all(outcome.deviation == 0)
 
     def test_threshold_tolerates_small_noise(self):
-        vctx = make_vctx(threshold=1e-3)
+        # at noise_std 1e-4, eps = 8e-4 (max|w~| + 5) >= 4e-3
+        vctx = make_vctx(noise_std=1e-4)
         encoded, tag = ecd(vctx, np.zeros(2))
         z = doubler(encoded) + 1e-4
+        assert tag.eps >= 4e-3
         assert dcd(vctx, tag, z).ok
 
     @pytest.mark.parametrize("lam", [4, 16])
@@ -215,14 +212,17 @@ class TestEncodeDecode:
         equal to per-block references; exactly the blocks whose deviation
         exceeds the threshold fail. The threshold is the verifier's own:
         for h = 2 I (one stored diagonal, max 2) on an input of largest
-        magnitude m, max(threshold, 8 sigma (m + 2*2 + 1))."""
+        magnitude m, max(EPS_FLOOR, 8 sigma (m + 2*2 + 1)): the floor on an
+        exact response at sigma 0, and above 5e-4 at sigma 1e-3, where each
+        slot is off by up to 5e-4."""
         half = lam // 2
         rng = np.random.default_rng(lam)
         for noise_std, tampered in [(0.0, False), (0.0, True), (1e-3, False), (1e-3, True)]:
-            vctx = make_vctx(expansion=lam, slot_count=2 * lam, threshold=1e-3,
-                             noise_std=noise_std)
+            vctx = make_vctx(expansion=lam, slot_count=2 * lam, noise_std=noise_std)
             encoded, tag = ecd(vctx, np.array([0.5, -1.5]))
-            z = doubler(encoded) + rng.uniform(-5e-4, 5e-4, encoded.shape)
+            z = doubler(encoded)
+            if noise_std:
+                z += rng.uniform(-5e-4, 5e-4, encoded.shape)
             victims = []
             if tampered:
                 challenge_pos = [j for j in range(lam) if tag.perm[j] >= half]
@@ -230,7 +230,7 @@ class TestEncodeDecode:
                 z[2 * victims] += 1.0
             outcome = dcd(vctx, tag, z)
             assert outcome.eps == tag.eps == max(
-                1e-3, 8 * noise_std * (np.max(np.abs(encoded)) + 5))
+                verify.EPS_FLOOR, 8 * noise_std * (np.max(np.abs(encoded)) + 5))
             blocks = {int(b): z[2 * j: 2 * j + 2] for j, b in enumerate(tag.perm)}
             reference = [np.max(np.abs(blocks[half + r] - vctx.challenge_outputs[ci]))
                          for r, ci in enumerate(tag.challenge_indices)]
@@ -330,8 +330,9 @@ class TestOneRowDecode:
         h = rng.uniform(-1, 1, (d, d))
         rows, half = len(self.KINDS), lam // 2
         for trial in range(10):
-            vctx = setup(64 * lam, h, lam, num_challenges=6, threshold=1e-3,
-                         seed=trial)
+            # eps >= 8 sigma (2T - 1) >= 8e-4: the noisy rows' errors of up to
+            # 4e-4 pass, and a +1 fails
+            vctx = setup(64 * lam, h, lam, num_challenges=6, noise_std=1e-4, seed=trial)
             w = rng.uniform(-2, 2, d)
             encoded, perm, indices = verify._encode(vctx, w, rows)
             z = (encoded.reshape(-1, d) @ h.T).reshape(rows, lam * d)
