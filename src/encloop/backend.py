@@ -34,7 +34,7 @@ bit-identical to the composed ops'.
 
 A ciphertext carries no noise estimate: as in a real scheme, a receiver
 cannot trust one, so whoever checks a decryption derives its own tolerance
-(``verify`` does, from the noise level and the data it encrypted).
+(``verify`` fixes one at set-up, from the noise level and plaintext range).
 
 Per-step work that does not change is done once: every ``KeyContext`` owns
 one slot-width scratch buffer (allocated on first use) that its noise draws

@@ -7,7 +7,8 @@ Subcommands:
   probe       print guess-success probabilities and bounds per expansion factor
   net         run one networked role (plant, controller, or attacker proxy)
 
-Exit codes: 0 ok, 1 config error, 2 runtime error, 3 verification tripped.
+Exit codes: 0 ok (EXIT_OK), 1 config error (EXIT_CONFIG), 2 runtime error (EXIT_RUNTIME),
+3 verification tripped (EXIT_VERIFICATION), 4 plaintext out of range (EXIT_RANGE).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 import time
 
 from . import verify
-from .scenario import (EXIT_OK, EXIT_VERIFICATION, ConfigError, ScenarioConfig, run_scenario,
-                       write_trace_svg)
+from .scenario import (EXIT_OK, EXIT_RANGE, EXIT_VERIFICATION, ConfigError, ScenarioConfig,
+                       exit_code, run_scenario, write_trace_svg)
 
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
@@ -67,11 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_summary(trace) -> int:
     """Print a loop run's last line and return its exit code."""
-    if trace.tripped:
+    code = exit_code(trace)
+    if code == EXIT_VERIFICATION:
         print(f"verification tripped at step {trace.k[-1]}")
-        return EXIT_VERIFICATION
-    print(f"completed {len(trace)} steps (k = {trace.k[0]}..{trace.k[-1]})")
-    return EXIT_OK
+    elif code == EXIT_RANGE:
+        print(f"plaintext out of range at step {trace.k[-1]}")
+    else:
+        print(f"completed {len(trace)} steps (k = {trace.k[0]}..{trace.k[-1]})")
+    return code
 
 
 def cmd_simulate(args) -> int:

@@ -185,11 +185,6 @@ class SimTrace:
     def __len__(self):
         return len(self.k)
 
-    @property
-    def tripped(self) -> bool:
-        """Whether the loop stopped at a rejected response."""
-        return bool(self.verdict) and self.verdict[-1] == "bottom"
-
     def to_csv(self, path):
         n = len(self.x[0]) if self.x else 0
         m = len(self.u[0]) if self.u else 0
@@ -271,16 +266,17 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
     once, hands the ciphertext to ``link(k, y_cipher)``, and decrypts and
     decodes the reply; with a ``verifier`` the encoding is ``verify.ecd`` and
     the loop terminates at the first rejected response (verdict
-    ``"bottom"``). The link returns ``(u_cipher, y_c, u_c)``: the reply and
-    the controller's view of its input and output, or ``None`` twice where
-    it has none (the trace then records the plant's y and u). The default
-    link is the networked exchange without the codec: the ``attacker``'s
-    hooks, in its own context, around a ``controller_role`` of its own. A
-    controller that is not ``model.m`` x ``model.p``, a ``verifier`` or
-    ``link`` without ``ctx``, and an attacker without a context (``ctx``
-    attribute) on an encrypted channel raise ``ValueError`` before step 0.
-    A step allocates only the arrays it hands on, and the trace keeps them
-    (``SimTrace``).
+    ``"bottom"``); a y outside ``verify.CHALLENGE_RANGE``, or not finite,
+    ends it before encryption (verdict ``"range"``, u = 0). The link returns
+    ``(u_cipher, y_c, u_c)``: the reply and the controller's view of its
+    input and output, or ``None`` twice where it has none (the trace then
+    records the plant's y and u). The default link is the networked
+    exchange without the codec: the ``attacker``'s hooks, in its own
+    context, around a ``controller_role`` of its own. A controller that is
+    not ``model.m`` x ``model.p``, a ``verifier`` or ``link`` without
+    ``ctx``, and an attacker without a context (``ctx`` attribute) on an
+    encrypted channel raise ``ValueError`` before step 0. A step allocates
+    only the arrays it hands on, and the trace keeps them (``SimTrace``).
     """
     check_controller(model, ctrl)
     if ctx is None:
@@ -312,6 +308,7 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
         measured = block[start: start + model.p]
 
     x = np.asarray(x0, dtype=float).ravel().copy()
+    bound = verify.CHALLENGE_RANGE
     trace = SimTrace()
     for k in range(-pre_roll, steps):
         y = model.C @ x
@@ -321,6 +318,9 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
             y_c = attacker.tamper_measurement(k, y) if attacker is not None else y
             u_c = controller_eval_plain(ctrl, y_c)
             u = attacker.tamper_control(k, u_c) if attacker is not None else u_c
+        elif not all(-bound <= v <= bound for v in y.tolist()):  # NaN fails too
+            u = np.zeros(model.m)
+            y_c, u_c, verdict = y, u, "range"
         else:
             measured[:] = y
             if verifier is None:
@@ -342,7 +342,7 @@ def run_closed_loop(model: LtiModel, ctrl: AffineController, x0, steps: int,
                 y_c, u_c = y, u
 
         trace.append(k, x, u, y, u_c, y_c, verdict)
-        if verdict == "bottom":
+        if verdict in ("bottom", "range"):
             break
         x = model.A @ x
         x += model.B @ u

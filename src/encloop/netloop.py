@@ -45,7 +45,7 @@ import struct
 from . import control
 from .backend import (MAX_SLOTS, check_ciphertext_blob, ciphertext_blob_size, context_create,
                       deserialize_ciphertext, serialize_ciphertext)
-from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier
+from .scenario import ConfigError, ScenarioConfig, build_attacker, build_verifier, exit_code
 
 __all__ = [
     "MSG_ENC_Y", "MSG_ENC_U", "MSG_HELLO", "MSG_BYE", "MSG_ABORT",
@@ -172,8 +172,8 @@ def _recv_hello(reader: FrameReader) -> tuple[ScenarioConfig, bytes]:
 def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace:
     """Plant client: runs the shared ``control.run_closed_loop`` step with a
     link that ships each encrypted measurement frame and waits for the
-    control frame. With verification enabled it announces the first
-    rejected response with ABORT before it says BYE. Refuses a plain ``cfg``."""
+    control frame. A run that ends early (``scenario.exit_code``) announces
+    its last step with ABORT before it says BYE. Refuses a plain ``cfg``."""
     _check_encrypted(cfg)
     ctx = context_create(cfg.backend)
     verifier = build_verifier(cfg)
@@ -191,7 +191,7 @@ def run_plant(connect: tuple[str, int], cfg: ScenarioConfig) -> control.SimTrace
         trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                         ctx=ctx, pre_roll=cfg.pre_roll,
                                         verifier=verifier, link=exchange)
-        if trace.tripped:
+        if exit_code(trace):  # not 0: the run ended early
             send_frame(sock, MSG_ABORT, json.dumps({"step": trace.k[-1]}).encode())
         send_frame(sock, MSG_BYE)
     return trace

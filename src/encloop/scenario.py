@@ -17,12 +17,13 @@ import numpy as np
 from . import attack, control, verify
 from .backend import BackendConfig, context_create, party_rng
 
-__all__ = ["EXIT_OK", "EXIT_VERIFICATION", "ConfigError", "ScenarioConfig",
-           "build_attacker", "run_scenario", "write_trace_svg"]
+__all__ = ["EXIT_OK", "EXIT_VERIFICATION", "EXIT_RANGE", "ConfigError", "ScenarioConfig",
+           "build_attacker", "exit_code", "run_scenario", "write_trace_svg"]
 
 SCENARIOS = ("baseline", "attack_plain", "attack_encrypted", "verified_attack")
 EXIT_OK = 0            # a run's exit code: it completed
 EXIT_VERIFICATION = 3  # a run's exit code: the verifier rejected a step
+EXIT_RANGE = 4         # a run's exit code: a plaintext left verify.CHALLENGE_RANGE
 # the keys each section of a config accepts
 KEYS = {
     "config": ("scenario", "backend", "model", "controller", "x0", "attack", "verify",
@@ -202,6 +203,9 @@ class ScenarioConfig:
             if need > backend.slot_count:
                 raise ConfigError("backend", f"scenario {scenario!r} needs slot_count "
                                   f">= {need}, got {backend.slot_count}")
+            if np.abs(ctrl.u0).max() > verify.CHALLENGE_RANGE:
+                raise ConfigError("controller", f"an encrypted u0 must lie within "
+                                  f"±{verify.CHALLENGE_RANGE:g}, got {ctrl.u0.tolist()}")
         if scenario == "attack_encrypted":
             depth = attack.encrypted_attack_depth(plan)
             if depth > backend.max_depth:
@@ -270,9 +274,13 @@ def build_attacker(cfg: ScenarioConfig, pub_ctx):
                                  enc_model=enc_model)
 
 
+def exit_code(trace: control.SimTrace) -> int:
+    """The exit code of a loop run, from its last verdict."""
+    return {"bottom": EXIT_VERIFICATION, "range": EXIT_RANGE}.get(trace.verdict[-1], EXIT_OK)
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
-    """Execute one scenario in-process. Returns the trace and the exit code
-    (``EXIT_OK`` completed, ``EXIT_VERIFICATION`` verification tripped)."""
+    """Execute one scenario in-process; return the trace and its ``exit_code``."""
     ctx = context_create(cfg.backend) if cfg.mode == "encrypted" else None
     verifier = build_verifier(cfg)
     pub = (context_create(cfg.backend, "attacker")
@@ -282,7 +290,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[control.SimTrace, int]:
     trace = control.run_closed_loop(cfg.model, cfg.controller, cfg.x0, cfg.steps,
                                     attacker=attacker, ctx=ctx,
                                     pre_roll=cfg.pre_roll, verifier=verifier)
-    return trace, EXIT_VERIFICATION if trace.tripped else EXIT_OK
+    return trace, exit_code(trace)
 
 
 # -- minimal SVG trajectory plot ------------------------------------------------

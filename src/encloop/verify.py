@@ -6,8 +6,8 @@ ciphertext, block-shuffled under a fresh secret permutation each step. The
 server evaluates the lifted function on all blocks at once; the client checks
 the challenge blocks against stored reference outputs and rejects the whole
 response if any deviates by more than a threshold, or if the payload replicas
-disagree. The client derives that threshold itself; nothing on the wire or in a
-config sets it.
+disagree. The client fixes that threshold at set-up (``setup``); nothing on
+the wire or in a config sets it.
 
 An attacker that wants to modify the payload consistently must hit exactly
 the replica blocks; guessing them succeeds with probability 1/C(lambda,
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +56,10 @@ class VerifierContext:
     # (M + 1, d): ``challenges`` and a last row for the payload, which every
     # encode overwrites with its own payload block
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    eps: float = field(init=False, compare=False)  # the threshold of every response
     # ``_decode``'s checks over the lambda*d errors of one unshuffled
     # response, the replicas' then each challenge block's: where each check
-    # starts, and its bound in units of eps (2 for the replica spread, 1 for a
+    # starts, and its bound (2 eps for the replica spread, eps for a
     # challenge), as a column
     checks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     # ``challenge_outputs`` as a list of rows, for the scalar decode
@@ -69,22 +69,24 @@ class VerifierContext:
         self.table = np.concatenate((self.challenges, self.challenges[:1]))
         self.references = self.challenge_outputs.tolist()
         half, d = self.expansion // 2, self.block_dim
+        self.eps = EPS_FLOOR
+        if self.noise_std:
+            # 8 times the first-order noise bound of the honest response to any
+            # input w~ within CHALLENGE_RANGE: term t of the matvec multiplies
+            # the stored diagonal K_t (noise sigma) by the rotated w~ (2 sigma)
+            # and adds sigma, and T - 1 sums add sigma each. The >= 2d slots of
+            # ``encrypt_matrix``'s kron(I, h) hold h's 2d - 1 K_t apart.
+            indices, diags = wrapped_diagonals(self.h, 2 * d)
+            T = len(indices)
+            bound = self.noise_std * (T * CHALLENGE_RANGE
+                                      + 2.0 * float(np.abs(diags).max(axis=1).sum()) + 2 * T - 1)
+            self.eps = max(EPS_FLOOR, 8.0 * bound)
         self.checks = (np.array([0, *range(half * d, self.expansion * d, d)]),
-                       np.array([[2.0]] + [[1.0]] * half))
+                       np.array([[2.0 * self.eps]] + [[self.eps]] * half))
 
     @property
     def encoded_dim(self) -> int:
         return self.expansion * self.block_dim
-
-    @cached_property
-    def noise_terms(self) -> tuple[int, float]:
-        """(T, 2 sum_t max|K_t| + 2T - 1) of ``_eps``: the K_t are the nonzero
-        wrapped diagonals that ``encrypt_matrix`` stores for kron(I, h). Its
-        >= 2d slots (expansion >= 2) hold h's 2d - 1 diagonals apart, as
-        ``wrapped_diagonals(h, 2d)`` does."""
-        indices, diags = wrapped_diagonals(self.h, 2 * self.block_dim)
-        T = len(indices)
-        return T, 2.0 * float(np.abs(diags).max(axis=1).sum()) + 2 * T - 1
 
 
 @dataclass
@@ -93,12 +95,11 @@ class PermutationTag:
 
     perm: np.ndarray               # encoded block j carries pre-shuffle block perm[j]
     challenge_indices: np.ndarray  # challenge of pre-shuffle block half + i, per i
-    eps: float                     # acceptance threshold of the response, from ``_eps``
 
 
 @dataclass
 class DecodeOutcome:
-    eps: float                 # the acceptance threshold this decode applied
+    eps: float                 # the acceptance threshold applied, ``VerifierContext.eps``
     deviation: np.ndarray      # max |z - h(c)| of each challenge block, in check order
     spread: float              # max |replica - first replica| over the payload replicas
     payload: np.ndarray | None = None
@@ -110,7 +111,9 @@ class DecodeOutcome:
         return not self.bottom
 
 
-CHALLENGE_RANGE = 10.0  # challenge inputs are drawn uniformly from [-10, 10)
+# the plaintext range of every encoded entry: challenges are drawn uniformly
+# from [-10, 10), and an encrypted loop's u0 and y must lie in [-10, 10]
+CHALLENGE_RANGE = 10.0
 FULL_MODE_SLOTS = MAX_SLOTS  # most slots full mode packs into a ciphertext: bounds its memory
 # The floor of eps. At noise_std 0 the server's diagonal-method sums and the
 # verifier's ``challenges @ h.T`` differ only by rounding: at most 2.8e-14 over
@@ -132,8 +135,8 @@ def setup(slot_count: int, h, expansion: int, num_challenges: int, noise_std: fl
     """Instantiate the verifier for a server that evaluates the d x d matrix
     ``h`` on every block, as ``encrypt_matrix(ctx, h, copies)`` on a backend
     of ``slot_count`` slots and noise ``noise_std``: draw challenge inputs,
-    precompute their reference outputs h c, and fix the expansion factor.
-    It draws from ``default_rng(seed)``: a generator ``seed`` itself."""
+    precompute their reference outputs h c, and fix the expansion factor and
+    ``eps``. It draws from ``default_rng(seed)``: a generator ``seed`` itself."""
     check_params(expansion, num_challenges)
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -147,19 +150,6 @@ def setup(slot_count: int, h, expansion: int, num_challenges: int, noise_std: fl
     challenges = rng.uniform(-CHALLENGE_RANGE, CHALLENGE_RANGE, (num_challenges, block_dim))
     return VerifierContext(expansion=expansion, block_dim=block_dim, noise_std=noise_std, h=h,
                            challenges=challenges, challenge_outputs=challenges @ h.T, rng=rng)
-
-
-def _eps(ctx: VerifierContext, encoded: np.ndarray) -> float:
-    """The acceptance rule: 8 times the first-order noise bound of the honest
-    response to ``encoded`` (w~), never below ``EPS_FLOOR``. Term t of
-    the matvec multiplies stored diagonal K_t (noise sigma) by the rotated
-    w~ (2 sigma) and adds sigma; T - 1 sums add sigma each: sigma (T max|w~|
-    + 2 sum_t max|K_t| + 2T - 1). Nothing in it comes from the response."""
-    if not ctx.noise_std:
-        return EPS_FLOOR
-    T, rest = ctx.noise_terms
-    bound = ctx.noise_std * (T * float(np.abs(encoded).max()) + rest)
-    return max(EPS_FLOOR, 8.0 * bound)
 
 
 def lift_affine(K):
@@ -226,30 +216,27 @@ def ecd(ctx: VerifierContext, w) -> tuple[np.ndarray, PermutationTag]:
     if len(w) != ctx.block_dim:
         raise ValueError(f"payload has length {len(w)}, expected {ctx.block_dim}")
     encoded, perm, indices = _encode_one(ctx, w)
-    return encoded, PermutationTag(perm=perm, challenge_indices=indices,
-                                   eps=_eps(ctx, encoded))
+    return encoded, PermutationTag(perm=perm, challenge_indices=indices)
 
 
 def dcd(ctx: VerifierContext, tag: PermutationTag, z_tilde) -> DecodeOutcome:
     """Decode a server response: un-shuffle, check every challenge block
     against its stored reference output and the payload replicas against each
-    other, and on success return one replica chosen uniformly at random. The
-    threshold is ``tag.eps``, which ``ecd`` derived from what it encoded
-    (``_eps``): a challenge passes within it in the infinity norm, and each
-    replica within twice it of the first, as honest replicas lie within it
-    of h(w). The outcome records the threshold, each challenge block's
-    deviation and the replicas' spread, accepted or not. The checks run on
-    Python scalars (``_decode_one``), with ``_decode``'s outcome and draws."""
+    other, and on success return one replica chosen uniformly at random. A
+    challenge passes within ``ctx.eps`` in the infinity norm, and each replica
+    within twice it of the first, as honest replicas lie within it of h(w).
+    The outcome records eps, each challenge block's deviation and the
+    replicas' spread, accepted or not. The checks run on Python scalars
+    (``_decode_one``), with ``_decode``'s outcome and draws."""
     z_tilde = np.asarray(z_tilde, dtype=float).ravel()
     lam, d = ctx.expansion, ctx.block_dim
     if len(z_tilde) != lam * d:
         raise ValueError(f"response has length {len(z_tilde)}, expected {lam * d}")
-    eps = tag.eps
-    deviation, spread, payload = _decode_one(ctx, tag, z_tilde.tolist(), eps)
+    deviation, spread, payload = _decode_one(ctx, tag, z_tilde.tolist())
     if payload is not None:
-        return DecodeOutcome(eps, deviation, spread, payload=payload)
-    return DecodeOutcome(eps, deviation, spread, bottom=True,
-                         failed_challenges=np.flatnonzero(~(deviation <= eps)).tolist())
+        return DecodeOutcome(ctx.eps, deviation, spread, payload=payload)
+    return DecodeOutcome(ctx.eps, deviation, spread, bottom=True,
+                         failed_challenges=np.flatnonzero(~(deviation <= ctx.eps)).tolist())
 
 
 # -- one step on Python scalars ---------------------------------------------------
@@ -278,7 +265,7 @@ def _encode_one(ctx: VerifierContext, w: np.ndarray):
     return table.take([source[p] for p in perm], axis=0).ravel(), np.array(perm), indices
 
 
-def _decode_one(ctx: VerifierContext, tag: PermutationTag, z: list, eps: float):
+def _decode_one(ctx: VerifierContext, tag: PermutationTag, z: list):
     """``_decode``'s checks of one response ``z`` (a list), with its maxima
     NaN-sticky as ``np.maximum`` is: the deviation of each challenge block
     (an array), the replica spread, and on acceptance one replica drawn
@@ -307,6 +294,7 @@ def _decode_one(ctx: VerifierContext, tag: PermutationTag, z: list, eps: float):
         if e > spread or e != e:
             spread = e
     deviation = maxima[half:]
+    eps = ctx.eps
     if not (spread <= 2.0 * eps and all(e <= eps for e in deviation)):
         return np.array(deviation), spread, None
     s = perm.index(int(ctx.rng.integers(0, half))) * d
@@ -355,12 +343,11 @@ def _encode(ctx: VerifierContext, w: np.ndarray, rows: int):
     return encoded.reshape(rows, lam * d), perm, source[:, half:]
 
 
-def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
-            z: np.ndarray, eps: float):
+def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray, z: np.ndarray):
     """Check ``rows`` responses ``z`` (rows, lambda*d) encoded with the flat
-    permutations ``perm`` and challenge ``indices`` against threshold
-    ``eps``: a row passes when every challenge block is within ``eps`` of its
-    reference and every payload replica within 2 ``eps`` of the first.
+    permutations ``perm`` and challenge ``indices`` against ``ctx.eps``: a
+    row passes when every challenge block is within eps of its reference
+    and every payload replica within 2 eps of the first.
     Returns each challenge block's deviation (rows, lambda/2), each row's
     replica spread (rows,), the rows that passed, and one payload replica of
     each of them, drawn uniformly at random (accepted rows, d)."""
@@ -384,7 +371,7 @@ def _decode(ctx: VerifierContext, perm: np.ndarray, indices: np.ndarray,
     maxima = np.maximum.reduceat(err.reshape(lam * d, rows), starts, axis=0)
     spread, deviation = maxima[0], maxima[1:].T
     # a NaN deviation or spread fails
-    passed = np.logical_and.reduce(maxima <= bound * eps, axis=0)
+    passed = np.logical_and.reduce(maxima <= bound, axis=0)
     accepted = passed.nonzero()[0]
     if not len(accepted):
         return deviation, spread, accepted, blocks[:0, 0]
@@ -527,7 +514,7 @@ def _detect_full(lam: int, L: int, trials: int, seed: int):
             mask = block_mask(1, slot_count, guess_blocks(vctx.rng, alive, lam), delta)
             z = ctx.decrypt(enc_matvec(enc_h, hom_add(c, mask)))
             z = z[:alive * lam].reshape(alive, lam)
-            accepted = len(_decode(vctx, perm, indices, z, _eps(vctx, encoded))[2])
+            accepted = len(_decode(vctx, perm, indices, z)[2])
             counts[k] += alive - accepted
             alive = accepted
             if not alive:

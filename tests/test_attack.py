@@ -149,6 +149,13 @@ class TestCooldown:
 
 
 class TestEncryptedModel:
+    def test_needs_a_context(self, model):
+        """An encrypted compensation state starts as a ciphertext, so an
+        attacker given an encrypted model and no context is refused."""
+        enc = build_enc_model(context_create(make_ctx().config, "attacker"), model)
+        with pytest.raises(ValueError, match="an encrypted-model attack needs a context"):
+            CovertAttacker(model, step_plan(), enc_model=enc)
+
     def test_delta_step_matches_plain(self, model):
         ctx = make_ctx()
         enc = build_enc_model(context_create(ctx.config, "attacker"), model)

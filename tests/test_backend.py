@@ -169,6 +169,12 @@ class TestHomomorphisms:
         with pytest.raises(KeyMismatch):
             hom_add(a, b)
 
+    def test_plaintext_operand_of_other_width_rejected(self):
+        c = make_ctx().encrypt(np.zeros(8))
+        with pytest.raises(ValueError,
+                           match=r"plaintext operand shape \(4,\) does not match slots"):
+            hom_add(c, np.zeros(4))
+
     def test_depth_budget_boundary(self):
         ctx = make_ctx(max_depth=4)
         c = ctx.encrypt(np.ones(8))

@@ -51,10 +51,14 @@ class TestSimulate:
     @pytest.mark.parametrize("raw, code, line", [
         (dict(VERIFIED, pre_roll=0), 3, "verification tripped at step 0"),
         ({"scenario": "baseline", "steps": 1, "pre_roll": 0}, 0,
-         "completed 1 steps (k = 0..0)")], ids=["caught_at_0", "one_step_baseline"])
+         "completed 1 steps (k = 0..0)"),
+        (dict(BASELINE, mode="encrypted", pre_roll=0, x0=[30, 1, 0, 0]), 4,
+         "plaintext out of range at step 0")],
+        ids=["caught_at_0", "one_step_baseline", "out_of_range_at_0"])
     def test_one_step_trace_written_and_plotted(self, tmp_path, capsys, raw, code, line):
-        """A run that ends after one step (caught at k = 0, or one step
-        long) still writes its trace and its plot."""
+        """A run that ends after one step (caught at k = 0, one step long,
+        or with y = [15, 0.5] outside the plaintext range at k = 0) still
+        writes its trace and its plot."""
         trace_path, plot_path = tmp_path / "trace.csv", tmp_path / "trace.svg"
         assert main(["simulate", "--config", write_cfg(tmp_path, raw),
                      "--out-trace", str(trace_path), "--out-plot", str(plot_path)]) == code
@@ -108,6 +112,16 @@ class TestSimulate:
         assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == code
         msg = ("config error: backend: an encrypted-model attack of length 10 "
                "needs max_depth >= 12, got 11")
+        assert (msg in capsys.readouterr().err) == (code == 1)
+
+    @pytest.mark.parametrize("u0, code", [([10.0, -10.0], 0), ([10.5, 7.76], 1)])
+    def test_encrypted_u0_range_exit_code(self, tmp_path, capsys, u0, code):
+        """Every lifted block encodes u0: an encrypted config takes one on
+        the edge of the plaintext range [-10, 10], and refuses one beyond."""
+        raw = dict(BASELINE, mode="encrypted", steps=5, pre_roll=0,
+                   controller={"K": [[11.545, 0.061], [1.609, 11.131]], "u0": u0})
+        assert main(["simulate", "--config", write_cfg(tmp_path, raw)]) == code
+        msg = "config error: controller: an encrypted u0 must lie within ±10, got [10.5, 7.76]"
         assert (msg in capsys.readouterr().err) == (code == 1)
 
     @pytest.mark.parametrize("scenario, slot_count, need", [

@@ -203,6 +203,33 @@ class TestClosedLoop:
         assert attacker.ctx is None and len(run_closed_loop(
             model, ctrl, TANK_X0, 5, attacker=attacker)) == 5
 
+    def test_verifier_of_another_block_rejected(self, model, ctrl):
+        """A verifier whose blocks are not the controller's lifted block
+        (D = 4 slots for the tank) is refused before step 0."""
+        vctx = verify.setup(64, np.eye(2 * D), 4, num_challenges=1)
+        with pytest.raises(ValueError, match="verifier block dimension does not match "
+                                             "controller lift"):
+            run_closed_loop(model, ctrl, TANK_X0, 5, ctx=make_ctx(), verifier=vctx)
+
+    def test_attacker_with_a_link_rejected(self, model, ctrl):
+        """The attacker's hooks run on the in-process link; next to a
+        caller's own link the loop refuses it before step 0."""
+        ctx = make_ctx()
+        plan = AttackPlan(schedule={0: np.array([1.0, 1.0])}, length=5, cooldown_len=4)
+        attacker = CovertAttacker(model, plan, ctx=context_create(ctx.config, "attacker"))
+        with pytest.raises(ValueError, match="an attacker tampers on the in-process link only"):
+            run_closed_loop(model, ctrl, TANK_X0, 5, attacker=attacker, ctx=ctx,
+                            link=lambda k, y_cipher: None)
+
+    def test_nan_state_ends_out_of_range(self, model, ctrl):
+        """A NaN measurement fails the encrypted step's range check, which
+        compares Python scalars: the loop ends at its first step, verdict
+        "range" and u = 0, before it encrypts and without a numpy warning
+        (the suite turns warnings into errors)."""
+        trace = run_closed_loop(model, ctrl, [np.nan, 1.0, 0.0, 0.0], 5, ctx=make_ctx())
+        assert trace.verdict == ["range"] and np.array_equal(trace.u[0], [0.0, 0.0])
+        assert np.isnan(trace.y[0]).all()
+
 
 class TestTrace:
     def test_append_keeps_float_arrays_and_converts_lists(self):

@@ -1,10 +1,12 @@
 """README examples run as written: its JSON scenario config and its Python
-API sketch. Its config keys are the ones the parse accepts."""
+API sketch. Its config keys are the ones the parse accepts, and its exit
+codes, as ``cli``'s docstring's, are the ones the CLI returns."""
 
 import json
 import re
 from pathlib import Path
 
+from encloop import cli
 from encloop.scenario import KEYS, ScenarioConfig, run_scenario
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -39,3 +41,16 @@ def test_section_key_lists_match_the_parse():
     for section in ("backend", "verify"):
         (listed,) = re.findall(rf"`{section}`\s*\(([^)]*)\)", README)
         assert tuple(re.findall(r"`(\w+)`", listed)) == KEYS[section]
+
+
+def test_exit_codes_documented():
+    """The README's "Exit codes" sentence and ``cli``'s docstring name every
+    exit constant with its number, e.g. "`4` plaintext out of range
+    (`EXIT_RANGE`)"."""
+    names = ("EXIT_OK", "EXIT_CONFIG", "EXIT_RUNTIME", "EXIT_VERIFICATION", "EXIT_RANGE")
+    codes = {name: getattr(cli, name) for name in names}
+    assert sorted(codes.values()) == [0, 1, 2, 3, 4]
+    for text in (README, cli.__doc__):
+        (sentence,) = re.findall(r"^Exit codes:.*?\.$", text, flags=re.M | re.S)
+        named = re.findall(r"`?(\d+)`? [^()]*\(`?(EXIT_[A-Z]+)`?\)", sentence)
+        assert {name: int(code) for code, name in named} == codes

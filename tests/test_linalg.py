@@ -169,6 +169,12 @@ class TestEncryptMatrix:
             encrypt_matrix(make_ctx(8), np.ones(shape), copies)
 
 
+    @pytest.mark.parametrize("S", [np.ones(4), np.ones((2, 2, 2))], ids=["vector", "stack"])
+    def test_not_a_matrix_rejected(self, S):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            encrypt_matrix(make_ctx(8), S)
+
+
 class TestMatVec:
     def test_identity(self):
         ctx = make_ctx(2)
@@ -187,6 +193,11 @@ class TestMatVec:
         ctx = make_ctx(4)
         out = enc_matvec(encrypt_matrix(ctx, np.eye(4)), ctx.encrypt(np.ones(4)))
         assert out.level == 1
+
+    def test_other_slot_count_rejected(self):
+        S = encrypt_matrix(make_ctx(4), np.eye(4))
+        with pytest.raises(ValueError, match="matrix dim 4 does not match ciphertext slots"):
+            enc_matvec(S, make_ctx(8).encrypt(np.ones(8)))
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_random_oracle(self, d):
@@ -380,6 +391,11 @@ class TestCachedMatVec:
 
 
 class TestMatMat:
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 8"):
+            enc_matmat(encrypt_matrix(make_ctx(4), np.eye(4)),
+                       encrypt_matrix(make_ctx(8), np.eye(8)))
+
     def test_times_identity(self):
         ctx = make_ctx(4)
         rng = np.random.default_rng(10)

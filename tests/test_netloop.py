@@ -38,7 +38,8 @@ from encloop.netloop import (
     run_plant,
     send_frame,
 )
-from encloop.scenario import ConfigError, ScenarioConfig, run_scenario
+from encloop.scenario import (EXIT_VERIFICATION, ConfigError, ScenarioConfig, exit_code,
+                              run_scenario)
 from helpers import HOST, STEP_ATTACK, QueuedSocket, free_port, reply_once
 
 
@@ -489,7 +490,7 @@ class TestPlantControllerLoop:
         monkeypatch.setattr(np.random, "default_rng", recording)
         cfg = matched_cfg("verified_attack", 1e-6)
         trace, _, stats = run_pipeline(cfg, with_attacker=True)
-        assert trace.tripped and stats["tampered"] > 0
+        assert exit_code(trace) == EXIT_VERIFICATION and stats["tampered"] > 0
         tcp = sorted(starts)
         starts.clear()
         assert run_scenario(cfg)[1] == 3
@@ -788,6 +789,19 @@ class TestAttackerProxy:
         assert trace.verdict[-1] == "bottom"
         # the step the proxy was caught on counts as tampered
         assert stats["tampered"] >= 1
+        assert ctrl_result["aborted"] is True
+
+    def test_out_of_range_aborts_over_the_wire(self):
+        """Under positive feedback (the tank's K negated) y leaves the
+        plaintext range at step 6: the plant ends the run there, before it
+        encrypts, and announces it with ABORT. The proxy relayed the six
+        steps before."""
+        controller = {"K": (-control.tank_controller().K).tolist(), "u0": [6.8, 7.76]}
+        cfg = baseline_cfg(steps=30, pre_roll=0, scenario="verified_attack",
+                           attack={"a_u": {}, "length": 30}, controller=controller)
+        trace, ctrl_result, stats = run_pipeline(cfg, with_attacker=True)
+        assert trace.verdict == ["ok"] * 6 + ["range"] and exit_code(trace) == 4
+        assert stats == {"relayed": 6, "tampered": 0}
         assert ctrl_result["aborted"] is True
 
     @pytest.mark.parametrize("scenario", ["baseline", "attack_plain"])

@@ -31,6 +31,12 @@ CONFIGS = {
     "caught": {"scenario": "verified_attack", "steps": 30, "pre_roll": 0, "seed": 1,
                "backend": {"slot_count": 64},
                "verify": {"expansion": 8, "num_challenges": 8}, "attack": STEP_ATTACK},
+    # an honest verified loop under positive feedback (the tank's K negated):
+    # after six steps y leaves the plaintext range [-10, 10], which exits 4
+    "out_of_range": {"scenario": "verified_attack", "steps": 30, "pre_roll": 0,
+                     "controller": {"K": [[-11.545, -0.061], [-1.609, -11.131]],
+                                    "u0": [6.8, 7.76]},
+                     "attack": {"a_u": {}, "length": 30}},
 }
 
 
@@ -55,14 +61,16 @@ def test_simulate_exits_ok(tmp_path, name):
 
 
 @pytest.mark.parametrize("name, code", [("noisy_attack", 0), ("honest_wide", 0),
-                                        ("caught", 3)])
+                                        ("caught", 3), ("out_of_range", 4)])
 def test_three_processes_match_in_process(tmp_path, name, code):
     """The plant, the attacker proxy and the controller as three processes
     write the in-process run's plant columns byte for byte, and the plant
     exits as ``simulate`` does. Each role draws its noise from its own key
     context on both transports, and the plant writes each step's encoding
     into its one slot buffer on both. On ``caught`` the plant rejects step
-    0 and sends ABORT and BYE back to back, and both roles still exit 0."""
+    0, and on ``out_of_range`` its y leaves the plaintext range at step 6;
+    either way it sends ABORT and BYE back to back, and both roles still
+    exit 0."""
     cfg = write_config(tmp_path, name)
     in_process, tcp = tmp_path / "in_process.csv", tmp_path / "tcp.csv"
     assert main(["simulate", "--config", cfg, "--out-trace", str(in_process)]) == code

@@ -52,29 +52,19 @@ def attacked(monkeypatch, cfg, t):
 
 @pytest.mark.parametrize("noise_std", [1e-6, 1e-2])
 class TestResilienceRange:
-    """eps = 8 sigma (T max|w~| + rest) (``verify._eps``) lies between two
-    bounds on every step: every payload replica holds u0, so max|w~| >=
-    max|u0|; and the challenges, u0 and the tank's y all lie in
-    (-CHALLENGE_RANGE, CHALLENGE_RANGE)."""
-
-    def eps_bounds(self, cfg):
-        sigma = cfg.backend.noise_std
-        T, rest = scenario.build_verifier(cfg).noise_terms
-        low = 8 * sigma * (T * np.abs(cfg.controller.u0).max() + rest)
-        high = 8 * sigma * (T * verify.CHALLENGE_RANGE + rest)
-        return low, high
+    """The verifier applies one eps to every step, fixed at set-up
+    (``VerifierContext.eps``)."""
 
     def test_below_eps_never_caught_and_moves_the_plant_by_g_t(self, monkeypatch,
                                                                 noise_std):
-        """At t = half the lower bound, every step passes, and the plant
-        settles G t = (I - A + BKC)^-1 B t away from the clean run: its
-        deviation never exceeds 1.25 |G t| and ends above 0.9 |G t| (the
-        closed loop's slowest pole is 0.983)."""
+        """At t = eps / 2, every step passes, and the plant settles G t =
+        (I - A + BKC)^-1 B t away from the clean run: its deviation never
+        exceeds 1.25 |G t| and ends above 0.9 |G t| (the closed loop's
+        slowest pole is 0.983)."""
         cfg = tank_cfg(noise_std)
         clean, code = run_scenario(cfg)
         assert code == EXIT_OK
-        low, _ = self.eps_bounds(cfg)
-        t = np.full(cfg.model.m, low / 2)
+        t = np.full(cfg.model.m, scenario.build_verifier(cfg).eps / 2)
         trace, code = attacked(monkeypatch, cfg, t)
         assert code == EXIT_OK and trace.verdict == ["ok"] * (PRE_ROLL + STEPS)
         model, KC = cfg.model, cfg.controller.K @ cfg.model.C
@@ -85,10 +75,10 @@ class TestResilienceRange:
         assert deviation[-1] >= 0.9 * g_t
 
     def test_above_eps_caught_at_the_first_attacked_step(self, monkeypatch, noise_std):
-        """At t = twice the upper bound, the verifier rejects step 0, the
-        first attacked step."""
+        """At t = 2 eps, the verifier rejects step 0, the first attacked
+        step."""
         cfg = tank_cfg(noise_std)
-        _, high = self.eps_bounds(cfg)
-        trace, code = attacked(monkeypatch, cfg, np.full(cfg.model.m, 2 * high))
+        t = np.full(cfg.model.m, 2 * scenario.build_verifier(cfg).eps)
+        trace, code = attacked(monkeypatch, cfg, t)
         assert code == EXIT_VERIFICATION and np.abs(trace.y).max() < verify.CHALLENGE_RANGE
         assert trace.verdict == ["ok"] * PRE_ROLL + ["bottom"] and trace.k[-1] == 0

@@ -13,8 +13,10 @@ from encloop.control import (
     LtiModel,
     SimTrace,
     run_closed_loop,
+    tank_controller,
 )
 from encloop.scenario import (
+    EXIT_RANGE,
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
@@ -270,7 +272,11 @@ class TestMalformedValues:
         ("model", {"model": {"A": [[1.0, 0.0]], "B": [[1.0]], "C": [[1.0]]}}),
         ("model", {"model": {"A": np.eye(2).tolist(), "B": [[1.0]], "C": [[1.0, 0.0]]}}),
         ("model", {"model": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0, 0.0]]}}),
-        ("controller", {"controller": {"K": np.eye(2).tolist(), "u0": [0.0, 0.0, 0.0]}})])
+        ("controller", {"controller": {"K": np.eye(2).tolist(), "u0": [0.0, 0.0, 0.0]}}),
+        # every lifted block encodes u0, so an encrypted one must lie within
+        # the plaintext range verify.CHALLENGE_RANGE = 10
+        ("controller", {"mode": "encrypted",
+                        "controller": {"K": np.eye(2).tolist(), "u0": [6.8, -10.5]}})])
     def test_named_config_error(self, section, extra):
         raw = minimal("attack_plain", **extra)
         with pytest.raises(ConfigError) as exc:
@@ -485,10 +491,59 @@ class TestRunScenario:
         assert code == 3
         assert trace.verdict[-1] == "bottom"
 
+    @pytest.mark.parametrize("scenario", ["baseline", "attack_plain", "attack_encrypted",
+                                          "verified_attack"])
+    def test_out_of_range_ends_the_run(self, scenario):
+        """Every encrypted kind checks y against the plaintext range
+        ``verify.CHALLENGE_RANGE`` before it encrypts. The tank at x0 = [30,
+        1, 0, 0] measures y = [15, 0.5], so its first step ends the run:
+        verdict "range", u = 0 and exit 4."""
+        raw = minimal(scenario, mode="encrypted", x0=[30.0, 1.0, 0.0, 0.0],
+                      backend={"slot_count": 64})
+        trace, code = run_scenario(ScenarioConfig.from_dict(raw))
+        assert code == EXIT_RANGE == 4
+        assert trace.verdict == ["range"] and trace.k == [-5]
+        assert np.array_equal(trace.u[0], [0.0, 0.0]) and np.array_equal(trace.y[0], [15, 0.5])
+
+    def test_leaving_the_range_mid_run_ends_it(self):
+        """Under positive feedback (the tank's K negated) an honest verified
+        loop runs in range for six steps; its y leaves [-10, 10] at step 6,
+        which ends the run before that step's encryption."""
+        controller = {"K": (-tank_controller().K).tolist(), "u0": [6.8, 7.76]}
+        raw = minimal("verified_attack", steps=30, pre_roll=0, controller=controller,
+                      attack={"a_u": {}, "length": 30})
+        trace, code = run_scenario(ScenarioConfig.from_dict(raw))
+        assert code == EXIT_RANGE and trace.verdict == ["ok"] * 6 + ["range"]
+        assert np.abs(trace.y[:6]).max() <= verify.CHALLENGE_RANGE < np.abs(trace.y[6]).max()
+
+    @pytest.mark.parametrize("noise_std, eps", [(0.0, verify.EPS_FLOOR), (1e-6, 5.06464e-4),
+                                                (1e-2, 5.06464)])
+    def test_one_eps_at_every_decode(self, monkeypatch, noise_std, eps):
+        """An honest verified tank run (lambda = 4, seed 3, 220 steps) checks
+        every response against one threshold, whatever challenges each step
+        draws: the set-up's max(EPS_FLOOR, 8 sigma (T B + 2 sum_t max|K_t| +
+        2T - 1)), 8 sigma (3 * 10 + 33.308) for the tank's three stored
+        diagonals."""
+        seen = []
+        real_dcd = verify.dcd
+
+        def spy(vctx, tag, z):
+            outcome = real_dcd(vctx, tag, z)
+            seen.append(outcome.eps)
+            return outcome
+
+        monkeypatch.setattr(verify, "dcd", spy)
+        raw = minimal("verified_attack", steps=200, pre_roll=20, seed=3,
+                      backend={"slot_count": 64, "noise_std": noise_std},
+                      attack={"a_u": {}, "length": 10}, verify={"expansion": 4})
+        trace, code = run_scenario(ScenarioConfig.from_dict(raw))
+        assert code == 0 and len(seen) == 220
+        assert len(set(seen)) == 1 and seen[0] == pytest.approx(eps, rel=1e-12)
+
     @pytest.mark.parametrize("noise_std", [1e-4, 1e-2])
     def test_honest_verified_never_rejected_under_noise(self, noise_std):
-        """The verifier derives its acceptance threshold from the noise
-        level, the lifted controller and its own input, so an honest loop
+        """The verifier fixes its acceptance threshold from the noise level,
+        the lifted controller and the plaintext range, so an honest loop
         (the attacker never injects) passes every step at any backend noise
         level."""
         bottoms = 0
@@ -507,8 +562,8 @@ class TestRunScenario:
         """Completeness with margin: over 20 seeds x 60 honest verified steps
         no run ends bottom, and every challenge deviation and half every
         replica spread stay below eps / 4. The threshold counts the three
-        diagonals the tank's lifted block stores (``noise_terms``), so a
-        threshold that shrank below the response noise would show here
+        diagonals the tank's lifted block stores (``VerifierContext.eps``),
+        so a threshold that shrank below the response noise would show here
         before it rejected an honest step."""
         outcomes = []
         real_dcd = verify.dcd

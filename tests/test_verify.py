@@ -70,26 +70,28 @@ class TestSetup:
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8])
     def test_noise_terms_follow_the_stored_diagonals(self, d):
-        """T is the number of wrapped diagonals ``encrypt_matrix`` stores for
-        the server's kron(I, h), and sum_t max|K_t| sums their largest
-        entries, at the narrowest and a wide slot count; the tank's lifted
-        controller has the three diagonals {0, 1, 2}, whose largest entries
-        are 1.609, 11.545 and 1: 2 * 14.154 + 5 = 33.308."""
+        """The threshold fixed at set-up is 8 sigma (T B + 2 sum_t max|K_t| +
+        2T - 1), with B = ``CHALLENGE_RANGE``: T is the number of wrapped
+        diagonals ``encrypt_matrix`` stores for the server's kron(I, h), and
+        sum_t max|K_t| sums their largest entries, at the narrowest and a
+        wide slot count. The tank's lifted controller has the three diagonals
+        {0, 1, 2}, whose largest entries are 1.609, 11.545 and 1: at sigma
+        1e-2, 8e-2 (30 + 2 * 14.154 + 5) = 5.06464."""
         rng = np.random.default_rng(d)
         for slot_count in (2 * d, 64):
             for _ in range(5):
                 h = rng.uniform(-3, 3, (d, d)) * (rng.random((d, d)) < 0.4)
                 h[rng.integers(d), rng.integers(d)] = 1.5
-                vctx = setup(slot_count, h, 2, num_challenges=1)
+                vctx = setup(slot_count, h, 2, num_challenges=1, noise_std=1.0)
                 ctx = context_create(BackendConfig(slot_count=slot_count))
                 stored = encrypt_matrix(ctx, h, copies=slot_count // d).diagonals
                 K_max = [np.max(np.abs(ctx.decrypt(c))) for c in stored.values()]
-                T, rest = vctx.noise_terms
-                assert T == len(stored)
-                assert rest == pytest.approx(2 * sum(K_max) + 2 * T - 1, rel=1e-15)
+                T = len(stored)
+                assert vctx.eps == pytest.approx(
+                    8 * (T * verify.CHALLENGE_RANGE + 2 * sum(K_max) + 2 * T - 1), rel=1e-15)
         ctrl = tank_controller()
-        T, rest = setup(64, lift_affine(-ctrl.K), 4, 1).noise_terms
-        assert T == 3 and rest == pytest.approx(33.308, rel=1e-12)
+        vctx = setup(64, lift_affine(-ctrl.K), 4, 1, noise_std=1e-2)
+        assert vctx.eps == pytest.approx(5.06464, rel=1e-12)
 
     def test_challenges_precomputed(self):
         vctx = make_vctx()
@@ -198,11 +200,11 @@ class TestEncodeDecode:
         assert outcome.spread == 1.0 and np.all(outcome.deviation == 0)
 
     def test_threshold_tolerates_small_noise(self):
-        # at noise_std 1e-4, eps = 8e-4 (max|w~| + 5) >= 4e-3
+        # at noise_std 1e-4, eps = 8e-4 (CHALLENGE_RANGE + 5) >= 4e-3
         vctx = make_vctx(noise_std=1e-4)
         encoded, tag = ecd(vctx, np.zeros(2))
         z = doubler(encoded) + 1e-4
-        assert tag.eps >= 4e-3
+        assert vctx.eps >= 4e-3
         assert dcd(vctx, tag, z).ok
 
     @pytest.mark.parametrize("lam", [4, 16])
@@ -210,11 +212,12 @@ class TestEncodeDecode:
         """The outcome records the threshold it applied, each challenge
         block's deviation in check order and the payload replicas' spread,
         equal to per-block references; exactly the blocks whose deviation
-        exceeds the threshold fail. The threshold is the verifier's own:
-        for h = 2 I (one stored diagonal, max 2) on an input of largest
-        magnitude m, max(EPS_FLOOR, 8 sigma (m + 2*2 + 1)): the floor on an
-        exact response at sigma 0, and above 5e-4 at sigma 1e-3, where each
-        slot is off by up to 5e-4."""
+        exceeds the threshold fail. The threshold is the verifier's own, fixed
+        at set-up: for h = 2 I (one stored diagonal, max 2) and the plaintext
+        range B = ``CHALLENGE_RANGE`` of every encoded entry, max(EPS_FLOOR,
+        8 sigma (B + 2*2 + 1)): the floor on an exact response at sigma 0,
+        and 0.12 at sigma 1e-3, where each slot is off by up to 5e-4 and a
+        tampered slot by 1."""
         half = lam // 2
         rng = np.random.default_rng(lam)
         for noise_std, tampered in [(0.0, False), (0.0, True), (1e-3, False), (1e-3, True)]:
@@ -229,8 +232,8 @@ class TestEncodeDecode:
                 victims = rng.choice(challenge_pos, rng.integers(1, half + 1), replace=False)
                 z[2 * victims] += 1.0
             outcome = dcd(vctx, tag, z)
-            assert outcome.eps == tag.eps == max(
-                verify.EPS_FLOOR, 8 * noise_std * (np.max(np.abs(encoded)) + 5))
+            assert outcome.eps == vctx.eps == max(
+                verify.EPS_FLOOR, 8 * noise_std * (verify.CHALLENGE_RANGE + 5))
             blocks = {int(b): z[2 * j: 2 * j + 2] for j, b in enumerate(tag.perm)}
             reference = [np.max(np.abs(blocks[half + r] - vctx.challenge_outputs[ci]))
                          for r, ci in enumerate(tag.challenge_indices)]
@@ -298,8 +301,8 @@ class TestOneRowDecode:
     @pytest.mark.parametrize("d", DIMS)
     def test_ecd_is_the_batch_core_on_one_row(self, lam, d):
         """From one generator state, ``ecd`` encodes what ``_encode(ctx, w,
-        1)`` encodes, under the same permutation, challenge indices and eps,
-        and leaves the generator where ``_encode`` leaves it."""
+        1)`` encodes, under the same permutation and challenge indices, and
+        leaves the generator where ``_encode`` leaves it."""
         rng = np.random.default_rng(100 * lam + d)
         vctx = setup(64 * lam, rng.uniform(-1, 1, (d, d)), lam, num_challenges=6,
                      noise_std=1e-2, seed=lam)
@@ -314,14 +317,13 @@ class TestOneRowDecode:
             assert got.shape == (lam * d,) and np.array_equal(got, encoded[0])
             assert np.array_equal(tag.perm, perm[0])
             assert np.array_equal(tag.challenge_indices, indices[0])
-            assert tag.eps == verify._eps(vctx, encoded)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("d", DIMS)
     def test_dcd_is_the_batch_core_on_one_row(self, lam, d):
         """``dcd`` on row r of a batch, under row r's own tag, gives the
-        verdict, deviation, spread and eps that ``_decode`` gives row r of the
-        whole batch; and from one generator state it returns every
+        verdict, deviation and spread that ``_decode`` gives row r of the
+        whole batch, and the verifier's eps; and from one generator state it returns every
         ``DecodeOutcome`` field that ``_decode`` on row r alone gives, the
         payload drawn included, and leaves the generator in the same state.
         Each row is honest, noisy, or carries +1, NaN or an infinity in a
@@ -343,17 +345,17 @@ class TestOneRowDecode:
                 blocks = np.flatnonzero(local < half if where == "replica" else local >= half)
                 slot = int(rng.choice(blocks)) * d + int(rng.integers(d))
                 z[r, slot] = z[r, slot] + 1.0 if value == "+1" else float(value)
-            eps = verify._eps(vctx, encoded)
-            deviation, spread, accepted, _ = verify._decode(vctx, perm, indices, z, eps)
+            eps = vctx.eps
+            deviation, spread, accepted, _ = verify._decode(vctx, perm, indices, z)
             # a +1 on the one replica of lambda = 2 is all the replicas agree on
             assert accepted.tolist() == [0, 1] + ([2] if lam == 2 else [])
             for r in range(rows):
                 local = perm[r] - r * lam
                 state = vctx.rng.bit_generator.state
-                row = verify._decode(vctx, local[None], indices[r:r + 1], z[r:r + 1], eps)
+                row = verify._decode(vctx, local[None], indices[r:r + 1], z[r:r + 1])
                 after = vctx.rng.bit_generator.state
                 vctx.rng.bit_generator.state = state
-                tag = PermutationTag(perm=local, challenge_indices=indices[r], eps=eps)
+                tag = PermutationTag(perm=local, challenge_indices=indices[r])
                 outcome = dcd(vctx, tag, z[r])
                 assert vctx.rng.bit_generator.state == after
                 assert outcome.ok == (r in accepted.tolist()) == (len(row[2]) == 1)
@@ -397,8 +399,7 @@ class TestReplicaAgreement:
             indices = np.arange(half) % len(vctx.challenges)
             blocks = [w] * half + [vctx.challenges[i] for i in indices]
             encoded = np.concatenate([blocks[b] for b in perm])
-            tag = PermutationTag(perm=perm, challenge_indices=indices,
-                                 eps=verify._eps(vctx, encoded))
+            tag = PermutationTag(perm=perm, challenge_indices=indices)
             assert payload_positions(tag) == set(R)
             passed = []
             for S in tamper_sets:
